@@ -18,12 +18,10 @@ def main():
     parser.add_argument("--work-dir", default="demo_work")
     parser.add_argument("--issues", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    table = run_demo(args.work_dir, n_issues=args.issues, seed=args.seed,
-                     threads=args.threads)
+    table = run_demo(args.work_dir, n_issues=args.issues, seed=args.seed)
     print(f"artifacts in {args.work_dir}")
     for mode in table.modes:
         cell = table.cell(Field.ALL_COMMENTS, mode, table.pairs[0])

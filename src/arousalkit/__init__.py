@@ -21,7 +21,6 @@ from .embedding import (
     glove_loss,
     glove_train,
     nearest_neighbors,
-    word_vector,
 )
 from .lexicon import (
     AgreementReport,
@@ -33,17 +32,14 @@ from .lexicon import (
     SeedSet,
     aggregate_ratings,
     apply_review,
-    build_lexicon,
     expand_embedding,
     expand_wordnet,
     generate_sheet,
     ingest_ratings,
     load_general_lexicon,
-    load_lexicon,
     rater_agreement,
     select_seeds,
 )
-from .scoring import ArousalScore  # noqa: F401  (re-export alias)
 from .scoring import (
     MODES,
     ScoringLexicon,

@@ -54,28 +54,20 @@ _USER_ERRORS = (
 @click.option("--work-dir", default=None, type=click.Path(),
               help="Override the work directory.")
 @click.option("--seed", default=None, type=int, help="Override the training seed.")
-@click.option("--deterministic", is_flag=True,
-              help="Force single-threaded, bit-reproducible training.")
-@click.option("--threads", default=None, type=int,
-              help="Training worker threads (>1 is non-deterministic).")
 @click.option("-v", "--verbose", is_flag=True, help="Log stage progress.")
 @click.pass_context
-def main(ctx, config_path, work_dir, seed, deterministic, threads, verbose):
+def main(ctx, config_path, work_dir, seed, verbose):
     """Bootstrap and evaluate an issue-tracker arousal lexicon."""
     logging.basicConfig(
         level=logging.INFO if verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    config = PipelineConfig.load(config_path) if config_path else PipelineConfig()
+    config = _run(PipelineConfig.load, config_path) if config_path else PipelineConfig()
     if work_dir is not None:
         config.work_dir = work_dir
     if seed is not None:
         config.embedding.seed = seed
-    if threads is not None:
-        config.embedding.threads = threads
-    if deterministic:
-        config.embedding.threads = 1
-    ctx.obj = {"config": config, "seed": seed, "threads": threads}
+    ctx.obj = {"config": config, "seed": seed}
 
 
 def _config(ctx) -> PipelineConfig:
@@ -207,9 +199,7 @@ def demo(ctx, issues):
     """Run the full pipeline on a generated corpus with simulated raters."""
     config = _config(ctx)
     seed = ctx.obj["seed"] if ctx.obj["seed"] is not None else 7
-    threads = ctx.obj["threads"] if ctx.obj["threads"] is not None else 1
-    table = _run(run_demo, config.work_dir, n_issues=issues, seed=seed,
-                 threads=threads)
+    table = _run(run_demo, config.work_dir, n_issues=issues, seed=seed)
     click.echo(f"demo artifacts in {config.work_dir}")
     for mode in table.modes:
         cell = table.cell(Field.ALL_COMMENTS, mode, table.pairs[0])

@@ -54,10 +54,11 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
+        """Build and validate a config; an unknown key raises ValueError."""
         data = dict(data)
-        embedding = EmbeddingConfig(**data.pop("embedding", {}))
-        seeds = SeedConfig(**data.pop("seeds", {}))
-        cfg = cls(embedding=embedding, seeds=seeds, **data)
+        embedding = _known(EmbeddingConfig, data.pop("embedding", {}), "embedding.")
+        seeds = _known(SeedConfig, data.pop("seeds", {}), "seeds.")
+        cfg = _known(cls, data, "", embedding=embedding, seeds=seeds)
         cfg.validate()
         return cfg
 
@@ -81,6 +82,16 @@ class PipelineConfig:
             else:
                 out[key] = value
         return out
+
+
+def _known(kind, data: dict, prefix: str, **nested):
+    names = {f.name for f in dataclasses.fields(kind)}
+    unknown = sorted(set(data) - names)
+    if unknown:
+        raise ValueError(
+            "unknown config key " + ", ".join(repr(prefix + key) for key in unknown)
+        )
+    return kind(**data, **nested)
 
 
 def hash_config_slice(config: PipelineConfig, keys: list[str]) -> str:

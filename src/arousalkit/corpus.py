@@ -19,6 +19,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
+from .artifacts import CorpusFormatError, read_rows, write_rows
+
 logger = logging.getLogger(__name__)
 
 _TOKEN_RE = re.compile(r"[a-z]+")
@@ -59,13 +61,6 @@ class Field(Enum):
     FIRST_COMMENT = "first_comment"
     LAST_COMMENT = "last_comment"
 
-    @classmethod
-    def parse(cls, label: str) -> "Field":
-        for member in cls:
-            if member.value == label:
-                return member
-        raise ValueError(f"unknown text field: {label!r}")
-
 
 @dataclass
 class Comment:
@@ -89,10 +84,6 @@ class TextUnit:
     tokens: list[str]
 
 
-class CorpusFormatError(Exception):
-    """Raised when a corpus, lexicon, or artifact file cannot be used at all."""
-
-
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on every non-letter character.
 
@@ -106,7 +97,7 @@ def parse_corpus(path: str | Path) -> Iterator[Issue]:
     """Stream issues from a JSON-lines corpus file.
 
     Malformed records are logged with their line number and skipped; an
-    unreadable file raises CorpusFormatError.
+    unreadable file or a repeated issue id raises CorpusFormatError.
     """
     path = Path(path)
     try:
@@ -115,6 +106,7 @@ def parse_corpus(path: str | Path) -> Iterator[Issue]:
         raise CorpusFormatError(f"cannot read corpus file {path}: {exc}") from exc
     with handle:
         n_bad = 0
+        first_line: dict[str, int] = {}
         for lineno, line in enumerate(handle, 1):
             if not line.strip():
                 continue
@@ -122,6 +114,11 @@ def parse_corpus(path: str | Path) -> Iterator[Issue]:
             if issue is None:
                 n_bad += 1
                 continue
+            seen = first_line.setdefault(issue.id, lineno)
+            if seen != lineno:
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: duplicate issue id {issue.id!r} (first on line {seen})"
+                )
             yield issue
         if n_bad:
             logger.warning("%s: skipped %d malformed record(s)", path, n_bad)
@@ -185,6 +182,9 @@ def comment_token_streams(issue: Issue) -> list[list[str]]:
     return streams
 
 
+VOCAB_HEADER = ("word", "id", "freq")
+
+
 class Vocabulary:
     """Word frequencies with dense ids assigned by descending frequency,
     ties broken lexicographically."""
@@ -222,25 +222,12 @@ class Vocabulary:
             yield word, self._ids[word], self._freqs[word]
 
     def save(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8") as out:
-            out.write("word,id,freq\n")
-            for word, wid, freq in self.items():
-                out.write(f"{word},{wid},{freq}\n")
+        write_rows(path, VOCAB_HEADER, self.items())
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        counts: dict[str, int] = {}
-        with Path(path).open("r", encoding="utf-8") as handle:
-            header = handle.readline()
-            if header.strip() != "word,id,freq":
-                raise CorpusFormatError(f"{path}: unexpected vocabulary header")
-            for lineno, line in enumerate(handle, 2):
-                parts = line.rstrip("\n").split(",")
-                if len(parts) != 3:
-                    raise CorpusFormatError(f"{path}:{lineno}: bad vocabulary row")
-                counts[parts[0]] = int(parts[2])
-        vocab = cls(counts, min_count=1)
-        return vocab
+        counts = {word: int(freq) for _, (word, _, freq) in read_rows(path, VOCAB_HEADER)}
+        return cls(counts, min_count=1)
 
 
 def build_vocabulary(issues: Iterable[Issue], min_count: int = 1) -> Vocabulary:

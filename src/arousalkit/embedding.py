@@ -7,21 +7,20 @@ squares (global-vectors objective):
         f(X_ij) * (w_i . w~_j + b_i + b~_j - ln X_ij)^2
 
 with f(x) = (x / x_max)^alpha for x < x_max, else 1. Training runs AdaGrad
-over the shuffled nonzero cells; a fixed seed with threads=1 is
-bit-reproducible. The output vector of a word is the sum of its main and
-context rows.
+over the shuffled nonzero cells; a fixed seed is bit-reproducible. The
+output vector of a word is the sum of its main and context rows.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
 import numpy as np
 
+from .artifacts import atomic_open
 from .corpus import CorpusFormatError, Vocabulary
 
 logger = logging.getLogger(__name__)
@@ -40,11 +39,10 @@ class EmbeddingConfig:
     learning_rate: float = 0.05
     epochs: int = 15
     seed: int = 42
-    threads: int = 1
 
     def validate(self) -> None:
-        if self.dim < 1 or self.window < 1 or self.epochs < 0 or self.threads < 1:
-            raise ValueError("dim, window, threads must be >= 1 and epochs >= 0")
+        if self.dim < 1 or self.window < 1 or self.epochs < 0:
+            raise ValueError("dim and window must be >= 1 and epochs >= 0")
         if self.x_max <= 0 or self.learning_rate <= 0:
             raise ValueError("x_max and learning_rate must be positive")
 
@@ -239,12 +237,7 @@ def loss_and_gradients(
 def glove_train(
     cooc: CoocMatrix, words: list[str], config: EmbeddingConfig
 ) -> EmbeddingModel:
-    """AdaGrad over shuffled nonzero cells for config.epochs passes.
-
-    threads=1 is the deterministic serial mode; threads>1 runs lock-free
-    shard workers on the shared parameter blocks, promising only a final
-    loss within a few percent of the serial result.
-    """
+    """AdaGrad over shuffled nonzero cells for config.epochs passes."""
     config.validate()
     if len(cooc) == 0:
         raise ValueError("co-occurrence matrix is empty")
@@ -262,23 +255,8 @@ def glove_train(
     model.loss_history = [_loss_on_entries(model, rows, cols, vals)]
     for epoch in range(config.epochs):
         order = rng.permutation(len(vals))
-        if config.threads == 1:
-            _sgd_pass(model, acc_w, acc_wc, acc_b, acc_bc, rows, cols, fx, logx, order,
-                      config.learning_rate)
-        else:
-            shards = np.array_split(order, config.threads)
-            workers = [
-                threading.Thread(
-                    target=_sgd_pass,
-                    args=(model, acc_w, acc_wc, acc_b, acc_bc, rows, cols, fx, logx,
-                          shard, config.learning_rate),
-                )
-                for shard in shards
-            ]
-            for t in workers:
-                t.start()
-            for t in workers:
-                t.join()
+        _sgd_pass(model, acc_w, acc_wc, acc_b, acc_bc, rows, cols, fx, logx, order,
+                  config.learning_rate)
         loss = _loss_on_entries(model, rows, cols, vals)
         if not np.isfinite(loss):
             raise TrainingDivergedError(
@@ -345,7 +323,7 @@ class WordVectors:
         Floats are written with shortest round-trip repr, so save/load and
         repeated runs are byte-identical.
         """
-        with Path(path).open("w", encoding="utf-8") as out:
+        with atomic_open(path) as out:
             out.write(f"{len(self.words)} {self.dim}\n")
             for word, row in zip(self.words, self.matrix):
                 out.write(word + " " + " ".join(repr(float(v)) for v in row) + "\n")
@@ -367,13 +345,6 @@ class WordVectors:
                 words.append(parts[0])
                 matrix[k] = [float(v) for v in parts[1:]]
         return cls(words, matrix)
-
-
-def word_vector(
-    source: Union[EmbeddingModel, WordVectors], word: str
-) -> Optional[np.ndarray]:
-    """Combined vector for a word, or None when the word is unknown."""
-    return source.vector(word)
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:

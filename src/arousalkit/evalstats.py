@@ -14,6 +14,7 @@ from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 from typing import Iterable, Optional
 
+from .artifacts import atomic_open
 from .corpus import Field, Priority
 from .scoring import MODES, ScoredRow
 from .stats import cohens_d, pooled_t_test, welch_t_test
@@ -154,20 +155,19 @@ def render_tables(table: EvalTable, out_dir: str | Path) -> list[Path]:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
+    texts = []
     for stat, fmt, name in (
         ("cohen_d", ".4f", "eval_d.csv"),
         ("t", ".4f", "eval_t.csv"),
         ("df", ".6g", "eval_df.csv"),
         ("p", ".4g", "eval_p.csv"),
     ):
-        path = out_dir / name
-        path.write_text("\n".join(_stat_lines(table, stat, fmt)) + "\n", encoding="utf-8")
-        written.append(path)
-    display = out_dir / "eval_tables.txt"
-    display.write_text(_render_display(table), encoding="utf-8")
-    written.append(display)
-    return written
+        texts.append((out_dir / name, "\n".join(_stat_lines(table, stat, fmt)) + "\n"))
+    texts.append((out_dir / "eval_tables.txt", _render_display(table)))
+    for path, text in texts:
+        with atomic_open(path) as out:
+            out.write(text)
+    return [path for path, _ in texts]
 
 
 def _render_display(table: EvalTable) -> str:

@@ -4,11 +4,16 @@ rating round-trip, agreement statistics, and final lexicon assembly.
 File formats owned by this module:
 
 * seed list             one ``word,pole,source`` per line
+* selected seeds        header ``word,pole,source,freq``
 * candidate list        header ``word,provenance,status``
 * review decisions      one ``word,accept|reject`` per line
 * rating sheet          ``#``-prefixed instruction block, then
                         ``word,rating,frequency,similar_words`` rows
+* rating records        header ``word,rater,score``
 * arousal lexicon       header ``word,arousal,r1,r2,source``
+
+The headed tables are ``artifacts`` CSV files; the other three are edited
+by people and read leniently.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from .artifacts import atomic_open, read_rows, write_rows
 from .corpus import Vocabulary
 from .embedding import EmbeddingModel, WordVectors, nearest_neighbors
 from .stats import pearson_r, weighted_kappa
@@ -178,6 +184,9 @@ class Seed:
     freq: int
 
 
+SEED_HEADER = ("word", "pole", "source", "freq")
+
+
 class SeedSet:
     def __init__(self):
         self._entries: dict[str, Seed] = {}
@@ -206,23 +215,14 @@ class SeedSet:
         return list(self._entries)
 
     def save(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8") as out:
-            out.write("word,pole,source,freq\n")
-            for seed in self._entries.values():
-                out.write(f"{seed.word},{seed.pole},{seed.source},{seed.freq}\n")
+        write_rows(path, SEED_HEADER,
+                   ((s.word, s.pole, s.source, s.freq) for s in self._entries.values()))
 
     @classmethod
     def load(cls, path: str | Path) -> "SeedSet":
         seeds = cls()
-        with Path(path).open("r", encoding="utf-8") as handle:
-            header = handle.readline().strip()
-            if header != "word,pole,source,freq":
-                raise LexiconFormatError(f"{path}: unexpected seed header {header!r}")
-            for lineno, line in enumerate(handle, 2):
-                parts = line.strip().split(",")
-                if len(parts) != 4:
-                    raise LexiconFormatError(f"{path}:{lineno}: bad seed row")
-                seeds.add(Seed(parts[0], parts[1], parts[2], int(parts[3])))
+        for _, (word, pole, source, freq) in read_rows(path, SEED_HEADER):
+            seeds.add(Seed(word, pole, source, int(freq)))
         return seeds
 
 
@@ -343,6 +343,9 @@ class Candidate:
     status: str = "pending"  # pending | accepted | rejected
 
 
+CANDIDATE_HEADER = ("word", "provenance", "status")
+
+
 class CandidateSet:
     def __init__(self):
         self._entries: dict[str, Candidate] = {}
@@ -385,23 +388,14 @@ class CandidateSet:
         return {c.word: c.provenance.render() for c in self._entries.values()}
 
     def save(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8") as out:
-            out.write("word,provenance,status\n")
-            for cand in self._entries.values():
-                out.write(f"{cand.word},{cand.provenance.render()},{cand.status}\n")
+        write_rows(path, CANDIDATE_HEADER,
+                   ((c.word, c.provenance.render(), c.status) for c in self._entries.values()))
 
     @classmethod
     def load(cls, path: str | Path) -> "CandidateSet":
         candidates = cls()
-        with Path(path).open("r", encoding="utf-8") as handle:
-            header = handle.readline().strip()
-            if header != "word,provenance,status":
-                raise LexiconFormatError(f"{path}: unexpected candidate header")
-            for lineno, line in enumerate(handle, 2):
-                parts = line.strip().split(",")
-                if len(parts) != 3:
-                    raise LexiconFormatError(f"{path}:{lineno}: bad candidate row")
-                candidates.add(Candidate(parts[0], Provenance.parse(parts[1]), parts[2]))
+        for _, (word, provenance, status) in read_rows(path, CANDIDATE_HEADER):
+            candidates.add(Candidate(word, Provenance.parse(provenance), status))
         return candidates
 
 
@@ -508,7 +502,7 @@ def generate_sheet(
     if shuffle_seed is not None:
         rng = np.random.default_rng(shuffle_seed)
         ordered = [ordered[i] for i in rng.permutation(len(ordered))]
-    with Path(path).open("w", encoding="utf-8") as out:
+    with atomic_open(path) as out:
         for line in SHEET_INSTRUCTIONS.splitlines():
             out.write(f"# {line}\n")
         out.write(SHEET_HEADER + "\n")
@@ -593,28 +587,20 @@ def ingest_ratings(
     return records, report
 
 
+RATING_HEADER = ("word", "rater", "score")
+
+
 def save_rating_records(records: Iterable[RatingRecord], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as out:
-        out.write("word,rater,score\n")
-        for record in records:
-            out.write(f"{record.word},{record.rater},{record.score}\n")
+    write_rows(path, RATING_HEADER, ((r.word, r.rater, r.score) for r in records))
 
 
 def load_rating_records(path: str | Path) -> list[RatingRecord]:
     records = []
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        header = handle.readline().strip()
-        if header != "word,rater,score":
-            raise LexiconFormatError(f"{path}:1: unexpected ratings header")
-        for lineno, line in enumerate(handle, 2):
-            parts = line.strip().split(",")
-            if len(parts) != 3:
-                raise LexiconFormatError(f"{path}:{lineno}: bad rating row")
-            try:
-                records.append(RatingRecord(parts[0], parts[1], int(parts[2])))
-            except ValueError as exc:
-                raise LexiconFormatError(f"{path}:{lineno}: {exc}") from None
+    for lineno, (word, rater, score) in read_rows(path, RATING_HEADER):
+        try:
+            records.append(RatingRecord(word, rater, int(score)))
+        except ValueError as exc:
+            raise LexiconFormatError(f"{path}:{lineno}: {exc}") from None
     return records
 
 
@@ -627,6 +613,9 @@ class SeaEntry:
     arousal: float
     scores: list[tuple[str, int]]  # (rater, score), rater order fixed
     provenance: str = ""
+
+
+SEA_HEADER = ("word", "arousal", "r1", "r2", "source")
 
 
 class SeaLexicon:
@@ -672,64 +661,45 @@ class SeaLexicon:
             raise LexiconFormatError(
                 f"lexicon file format holds at most 2 raters, got {len(raters)}"
             )
-        with Path(path).open("w", encoding="utf-8") as out:
-            out.write("word,arousal,r1,r2,source\n")
-            for word in sorted(self.entries):
-                entry = self.entries[word]
-                by_rater = dict((r, s) for r, s in entry.scores)
-                cells = [
-                    str(by_rater[r]) if r in by_rater else "" for r in raters
-                ]
-                cells += [""] * (2 - len(cells))
-                out.write(
-                    f"{word},{entry.arousal:.4f},{cells[0]},{cells[1]},{entry.provenance}\n"
-                )
+        rows = []
+        for word in sorted(self.entries):
+            entry = self.entries[word]
+            by_rater = dict(entry.scores)
+            cells = [by_rater.get(r, "") for r in raters]
+            cells += [""] * (2 - len(cells))
+            rows.append((word, f"{entry.arousal:.4f}", *cells, entry.provenance))
+        write_rows(path, SEA_HEADER, rows)
 
     @classmethod
     def load(cls, path: str | Path) -> "SeaLexicon":
-        path = Path(path)
         entries: dict[str, SeaEntry] = {}
-        with path.open("r", encoding="utf-8") as handle:
-            header = handle.readline().strip()
-            if header != "word,arousal,r1,r2,source":
-                raise LexiconFormatError(f"{path}:1: unexpected lexicon header")
-            for lineno, line in enumerate(handle, 2):
-                parts = line.rstrip("\n").split(",")
-                if len(parts) != 5:
-                    raise LexiconFormatError(f"{path}:{lineno}: expected 5 columns")
-                word, arousal_text, r1, r2, provenance = parts
+        for lineno, (word, arousal_text, r1, r2, provenance) in read_rows(path, SEA_HEADER):
+            try:
+                arousal = float(arousal_text)
+            except ValueError:
+                raise LexiconFormatError(f"{path}:{lineno}: non-numeric arousal") from None
+            scores: list[tuple[str, int]] = []
+            for rater, cell in (("r1", r1), ("r2", r2)):
+                if cell == "":
+                    continue
                 try:
-                    arousal = float(arousal_text)
+                    score = int(cell)
                 except ValueError:
                     raise LexiconFormatError(
-                        f"{path}:{lineno}: non-numeric arousal"
+                        f"{path}:{lineno}: non-integer score {cell!r}"
                     ) from None
-                scores: list[tuple[str, int]] = []
-                for rater, cell in (("r1", r1), ("r2", r2)):
-                    if cell == "":
-                        continue
-                    try:
-                        score = int(cell)
-                    except ValueError:
-                        raise LexiconFormatError(
-                            f"{path}:{lineno}: non-integer score {cell!r}"
-                        ) from None
-                    if not 1 <= score <= 9:
-                        raise LexiconFormatError(
-                            f"{path}:{lineno}: score {score} out of 1..9"
-                        )
-                    scores.append((rater, score))
-                if not 1.0 <= arousal <= 9.0:
-                    raise LexiconFormatError(
-                        f"{path}:{lineno}: arousal {arousal} out of [1,9]"
-                    )
-                if scores and abs(arousal - statistics.fmean(s for _, s in scores)) > 5e-4:
-                    raise LexiconFormatError(
-                        f"{path}:{lineno}: arousal does not match the rater mean"
-                    )
-                if word in entries:
-                    raise LexiconFormatError(f"{path}:{lineno}: duplicate word {word!r}")
-                entries[word] = SeaEntry(arousal, scores, provenance)
+                if not 1 <= score <= 9:
+                    raise LexiconFormatError(f"{path}:{lineno}: score {score} out of 1..9")
+                scores.append((rater, score))
+            if not 1.0 <= arousal <= 9.0:
+                raise LexiconFormatError(f"{path}:{lineno}: arousal {arousal} out of [1,9]")
+            if scores and abs(arousal - statistics.fmean(s for _, s in scores)) > 5e-4:
+                raise LexiconFormatError(
+                    f"{path}:{lineno}: arousal does not match the rater mean"
+                )
+            if word in entries:
+                raise LexiconFormatError(f"{path}:{lineno}: duplicate word {word!r}")
+            entries[word] = SeaEntry(arousal, scores, provenance)
         return cls(entries)
 
 
@@ -752,14 +722,6 @@ def aggregate_ratings(
             provenance=(provenance or {}).get(word, ""),
         )
     return SeaLexicon(entries)
-
-
-def build_lexicon(lexicon: SeaLexicon, path: str | Path) -> None:
-    lexicon.save(path)
-
-
-def load_lexicon(path: str | Path) -> SeaLexicon:
-    return SeaLexicon.load(path)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 from . import corpus as corpus_mod
 from . import scoring as scoring_mod
 from . import synthetic
+from .artifacts import atomic_open, read_rows, write_rows
 from .config import PipelineConfig, hash_config_slice
 from .corpus import Priority, Vocabulary, build_vocabulary, parse_corpus
 from .embedding import WordVectors, count_cooccurrences, glove_train, nearest_neighbors
@@ -126,9 +127,8 @@ class Workspace:
             "artifacts": STAGE_ARTIFACTS[stage],
         }
         self.work_dir.mkdir(parents=True, exist_ok=True)
-        self.manifest_path.write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        with atomic_open(self.manifest_path) as out:
+            out.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     def check_upstream(self, stage: str) -> None:
         self.check_stages(STAGE_REQUIRES[stage])
@@ -172,21 +172,17 @@ def run_ingest(config: PipelineConfig) -> Vocabulary:
     return vocab
 
 
+PRIORITY_HEADER = ("issue_id", "priority")
+
+
 def save_priorities(priorities: dict[str, Priority], path: Path) -> None:
-    with path.open("w", encoding="utf-8") as out:
-        out.write("issue_id,priority\n")
-        for issue_id in sorted(priorities):
-            out.write(f"{issue_id},{priorities[issue_id].value}\n")
+    write_rows(path, PRIORITY_HEADER,
+               ((issue_id, priorities[issue_id].value) for issue_id in sorted(priorities)))
 
 
 def load_priorities(path: Path) -> dict[str, Priority]:
-    priorities = {}
-    with path.open("r", encoding="utf-8") as handle:
-        handle.readline()
-        for line in handle:
-            issue_id, _, label = line.strip().partition(",")
-            priorities[issue_id] = Priority.parse(label)
-    return priorities
+    return {issue_id: Priority.parse(label)
+            for _, (issue_id, label) in read_rows(path, PRIORITY_HEADER)}
 
 
 def run_train(config: PipelineConfig):
@@ -291,8 +287,8 @@ def run_agreement(config: PipelineConfig) -> AgreementReport:
     ws.check_upstream("agreement")
     records = load_rating_records(ws.path("ratings.csv"))
     report = rater_agreement(records, kappa_weighting=config.kappa_weighting)
-    ws.path("agreement.txt").write_text("\n".join(report.lines()) + "\n",
-                                        encoding="utf-8")
+    with atomic_open(ws.path("agreement.txt")) as out:
+        out.write("\n".join(report.lines()) + "\n")
     ws.record_stage("agreement")
     return report
 
@@ -364,13 +360,11 @@ def demo_config(work_dir: str | Path, seed: int = 7,
     return config
 
 
-def run_demo(work_dir: str | Path, n_issues: int = 1000, seed: int = 7,
-             threads: int = 1) -> EvalTable:
+def run_demo(work_dir: str | Path, n_issues: int = 1000, seed: int = 7) -> EvalTable:
     """Full pipeline on generated inputs, with simulated raters."""
     work_dir = Path(work_dir)
     inputs = synthetic.generate_demo_inputs(work_dir, n_issues=n_issues, seed=seed)
     config = demo_config(work_dir, seed=seed, n_issues=n_issues)
-    config.embedding.threads = threads
     config.save(work_dir / "inputs" / "config.json")
 
     run_ingest(config)

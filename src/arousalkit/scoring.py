@@ -18,11 +18,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
+from .artifacts import read_rows, write_rows
 from .corpus import CorpusFormatError, Field, Issue, Priority, extract_units
 
 MODES = ("general", "sea", "combined")
 
 _FIELD_ORDER = {f: i for i, f in enumerate(Field)}
+_FIELD_BY_VALUE = {f.value: f for f in Field}
 _MODE_ORDER = {m: i for i, m in enumerate(MODES)}
 
 
@@ -142,10 +144,6 @@ class ScoredRow:
     score: float
 
 
-# a present per-unit arousal score row; absence is simply a missing row
-ArousalScore = ScoredRow
-
-
 def score_corpus(
     issues: Iterable[Issue],
     general: Optional[ScoringLexicon],
@@ -192,17 +190,15 @@ def score_corpus(
     return rows
 
 
-SCORE_HEADER = "issue_id,field,mode,n_matched,max,min,score"
+SCORE_HEADER = ("issue_id", "field", "mode", "n_matched", "max", "min", "score")
 
 
 def save_scores(rows: Iterable[ScoredRow], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as out:
-        out.write(SCORE_HEADER + "\n")
-        for r in rows:
-            out.write(
-                f"{r.issue_id},{r.field.value},{r.mode},{r.n_matched},"
-                f"{r.max_used:.4f},{r.min_used:.4f},{r.score:.4f}\n"
-            )
+    write_rows(path, SCORE_HEADER, (
+        (r.issue_id, r.field.value, r.mode, r.n_matched,
+         f"{r.max_used:.4f}", f"{r.min_used:.4f}", f"{r.score:.4f}")
+        for r in rows
+    ))
 
 
 def load_scores(
@@ -210,24 +206,20 @@ def load_scores(
 ) -> list[ScoredRow]:
     """Read a score table; issue priorities are joined from the given map
     (Unknown when absent, since the file format does not carry them)."""
+    priorities = priorities or {}
     rows = []
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        header = handle.readline().strip()
-        if header != SCORE_HEADER:
-            raise CorpusFormatError(f"{path}:1: unexpected score header")
-        for lineno, line in enumerate(handle, 2):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != 7:
-                raise CorpusFormatError(f"{path}:{lineno}: expected 7 columns")
-            issue_id, field_text, mode, n_matched, mx, mn, score = parts
-            if mode not in MODES:
-                raise CorpusFormatError(f"{path}:{lineno}: unknown mode {mode!r}")
-            priority = (priorities or {}).get(issue_id, Priority.UNKNOWN)
-            rows.append(
-                ScoredRow(
-                    issue_id, priority, Field.parse(field_text), mode,
-                    int(n_matched), float(mx), float(mn), float(score),
-                )
+    for lineno, (issue_id, field_text, mode, n_matched, mx, mn, score) in read_rows(
+        path, SCORE_HEADER
+    ):
+        field = _FIELD_BY_VALUE.get(field_text)
+        if field is None:
+            raise CorpusFormatError(f"{path}:{lineno}: unknown text field {field_text!r}")
+        if mode not in MODES:
+            raise CorpusFormatError(f"{path}:{lineno}: unknown mode {mode!r}")
+        rows.append(
+            ScoredRow(
+                issue_id, priorities.get(issue_id, Priority.UNKNOWN), field, mode,
+                int(n_matched), float(mx), float(mn), float(score),
             )
+        )
     return rows

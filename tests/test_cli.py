@@ -12,8 +12,11 @@ from arousalkit.pipeline import (
     PipelineError,
     Workspace,
     demo_config,
+    load_priorities,
     run_demo,
+    run_evaluate,
     run_ingest,
+    run_score,
     run_train,
 )
 
@@ -70,6 +73,32 @@ class TestDemo:
         for line in rows:
             cell = line.split(",")[3]
             assert len(cell.split(";")) == config.k
+
+
+class TestAdversarialIssueIds:
+    IDS = ("A,1", " B-2", 'C"3', "D\n4")
+
+    def test_ids_keep_their_priority_through_evaluate(self, tmp_path):
+        config = demo_config(tmp_path, seed=11, n_issues=N_ISSUES)
+        before = run_demo(tmp_path, n_issues=N_ISSUES, seed=11)
+        corpus = Path(config.corpus)
+        records = [json.loads(line) for line in corpus.read_text(encoding="utf-8").splitlines()]
+        renamed = {}
+        for record, new_id in zip(records, self.IDS):
+            renamed[new_id] = record["priority"]
+            record["id"] = new_id
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+        run_ingest(config)
+        run_score(config)
+        after = run_evaluate(config)
+        priorities = load_priorities(Path(config.work_dir) / "priorities.csv")
+        assert {i: priorities[i].value for i in self.IDS} == renamed
+        assert self.group_sizes(after) == self.group_sizes(before)
+
+    @staticmethod
+    def group_sizes(table):
+        return {key: (c.n_high, c.n_low) for key, c in table.cells.items() if c}
 
 
 class TestManifestChecks:
@@ -142,6 +171,24 @@ class TestCommandLine:
         result = CliRunner().invoke(main, ["--config", str(config_path), "agreement"])
         assert result.exit_code == 0, result.output
         assert "kappa" in result.output
+
+    @pytest.mark.parametrize("data, message", [
+        ({"embedding": {"threads": 2}}, "'embedding.threads'"),
+        ({"seeds": {"n3": 1, "f3": 2}}, "'seeds.f3', 'seeds.n3'"),
+        ({"workdir": "w", "k": 3}, "'workdir'"),
+    ])
+    def test_unknown_config_key_is_named(self, data, message):
+        with pytest.raises(ValueError) as info:
+            PipelineConfig.from_dict(data)
+        assert str(info.value) == "unknown config key " + message
+
+    def test_unknown_config_key_fails_without_traceback(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"embedding": {"dim": 8, "threads": 2}}))
+        result = CliRunner().invoke(main, ["--config", str(config_path), "ingest"])
+        assert result.exit_code == 1
+        assert "unknown config key 'embedding.threads'" in result.output
+        assert isinstance(result.exception, SystemExit)
 
     def test_config_round_trip(self, tmp_path):
         config = PipelineConfig()

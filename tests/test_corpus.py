@@ -102,6 +102,14 @@ class TestParseCorpus:
         issues = list(parse_corpus(path))
         assert [i.id for i in issues] == ["X"]
 
+    def test_duplicate_issue_id_is_fatal_with_both_lines(self, tmp_path):
+        records = [json.dumps({"id": i, "priority": "Major", "title": "", "description": ""})
+                   for i in ("X", "Y", "X")]
+        path = self.write(tmp_path, records)
+        with pytest.raises(CorpusFormatError, match=r"corpus.jsonl:3: duplicate issue id 'X' "
+                                                    r"\(first on line 1\)"):
+            list(parse_corpus(path))
+
     def test_unreadable_file_is_fatal(self, tmp_path):
         with pytest.raises(CorpusFormatError):
             list(parse_corpus(tmp_path / "nope.jsonl"))

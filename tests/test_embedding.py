@@ -18,7 +18,6 @@ from arousalkit.embedding import (
     glove_train,
     loss_and_gradients,
     nearest_neighbors,
-    word_vector,
 )
 
 
@@ -213,29 +212,25 @@ class TestTraining:
         with pytest.raises(TrainingDivergedError, match="learning rate"):
             glove_train(cooc, vocab.words, config)
 
-    def test_parallel_mode_statistically_equivalent(self):
-        vocab, cooc = self.build_toy()
-        serial = glove_train(cooc, vocab.words, EmbeddingConfig(dim=8, epochs=4, seed=4))
-        hogwild = glove_train(
-            cooc, vocab.words, EmbeddingConfig(dim=8, epochs=4, seed=4, threads=3)
-        )
-        assert hogwild.loss_history[-1] <= serial.loss_history[-1] * 1.05
-
 
 class TestWordVector:
     def test_known_word_has_finite_vector_of_length_d(self):
         model = tiny_model(["a", "b"], dim=6)
-        vec = word_vector(model, "a")
-        assert vec.shape == (6,)
-        assert np.isfinite(vec).all()
+        for source in (model, model.to_vectors()):
+            vec = source.vector("a")
+            assert vec.shape == (6,)
+            assert np.isfinite(vec).all()
 
     def test_unknown_word_is_absent(self):
-        assert word_vector(tiny_model(["a"], dim=2), "zzz") is None
+        model = tiny_model(["a"], dim=2)
+        assert model.vector("zzz") is None
+        assert model.to_vectors().vector("zzz") is None
 
     def test_vector_is_sum_of_main_and_context_rows(self):
         model = tiny_model(["a", "b"], dim=4, seed=8)
         expected = model.w_main[0] + model.w_context[0]
-        assert np.array_equal(word_vector(model, "a"), expected)
+        assert np.array_equal(model.vector("a"), expected)
+        assert np.array_equal(model.to_vectors().vector("a"), expected)
 
 
 class TestCosine:
