@@ -40,15 +40,19 @@ def atomic_open(path: str | Path) -> Iterator[TextIO]:
 
 
 def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a header and rows atomically. Non-string cells go through str()."""
+    """Write a header and rows atomically. Non-string cells go through str().
+    A cell csv cannot write (NUL on Python 3.10) raises CorpusFormatError."""
     with atomic_open(path) as handle:
         # csv quotes a field only for the characters of its line terminator,
         # so rows are formatted with "\r\n" (a lone "\r" gets quoted too) and
         # stored with "\n".
         sink = SimpleNamespace(write=lambda line: handle.write(line[:-2] + "\n"))
         writer = csv.writer(sink, lineterminator="\r\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        try:
+            writer.writerow(header)
+            writer.writerows(rows)
+        except csv.Error as exc:
+            raise CorpusFormatError(f"{path}: cannot write row: {exc}") from None
 
 
 def read_rows(path: str | Path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:

@@ -97,7 +97,7 @@ def parse_corpus(path: str | Path) -> Iterator[Issue]:
     """Stream issues from a JSON-lines corpus file.
 
     Malformed records are logged with their line number and skipped; an
-    unreadable file or a repeated issue id raises CorpusFormatError.
+    unreadable file or a repeated or non-UTF-8 issue id raises CorpusFormatError.
     """
     path = Path(path)
     try:
@@ -114,6 +114,12 @@ def parse_corpus(path: str | Path) -> Iterator[Issue]:
             if issue is None:
                 n_bad += 1
                 continue
+            try:
+                issue.id.encode("utf-8")
+            except UnicodeEncodeError:
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: issue id {issue.id!r} cannot be encoded as UTF-8"
+                ) from None
             seen = first_line.setdefault(issue.id, lineno)
             if seen != lineno:
                 raise CorpusFormatError(

@@ -9,14 +9,21 @@ squares (global-vectors objective):
 with f(x) = (x / x_max)^alpha for x < x_max, else 1. Training runs AdaGrad
 over the shuffled nonzero cells; a fixed seed is bit-reproducible. The
 output vector of a word is the sum of its main and context rows.
+
+Co-occurrence cells are COO arrays rows, cols (int64 word ids) and vals
+(float64), one entry per nonzero cell, sorted by (row, col). Counting
+adds each cell's weights one at a time in a fixed order (position, then
+offset, then (i, j) before (j, i)): float addition is not associative,
+so only a fixed order makes the weights bit-reproducible.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -47,41 +54,20 @@ class EmbeddingConfig:
             raise ValueError("x_max and learning_rate must be positive")
 
 
+@dataclass(frozen=True, eq=False)
 class CoocMatrix:
-    """Sparse symmetric co-occurrence weights keyed by (word id, word id)."""
+    """Nonzero co-occurrence cells as COO arrays sorted by (row, col)."""
 
-    def __init__(self, n_words: int, window: int):
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.n_words = n_words
-        self.window = window
-        self._weights: dict[tuple[int, int], float] = {}
-
-    def add_pair(self, i: int, j: int, weight: float) -> None:
-        """Accumulate weight on both (i, j) and (j, i)."""
-        self._weights[(i, j)] = self._weights.get((i, j), 0.0) + weight
-        self._weights[(j, i)] = self._weights.get((j, i), 0.0) + weight
-
-    def weight(self, i: int, j: int) -> float:
-        return self._weights.get((i, j), 0.0)
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
 
     def __len__(self) -> int:
-        return len(self._weights)
+        return len(self.vals)
 
-    def total_mass(self) -> float:
-        return sum(self._weights.values())
 
-    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nonzero cells as (I, J, X) arrays sorted by (i, j).
-
-        Sorting makes downstream training independent of the order in
-        which units were counted.
-        """
-        keys = sorted(self._weights)
-        rows = np.array([k[0] for k in keys], dtype=np.int64)
-        cols = np.array([k[1] for k in keys], dtype=np.int64)
-        vals = np.array([self._weights[k] for k in keys], dtype=np.float64)
-        return rows, cols, vals
+#: Most directed entries generated and summed at once while counting.
+_COUNT_CHUNK = 1 << 16
 
 
 def count_cooccurrences(
@@ -93,49 +79,72 @@ def count_cooccurrences(
     cells. Out-of-vocabulary tokens are skipped but still occupy their
     positions; no pair spans two streams.
     """
-    cooc = CoocMatrix(len(vocab), window)
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    index = {word: i for i, word in enumerate(vocab.words)}
+    id_buffer = array("q")
     for stream in unit_streams:
-        ids = [vocab.id(tok) if tok in vocab else -1 for tok in stream]
-        n = len(ids)
-        for t in range(n):
-            i = ids[t]
-            if i < 0:
-                continue
-            limit = min(t + window, n - 1)
-            for t2 in range(t + 1, limit + 1):
-                j = ids[t2]
-                if j < 0:
-                    continue
-                cooc.add_pair(i, j, 1.0 / (t2 - t))
-    return cooc
+        id_buffer.extend([index.get(tok, -1) for tok in stream] + [-1] * window)
+    ids = np.frombuffer(id_buffer, dtype=np.int64)
+    n_words = max(len(index), 1)
+    # pass 1: sorted cell keys, merged geometrically so memory follows the cells
+    keys, pending = np.empty(0, dtype=np.int64), []
+    for chunk_keys, _ in _directed_entries(ids, window, n_words):
+        pending.append(_sorted_unique(chunk_keys))
+        if sum(map(len, pending)) > len(keys):
+            keys, pending = _sorted_unique(np.concatenate([keys, *pending])), []
+    keys = _sorted_unique(np.concatenate([keys, *pending]))
+    # pass 2: np.add.at is unbuffered, so each cell sums in counting order
+    vals = np.zeros(len(keys))
+    for chunk_keys, weights in _directed_entries(ids, window, n_words):
+        unique, inverse = np.unique(chunk_keys, return_inverse=True)
+        np.add.at(vals, np.searchsorted(keys, unique)[inverse], weights)
+    rows, cols = np.divmod(keys, n_words)
+    return CoocMatrix(rows, cols, vals)
 
 
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    # np.unique may take a hash-table path that is slower on int64 keys
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
+def _directed_entries(ids: np.ndarray, window: int, n_words: int) -> Iterator[tuple]:
+    """Keys (i * n_words + j) and weights of all directed entries in chunks,
+    in counting order; ids must end with window sentinels."""
+    if len(ids) <= window:
+        return
+    # row t holds the token at position t and the window tokens after it
+    spans = np.lib.stride_tricks.sliding_window_view(ids, window + 1)
+    harmonic = 1.0 / np.arange(1, window + 1)
+    step = max(1, _COUNT_CHUNK // (2 * window))
+    for lo in range(0, len(spans), step):
+        right = spans[lo:lo + step, 1:]
+        left = np.broadcast_to(spans[lo:lo + step, :1], right.shape)
+        ok = (left >= 0) & (right >= 0)
+        i, j = left[ok], right[ok]
+        keys = np.stack([i * n_words + j, j * n_words + i], axis=1).ravel()
+        yield keys, np.repeat(np.broadcast_to(harmonic, right.shape)[ok], 2)
+
+
+@dataclass(eq=False)
 class EmbeddingModel:
     """Main/context vectors and biases over a fixed word list."""
 
-    def __init__(
-        self,
-        words: list[str],
-        w_main: np.ndarray,
-        w_context: np.ndarray,
-        b_main: np.ndarray,
-        b_context: np.ndarray,
-        config: EmbeddingConfig,
-        loss_history: Optional[list[float]] = None,
-    ):
-        n, d = w_main.shape
-        if len(words) != n or w_context.shape != (n, d):
+    words: list[str]
+    w_main: np.ndarray
+    w_context: np.ndarray
+    b_main: np.ndarray
+    b_context: np.ndarray
+    config: EmbeddingConfig
+    loss_history: list[float] = field(default_factory=list)
+
+    def __post_init__(self):
+        n, d = self.w_main.shape
+        if len(self.words) != n or self.w_context.shape != (n, d):
             raise ValueError("parameter blocks disagree on vocabulary size")
-        if b_main.shape != (n,) or b_context.shape != (n,):
+        if self.b_main.shape != (n,) or self.b_context.shape != (n,):
             raise ValueError("bias blocks disagree on vocabulary size")
-        self.words = words
-        self.w_main = w_main
-        self.w_context = w_context
-        self.b_main = b_main
-        self.b_context = b_context
-        self.config = config
-        self.loss_history = loss_history or []
-        self._index = {w: i for i, w in enumerate(words)}
 
     @classmethod
     def initialize(cls, words: list[str], config: EmbeddingConfig) -> "EmbeddingModel":
@@ -156,17 +165,8 @@ class EmbeddingModel:
     def dim(self) -> int:
         return self.w_main.shape[1]
 
-    def __contains__(self, word: str) -> bool:
-        return word in self._index
-
-    def vector(self, word: str) -> Optional[np.ndarray]:
-        """Combined (main + context) vector, or None for unknown words."""
-        idx = self._index.get(word)
-        if idx is None:
-            return None
-        return self.w_main[idx] + self.w_context[idx]
-
     def to_vectors(self) -> "WordVectors":
+        """Combined (main + context) vectors for similarity queries."""
         return WordVectors(list(self.words), self.w_main + self.w_context)
 
 
@@ -174,23 +174,21 @@ def _loss_weights(x: np.ndarray, x_max: float, alpha: float) -> np.ndarray:
     return np.where(x < x_max, (x / x_max) ** alpha, 1.0)
 
 
+#: Most vector elements gathered at once per parameter block by glove_loss.
+_LOSS_GATHER = 1 << 20
+
+
 def glove_loss(model: EmbeddingModel, cooc: CoocMatrix) -> float:
     """Exact objective over all stored co-occurrence cells."""
     if len(cooc) == 0:
         raise ValueError("co-occurrence matrix is empty")
-    if cooc.n_words > len(model.words):
+    if max(cooc.rows.max(), cooc.cols.max()) >= len(model.words):
         raise ValueError("co-occurrence ids exceed model vocabulary")
-    rows, cols, vals = cooc.entries()
-    return _loss_on_entries(model, rows, cols, vals)
-
-
-def _loss_on_entries(
-    model: EmbeddingModel, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
-) -> float:
+    rows, cols, vals = cooc.rows, cooc.cols, cooc.vals
     fx = _loss_weights(vals, model.config.x_max, model.config.alpha)
     logx = np.log(vals)
     total = 0.0
-    chunk = 1 << 18
+    chunk = max(1, _LOSS_GATHER // model.dim)
     for lo in range(0, len(vals), chunk):
         hi = min(lo + chunk, len(vals))
         r, c = rows[lo:hi], cols[lo:hi]
@@ -212,7 +210,7 @@ def loss_and_gradients(
     Returns (loss, dW, dW~, db, db~); used by the finite-difference check
     and small-scale experiments, not by the per-cell AdaGrad loop.
     """
-    rows, cols, vals = cooc.entries()
+    rows, cols, vals = cooc.rows, cooc.cols, cooc.vals
     fx = _loss_weights(vals, model.config.x_max, model.config.alpha)
     logx = np.log(vals)
     pred = (
@@ -238,13 +236,9 @@ def glove_train(
     cooc: CoocMatrix, words: list[str], config: EmbeddingConfig
 ) -> EmbeddingModel:
     """AdaGrad over shuffled nonzero cells for config.epochs passes."""
-    config.validate()
-    if len(cooc) == 0:
-        raise ValueError("co-occurrence matrix is empty")
     model = EmbeddingModel.initialize(words, config)
-    rows, cols, vals = cooc.entries()
-    fx = _loss_weights(vals, config.x_max, config.alpha)
-    logx = np.log(vals)
+    fx = _loss_weights(cooc.vals, config.x_max, config.alpha)
+    logx = np.log(cooc.vals)
     rng = np.random.default_rng(config.seed)
 
     acc_w = np.ones_like(model.w_main)
@@ -252,12 +246,12 @@ def glove_train(
     acc_b = np.ones_like(model.b_main)
     acc_bc = np.ones_like(model.b_context)
 
-    model.loss_history = [_loss_on_entries(model, rows, cols, vals)]
+    model.loss_history = [glove_loss(model, cooc)]
     for epoch in range(config.epochs):
-        order = rng.permutation(len(vals))
-        _sgd_pass(model, acc_w, acc_wc, acc_b, acc_bc, rows, cols, fx, logx, order,
+        order = rng.permutation(len(cooc))
+        _sgd_pass(model, acc_w, acc_wc, acc_b, acc_bc, cooc.rows, cooc.cols, fx, logx, order,
                   config.learning_rate)
-        loss = _loss_on_entries(model, rows, cols, vals)
+        loss = glove_loss(model, cooc)
         if not np.isfinite(loss):
             raise TrainingDivergedError(
                 f"non-finite loss after epoch {epoch + 1}; "
@@ -300,12 +294,12 @@ class WordVectors:
         self.matrix = np.asarray(matrix, dtype=np.float64)
         self._index = {w: i for i, w in enumerate(words)}
         self._norms = np.linalg.norm(self.matrix, axis=1)
+        # lexicographic rank of each word, for tie-breaking neighbors
+        ordered = {w: r for r, w in enumerate(sorted(set(words)))}
+        self._rank = np.array([ordered[w] for w in words], dtype=np.int64)
 
     def __contains__(self, word: str) -> bool:
         return word in self._index
-
-    def __len__(self) -> int:
-        return len(self.words)
 
     @property
     def dim(self) -> int:
@@ -359,9 +353,7 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
-def nearest_neighbors(
-    source: Union[EmbeddingModel, WordVectors], word: str, k: int
-) -> list[tuple[str, float]]:
+def nearest_neighbors(vectors: WordVectors, word: str, k: int) -> list[tuple[str, float]]:
     """The k most cosine-similar vocabulary words, query excluded.
 
     Ties are broken lexicographically. Candidates with a zero vector are
@@ -369,7 +361,6 @@ def nearest_neighbors(
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    vectors = source.to_vectors() if isinstance(source, EmbeddingModel) else source
     query = vectors.vector(word)
     if query is None:
         raise ValueError(f"word not in vocabulary: {word!r}")
@@ -380,9 +371,7 @@ def nearest_neighbors(
     with np.errstate(divide="ignore", invalid="ignore"):
         sims = (vectors.matrix @ query) / (norms * qnorm)
     sims = np.where(norms == 0.0, -np.inf, sims)
-    ranked = sorted(
-        (-sims[idx], w)
-        for idx, w in enumerate(vectors.words)
-        if w != word and np.isfinite(sims[idx])
-    )
-    return [(w, float(-negsim)) for negsim, w in ranked[:k]]
+    rank = vectors._rank
+    idx = np.flatnonzero(np.isfinite(sims) & (rank != rank[vectors._index[word]]))
+    top = idx[np.lexsort((rank[idx], -sims[idx]))[:k]]
+    return [(vectors.words[i], float(sims[i])) for i in top]

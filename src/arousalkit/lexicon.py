@@ -23,13 +23,13 @@ import logging
 import statistics
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .artifacts import atomic_open, read_rows, write_rows
 from .corpus import Vocabulary
-from .embedding import EmbeddingModel, WordVectors, nearest_neighbors
+from .embedding import WordVectors, nearest_neighbors
 from .stats import pearson_r, weighted_kappa
 from .wordnet import SynsetDb, synonyms
 
@@ -420,7 +420,7 @@ def expand_wordnet(
 def expand_embedding(
     candidates: CandidateSet,
     seeds: SeedSet,
-    source: Union[EmbeddingModel, WordVectors],
+    vectors: WordVectors,
     k: int = 10,
 ) -> int:
     """Add the k nearest embedding neighbors of every seed as pending
@@ -432,10 +432,10 @@ def expand_embedding(
     """
     best: dict[str, Provenance] = {}
     for seed in seeds:
-        if seed.word not in source:
+        if seed.word not in vectors:
             logger.warning("seed %r not in the embedding vocabulary, skipped", seed.word)
             continue
-        for neighbor, sim in nearest_neighbors(source, seed.word, k):
+        for neighbor, sim in nearest_neighbors(vectors, seed.word, k):
             if neighbor in candidates:
                 continue
             prov = best.get(neighbor)
@@ -485,7 +485,7 @@ def generate_sheet(
     path: str | Path,
     words: Sequence[str],
     vocab: Vocabulary,
-    source: Union[EmbeddingModel, WordVectors, None],
+    vectors: Optional[WordVectors],
     k: int = 10,
     shuffle_seed: Optional[int] = None,
 ) -> None:
@@ -507,8 +507,8 @@ def generate_sheet(
             out.write(f"# {line}\n")
         out.write(SHEET_HEADER + "\n")
         for word in ordered:
-            if source is not None and word in source:
-                neighbors = nearest_neighbors(source, word, k)
+            if vectors is not None and word in vectors:
+                neighbors = nearest_neighbors(vectors, word, k)
                 cell = ";".join(f"{w}:{sim:.2f}" for w, sim in neighbors)
             else:
                 logger.warning("word %r missing from the embedding; empty neighbor cell", word)

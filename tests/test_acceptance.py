@@ -52,12 +52,11 @@ def test_criterion_01_gradient_check():
     t0 = time.time()
     config = EmbeddingConfig(dim=4, epochs=0, seed=3)
     model = EmbeddingModel.initialize(list("abcde"), config)
-    cooc = CoocMatrix(5, window=4)
     rng = np.random.default_rng(11)
-    for i in range(5):
-        for j in range(5):
-            if rng.random() < 0.7:
-                cooc._weights[(i, j)] = float(rng.uniform(0.3, 120.0))
+    cells = [(i, j, float(rng.uniform(0.3, 120.0)))
+             for i in range(5) for j in range(5) if rng.random() < 0.7]
+    rows, cols, vals = (np.array(column) for column in zip(*cells))
+    cooc = CoocMatrix(rows, cols, vals)
     _, d_w, d_wc, d_b, d_bc = loss_and_gradients(model, cooc)
     h = 1e-6
     worst = 0.0

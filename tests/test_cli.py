@@ -1,11 +1,13 @@
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from arousalkit import synthetic
+from arousalkit.artifacts import CorpusFormatError
 from arousalkit.cli import main
 from arousalkit.config import PipelineConfig
 from arousalkit.pipeline import (
@@ -99,6 +101,39 @@ class TestAdversarialIssueIds:
     @staticmethod
     def group_sizes(table):
         return {key: (c.n_high, c.n_low) for key, c in table.cells.items() if c}
+
+    def test_lone_surrogate_id_is_refused_with_line_and_id(self, tmp_path):
+        synthetic.generate_demo_inputs(tmp_path, n_issues=40, seed=3)
+        config = demo_config(tmp_path, seed=3, n_issues=40)
+        record = {"id": "\ud800x", "priority": "Major", "title": "fix", "description": ""}
+        Path(config.corpus).write_text(json.dumps(record) + "\n", encoding="utf-8")
+        message = f"{config.corpus}:1: issue id '\\ud800x' cannot be encoded as UTF-8"
+        with pytest.raises(CorpusFormatError) as info:
+            run_ingest(config)
+        assert str(info.value) == message
+
+        config_path = tmp_path / "config.json"
+        config.save(config_path)
+        result = CliRunner().invoke(main, ["--config", str(config_path), "ingest"])
+        assert result.exit_code == 1
+        assert message in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_nul_in_id_round_trips_or_is_refused_by_name(self, tmp_path):
+        synthetic.generate_demo_inputs(tmp_path, n_issues=40, seed=3)
+        config = demo_config(tmp_path, seed=3, n_issues=40)
+        corpus = Path(config.corpus)
+        records = [json.loads(line) for line in corpus.read_text(encoding="utf-8").splitlines()]
+        records[0]["id"] = "A\x00B"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        if sys.version_info >= (3, 11):
+            run_ingest(config)
+            priorities = load_priorities(Path(config.work_dir) / "priorities.csv")
+            assert priorities["A\x00B"].value == records[0]["priority"]
+        else:  # Python 3.10's csv module cannot write NUL
+            with pytest.raises(CorpusFormatError, match="priorities.csv"):
+                run_ingest(config)
+            assert not list(Path(config.work_dir).glob(".priorities.csv.*"))
 
 
 class TestManifestChecks:
