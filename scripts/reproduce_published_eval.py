@@ -10,7 +10,7 @@ cell is printed for comparison against the reference value 0.5070.
 
 import argparse
 
-from arousalkit.corpus import Field, parse_corpus
+from arousalkit.corpus import Field, TokenStore, parse_corpus
 from arousalkit.evalstats import evaluate_priorities, pair_label, render_tables
 from arousalkit.lexicon import SeaLexicon, load_general_lexicon
 from arousalkit.scoring import ScoringLexicon, resolve_sea_avg, score_corpus
@@ -28,7 +28,10 @@ def main():
     general = ScoringLexicon(load_general_lexicon(args.general_lexicon).arousal_map())
     sea = ScoringLexicon(SeaLexicon.load(args.sea_lexicon).arousal_map())
     sea_avg = resolve_sea_avg(sea, "lexicon")
-    rows = score_corpus(parse_corpus(args.corpus), general, sea, sea_avg)
+    issues = list(parse_corpus(args.corpus))
+    store = TokenStore.from_issues(issues)
+    rows = score_corpus(store, general, sea, sea_avg,
+                        priorities={issue.id: issue.priority for issue in issues})
     table = evaluate_priorities(rows, t_test=args.t_test)
     written = render_tables(table, args.out_dir)
     for path in written:

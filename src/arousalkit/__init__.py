@@ -4,10 +4,9 @@ from .corpus import (
     Field,
     Issue,
     Priority,
-    TextUnit,
+    TokenStore,
     Vocabulary,
     build_vocabulary,
-    extract_units,
     parse_corpus,
     tokenize,
 )

@@ -17,7 +17,7 @@ import csv
 import os
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import IO, Iterable, Iterator, Sequence
 
 
 class CorpusFormatError(Exception):
@@ -25,13 +25,15 @@ class CorpusFormatError(Exception):
 
 
 @contextlib.contextmanager
-def atomic_open(path: str | Path) -> Iterator[TextIO]:
-    """Text handle whose content replaces ``path`` when the block exits
-    normally; on an exception the temporary file is removed instead."""
+def atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """Handle (UTF-8 text for mode "w", bytes for "wb") whose content
+    replaces ``path`` when the block exits normally; on an exception the
+    temporary file is removed instead."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    text = {"encoding": "utf-8", "newline": ""} if mode == "w" else {}
     try:
-        with tmp.open("w", encoding="utf-8", newline="") as handle:
+        with tmp.open(mode, **text) as handle:
             yield handle
         os.replace(tmp, path)
     except BaseException:

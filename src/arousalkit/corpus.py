@@ -1,4 +1,4 @@
-"""Issue-tracker corpus ingestion: parsing, tokenization, text units, vocabulary.
+"""Issue-tracker corpus ingestion: parsing, tokenization, the token store, vocabulary.
 
 The corpus file is UTF-8 JSON lines, one issue per line:
 
@@ -13,13 +13,16 @@ from __future__ import annotations
 import json
 import logging
 import re
-from collections import Counter
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-from .artifacts import CorpusFormatError, read_rows, write_rows
+import numpy as np
+
+from .artifacts import CorpusFormatError, atomic_open, read_rows, write_rows
 
 logger = logging.getLogger(__name__)
 
@@ -38,10 +41,11 @@ class Priority(Enum):
     def parse(cls, label: object) -> "Priority":
         """Case-insensitive parse; anything unrecognized maps to UNKNOWN."""
         if isinstance(label, str):
-            for member in cls:
-                if member.value.lower() == label.strip().lower():
-                    return member
+            return _PRIORITY_BY_LABEL.get(label.strip().lower(), cls.UNKNOWN)
         return cls.UNKNOWN
+
+
+_PRIORITY_BY_LABEL = {member.value.lower(): member for member in Priority}
 
 
 #: The five Jira priorities used in the evaluation, highest first.
@@ -75,13 +79,6 @@ class Issue:
     title: str
     description: str
     comments: list[Comment] = dataclass_field(default_factory=list)
-
-
-@dataclass
-class TextUnit:
-    issue_id: str
-    field: Field
-    tokens: list[str]
 
 
 def tokenize(text: str) -> list[str]:
@@ -158,34 +155,124 @@ def _parse_record(line: str, lineno: int) -> Optional[Issue]:
     )
 
 
-def extract_units(issue: Issue) -> list[TextUnit]:
-    """Split one issue into its scoreable text units.
+#: First record of a token store file, checked on load.
+_STORE_TAG = b"arousalkit token store 1"
 
-    Title and Description are always emitted; the three comment-derived
-    units only when the issue has at least one comment. With exactly one
-    comment, first and last comment carry the same tokens.
+
+@dataclass(frozen=True, eq=False)
+class TokenStore:
+    """The tokenized corpus as one array of token ids.
+
+    ``ids`` (int32) index ``words``, the full dictionary in order of first
+    occurrence, with no frequency cut. The tokens form one stream per
+    text: title, description, then each comment, issue by issue in corpus
+    order. Stream k is ``ids[offsets[k]:offsets[k + 1]]``; issue i (id
+    ``issue_ids[i]``) owns streams ``issue_streams[i]`` up to, but not
+    including, ``issue_streams[i + 1]``.
     """
-    units = [
-        TextUnit(issue.id, Field.TITLE, tokenize(issue.title)),
-        TextUnit(issue.id, Field.DESCRIPTION, tokenize(issue.description)),
-    ]
-    if issue.comments:
-        per_comment = [tokenize(c.body) for c in issue.comments]
-        all_tokens: list[str] = []
-        for toks in per_comment:
-            all_tokens.extend(toks)
-        units.append(TextUnit(issue.id, Field.ALL_COMMENTS, all_tokens))
-        units.append(TextUnit(issue.id, Field.FIRST_COMMENT, per_comment[0]))
-        units.append(TextUnit(issue.id, Field.LAST_COMMENT, per_comment[-1]))
-    return units
+
+    ids: np.ndarray
+    words: list[str]
+    issue_ids: list[str]
+    offsets: np.ndarray
+    issue_streams: np.ndarray
+
+    @classmethod
+    def from_issues(cls, issues: Iterable[Issue]) -> "TokenStore":
+        index: defaultdict[str, int] = defaultdict()
+        index.default_factory = index.__len__  # a new word gets the next id
+        ids, offsets, issue_streams = array("i"), array("q", [0]), array("q", [0])
+        issue_ids = []
+        for issue in issues:
+            for text in (issue.title, issue.description, *(c.body for c in issue.comments)):
+                ids.extend(map(index.__getitem__, tokenize(text)))
+                offsets.append(len(ids))
+            issue_streams.append(len(offsets) - 1)
+            issue_ids.append(issue.id)
+        index.default_factory = None
+        return cls(np.frombuffer(ids, dtype=np.intc).astype(np.int32, copy=False), list(index),
+                   issue_ids, np.frombuffer(offsets, dtype=np.int64),
+                   np.frombuffer(issue_streams, dtype=np.int64))
+
+    def units(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Token bounds of the five scoring units of every issue.
+
+        Returns (starts, ends, present), each of shape (issues, 5) with the
+        columns in Field order; unit (i, f) is ``ids[starts[i, f]:ends[i, f]]``.
+        Title and description are always present, the comment units only
+        when the issue has a comment: all_comments is the run of comment
+        streams, first_comment and last_comment the first and last of them.
+        An absent unit is empty.
+        """
+        # stream indices: title, then description, then the comments up to end
+        title, end = self.issue_streams[:-1], self.issue_streams[1:]
+        comments = title + 2
+        off = self.offsets
+        starts = np.stack([off[title], off[title + 1], off[comments], off[comments],
+                           off[end - 1]], axis=1)
+        ends = np.stack([off[title + 1], off[comments], off[end],
+                         off[np.minimum(comments + 1, end)], off[end]], axis=1)
+        present = np.ones(starts.shape, dtype=bool)
+        present[:, 2:] = (end > comments)[:, None]
+        return np.where(present, starts, ends), ends, present
+
+    def save(self, path: str | Path) -> None:
+        """Eight .npy records back to back: a format tag, ``ids``, ``offsets``,
+        ``issue_streams``, then the UTF-8 bytes and byte offsets of the words
+        and of the issue ids. The file holds no timestamp, so saving the same
+        store twice gives the same bytes."""
+        with atomic_open(path, "wb") as out:
+            for record in (np.frombuffer(_STORE_TAG, dtype=np.uint8), self.ids, self.offsets,
+                           self.issue_streams, *_pack(self.words), *_pack(self.issue_ids)):
+                np.lib.format.write_array(out, record, allow_pickle=False)
+
+    @classmethod
+    def load(cls, path: str | Path) -> "TokenStore":
+        """Read a store written by ``save``; a short, corrupt or inconsistent
+        file raises CorpusFormatError naming the path."""
+        path = Path(path)
+        try:
+            with path.open("rb") as handle:
+                records = [np.lib.format.read_array(handle, allow_pickle=False)
+                           for _ in range(8)]
+                if handle.read(1):
+                    raise ValueError("trailing bytes after the last record")
+            return _unpack_store(records)
+        except OSError as exc:
+            raise CorpusFormatError(f"cannot read token store {path}: {exc}") from exc
+        except (ValueError, IndexError, EOFError, SyntaxError) as exc:
+            raise CorpusFormatError(f"{path}: not a valid token store: {exc}") from None
 
 
-def comment_token_streams(issue: Issue) -> list[list[str]]:
-    """Token streams for co-occurrence counting: title, description, and
-    each comment separately (windows never span field boundaries)."""
-    streams = [tokenize(issue.title), tokenize(issue.description)]
-    streams.extend(tokenize(c.body) for c in issue.comments)
-    return streams
+def _pack(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    encoded = [s.encode("utf-8") for s in strings]
+    ends = np.cumsum([len(b) for b in encoded], dtype=np.int64)
+    return np.frombuffer(b"".join(encoded), dtype=np.uint8), np.concatenate([[0], ends])
+
+
+def _unpack(data: np.ndarray, offsets: np.ndarray) -> list[str]:
+    if offsets[0] != 0 or offsets[-1] != len(data) or np.any(np.diff(offsets) < 0):
+        raise ValueError("string offsets do not match their bytes")
+    raw, bounds = data.tobytes(), offsets.tolist()
+    return [raw[a:b].decode("utf-8") for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _unpack_store(records: list[np.ndarray]) -> TokenStore:
+    tag, ids, offsets, issue_streams, word_data, word_offsets, id_data, id_offsets = records
+    dtypes = (np.uint8, np.int32, np.int64, np.int64, np.uint8, np.int64, np.uint8, np.int64)
+    if any(r.ndim != 1 or r.dtype != np.dtype(t) for r, t in zip(records, dtypes)):
+        raise ValueError("unexpected record shape or type")
+    if tag.tobytes() != _STORE_TAG:
+        raise ValueError("unknown format tag")
+    words = _unpack(word_data, word_offsets)
+    issue_ids = _unpack(id_data, id_offsets)
+    if (offsets[0] != 0 or offsets[-1] != len(ids) or np.any(np.diff(offsets) < 0)
+            or issue_streams[0] != 0 or issue_streams[-1] != len(offsets) - 1
+            or np.any(np.diff(issue_streams) < 2) or len(issue_ids) != len(issue_streams) - 1):
+        raise ValueError("stream bounds are inconsistent")
+    if len(ids) and (ids.min() < 0 or ids.max() >= len(words)):
+        raise ValueError("token id outside the dictionary")
+    return TokenStore(ids, words, issue_ids, offsets, issue_streams)
 
 
 VOCAB_HEADER = ("word", "id", "freq")
@@ -236,10 +323,7 @@ class Vocabulary:
         return cls(counts, min_count=1)
 
 
-def build_vocabulary(issues: Iterable[Issue], min_count: int = 1) -> Vocabulary:
-    """Count tokens over title, description, and every comment of each issue."""
-    counts: Counter[str] = Counter()
-    for issue in issues:
-        for stream in comment_token_streams(issue):
-            counts.update(stream)
-    return Vocabulary(dict(counts), min_count=min_count)
+def build_vocabulary(store: TokenStore, min_count: int = 1) -> Vocabulary:
+    """Count every token of the store: titles, descriptions and comments."""
+    counts = np.bincount(store.ids, minlength=len(store.words))
+    return Vocabulary(dict(zip(store.words, counts.tolist())), min_count=min_count)

@@ -20,15 +20,14 @@ so only a fixed order makes the weights bit-reproducible.
 from __future__ import annotations
 
 import logging
-from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .artifacts import atomic_open
-from .corpus import CorpusFormatError, Vocabulary
+from .corpus import CorpusFormatError
 
 logger = logging.getLogger(__name__)
 
@@ -70,33 +69,32 @@ class CoocMatrix:
 _COUNT_CHUNK = 1 << 16
 
 
-def count_cooccurrences(
-    unit_streams: Iterable[list[str]], vocab: Vocabulary, window: int
-) -> CoocMatrix:
+def count_cooccurrences(ids: np.ndarray, offsets: np.ndarray, window: int) -> CoocMatrix:
     """Harmonically weighted symmetric counts within each token stream.
 
-    Every ordered pair at distance d <= window adds 1/d to both matrix
-    cells. Out-of-vocabulary tokens are skipped but still occupy their
-    positions; no pair spans two streams.
+    ``ids`` holds word ids, -1 for a token outside the vocabulary; stream
+    k is ``ids[offsets[k]:offsets[k + 1]]`` and the streams cover ``ids``
+    in order. Every ordered pair at distance d <= window adds 1/d to both
+    matrix cells. Out-of-vocabulary tokens are skipped but still occupy
+    their positions; no pair spans two streams.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    index = {word: i for i, word in enumerate(vocab.words)}
-    id_buffer = array("q")
-    for stream in unit_streams:
-        id_buffer.extend([index.get(tok, -1) for tok in stream] + [-1] * window)
-    ids = np.frombuffer(id_buffer, dtype=np.int64)
-    n_words = max(len(index), 1)
+    if offsets[0] != 0 or offsets[-1] != len(ids):
+        raise ValueError("stream offsets must run from 0 to the number of tokens")
+    n_words = max(int(ids.max(initial=-1)) + 1, 1)
+    # window sentinels after the last token give every position a full span
+    padded = np.concatenate([ids, np.full(window, -1, dtype=ids.dtype)])
     # pass 1: sorted cell keys, merged geometrically so memory follows the cells
     keys, pending = np.empty(0, dtype=np.int64), []
-    for chunk_keys, _ in _directed_entries(ids, window, n_words):
+    for chunk_keys, _ in _directed_entries(padded, offsets, window, n_words):
         pending.append(_sorted_unique(chunk_keys))
         if sum(map(len, pending)) > len(keys):
             keys, pending = _sorted_unique(np.concatenate([keys, *pending])), []
     keys = _sorted_unique(np.concatenate([keys, *pending]))
     # pass 2: np.add.at is unbuffered, so each cell sums in counting order
     vals = np.zeros(len(keys))
-    for chunk_keys, weights in _directed_entries(ids, window, n_words):
+    for chunk_keys, weights in _directed_entries(padded, offsets, window, n_words):
         unique, inverse = np.unique(chunk_keys, return_inverse=True)
         np.add.at(vals, np.searchsorted(keys, unique)[inverse], weights)
     rows, cols = np.divmod(keys, n_words)
@@ -109,20 +107,29 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[np.diff(keys, prepend=-1) != 0]
 
 
-def _directed_entries(ids: np.ndarray, window: int, n_words: int) -> Iterator[tuple]:
+def _directed_entries(
+    ids: np.ndarray, offsets: np.ndarray, window: int, n_words: int
+) -> Iterator[tuple]:
     """Keys (i * n_words + j) and weights of all directed entries in chunks,
-    in counting order; ids must end with window sentinels."""
-    if len(ids) <= window:
+    in counting order; ids end with window sentinels, and a pair counts only
+    when both tokens lie in one stream of ``offsets``."""
+    n_tokens = len(ids) - window
+    if n_tokens == 0:
         return
     # row t holds the token at position t and the window tokens after it
     spans = np.lib.stride_tricks.sliding_window_view(ids, window + 1)
-    harmonic = 1.0 / np.arange(1, window + 1)
+    distance = np.arange(1, window + 1)
+    harmonic = 1.0 / distance
     step = max(1, _COUNT_CHUNK // (2 * window))
-    for lo in range(0, len(spans), step):
-        right = spans[lo:lo + step, 1:]
-        left = np.broadcast_to(spans[lo:lo + step, :1], right.shape)
-        ok = (left >= 0) & (right >= 0)
-        i, j = left[ok], right[ok]
+    for lo in range(0, n_tokens, step):
+        hi = min(lo + step, n_tokens)
+        position = np.arange(lo, hi)
+        # tokens from each position to the end of its stream
+        to_end = offsets[np.searchsorted(offsets, position, side="right")] - position
+        right = spans[lo:hi, 1:]
+        left = np.broadcast_to(spans[lo:hi, :1], right.shape)
+        ok = (left >= 0) & (right >= 0) & (distance < to_end[:, None])
+        i, j = left[ok].astype(np.int64), right[ok].astype(np.int64)
         keys = np.stack([i * n_words + j, j * n_words + i], axis=1).ravel()
         yield keys, np.repeat(np.broadcast_to(harmonic, right.shape)[ok], 2)
 
@@ -324,21 +331,33 @@ class WordVectors:
 
     @classmethod
     def load(cls, path: str | Path) -> "WordVectors":
+        """Read a text dump; a malformed header or row, a value that is not
+        a number, or a repeated word raises CorpusFormatError naming the
+        path and line."""
         path = Path(path)
         with path.open("r", encoding="utf-8") as handle:
-            header = handle.readline().split()
-            if len(header) != 2:
-                raise CorpusFormatError(f"{path}: bad embedding dump header")
-            n, d = int(header[0]), int(header[1])
-            words = []
+            try:
+                n, d = map(int, handle.readline().split())
+            except ValueError:
+                n = d = -1
+            if n < 0 or d < 1:
+                raise CorpusFormatError(f"{path}:1: bad embedding dump header")
+            first_line: dict[str, int] = {}
             matrix = np.empty((n, d), dtype=np.float64)
-            for k in range(n):
+            for lineno in range(2, n + 2):
                 parts = handle.readline().split()
                 if len(parts) != d + 1:
-                    raise CorpusFormatError(f"{path}: bad embedding row {k + 1}")
-                words.append(parts[0])
-                matrix[k] = [float(v) for v in parts[1:]]
-        return cls(words, matrix)
+                    raise CorpusFormatError(f"{path}:{lineno}: bad embedding row")
+                seen = first_line.setdefault(parts[0], lineno)
+                if seen != lineno:
+                    raise CorpusFormatError(
+                        f"{path}:{lineno}: repeated word {parts[0]!r} (first on line {seen})"
+                    )
+                try:
+                    matrix[lineno - 2] = [float(v) for v in parts[1:]]
+                except ValueError as exc:
+                    raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
+        return cls(list(first_line), matrix)
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .artifacts import atomic_open
 from .corpus import Field, Priority
 from .scoring import MODES, ScoredRow
@@ -37,6 +39,17 @@ DISPLAY_FIELD_LABELS = {
     Field.FIRST_COMMENT: "First comment",
     Field.LAST_COMMENT: "Last comment",
 }
+
+
+_N_MODES, _N_PRIORITIES = len(MODES), len(Priority)
+_FIELD_KEY = {f: i * _N_MODES * _N_PRIORITIES for i, f in enumerate(Field)}
+_MODE_KEY = {m: i * _N_PRIORITIES for i, m in enumerate(MODES)}
+_PRIORITY_KEY = {p: i for i, p in enumerate(Priority)}
+
+
+def _group_key(field: Field, mode: str, priority: Priority) -> int:
+    """Integer key of a (field, mode, priority) group, ordered like the tuple."""
+    return _FIELD_KEY[field] + _MODE_KEY[mode] + _PRIORITY_KEY[priority]
 
 
 def pair_label(pair: tuple[Priority, Priority]) -> str:
@@ -82,25 +95,29 @@ def evaluate_priorities(
         t_test_fn = pooled_t_test
     else:
         raise ValueError(f"unknown t-test variant: {t_test!r}")
-    groups: dict[tuple[Field, str, Priority], list[float]] = {}
-    modes_seen: set[str] = set()
-    n_rows = 0
-    for row in rows:
-        n_rows += 1
-        if row.priority is Priority.UNKNOWN:
-            continue
-        modes_seen.add(row.mode)
-        groups.setdefault((row.field, row.mode, row.priority), []).append(row.score)
-    if n_rows == 0:
+    rows = list(rows)
+    if not rows:
         raise ValueError("empty score table")
+    # one integer key per row; a stable sort keeps file order within a group
+    keys = np.array([_group_key(r.field, r.mode, r.priority) for r in rows], dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    keys, scores = keys[order], np.array([r.score for r in rows], dtype=np.float64)[order]
+    known = keys % _N_PRIORITIES != _PRIORITY_KEY[Priority.UNKNOWN]
+    keys, scores = keys[known], scores[known]
+    group_keys, starts = np.unique(keys, return_index=True)
+    ends = np.append(starts[1:], len(keys))
+    groups = {key: scores[start:end] for key, start, end
+              in zip(group_keys.tolist(), starts.tolist(), ends.tolist())}
+    modes_seen = {MODES[key // _N_PRIORITIES % _N_MODES] for key in groups}
     modes = tuple(m for m in MODES if m in modes_seen)
     fields = tuple(Field)
     table = EvalTable(fields, modes, PRIORITY_PAIRS, {})
+    empty = np.empty(0)
     for field in fields:
         for mode in modes:
             for pair in PRIORITY_PAIRS:
-                high = groups.get((field, mode, pair[0]), [])
-                low = groups.get((field, mode, pair[1]), [])
+                high = groups.get(_group_key(field, mode, pair[0]), empty)
+                low = groups.get(_group_key(field, mode, pair[1]), empty)
                 key = (field, mode, pair)
                 if len(high) < 2 or len(low) < 2:
                     table.cells[key] = None

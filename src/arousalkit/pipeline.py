@@ -14,12 +14,13 @@ import logging
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import corpus as corpus_mod
+import numpy as np
+
 from . import scoring as scoring_mod
 from . import synthetic
 from .artifacts import atomic_open, read_rows, write_rows
 from .config import PipelineConfig, hash_config_slice
-from .corpus import Priority, Vocabulary, build_vocabulary, parse_corpus
+from .corpus import Priority, TokenStore, Vocabulary, build_vocabulary, parse_corpus
 from .embedding import WordVectors, count_cooccurrences, glove_train, nearest_neighbors
 from .evalstats import EvalTable, evaluate_priorities, render_tables
 from .lexicon import (
@@ -85,12 +86,12 @@ STAGE_REQUIRES: dict[str, list[str]] = {
     "ratings": [],
     "agreement": ["ratings"],
     "build": ["ratings", "expand"],
-    "score": ["build"],
+    "score": ["ingest", "build"],
     "evaluate": ["ingest", "score"],
 }
 
 STAGE_ARTIFACTS: dict[str, list[str]] = {
-    "ingest": ["vocab.csv", "priorities.csv"],
+    "ingest": ["vocab.csv", "priorities.csv", "tokens.bin"],
     "train": ["embedding.txt"],
     "seeds": ["seeds.csv"],
     "expand": ["candidates.csv"],
@@ -164,9 +165,11 @@ def run_ingest(config: PipelineConfig) -> Vocabulary:
             priorities[issue.id] = issue.priority
             yield issue
 
-    vocab = build_vocabulary(issues_with_priorities(), min_count=config.min_count)
+    store = TokenStore.from_issues(issues_with_priorities())
+    vocab = build_vocabulary(store, min_count=config.min_count)
     vocab.save(ws.path("vocab.csv"))
     save_priorities(priorities, ws.path("priorities.csv"))
+    store.save(ws.path("tokens.bin"))
     ws.record_stage("ingest")
     logger.info("ingest: %d issues, %d vocabulary words", len(priorities), len(vocab))
     return vocab
@@ -189,12 +192,7 @@ def run_train(config: PipelineConfig):
     ws = Workspace(config)
     ws.check_upstream("train")
     vocab = Vocabulary.load(ws.path("vocab.csv"))
-    units = (
-        stream
-        for issue in parse_corpus(config.corpus)
-        for stream in corpus_mod.comment_token_streams(issue)
-    )
-    cooc = count_cooccurrences(units, vocab, config.embedding.window)
+    cooc = _count_store(TokenStore.load(ws.path("tokens.bin")), vocab, config.embedding.window)
     model = glove_train(cooc, vocab.words, config.embedding)
     model.to_vectors().save(ws.path("embedding.txt"))
     ws.record_stage("train")
@@ -203,6 +201,15 @@ def run_train(config: PipelineConfig):
         len(cooc), model.loss_history[0], model.loss_history[-1],
     )
     return model
+
+
+def _count_store(store: TokenStore, vocab: Vocabulary, window: int):
+    # store ids -> vocabulary ids, -1 for words below min_count
+    to_vocab = np.array([vocab.id(w) if w in vocab else -1 for w in store.words],
+                        dtype=np.int32)
+    ids, offsets = to_vocab[store.ids], store.offsets
+    del store  # the store's own ids are not needed while counting
+    return count_cooccurrences(ids, offsets, window)
 
 
 def run_neighbors(config: PipelineConfig, word: str, k: Optional[int] = None):
@@ -312,11 +319,10 @@ def run_score(config: PipelineConfig, modes: Sequence[str] = MODES):
         load_general_lexicon(config.general_lexicon, config.general_columns).arousal_map()
     )
     sea = ScoringLexicon(SeaLexicon.load(ws.path("sea_lexicon.csv")).arousal_map())
-    sea_avg = resolve_sea_avg(
-        sea, config.sea_avg,
-        issues=parse_corpus(config.corpus) if config.sea_avg == "dataset" else None,
-    )
-    rows = score_corpus(parse_corpus(config.corpus), general, sea, sea_avg, modes)
+    store = TokenStore.load(ws.path("tokens.bin"))
+    sea_avg = resolve_sea_avg(sea, config.sea_avg, store)
+    rows = score_corpus(store, general, sea, sea_avg, modes,
+                        priorities=load_priorities(ws.path("priorities.csv")))
     scoring_mod.save_scores(rows, ws.path("scores.csv"))
     ws.record_stage("score")
     logger.info("score: %d present rows (sea_avg %.4f)", len(rows), sea_avg)

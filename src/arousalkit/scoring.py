@@ -9,23 +9,35 @@ domain-lexicon score:
 
     combined = general + (sea_score - sea_avg)    when a sea match exists
     combined = general                            otherwise
+
+``score_text`` and ``combined_score`` state the rule for one token
+sequence. ``score_corpus`` applies it to every unit of a token store at
+once: a lexicon becomes an arousal vector over the store's dictionary,
+and per-unit maxima, minima and match counts are reductions over slices
+of the token array. Max and min over occurrences equal max and min over
+distinct words, so both give the same floats.
 """
 
 from __future__ import annotations
 
+import math
 import statistics
+import sys
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from .artifacts import read_rows, write_rows
-from .corpus import CorpusFormatError, Field, Issue, Priority, extract_units
+from .corpus import CorpusFormatError, Field, Priority, TokenStore
 
 MODES = ("general", "sea", "combined")
 
-_FIELD_ORDER = {f: i for i, f in enumerate(Field)}
+_FIELDS = tuple(Field)
 _FIELD_BY_VALUE = {f.value: f for f in Field}
-_MODE_ORDER = {m: i for i, m in enumerate(MODES)}
+_MODE_BY_VALUE = {m: m for m in MODES}  # loaded rows share these strings
 
 
 class ScoringLexicon:
@@ -45,6 +57,11 @@ class ScoringLexicon:
 
     def arousal(self, word: str) -> float:
         return self._arousal[word]
+
+    def lookup(self, words: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Arousal of each word (0.0 where absent) and the mask of present words."""
+        arousal = np.array([self._arousal.get(w, 0.0) for w in words], dtype=np.float64)
+        return arousal, np.array([w in self._arousal for w in words], dtype=bool)
 
 
 @dataclass
@@ -100,39 +117,61 @@ def combined_score(
                      base.score + adjustment)
 
 
+def _score_units(
+    store: TokenStore, lex: ScoringLexicon, starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``score_text`` of every unit ``store.ids[starts:ends]`` as arrays:
+    matched count, clamped max, clamped min and score; the last three mean
+    something only where the count is positive."""
+    arousal, present = lex.lookup(store.words)
+    counts = np.zeros(len(store.ids) + 1, dtype=np.int32)
+    np.cumsum(present[store.ids], out=counts[1:])
+    # reduceat over interleaved (start, end) pairs reduces each [start, end);
+    # the extra last element keeps an end after the last token a valid index
+    bounds = np.stack([starts, ends], axis=-1).ravel()
+    per_token = np.empty(len(store.ids) + 1)
+    extremes = []
+    for ufunc, missing in ((np.maximum, -np.inf), (np.minimum, np.inf)):
+        np.take(np.where(present, arousal, missing), store.ids, out=per_token[:-1])
+        per_token[-1] = missing
+        extremes.append(ufunc.reduceat(per_token, bounds)[::2])
+    raw_max, raw_min = extremes
+    max_used = np.where(raw_max >= lex.avg, raw_max, lex.avg)
+    min_used = np.where(raw_min <= lex.avg, raw_min, lex.avg)
+    return counts[ends] - counts[starts], max_used, min_used, max_used + min_used
+
+
 def resolve_sea_avg(
     sea: ScoringLexicon,
     setting: Union[str, float] = "lexicon",
-    issues: Optional[Iterable[Issue]] = None,
+    store: Optional[TokenStore] = None,
 ) -> float:
     """The centering constant subtracted from domain scores in combined mode.
 
     "lexicon" (default): twice the mean word arousal, i.e. the score a
     text of all-average words would receive. "dataset": the mean of the
-    present sea-mode text scores over the given issues. A number is used
-    as-is. Effect sizes are invariant to this choice; only raw combined
-    scores move.
+    present sea-mode text scores over the units of the given token store.
+    A number is used as-is. Effect sizes are invariant to this choice;
+    only raw combined scores move.
     """
     if isinstance(setting, (int, float)):
         return float(setting)
     if setting == "lexicon":
         return 2.0 * sea.avg
     if setting == "dataset":
-        if issues is None:
-            raise ValueError("dataset sea_avg needs the issue corpus")
-        scores = []
-        for issue in issues:
-            for unit in extract_units(issue):
-                unit_score = score_text(unit.tokens, sea)
-                if unit_score is not None:
-                    scores.append(unit_score.score)
-        if not scores:
+        if store is None:
+            raise ValueError("dataset sea_avg needs the token store")
+        starts, ends, present = store.units()
+        n_matched, _, _, scores = _score_units(store, sea, starts.ravel(), ends.ravel())
+        scores = scores[present.ravel() & (n_matched > 0)]
+        if not len(scores):
             raise ValueError("no sea-mode scores present; cannot take dataset mean")
-        return statistics.fmean(scores)
+        # what statistics.fmean computes: the exactly rounded sum over the count
+        return math.fsum(scores.tolist()) / len(scores)
     raise ValueError(f"unknown sea_avg setting: {setting!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class ScoredRow:
     issue_id: str
     priority: Priority
@@ -145,16 +184,18 @@ class ScoredRow:
 
 
 def score_corpus(
-    issues: Iterable[Issue],
+    store: TokenStore,
     general: Optional[ScoringLexicon],
     sea: Optional[ScoringLexicon],
     sea_avg: Optional[float] = None,
     modes: Sequence[str] = MODES,
+    priorities: Optional[Mapping[str, Priority]] = None,
 ) -> list[ScoredRow]:
     """One row per (issue, field, mode) with a present score.
 
     Absent scores are omitted; rows come out in canonical
-    (issue id, field, mode) order.
+    (issue id, field, mode) order. Priorities are joined from the given
+    map (Unknown when absent).
     """
     for mode in modes:
         if mode not in MODES:
@@ -167,27 +208,43 @@ def score_corpus(
             raise ValueError("sea lexicon required for sea/combined modes")
     if "combined" in modes and sea_avg is None:
         sea_avg = resolve_sea_avg(sea)
-    rows = []
-    for issue in issues:
-        for unit in extract_units(issue):
-            for mode in modes:
-                if mode == "general":
-                    unit_score = score_text(unit.tokens, general)
-                elif mode == "sea":
-                    unit_score = score_text(unit.tokens, sea)
-                else:
-                    unit_score = combined_score(unit.tokens, general, sea, sea_avg)
-                if unit_score is None:
-                    continue
-                rows.append(
-                    ScoredRow(
-                        issue.id, issue.priority, unit.field, mode,
-                        unit_score.n_matched, unit_score.max_used,
-                        unit_score.min_used, unit_score.score,
-                    )
-                )
-    rows.sort(key=lambda r: (r.issue_id, _FIELD_ORDER[r.field], _MODE_ORDER[r.mode]))
-    return rows
+    modes = [m for m in MODES if m in modes]
+    if not modes:
+        return []
+    # units in corpus order, issue by issue, five per issue in Field order
+    starts, ends, present = (a.ravel() for a in store.units())
+    by_lexicon = {}
+    if "general" in modes or "combined" in modes:
+        by_lexicon["general"] = _score_units(store, general, starts, ends)
+    if "sea" in modes or "combined" in modes:
+        by_lexicon["sea"] = _score_units(store, sea, starts, ends)
+    columns = []  # (n_matched, max, min, score) per mode
+    for mode in modes:
+        if mode == "combined":
+            n_matched, max_used, min_used, base = by_lexicon["general"]
+            sea_n, _, _, sea_score = by_lexicon["sea"]
+            score = np.where(sea_n > 0, base + (sea_score - sea_avg), base + 0.0)
+            columns.append((n_matched, max_used, min_used, score))
+        else:
+            columns.append(by_lexicon[mode])
+    # the (unit, mode) grid of present scores with its units in issue id
+    # order, read row-major: canonical row order
+    issue_order = sorted(range(len(store.issue_ids)), key=store.issue_ids.__getitem__)
+    n_fields = len(_FIELDS)
+    by_id = (np.asarray(issue_order, dtype=np.int64)[:, None] * n_fields
+             + np.arange(n_fields)).ravel()
+    scored = np.stack([present & (c[0] > 0) for c in columns], axis=1)[by_id]
+    unit, column = np.nonzero(scored)
+    unit = by_id[unit]
+    values = [np.stack([c[k] for c in columns], axis=1)[unit, column].tolist()
+              for k in range(4)]
+    issue_ids = list(map(store.issue_ids.__getitem__, (unit // n_fields).tolist()))
+    return list(map(
+        ScoredRow, issue_ids,
+        map((priorities or {}).get, issue_ids, repeat(Priority.UNKNOWN)),
+        map(_FIELDS.__getitem__, (unit % n_fields).tolist()),
+        map(modes.__getitem__, column.tolist()), *values,
+    ))
 
 
 SCORE_HEADER = ("issue_id", "field", "mode", "n_matched", "max", "min", "score")
@@ -208,14 +265,17 @@ def load_scores(
     (Unknown when absent, since the file format does not carry them)."""
     priorities = priorities or {}
     rows = []
-    for lineno, (issue_id, field_text, mode, n_matched, mx, mn, score) in read_rows(
+    for lineno, (issue_id, field_text, mode_text, n_matched, mx, mn, score) in read_rows(
         path, SCORE_HEADER
     ):
         field = _FIELD_BY_VALUE.get(field_text)
         if field is None:
             raise CorpusFormatError(f"{path}:{lineno}: unknown text field {field_text!r}")
-        if mode not in MODES:
-            raise CorpusFormatError(f"{path}:{lineno}: unknown mode {mode!r}")
+        mode = _MODE_BY_VALUE.get(mode_text)
+        if mode is None:
+            raise CorpusFormatError(f"{path}:{lineno}: unknown mode {mode_text!r}")
+        # an issue has up to 15 rows: they share one id string
+        issue_id = sys.intern(issue_id)
         rows.append(
             ScoredRow(
                 issue_id, priorities.get(issue_id, Priority.UNKNOWN), field, mode,

@@ -45,7 +45,7 @@ def workdir_digest(work: Path) -> dict[str, str]:
 class TestDemo:
     def test_all_stage_artifacts_produced(self, demo_workdir):
         for name in (
-            "vocab.csv", "priorities.csv", "embedding.txt", "seeds.csv",
+            "vocab.csv", "priorities.csv", "tokens.bin", "embedding.txt", "seeds.csv",
             "candidates.csv", "sheet.csv", "ratings.csv", "agreement.txt",
             "sea_lexicon.csv", "scores.csv", "eval_d.csv", "eval_p.csv",
             "eval_tables.txt", "manifest.json",
@@ -142,6 +142,13 @@ class TestManifestChecks:
         config = demo_config(tmp_path, seed=3, n_issues=40)
         with pytest.raises(PipelineError, match="ingest"):
             run_train(config)
+
+    def test_score_without_token_store_says_to_run_ingest(self, tmp_path):
+        run_demo(tmp_path, n_issues=N_ISSUES, seed=11)
+        (tmp_path / "tokens.bin").unlink()
+        config = demo_config(tmp_path, seed=11, n_issues=N_ISSUES)
+        with pytest.raises(PipelineError, match="'tokens.bin'; run the 'ingest' stage"):
+            run_score(config)
 
     def test_stale_upstream_detected(self, tmp_path):
         synthetic.generate_demo_inputs(tmp_path, n_issues=40, seed=3)

@@ -1,6 +1,7 @@
 import json
 import string
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,9 +12,9 @@ from arousalkit.corpus import (
     Field,
     Issue,
     Priority,
+    TokenStore,
     Vocabulary,
     build_vocabulary,
-    extract_units,
     parse_corpus,
     tokenize,
 )
@@ -122,57 +123,148 @@ class TestParseCorpus:
         assert [c.body for c in next(parse_corpus(path)).comments] == bodies
 
 
+def tokens(store, start, end):
+    return [store.words[i] for i in store.ids[start:end]]
+
+
+def unit_tokens(issue):
+    """{field: tokens} of the issue's present units, as slices of a token store."""
+    store = TokenStore.from_issues([issue])
+    starts, ends, present = store.units()
+    return {field: tokens(store, starts[0, k], ends[0, k])
+            for k, field in enumerate(Field) if present[0, k]}
+
+
 class TestExtractUnits:
     def test_three_comments_gives_five_units(self):
         issue = make_issue("t one", "d one", ["a b", "c", "d e f"])
-        units = {u.field: u.tokens for u in extract_units(issue)}
+        units = unit_tokens(issue)
         assert set(units) == set(Field)
         assert units[Field.ALL_COMMENTS] == ["a", "b", "c", "d", "e", "f"]
         assert units[Field.FIRST_COMMENT] == ["a", "b"]
         assert units[Field.LAST_COMMENT] == ["d", "e", "f"]
 
     def test_no_comments_gives_title_and_description_only(self):
-        units = extract_units(make_issue("t", "d", []))
-        assert [u.field for u in units] == [Field.TITLE, Field.DESCRIPTION]
+        units = unit_tokens(make_issue("t", "d", []))
+        assert list(units) == [Field.TITLE, Field.DESCRIPTION]
 
     def test_single_comment_first_equals_last(self):
-        units = {u.field: u.tokens for u in extract_units(make_issue("t", "d", ["only one"]))}
+        units = unit_tokens(make_issue("t", "d", ["only one"]))
         assert units[Field.FIRST_COMMENT] == units[Field.LAST_COMMENT] == ["only", "one"]
 
     def test_deterministic_and_no_duplicate_fields(self):
         issue = make_issue("a", "b", ["c", "d"])
-        first = extract_units(issue)
-        second = extract_units(issue)
-        assert [(u.field, u.tokens) for u in first] == [(u.field, u.tokens) for u in second]
-        fields = [u.field for u in first]
-        assert len(fields) == len(set(fields))
+        first = unit_tokens(issue)
+        second = unit_tokens(issue)
+        assert list(first.items()) == list(second.items())
+        assert list(first) == list(Field)
+
+
+def store_of(*issues):
+    return TokenStore.from_issues(issues)
+
+
+def same_store(a, b):
+    return (a.ids.tobytes() == b.ids.tobytes() and a.words == b.words
+            and a.issue_ids == b.issue_ids and np.array_equal(a.offsets, b.offsets)
+            and np.array_equal(a.issue_streams, b.issue_streams))
+
+
+class TestTokenStore:
+    def issues(self):
+        return [
+            Issue("X-2", Priority.MAJOR, "Fix the crash", "it crashes", [Comment("crash again")]),
+            Issue("X-1", Priority.MINOR, "", "", []),
+            Issue("X-3", Priority.BLOCKER, "urgent", "now", [Comment(""), Comment("ok ok")]),
+        ]
+
+    def test_streams_follow_issues_and_fields(self):
+        store = store_of(*self.issues())
+        assert store.issue_ids == ["X-2", "X-1", "X-3"]
+        assert store.ids.dtype == np.int32
+        streams = [tokens(store, a, b) for a, b in zip(store.offsets[:-1], store.offsets[1:])]
+        assert streams == [["fix", "the", "crash"], ["it", "crashes"], ["crash", "again"],
+                           [], [], ["urgent"], ["now"], [], ["ok", "ok"]]
+        assert store.issue_streams.tolist() == [0, 3, 5, 9]
+
+    def test_comment_units_are_the_comment_run_and_its_ends(self):
+        store = store_of(*self.issues())
+        starts, ends, present = store.units()
+        assert present.tolist() == [[True] * 5, [True, True, False, False, False], [True] * 5]
+        assert tokens(store, starts[2, 2], ends[2, 2]) == ["ok", "ok"]
+        assert tokens(store, starts[2, 3], ends[2, 3]) == []
+        assert tokens(store, starts[2, 4], ends[2, 4]) == ["ok", "ok"]
+        assert (starts[1, 2:] == ends[1, 2:]).all()
+
+    def test_saving_twice_is_byte_identical(self, tmp_path):
+        a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+        store_of(*self.issues()).save(a)
+        store_of(*self.issues()).save(b)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_awkward_ids_round_trip(self, tmp_path):
+        ids = ["A,1", 'B"2', "C\n3", "D\U0001d11e4", "E\x005", ""]
+        store = store_of(*(Issue(i, Priority.MAJOR, "t", "d", []) for i in ids))
+        store.save(tmp_path / "tokens.bin")
+        loaded = TokenStore.load(tmp_path / "tokens.bin")
+        assert loaded.issue_ids == ids
+        assert same_store(loaded, store)
+
+    @given(st.lists(st.tuples(st.text(max_size=8), st.text(max_size=40),
+                              st.lists(st.text(max_size=20), max_size=3)),
+                    max_size=6, unique_by=lambda t: t[0]))
+    def test_any_corpus_round_trips(self, tmp_path_factory, records):
+        issues = [Issue(i, Priority.MAJOR, title, "", [Comment(c) for c in comments])
+                  for i, title, comments in records]
+        path = tmp_path_factory.mktemp("store") / "tokens.bin"
+        store = store_of(*issues)
+        store.save(path)
+        assert same_store(TokenStore.load(path), store)
+
+    @pytest.mark.parametrize("cut", [1, 10, 100, -1])
+    def test_truncated_store_names_the_file(self, tmp_path, cut):
+        path = tmp_path / "tokens.bin"
+        store_of(*self.issues()).save(path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(CorpusFormatError, match="tokens.bin"):
+            TokenStore.load(path)
+
+    def test_trailing_or_foreign_bytes_are_refused(self, tmp_path):
+        path = tmp_path / "tokens.bin"
+        store_of(*self.issues()).save(path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(CorpusFormatError, match="trailing"):
+            TokenStore.load(path)
+        np.save(path, np.arange(3))
+        with pytest.raises(CorpusFormatError, match="tokens.bin"):
+            TokenStore.load(path)
 
 
 class TestVocabulary:
     def test_counting_and_id_order(self):
-        vocab = build_vocabulary([make_issue(title="a b b")], min_count=1)
+        vocab = build_vocabulary(store_of(make_issue(title="a b b")), min_count=1)
         assert vocab.freq("b") == 2 and vocab.freq("a") == 1
         assert vocab.id("b") == 0 and vocab.id("a") == 1
 
     def test_min_count_threshold(self):
-        vocab = build_vocabulary([make_issue(title="a b b")], min_count=2)
+        vocab = build_vocabulary(store_of(make_issue(title="a b b")), min_count=2)
         assert "a" not in vocab
         assert vocab.freq("b") == 2
         assert len(vocab) == 1
 
     def test_ties_broken_lexicographically(self):
-        vocab = build_vocabulary([make_issue(title="zeta echo zeta echo")], min_count=1)
+        vocab = build_vocabulary(store_of(make_issue(title="zeta echo zeta echo")), min_count=1)
         assert vocab.id("echo") == 0
         assert vocab.id("zeta") == 1
 
     def test_counts_all_fields(self):
         issue = make_issue("w x", "w y", ["w z", "w"])
-        vocab = build_vocabulary([issue], min_count=1)
+        vocab = build_vocabulary(store_of(issue), min_count=1)
         assert vocab.freq("w") == 4
 
     def test_ids_dense_and_frequencies_above_threshold(self):
         issue = make_issue("a a a b b c d d", "e", ["f f"])
-        vocab = build_vocabulary([issue], min_count=2)
+        vocab = build_vocabulary(store_of(issue), min_count=2)
         ids = sorted(vocab.id(w) for w, _, _ in vocab.items())
         assert ids == list(range(len(vocab)))
         assert all(freq >= 2 for _, _, freq in vocab.items())
@@ -182,7 +274,7 @@ class TestVocabulary:
             Vocabulary({"a": 1}, min_count=0)
 
     def test_save_load_round_trip(self, tmp_path):
-        vocab = build_vocabulary([make_issue("a b b c c c")], min_count=1)
+        vocab = build_vocabulary(store_of(make_issue("a b b c c c")), min_count=1)
         path = tmp_path / "vocab.csv"
         vocab.save(path)
         loaded = Vocabulary.load(path)
@@ -191,6 +283,6 @@ class TestVocabulary:
     @given(st.lists(st.text(alphabet="abc", min_size=1, max_size=3), max_size=50))
     def test_total_mass_equals_token_count(self, words):
         issue = make_issue(title=" ".join(words))
-        vocab = build_vocabulary([issue], min_count=1)
+        vocab = build_vocabulary(store_of(issue), min_count=1)
         total = sum(freq for _, _, freq in vocab.items())
         assert total == len(tokenize(" ".join(words)))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arousalkit.corpus import Vocabulary
+from arousalkit.corpus import CorpusFormatError, Vocabulary
 from arousalkit.embedding import (
     CoocMatrix,
     EmbeddingConfig,
@@ -40,6 +40,14 @@ def coo(weights):
     )
 
 
+def count_streams(streams, vocab, window):
+    """count_cooccurrences over token streams, out-of-vocabulary tokens as -1."""
+    ids = np.array([vocab.id(t) if t in vocab else -1 for stream in streams for t in stream],
+                   dtype=np.int64)
+    offsets = np.cumsum([0] + [len(stream) for stream in streams])
+    return count_cooccurrences(ids, offsets, window)
+
+
 def reference_count(unit_streams, vocab, window):
     """The per-token dict loop the array count replaced: every cell is a
     left fold of its weights in loop order, (i, j) before (j, i)."""
@@ -63,7 +71,7 @@ def reference_count(unit_streams, vocab, window):
 class TestCooccurrences:
     def test_harmonic_weighting(self):
         vocab = vocab_over(["a", "b", "c"])
-        cooc = cells(count_cooccurrences([["a", "b", "c"]], vocab, window=10))
+        cooc = cells(count_streams([["a", "b", "c"]], vocab, window=10))
         a, b, c = vocab.id("a"), vocab.id("b"), vocab.id("c")
         assert cooc[(a, b)] == 1.0
         assert cooc[(b, c)] == 1.0
@@ -71,36 +79,36 @@ class TestCooccurrences:
 
     def test_self_pair_counts_both_directions(self):
         vocab = vocab_over(["a"])
-        cooc = cells(count_cooccurrences([["a", "a"]], vocab, window=1))
+        cooc = cells(count_streams([["a", "a"]], vocab, window=1))
         assert cooc[(vocab.id("a"), vocab.id("a"))] == 2.0
 
     def test_no_counting_across_unit_boundaries(self):
         vocab = vocab_over(["a", "b", "c"])
-        cooc = cells(count_cooccurrences([["a", "b"], ["b", "c"]], vocab, window=10))
+        cooc = cells(count_streams([["a", "b"], ["b", "c"]], vocab, window=10))
         assert cooc.get((vocab.id("a"), vocab.id("c")), 0.0) == 0.0
 
     def test_symmetry(self):
         vocab = vocab_over(["a", "b", "c", "d"])
-        cooc = count_cooccurrences([["a", "b", "c", "d", "a"]], vocab, window=3)
+        cooc = count_streams([["a", "b", "c", "d", "a"]], vocab, window=3)
         weights = cells(cooc)
         for i, j, x in zip(cooc.rows, cooc.cols, cooc.vals):
             assert weights[(int(j), int(i))] == x
 
     def test_oov_tokens_occupy_positions(self):
         vocab = vocab_over(["a", "b"])
-        cooc = cells(count_cooccurrences([["a", "zzz", "b"]], vocab, window=10))
+        cooc = cells(count_streams([["a", "zzz", "b"]], vocab, window=10))
         assert cooc[(vocab.id("a"), vocab.id("b"))] == 0.5
 
     def test_mass_invariant_under_unit_reordering(self):
         vocab = vocab_over(["a", "b", "c"])
         units = [["a", "b"], ["c", "a", "b"], ["b", "b"]]
-        mass = sum(count_cooccurrences(units, vocab, 5).vals)
-        mass_rev = sum(count_cooccurrences(list(reversed(units)), vocab, 5).vals)
+        mass = sum(count_streams(units, vocab, 5).vals)
+        mass_rev = sum(count_streams(list(reversed(units)), vocab, 5).vals)
         assert mass == pytest.approx(mass_rev, abs=0)
 
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
-            count_cooccurrences([["a"]], vocab_over(["a"]), window=0)
+            count_streams([["a"]], vocab_over(["a"]), window=0)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -112,7 +120,7 @@ class TestCooccurrences:
         # empty streams, streams shorter than the window, repeated words
         # (self-pairs) and out-of-vocabulary tokens all come up here
         vocab = vocab_over(["a", "b", "c", "d"])
-        got = count_cooccurrences(streams, vocab, window)
+        got = count_streams(streams, vocab, window)
         expected = reference_count(streams, vocab, window)
         assert len(got) == len(expected)
         assert list(zip(got.rows.tolist(), got.cols.tolist())) == sorted(expected)
@@ -126,7 +134,7 @@ class TestCooccurrences:
         vocab = vocab_over(words)
         streams = [[words[k] if k < 40 else "oov" for k in rng.integers(0, 44, size=n)]
                    for n in rng.integers(0, 200, size=150)]
-        got = count_cooccurrences(streams, vocab, window=12)
+        got = count_streams(streams, vocab, window=12)
         expected = reference_count(streams, vocab, 12)
         assert list(zip(got.rows.tolist(), got.cols.tolist())) == sorted(expected)
         assert got.vals.tobytes() == np.array([expected[k] for k in sorted(expected)]).tobytes()
@@ -232,7 +240,7 @@ class TestTraining:
             [words[rng.integers(12)] for _ in range(rng.integers(4, 12))]
             for _ in range(120)
         ]
-        return vocab, count_cooccurrences(units, vocab, window=5)
+        return vocab, count_streams(units, vocab, window=5)
 
     def test_loss_strictly_decreases(self):
         vocab, cooc = self.build_toy()
@@ -399,6 +407,26 @@ class TestDumpRoundTrip:
         vectors.save(b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_repeated_word_is_refused_with_both_lines(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("3 2\na 1 0\nb 0 1\na 0 1\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError,
+                           match=r"emb.txt:4: repeated word 'a' \(first on line 2\)"):
+            WordVectors.load(path)
+
+    @pytest.mark.parametrize("header", ["", "2", "2 x", "-1 2", "2 0"])
+    def test_bad_header_names_path_and_line(self, tmp_path, header):
+        path = tmp_path / "emb.txt"
+        path.write_text(header + "\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=r"emb.txt:1: bad embedding dump header"):
+            WordVectors.load(path)
+
+    def test_non_numeric_value_names_path_and_line(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("2 2\na 1 0\nb 0 x\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=r"emb.txt:3: .*'x'"):
+            WordVectors.load(path)
+
 
 class TestPlantedSimilarity:
     def build(self):
@@ -413,7 +441,7 @@ class TestPlantedSimilarity:
             units.append(["please", "fix", context[0], target, context[1], "thanks", context[2]])
         words = sorted({w for unit in units for w in unit})
         vocab = Vocabulary({w: 50 for w in words}, min_count=1)
-        cooc = count_cooccurrences(units, vocab, window=5)
+        cooc = count_streams(units, vocab, window=5)
         model = glove_train(cooc, vocab.words, EmbeddingConfig(dim=12, epochs=12, seed=5))
         return model
 

@@ -1,8 +1,10 @@
+import statistics
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arousalkit.corpus import Comment, Field, Issue, Priority
+from arousalkit.corpus import Comment, Field, Issue, Priority, TokenStore, tokenize
 from arousalkit.scoring import (
     MODES,
     ScoringLexicon,
@@ -98,7 +100,8 @@ class TestResolveSeaAvg:
             Issue("2", Priority.MAJOR, "b b", "", []),     # score 6 + 5 = 11
             Issue("3", Priority.MAJOR, "zzz", "", []),     # absent
         ]
-        assert resolve_sea_avg(lex, "dataset", issues) == pytest.approx(10.0)
+        assert resolve_sea_avg(lex, "dataset", TokenStore.from_issues(issues)) == \
+            pytest.approx(10.0)
 
     def test_unknown_setting_is_an_error(self):
         with pytest.raises(ValueError):
@@ -109,18 +112,22 @@ def issue(id_, title="", description="", comments=(), priority=Priority.MAJOR):
     return Issue(id_, priority, title, description, [Comment(b) for b in comments])
 
 
+def store(issues):
+    return TokenStore.from_issues(issues)
+
+
 class TestScoreCorpus:
     SEA = ScoringLexicon({"fire": 8.5, "sleepy": 1.5})
 
     def test_all_fields_matching_give_five_rows_per_mode(self):
         issues = [issue("1", "fire", "calm fire", ["fire a", "calm b"])]
-        rows = score_corpus(issues, GENERAL, self.SEA, 10.7, modes=["general"])
+        rows = score_corpus(store(issues), GENERAL, self.SEA, 10.7, modes=["general"])
         assert len(rows) == 5
         assert {r.field for r in rows} == set(Field)
 
     def test_unmatched_field_has_no_row(self):
         issues = [issue("1", "fire", "no match here")]
-        rows = score_corpus(issues, GENERAL, self.SEA, 10.7, modes=["general"])
+        rows = score_corpus(store(issues), GENERAL, self.SEA, 10.7, modes=["general"])
         assert [r.field for r in rows] == [Field.TITLE]
 
     def test_canonical_ordering(self):
@@ -128,7 +135,7 @@ class TestScoreCorpus:
             issue("b", "fire", "fire"),
             issue("a", "fire", "fire"),
         ]
-        rows = score_corpus(issues, GENERAL, self.SEA, 10.7)
+        rows = score_corpus(store(issues), GENERAL, self.SEA, 10.7)
         keys = [(r.issue_id, r.field.value, r.mode) for r in rows]
         assert keys == sorted(
             keys, key=lambda k: (k[0], [f.value for f in Field].index(k[1]),
@@ -139,13 +146,13 @@ class TestScoreCorpus:
         issues = [issue(f"i{n}", "fire note", "calm word", ["fire sleepy"])
                   for n in range(10)]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        save_scores(score_corpus(issues, GENERAL, self.SEA, 10.7), a)
-        save_scores(score_corpus(issues, GENERAL, self.SEA, 10.7), b)
+        save_scores(score_corpus(store(issues), GENERAL, self.SEA, 10.7), a)
+        save_scores(score_corpus(store(issues), GENERAL, self.SEA, 10.7), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_save_load_round_trip_with_priorities(self, tmp_path):
         issues = [issue("x", "fire", priority=Priority.BLOCKER)]
-        rows = score_corpus(issues, GENERAL, self.SEA, 10.7, modes=["general"])
+        rows = score_corpus(store(issues), GENERAL, self.SEA, 10.7, modes=["general"])
         path = tmp_path / "scores.csv"
         save_scores(rows, path)
         loaded = load_scores(path, {"x": Priority.BLOCKER})
@@ -211,3 +218,75 @@ class TestScoringProperties:
                 assert after.score >= before.score - 1e-9
             elif arousal < before.min_used:
                 assert after.score <= before.score + 1e-9
+
+
+WORDS = ["aa", "bb", "cc", "dd", "ee", "ff"]
+# small halves and wholes make a lexicon average often equal one of its values
+ORACLE_VALUES = st.sampled_from([1.0, 2.0, 4.0, 4.5, 6.0, 7.0]) | arousal_values
+
+
+def reference_units(issue):
+    """The five units of one issue, tokenized straight from its text."""
+    comments = [tokenize(c.body) for c in issue.comments]
+    units = {Field.TITLE: tokenize(issue.title), Field.DESCRIPTION: tokenize(issue.description)}
+    if comments:
+        units[Field.ALL_COMMENTS] = [t for tokens in comments for t in tokens]
+        units[Field.FIRST_COMMENT] = comments[0]
+        units[Field.LAST_COMMENT] = comments[-1]
+    return units
+
+
+@st.composite
+def scoring_cases(draw):
+    """Issues over a small word pool (plus a word no lexicon has) and two
+    lexicons that each miss some words of the other."""
+    general = ScoringLexicon(draw(st.dictionaries(st.sampled_from(WORDS), ORACLE_VALUES,
+                                                  min_size=1)))
+    sea = ScoringLexicon(draw(st.dictionaries(st.sampled_from(WORDS), ORACLE_VALUES,
+                                              min_size=1)))
+    text = st.lists(st.sampled_from(WORDS + ["zz"]), max_size=7).map(" ".join)
+    ids = draw(st.lists(st.text(max_size=3), max_size=8, unique=True))
+    issues = [Issue(i, Priority.MAJOR, draw(text), draw(text),
+                    [Comment(c) for c in draw(st.lists(text, max_size=3))]) for i in ids]
+    sea_avg = draw(st.sampled_from([2.0 * sea.avg, 0.0]) | arousal_values)
+    return issues, general, sea, sea_avg
+
+
+class TestArrayScoringOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(scoring_cases())
+    def test_every_unit_matches_the_reference_rule_bit_for_bit(self, case):
+        issues, general, sea, sea_avg = case
+        store = TokenStore.from_issues(issues)
+        got = {(r.issue_id, r.field, r.mode): r
+               for r in score_corpus(store, general, sea, sea_avg)}
+        expected, sea_scores = {}, []
+        for issue_ in issues:
+            for field, tokens in reference_units(issue_).items():
+                for mode, ref in (("general", score_text(tokens, general)),
+                                  ("sea", score_text(tokens, sea)),
+                                  ("combined", combined_score(tokens, general, sea, sea_avg))):
+                    if ref is not None:
+                        expected[(issue_.id, field, mode)] = ref
+                        if mode == "sea":
+                            sea_scores.append(ref.score)
+        assert got.keys() == expected.keys()
+        for key, ref in expected.items():
+            row = got[key]
+            assert row.n_matched == ref.n_matched
+            assert (row.max_used.hex(), row.min_used.hex(), row.score.hex()) == \
+                (ref.max_used.hex(), ref.min_used.hex(), ref.score.hex())
+        if sea_scores:
+            assert resolve_sea_avg(sea, "dataset", store).hex() == \
+                statistics.fmean(sea_scores).hex()
+        else:
+            with pytest.raises(ValueError, match="no sea-mode scores"):
+                resolve_sea_avg(sea, "dataset", store)
+
+    def test_unit_of_only_average_words_keeps_both_at_the_average(self):
+        lex = ScoringLexicon({"aa": 2.0, "bb": 4.0, "cc": 6.0})
+        store = TokenStore.from_issues([issue("1", "bb bb zz")])
+        (row,) = score_corpus(store, lex, lex, 8.0, modes=["general"])
+        ref = score_text(["bb", "bb", "zz"], lex)
+        assert (row.n_matched, row.max_used, row.min_used, row.score) == \
+            (ref.n_matched, ref.max_used, ref.min_used, ref.score) == (2, 4.0, 4.0, 8.0)
