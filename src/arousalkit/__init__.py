@@ -20,6 +20,7 @@ from .embedding import (
     glove_loss,
     glove_train,
     nearest_neighbors,
+    nearest_neighbors_batch,
 )
 from .lexicon import (
     AgreementReport,

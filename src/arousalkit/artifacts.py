@@ -5,6 +5,10 @@ rating records, domain lexicon, scores) is UTF-8 text with a header row
 and ``\\n`` line ends. A field is quoted only when it contains a comma, a
 double quote or a line break (RFC 4180), so any string round-trips.
 
+The binary artifacts (the token store and the embedding) are ``.npy``
+records back to back, the first one a format tag, with no pickles and no
+timestamps, so the same content always gives the same bytes.
+
 Artifact files are written to a sibling temporary file that replaces the
 target only once the write has completed, so a stage that fails midway
 leaves the previous artifact as it was.
@@ -17,7 +21,11 @@ import csv
 import os
 from pathlib import Path
 from types import SimpleNamespace
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
+
+import numpy as np
+
+T = TypeVar("T")
 
 
 class CorpusFormatError(Exception):
@@ -80,3 +88,51 @@ def read_rows(path: str | Path, header: Sequence[str]) -> Iterator[tuple[int, li
                 lineno = reader.line_num + 1
         except csv.Error as exc:
             raise CorpusFormatError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def write_records(path: str | Path, tag: bytes, records: Iterable[np.ndarray]) -> None:
+    """Write ``tag`` and then each record as ``.npy`` records, atomically."""
+    with atomic_open(path, "wb") as out:
+        for record in (np.frombuffer(tag, dtype=np.uint8), *records):
+            np.lib.format.write_array(out, record, allow_pickle=False)
+
+
+def read_records(path: str | Path, what: str, tag: bytes,
+                 layout: Sequence[tuple[type, int]], decode: Callable[..., T]) -> T:
+    """Read a file written by ``write_records`` and return ``decode(*records)``.
+
+    ``layout`` gives the dtype and number of dimensions of each record
+    after the tag. A short, corrupt or trailing-byte file, another tag, a
+    record of another type or shape, or a ValueError raised by ``decode``
+    raises CorpusFormatError naming the path and ``what`` was expected.
+    """
+    path = Path(path)
+    try:
+        with path.open("rb") as handle:
+            if np.lib.format.read_array(handle, allow_pickle=False).tobytes() != tag:
+                raise ValueError("unknown format tag")
+            records = [np.lib.format.read_array(handle, allow_pickle=False) for _ in layout]
+            if handle.read(1):
+                raise ValueError("trailing bytes after the last record")
+        if any(r.dtype != np.dtype(t) or r.ndim != n for r, (t, n) in zip(records, layout)):
+            raise ValueError("unexpected record shape or type")
+        return decode(*records)
+    except OSError as exc:
+        raise CorpusFormatError(f"cannot read {what} {path}: {exc}") from exc
+    except (ValueError, IndexError, EOFError, SyntaxError) as exc:
+        raise CorpusFormatError(f"{path}: not a valid {what}: {exc}") from None
+
+
+def pack_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of ``strings`` and the byte offset of each, for a record pair."""
+    encoded = [s.encode("utf-8") for s in strings]
+    ends = np.cumsum([len(b) for b in encoded], dtype=np.int64)
+    return np.frombuffer(b"".join(encoded), dtype=np.uint8), np.concatenate([[0], ends])
+
+
+def unpack_strings(data: np.ndarray, offsets: np.ndarray) -> list[str]:
+    """Inverse of ``pack_strings``; inconsistent offsets or bad UTF-8 raise ValueError."""
+    if offsets[0] != 0 or offsets[-1] != len(data) or np.any(np.diff(offsets) < 0):
+        raise ValueError("string offsets do not match their bytes")
+    raw, bounds = data.tobytes(), offsets.tolist()
+    return [raw[a:b].decode("utf-8") for a, b in zip(bounds[:-1], bounds[1:])]

@@ -22,7 +22,15 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .artifacts import CorpusFormatError, atomic_open, read_rows, write_rows
+from .artifacts import (
+    CorpusFormatError,
+    pack_strings,
+    read_records,
+    read_rows,
+    unpack_strings,
+    write_records,
+    write_rows,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -221,51 +229,26 @@ class TokenStore:
         ``issue_streams``, then the UTF-8 bytes and byte offsets of the words
         and of the issue ids. The file holds no timestamp, so saving the same
         store twice gives the same bytes."""
-        with atomic_open(path, "wb") as out:
-            for record in (np.frombuffer(_STORE_TAG, dtype=np.uint8), self.ids, self.offsets,
-                           self.issue_streams, *_pack(self.words), *_pack(self.issue_ids)):
-                np.lib.format.write_array(out, record, allow_pickle=False)
+        write_records(path, _STORE_TAG, (self.ids, self.offsets, self.issue_streams,
+                                         *pack_strings(self.words),
+                                         *pack_strings(self.issue_ids)))
 
     @classmethod
     def load(cls, path: str | Path) -> "TokenStore":
         """Read a store written by ``save``; a short, corrupt or inconsistent
         file raises CorpusFormatError naming the path."""
-        path = Path(path)
-        try:
-            with path.open("rb") as handle:
-                records = [np.lib.format.read_array(handle, allow_pickle=False)
-                           for _ in range(8)]
-                if handle.read(1):
-                    raise ValueError("trailing bytes after the last record")
-            return _unpack_store(records)
-        except OSError as exc:
-            raise CorpusFormatError(f"cannot read token store {path}: {exc}") from exc
-        except (ValueError, IndexError, EOFError, SyntaxError) as exc:
-            raise CorpusFormatError(f"{path}: not a valid token store: {exc}") from None
+        return read_records(path, "token store", _STORE_TAG, _STORE_LAYOUT, _unpack_store)
 
 
-def _pack(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    encoded = [s.encode("utf-8") for s in strings]
-    ends = np.cumsum([len(b) for b in encoded], dtype=np.int64)
-    return np.frombuffer(b"".join(encoded), dtype=np.uint8), np.concatenate([[0], ends])
+#: dtype and number of dimensions of each token store record after the tag
+_STORE_LAYOUT = ((np.int32, 1), (np.int64, 1), (np.int64, 1), (np.uint8, 1), (np.int64, 1),
+                 (np.uint8, 1), (np.int64, 1))
 
 
-def _unpack(data: np.ndarray, offsets: np.ndarray) -> list[str]:
-    if offsets[0] != 0 or offsets[-1] != len(data) or np.any(np.diff(offsets) < 0):
-        raise ValueError("string offsets do not match their bytes")
-    raw, bounds = data.tobytes(), offsets.tolist()
-    return [raw[a:b].decode("utf-8") for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-def _unpack_store(records: list[np.ndarray]) -> TokenStore:
-    tag, ids, offsets, issue_streams, word_data, word_offsets, id_data, id_offsets = records
-    dtypes = (np.uint8, np.int32, np.int64, np.int64, np.uint8, np.int64, np.uint8, np.int64)
-    if any(r.ndim != 1 or r.dtype != np.dtype(t) for r, t in zip(records, dtypes)):
-        raise ValueError("unexpected record shape or type")
-    if tag.tobytes() != _STORE_TAG:
-        raise ValueError("unknown format tag")
-    words = _unpack(word_data, word_offsets)
-    issue_ids = _unpack(id_data, id_offsets)
+def _unpack_store(ids, offsets, issue_streams, word_data, word_offsets, id_data,
+                  id_offsets) -> TokenStore:
+    words = unpack_strings(word_data, word_offsets)
+    issue_ids = unpack_strings(id_data, id_offsets)
     if (offsets[0] != 0 or offsets[-1] != len(ids) or np.any(np.diff(offsets) < 0)
             or issue_streams[0] != 0 or issue_streams[-1] != len(offsets) - 1
             or np.any(np.diff(issue_streams) < 2) or len(issue_ids) != len(issue_streams) - 1):

@@ -22,12 +22,18 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .artifacts import atomic_open
-from .corpus import CorpusFormatError
+from .artifacts import (
+    CorpusFormatError,
+    atomic_open,
+    pack_strings,
+    read_records,
+    unpack_strings,
+    write_records,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -181,7 +187,7 @@ def _loss_weights(x: np.ndarray, x_max: float, alpha: float) -> np.ndarray:
     return np.where(x < x_max, (x / x_max) ** alpha, 1.0)
 
 
-#: Most vector elements gathered at once per parameter block by glove_loss.
+#: Most bytes of vectors gathered at once per parameter block by glove_loss.
 _LOSS_GATHER = 1 << 20
 
 
@@ -195,7 +201,7 @@ def glove_loss(model: EmbeddingModel, cooc: CoocMatrix) -> float:
     fx = _loss_weights(vals, model.config.x_max, model.config.alpha)
     logx = np.log(vals)
     total = 0.0
-    chunk = max(1, _LOSS_GATHER // model.dim)
+    chunk = max(1, _LOSS_GATHER // (model.w_main.itemsize * model.dim))
     for lo in range(0, len(vals), chunk):
         hi = min(lo + chunk, len(vals))
         r, c = rows[lo:hi], cols[lo:hi]
@@ -291,8 +297,20 @@ def _sgd_pass(model, acc_w, acc_wc, acc_b, acc_bc, rows, cols, fx, logx, order, 
         bc[j] -= lr * g / np.sqrt(acc_bc[j])
 
 
+#: First record of a binary embedding file, checked on load.
+_VECTORS_TAG = b"arousalkit embedding 1"
+
+#: dtype and number of dimensions of each binary embedding record after the tag
+_VECTORS_LAYOUT = ((np.uint8, 1), (np.int64, 1), (np.float64, 2))
+
+
 class WordVectors:
-    """Dense word vectors for similarity queries, loadable from the text dump."""
+    """Dense word vectors for similarity queries.
+
+    Stored two ways: the text dump (``save``/``load``) is the documented
+    export, and the binary file (``save_binary``/``load_binary``) is the
+    copy the pipeline stages read.
+    """
 
     def __init__(self, words: list[str], matrix: np.ndarray):
         if matrix.shape[0] != len(words):
@@ -318,6 +336,11 @@ class WordVectors:
             return None
         return self.matrix[idx]
 
+    def norm(self, word: str) -> float:
+        """Euclidean norm of the vector of ``word``, which must be present;
+        a word whose norm is 0.0 cannot be a neighbor query."""
+        return float(np.linalg.norm(self.matrix[self._index[word]]))
+
     def save(self, path: str | Path) -> None:
         """Text dump: first line "|V| d", then one "word v1 ... vd" per word.
 
@@ -326,14 +349,17 @@ class WordVectors:
         """
         with atomic_open(path) as out:
             out.write(f"{len(self.words)} {self.dim}\n")
+            # one row of Python floats at a time: the whole matrix as a list
+            # would be ~100 MB of objects at 10k words x 300
             for word, row in zip(self.words, self.matrix):
-                out.write(word + " " + " ".join(repr(float(v)) for v in row) + "\n")
+                out.write(word + " " + " ".join(map(repr, row.tolist())) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "WordVectors":
         """Read a text dump; a malformed header or row, a value that is not
-        a number, or a repeated word raises CorpusFormatError naming the
-        path and line."""
+        a number, a repeated word or a row beyond the header's count raises
+        CorpusFormatError naming the path and line. Blank lines after the
+        last row are allowed."""
         path = Path(path)
         with path.open("r", encoding="utf-8") as handle:
             try:
@@ -357,7 +383,37 @@ class WordVectors:
                     matrix[lineno - 2] = [float(v) for v in parts[1:]]
                 except ValueError as exc:
                     raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
+            for lineno, line in enumerate(handle, n + 2):
+                if line.strip():
+                    raise CorpusFormatError(f"{path}:{lineno}: more rows than the {n} of the header")
         return cls(list(first_line), matrix)
+
+    def save_binary(self, path: str | Path) -> None:
+        """Three .npy records after a format tag: the UTF-8 bytes and byte
+        offsets of the words, then the float64 matrix. The file holds no
+        timestamp, so saving the same vectors twice gives the same bytes."""
+        write_records(path, _VECTORS_TAG,
+                      (*pack_strings(self.words), np.ascontiguousarray(self.matrix)))
+
+    @classmethod
+    def load_binary(cls, path: str | Path) -> "WordVectors":
+        """Read a file written by ``save_binary``; a short, corrupt or
+        inconsistent file or a repeated word raises CorpusFormatError
+        naming the path."""
+        return read_records(path, "binary embedding", _VECTORS_TAG, _VECTORS_LAYOUT,
+                            _unpack_vectors)
+
+
+def _unpack_vectors(word_data, word_offsets, matrix) -> WordVectors:
+    words = unpack_strings(word_data, word_offsets)
+    if matrix.shape[0] != len(words) or matrix.shape[1] < 1:
+        raise ValueError(f"a {matrix.shape} matrix does not fit {len(words)} words")
+    seen: set[str] = set()
+    for word in words:
+        if word in seen:
+            raise ValueError(f"repeated word {word!r}")
+        seen.add(word)
+    return WordVectors(words, matrix)
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
@@ -378,19 +434,54 @@ def nearest_neighbors(vectors: WordVectors, word: str, k: int) -> list[tuple[str
     Ties are broken lexicographically. Candidates with a zero vector are
     never returned (their similarity is undefined).
     """
+    return nearest_neighbors_batch(vectors, [word], k)[0]
+
+
+#: Most bytes of similarities one block of neighbor queries computes at once.
+_KNN_BLOCK = 4 << 20
+
+
+def nearest_neighbors_batch(
+    vectors: WordVectors, words: Sequence[str], k: int
+) -> list[list[tuple[str, float]]]:
+    """``nearest_neighbors`` of each word in ``words``, in order.
+
+    The similarities of a block of queries come from one matrix product,
+    blocks bounded by ``_KNN_BLOCK`` bytes. Each query keeps every
+    candidate at or above its k-th largest similarity and ranks only those
+    by similarity, then word. A word that is not in the vocabulary or has
+    a zero vector raises ValueError.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
-    query = vectors.vector(word)
-    if query is None:
-        raise ValueError(f"word not in vocabulary: {word!r}")
-    qnorm = float(np.linalg.norm(query))
-    if qnorm == 0.0:
-        raise ValueError(f"query word {word!r} has a zero vector")
-    norms = vectors._norms
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sims = (vectors.matrix @ query) / (norms * qnorm)
-    sims = np.where(norms == 0.0, -np.inf, sims)
-    rank = vectors._rank
-    idx = np.flatnonzero(np.isfinite(sims) & (rank != rank[vectors._index[word]]))
-    top = idx[np.lexsort((rank[idx], -sims[idx]))[:k]]
-    return [(vectors.words[i], float(sims[i])) for i in top]
+    rows, qnorms = [], []
+    for word in words:
+        if word not in vectors:
+            raise ValueError(f"word not in vocabulary: {word!r}")
+        qnorms.append(vectors.norm(word))
+        if qnorms[-1] == 0.0:
+            raise ValueError(f"query word {word!r} has a zero vector")
+        rows.append(vectors._index[word])
+    if k == 0:
+        return [[] for _ in rows]
+    n_words = len(vectors.words)
+    norms, rank = vectors._norms, vectors._rank
+    block = max(1, _KNN_BLOCK // (8 * max(n_words, 1)))
+    results = []
+    for lo in range(0, len(rows), block):
+        q = np.array(rows[lo:lo + block])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sims = (vectors.matrix[q] @ vectors.matrix.T) / (
+                norms * np.array(qnorms[lo:lo + block])[:, None])
+        # a zero candidate vector gives inf or nan, never a finite similarity
+        sims[~np.isfinite(sims) | (rank == rank[q][:, None])] = -np.inf
+        keep = sims > -np.inf
+        if k < n_words:
+            kth = np.negative(sims)
+            kth.partition(k - 1, axis=1)
+            keep &= sims >= -kth[:, k - 1:k]
+        for sim, row in zip(sims, keep):
+            idx = np.flatnonzero(row)
+            top = idx[np.lexsort((rank[idx], -sim[idx]))[:k]]
+            results.append([(vectors.words[i], float(sim[i])) for i in top])
+    return results

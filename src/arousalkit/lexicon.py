@@ -29,7 +29,7 @@ import numpy as np
 
 from .artifacts import atomic_open, read_rows, write_rows
 from .corpus import Vocabulary
-from .embedding import WordVectors, nearest_neighbors
+from .embedding import WordVectors, nearest_neighbors_batch
 from .stats import pearson_r, weighted_kappa
 from .wordnet import SynsetDb, synonyms
 
@@ -427,25 +427,38 @@ def expand_embedding(
     candidates.
 
     A neighbor shared by several seeds keeps the provenance with the
-    higher similarity. Out-of-vocabulary seeds are skipped with a warning.
-    Returns the number of candidates added.
+    higher similarity. Seeds that are not in the embedding vocabulary or
+    have a zero vector are skipped with a warning. Returns the number of
+    candidates added.
     """
+    queries = _queryable(vectors, [seed.word for seed in seeds], "seed %r %s, skipped")
     best: dict[str, Provenance] = {}
-    for seed in seeds:
-        if seed.word not in vectors:
-            logger.warning("seed %r not in the embedding vocabulary, skipped", seed.word)
-            continue
-        for neighbor, sim in nearest_neighbors(vectors, seed.word, k):
+    for word, neighbors in zip(queries, nearest_neighbors_batch(vectors, queries, k)):
+        for neighbor, sim in neighbors:
             if neighbor in candidates:
                 continue
             prov = best.get(neighbor)
             if prov is None or sim > prov.similarity:
-                best[neighbor] = Provenance("embedding", seed=seed.word, similarity=sim)
+                best[neighbor] = Provenance("embedding", seed=word, similarity=sim)
     added = 0
     for word, prov in best.items():
         if candidates.add(Candidate(word, prov)):
             added += 1
     return added
+
+
+def _queryable(vectors: Optional[WordVectors], words: Sequence[str], warning: str) -> list[str]:
+    """The words that can be neighbor queries, in order; every other word
+    is logged with ``warning`` % (word, reason)."""
+    queries = []
+    for word in words:
+        if vectors is None or word not in vectors:
+            logger.warning(warning, word, "not in the embedding vocabulary")
+        elif vectors.norm(word) == 0.0:
+            logger.warning(warning, word, "has a zero embedding vector")
+        else:
+            queries.append(word)
+    return queries
 
 
 def apply_review(candidates: CandidateSet, decisions_path: str | Path) -> tuple[int, int]:
@@ -494,6 +507,8 @@ def generate_sheet(
     One row per word with an empty rating cell, the corpus frequency, and
     the k nearest embedding neighbors rendered ``word:sim`` (two decimals)
     joined by ``;``. Rows are alphabetical unless shuffle_seed is given.
+    A word that is not in the embedding or has a zero vector gets an empty
+    neighbor cell and a warning.
     """
     missing = [w for w in words if w not in vocab]
     if missing:
@@ -502,18 +517,17 @@ def generate_sheet(
     if shuffle_seed is not None:
         rng = np.random.default_rng(shuffle_seed)
         ordered = [ordered[i] for i in rng.permutation(len(ordered))]
+    queries = _queryable(vectors, ordered, "word %r %s; empty neighbor cell")
+    cells = {}
+    if queries:  # none when vectors is None
+        cells = {word: ";".join(f"{w}:{sim:.2f}" for w, sim in neighbors)
+                 for word, neighbors in zip(queries, nearest_neighbors_batch(vectors, queries, k))}
     with atomic_open(path) as out:
         for line in SHEET_INSTRUCTIONS.splitlines():
             out.write(f"# {line}\n")
         out.write(SHEET_HEADER + "\n")
         for word in ordered:
-            if vectors is not None and word in vectors:
-                neighbors = nearest_neighbors(vectors, word, k)
-                cell = ";".join(f"{w}:{sim:.2f}" for w, sim in neighbors)
-            else:
-                logger.warning("word %r missing from the embedding; empty neighbor cell", word)
-                cell = ""
-            out.write(f"{word},,{vocab.freq(word)},{cell}\n")
+            out.write(f"{word},,{vocab.freq(word)},{cells.get(word, '')}\n")
 
 
 @dataclass

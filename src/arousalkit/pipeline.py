@@ -92,7 +92,7 @@ STAGE_REQUIRES: dict[str, list[str]] = {
 
 STAGE_ARTIFACTS: dict[str, list[str]] = {
     "ingest": ["vocab.csv", "priorities.csv", "tokens.bin"],
-    "train": ["embedding.txt"],
+    "train": ["embedding.txt", "embedding.bin"],
     "seeds": ["seeds.csv"],
     "expand": ["candidates.csv"],
     "sheet": ["sheet.csv"],
@@ -194,7 +194,9 @@ def run_train(config: PipelineConfig):
     vocab = Vocabulary.load(ws.path("vocab.csv"))
     cooc = _count_store(TokenStore.load(ws.path("tokens.bin")), vocab, config.embedding.window)
     model = glove_train(cooc, vocab.words, config.embedding)
-    model.to_vectors().save(ws.path("embedding.txt"))
+    vectors = model.to_vectors()
+    vectors.save(ws.path("embedding.txt"))
+    vectors.save_binary(ws.path("embedding.bin"))
     ws.record_stage("train")
     logger.info(
         "train: %d cells, loss %.2f -> %.2f",
@@ -215,7 +217,7 @@ def _count_store(store: TokenStore, vocab: Vocabulary, window: int):
 def run_neighbors(config: PipelineConfig, word: str, k: Optional[int] = None):
     ws = Workspace(config)
     ws.check_stages(["train"])
-    vectors = WordVectors.load(ws.path("embedding.txt"))
+    vectors = WordVectors.load_binary(ws.path("embedding.bin"))
     return nearest_neighbors(vectors, word, k if k is not None else config.k)
 
 
@@ -242,7 +244,7 @@ def run_expand(config: PipelineConfig) -> CandidateSet:
     candidates = CandidateSet.from_seeds(seeds)
     db = load_wordnet(config.wordnet_dir)
     n_wn = expand_wordnet(candidates, seeds, db, vocab)
-    vectors = WordVectors.load(ws.path("embedding.txt"))
+    vectors = WordVectors.load_binary(ws.path("embedding.bin"))
     n_emb = expand_embedding(candidates, seeds, vectors, config.k)
     candidates.save(ws.path("candidates.csv"))
     ws.record_stage("expand")
@@ -262,7 +264,7 @@ def run_sheet(config: PipelineConfig, review: Optional[str] = None) -> Path:
         candidates.save(ws.path("candidates.csv"))
         logger.info("review: %d accepted, %d rejected", n_accept, n_reject)
     vocab = Vocabulary.load(ws.path("vocab.csv"))
-    vectors = WordVectors.load(ws.path("embedding.txt"))
+    vectors = WordVectors.load_binary(ws.path("embedding.bin"))
     out = ws.path("sheet.csv")
     generate_sheet(out, candidates.accepted_words(), vocab, vectors,
                    k=config.k, shuffle_seed=config.shuffle_sheet)

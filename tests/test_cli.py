@@ -45,7 +45,8 @@ def workdir_digest(work: Path) -> dict[str, str]:
 class TestDemo:
     def test_all_stage_artifacts_produced(self, demo_workdir):
         for name in (
-            "vocab.csv", "priorities.csv", "tokens.bin", "embedding.txt", "seeds.csv",
+            "vocab.csv", "priorities.csv", "tokens.bin", "embedding.txt", "embedding.bin",
+            "seeds.csv",
             "candidates.csv", "sheet.csv", "ratings.csv", "agreement.txt",
             "sea_lexicon.csv", "scores.csv", "eval_d.csv", "eval_p.csv",
             "eval_tables.txt", "manifest.json",

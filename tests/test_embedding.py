@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arousalkit import embedding
 from arousalkit.corpus import CorpusFormatError, Vocabulary
 from arousalkit.embedding import (
     CoocMatrix,
@@ -18,6 +19,7 @@ from arousalkit.embedding import (
     glove_train,
     loss_and_gradients,
     nearest_neighbors,
+    nearest_neighbors_batch,
 )
 
 
@@ -426,6 +428,161 @@ class TestDumpRoundTrip:
         path.write_text("2 2\na 1 0\nb 0 x\n", encoding="utf-8")
         with pytest.raises(CorpusFormatError, match=r"emb.txt:3: .*'x'"):
             WordVectors.load(path)
+
+
+    def test_rows_beyond_the_header_are_refused(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("2 2\na 1 0\nb 0 1\nc 1 1\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=r"emb.txt:4: more rows than the 2 of the header"):
+            WordVectors.load(path)
+
+    def test_trailing_blank_lines_are_accepted(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("2 2\na 1 0\nb 0 1\n\n  \n", encoding="utf-8")
+        assert WordVectors.load(path).words == ["a", "b"]
+
+
+# words the text dump can hold: no whitespace, which separates its fields
+dump_words = st.text(
+    st.one_of(st.sampled_from([",", "\x00", "\U0001d11e", '"']),
+              st.characters(blacklist_categories=("Cs",)).filter(lambda c: not c.isspace())),
+    min_size=1, max_size=6,
+)
+
+
+class TestBinaryRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(dump_words, max_size=5, unique=True), st.integers(1, 4), st.data())
+    def test_round_trip_is_bit_equal_to_the_text_dump(self, tmp_path_factory, words, dim, data):
+        values = data.draw(st.lists(st.one_of(st.floats(), st.sampled_from(
+            [-0.0, 5e-324, -2.2e-308, math.inf, -math.inf, math.nan])),
+            min_size=len(words) * dim, max_size=len(words) * dim))
+        matrix = np.array(values, dtype=np.float64).reshape(len(words), dim)
+        matrix[np.isnan(matrix)] = np.nan  # the text dump keeps no NaN sign or payload
+        directory = tmp_path_factory.mktemp("emb")
+        with np.errstate(over="ignore", invalid="ignore"):
+            vectors = WordVectors(words, matrix)
+            vectors.save(directory / "embedding.txt")
+            vectors.save_binary(directory / "embedding.bin")
+            text = WordVectors.load(directory / "embedding.txt")
+            binary = WordVectors.load_binary(directory / "embedding.bin")
+        assert binary.words == text.words == words
+        assert binary.matrix.shape == text.matrix.shape == (len(words), dim)
+        assert np.array_equal(binary.matrix.view(np.uint64), text.matrix.view(np.uint64))
+        assert np.array_equal(binary.matrix.view(np.uint64), matrix.view(np.uint64))
+
+    def test_saving_twice_is_byte_identical(self, tmp_path):
+        vectors = TestNearestNeighbors().random_vectors(n=6, dim=3)
+        a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+        vectors.save_binary(a)
+        WordVectors(list(vectors.words), vectors.matrix.copy()).save_binary(b)
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("cut", [1, 10, 100, -1])
+    def test_truncated_file_names_the_path(self, tmp_path, cut):
+        path = tmp_path / "embedding.bin"
+        TestNearestNeighbors().random_vectors(n=6, dim=3).save_binary(path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(CorpusFormatError, match="embedding.bin"):
+            WordVectors.load_binary(path)
+
+    def test_trailing_bytes_are_refused(self, tmp_path):
+        path = tmp_path / "embedding.bin"
+        TestNearestNeighbors().random_vectors(n=6, dim=3).save_binary(path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(CorpusFormatError, match="embedding.bin.*trailing"):
+            WordVectors.load_binary(path)
+
+    def test_foreign_npy_is_refused(self, tmp_path):
+        path = tmp_path / "embedding.bin"
+        with path.open("wb") as out:
+            np.save(out, np.eye(3))
+        with pytest.raises(CorpusFormatError, match="embedding.bin.*format tag"):
+            WordVectors.load_binary(path)
+
+    def test_token_store_is_not_an_embedding(self, tmp_path):
+        from arousalkit.corpus import Issue, Priority, TokenStore
+
+        path = tmp_path / "embedding.bin"
+        TokenStore.from_issues([Issue("X-1", Priority.MAJOR, "a b", "", [])]).save(path)
+        with pytest.raises(CorpusFormatError, match="embedding.bin.*format tag"):
+            WordVectors.load_binary(path)
+
+    def test_wrong_dtype_is_refused(self, tmp_path):
+        path = tmp_path / "embedding.bin"
+        vectors = WordVectors(["a", "b"], np.eye(2))
+        vectors.matrix = vectors.matrix.astype(np.float32)
+        vectors.save_binary(path)
+        with pytest.raises(CorpusFormatError, match="embedding.bin.*record shape or type"):
+            WordVectors.load_binary(path)
+
+    def test_repeated_word_is_refused(self, tmp_path):
+        path = tmp_path / "embedding.bin"
+        WordVectors(["a", "b", "a"], np.eye(3)).save_binary(path)
+        with pytest.raises(CorpusFormatError, match="embedding.bin.*repeated word 'a'"):
+            WordVectors.load_binary(path)
+
+    def test_row_count_must_match_the_words(self, tmp_path):
+        path = tmp_path / "embedding.bin"
+        vectors = WordVectors(["a", "b"], np.eye(2))
+        vectors.words = ["a"]
+        vectors.save_binary(path)
+        with pytest.raises(CorpusFormatError, match="embedding.bin.*does not fit 1 words"):
+            WordVectors.load_binary(path)
+
+
+class TestBatchedNeighbors:
+    """nearest_neighbors_batch against a per-query brute-force scan."""
+
+    def vectors(self):
+        rng = np.random.default_rng(29)
+        matrix = rng.normal(size=(40, 5))
+        matrix[[7, 21, 33]] = matrix[3]  # w32, w18 and w06 duplicate w36
+        matrix[[11, 12]] = 0.0  # w28 and w27 are never returned
+        matrix[30] = -matrix[3]
+        # row order is the reverse of word order, so ties cannot fall back on rows
+        return WordVectors([f"w{39 - i:02d}" for i in range(40)], matrix)
+
+    def brute_force(self, vectors, word, k):
+        query = vectors.vector(word)
+        qn = math.sqrt(float(np.dot(query, query)))
+        scored = []
+        for other in vectors.words:
+            vec = vectors.vector(other)
+            if other == word or not vec.any():
+                continue
+            sim = float(np.dot(query, vec)) / (qn * math.sqrt(float(np.dot(vec, vec))))
+            scored.append((-sim, other))
+        scored.sort()
+        return [w for _, w in scored[:k]]
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 10, 37, 39, 40, 100])
+    @pytest.mark.parametrize("per_block", [1, 3, 64])
+    def test_matches_brute_force(self, monkeypatch, k, per_block):
+        vectors = self.vectors()
+        monkeypatch.setattr(embedding, "_KNN_BLOCK", 8 * 40 * per_block)
+        queries = ["w36", "w00", "w32", "w09", "w39", "w18", "w36", "w15", "w06", "w10"]
+        got = nearest_neighbors_batch(vectors, queries, k)
+        assert len(got) == len(queries)
+        for word, neighbors in zip(queries, got):
+            assert [w for w, _ in neighbors] == self.brute_force(vectors, word, k), (word, k)
+            single = nearest_neighbors(vectors, word, k)
+            assert [w for w, _ in neighbors] == [w for w, _ in single]
+            assert [s for _, s in neighbors] == pytest.approx([s for _, s in single], abs=1e-12)
+
+    def test_duplicates_tie_at_the_kth_place(self):
+        vectors = self.vectors()
+        # w32, w18 and w06 all have similarity 1 to w36; only two fit
+        assert [w for w, _ in nearest_neighbors_batch(vectors, ["w36"], 2)[0]] == ["w06", "w18"]
+
+    def test_no_queries_give_no_results(self):
+        assert nearest_neighbors_batch(self.vectors(), [], 5) == []
+
+    def test_zero_or_unknown_query_is_an_error(self):
+        with pytest.raises(ValueError, match="'w28' has a zero vector"):
+            nearest_neighbors_batch(self.vectors(), ["w00", "w28"], 3)
+        with pytest.raises(ValueError, match="zzz"):
+            nearest_neighbors_batch(self.vectors(), ["w00", "zzz"], 3)
 
 
 class TestPlantedSimilarity:

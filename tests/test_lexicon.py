@@ -300,6 +300,19 @@ class TestExpandEmbedding:
             expand_embedding(candidates, seeds, vectors, k=1)
         assert any("ghost" in r.message for r in caplog.records)
 
+    def test_zero_vector_seed_skipped_with_warning(self, small_world, caplog):
+        seeds, vocab, _, vectors = small_world
+        matrix = vectors.matrix.copy()
+        matrix[vocab.words.index("calm")] = 0.0
+        vectors = WordVectors(vocab.words, matrix)
+        candidates = CandidateSet.from_seeds(seeds)
+        with caplog.at_level("WARNING"):
+            added = expand_embedding(candidates, seeds, vectors, k=2)
+        assert added == 2
+        assert {c.provenance.seed for c in candidates
+                if c.provenance.kind == "embedding"} == {"quick"}
+        assert any("'calm' has a zero embedding vector" in r.message for r in caplog.records)
+
 
 class TestReviewAndCandidates:
     def build(self):
@@ -387,6 +400,21 @@ class TestSheet:
         row = [l for l in path.read_text(encoding="utf-8").splitlines()
                if l.startswith("rapid")][0]
         assert row == "rapid,,9,"
+
+    def test_zero_vector_word_gets_empty_cell(self, tmp_path, small_world, caplog):
+        _, vocab, _, vectors = small_world
+        matrix = vectors.matrix.copy()
+        matrix[vocab.words.index("calm")] = 0.0
+        vectors = WordVectors(vocab.words, matrix)
+        path = tmp_path / "sheet.csv"
+        with caplog.at_level("WARNING"):
+            generate_sheet(path, ["quick", "calm"], vocab, vectors, k=2)
+        rows = [l for l in path.read_text(encoding="utf-8").splitlines()
+                if l.startswith(("calm", "quick"))]
+        assert rows[0] == "calm,,20,"
+        assert len(rows[1].split(",")[3].split(";")) == 2
+        assert "calm:" not in rows[1]
+        assert any("'calm' has a zero embedding vector" in r.message for r in caplog.records)
 
     def test_out_of_vocabulary_word_is_an_error(self, tmp_path, small_world):
         _, vocab, _, vectors = small_world
