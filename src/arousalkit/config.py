@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-from .embedding import EmbeddingConfig
+from .embedding import EmbeddingConfig, require_number
 from .lexicon import SeedConfig
 
 
@@ -37,11 +37,12 @@ class PipelineConfig:
 
     def validate(self) -> None:
         self.embedding.validate()
-        if self.min_count < 1 or self.k < 0:
-            raise ValueError("min_count must be >= 1 and k >= 0")
+        require_number("min_count", self.min_count, 1)
+        require_number("k", self.k, 0)
         for name in ("n1", "f1", "n2", "f2"):
-            if getattr(self.seeds, name) < 1:
-                raise ValueError(f"seed config {name} must be positive")
+            require_number("seeds." + name, getattr(self.seeds, name), 1)
+        if self.shuffle_sheet is not None:
+            require_number("shuffle_sheet", self.shuffle_sheet, 0)
         if self.kappa_weighting not in ("linear", "quadratic"):
             raise ValueError(f"bad kappa_weighting: {self.kappa_weighting!r}")
         if self.t_test not in ("welch", "pooled"):

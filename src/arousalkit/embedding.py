@@ -6,9 +6,15 @@ squares (global-vectors objective):
     J = sum over nonzero cells (i, j) of
         f(X_ij) * (w_i . w~_j + b_i + b~_j - ln X_ij)^2
 
-with f(x) = (x / x_max)^alpha for x < x_max, else 1. Training runs AdaGrad
-over the shuffled nonzero cells; a fixed seed is bit-reproducible. The
-output vector of a word is the sum of its main and context rows.
+with f(x) = (x / x_max)^alpha for x < x_max, else 1. Each epoch applies
+the per-cell AdaGrad update to every nonzero cell once, in conflict-free
+batches: cell (i, j) goes to batch (pi[i] + sigma[j]) mod V, for random
+permutations pi and sigma of the V word ids, and the batches run in random
+order. Given the batch and i only one j fits, and the reverse, so a batch
+repeats no row and no column. Its updates touch disjoint parameters, so
+one set of array operations gives what a loop over its cells would, up to
+the summation order of the dot products. A fixed seed is bit-reproducible.
+The output vector of a word is the sum of its main and context rows.
 
 Co-occurrence cells are COO arrays rows, cols (int64 word ids) and vals
 (float64), one entry per nonzero cell, sorted by (row, col). Counting
@@ -20,6 +26,8 @@ so only a fixed order makes the weights bit-reproducible.
 from __future__ import annotations
 
 import logging
+import numbers
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
@@ -53,10 +61,24 @@ class EmbeddingConfig:
     seed: int = 42
 
     def validate(self) -> None:
-        if self.dim < 1 or self.window < 1 or self.epochs < 0:
-            raise ValueError("dim and window must be >= 1 and epochs >= 0")
-        if self.x_max <= 0 or self.learning_rate <= 0:
-            raise ValueError("x_max and learning_rate must be positive")
+        for name, low in (("dim", 1), ("window", 1), ("epochs", 0), ("seed", 0)):
+            require_number("embedding." + name, getattr(self, name), low)
+        for name in ("x_max", "learning_rate", "alpha"):
+            require_number("embedding." + name, getattr(self, name), 0, integer=False,
+                           strict=name != "alpha")
+
+
+def require_number(key: str, value, low, integer: bool = True, strict: bool = False) -> None:
+    """ValueError naming the dotted config ``key`` unless ``value`` is an int
+    (a finite number if not ``integer``; never a bool) >= ``low``, or > ``low``
+    if ``strict``."""
+    kind = numbers.Integral if integer else numbers.Real
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or not abs(value) <= sys.float_info.max):
+        raise ValueError(f"{key} must be {'an integer' if integer else 'a finite number'}, "
+                         f"got {value!r}")
+    if value < low or (strict and value == low):
+        raise ValueError(f"{key} must be {'>' if strict else '>='} {low}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,6 +200,10 @@ class EmbeddingModel:
     def dim(self) -> int:
         return self.w_main.shape[1]
 
+    def blocks(self) -> tuple:
+        """The parameter blocks (W, W~, b, b~)."""
+        return self.w_main, self.w_context, self.b_main, self.b_context
+
     def to_vectors(self) -> "WordVectors":
         """Combined (main + context) vectors for similarity queries."""
         return WordVectors(list(self.words), self.w_main + self.w_context)
@@ -197,22 +223,23 @@ def glove_loss(model: EmbeddingModel, cooc: CoocMatrix) -> float:
         raise ValueError("co-occurrence matrix is empty")
     if max(cooc.rows.max(), cooc.cols.max()) >= len(model.words):
         raise ValueError("co-occurrence ids exceed model vocabulary")
-    rows, cols, vals = cooc.rows, cooc.cols, cooc.vals
-    fx = _loss_weights(vals, model.config.x_max, model.config.alpha)
-    logx = np.log(vals)
+    fx = _loss_weights(cooc.vals, model.config.x_max, model.config.alpha)
+    logx = np.log(cooc.vals)
     total = 0.0
     chunk = max(1, _LOSS_GATHER // (model.w_main.itemsize * model.dim))
-    for lo in range(0, len(vals), chunk):
-        hi = min(lo + chunk, len(vals))
-        r, c = rows[lo:hi], cols[lo:hi]
-        pred = (
-            np.einsum("ij,ij->i", model.w_main[r], model.w_context[c])
-            + model.b_main[r]
-            + model.b_context[c]
-        )
-        diff = pred - logx[lo:hi]
-        total += float(np.sum(fx[lo:hi] * diff * diff))
+    for lo in range(0, len(logx), chunk):
+        cut = slice(lo, lo + chunk)
+        diff = _residuals(model, cooc.rows[cut], cooc.cols[cut], logx[cut])[0]
+        total += float(np.sum(fx[cut] * diff * diff))
     return total
+
+
+def _residuals(model: EmbeddingModel, rows, cols, logx) -> tuple:
+    """w_i . w~_j + b_i + b~_j - ln X_ij of each cell, with the gathered
+    main rows w_i and context rows w~_j."""
+    wi, wj = model.w_main[rows], model.w_context[cols]
+    pred = np.einsum("ij,ij->i", wi, wj) + model.b_main[rows] + model.b_context[cols]
+    return pred - logx, wi, wj
 
 
 def loss_and_gradients(
@@ -220,26 +247,17 @@ def loss_and_gradients(
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Full-batch loss and analytic gradients for every parameter block.
 
-    Returns (loss, dW, dW~, db, db~); used by the finite-difference check
-    and small-scale experiments, not by the per-cell AdaGrad loop.
+    Returns (loss, dW, dW~, db, db~); used by the finite-difference check.
+    Training does not sum gradients: it applies each cell's own update.
     """
-    rows, cols, vals = cooc.rows, cooc.cols, cooc.vals
-    fx = _loss_weights(vals, model.config.x_max, model.config.alpha)
-    logx = np.log(vals)
-    pred = (
-        np.einsum("ij,ij->i", model.w_main[rows], model.w_context[cols])
-        + model.b_main[rows]
-        + model.b_context[cols]
-    )
-    diff = pred - logx
+    rows, cols = cooc.rows, cooc.cols
+    fx = _loss_weights(cooc.vals, model.config.x_max, model.config.alpha)
+    diff, wi, wj = _residuals(model, rows, cols, np.log(cooc.vals))
     loss = float(np.sum(fx * diff * diff))
     g = 2.0 * fx * diff
-    d_w = np.zeros_like(model.w_main)
-    d_wc = np.zeros_like(model.w_context)
-    d_b = np.zeros_like(model.b_main)
-    d_bc = np.zeros_like(model.b_context)
-    np.add.at(d_w, rows, g[:, None] * model.w_context[cols])
-    np.add.at(d_wc, cols, g[:, None] * model.w_main[rows])
+    d_w, d_wc, d_b, d_bc = map(np.zeros_like, model.blocks())
+    np.add.at(d_w, rows, g[:, None] * wj)
+    np.add.at(d_wc, cols, g[:, None] * wi)
     np.add.at(d_b, rows, g)
     np.add.at(d_bc, cols, g)
     return loss, d_w, d_wc, d_b, d_bc
@@ -248,21 +266,18 @@ def loss_and_gradients(
 def glove_train(
     cooc: CoocMatrix, words: list[str], config: EmbeddingConfig
 ) -> EmbeddingModel:
-    """AdaGrad over shuffled nonzero cells for config.epochs passes."""
+    """AdaGrad over every nonzero cell once per epoch, for config.epochs
+    epochs, in conflict-free batches."""
     model = EmbeddingModel.initialize(words, config)
     fx = _loss_weights(cooc.vals, config.x_max, config.alpha)
     logx = np.log(cooc.vals)
     rng = np.random.default_rng(config.seed)
 
-    acc_w = np.ones_like(model.w_main)
-    acc_wc = np.ones_like(model.w_context)
-    acc_b = np.ones_like(model.b_main)
-    acc_bc = np.ones_like(model.b_context)
-
+    acc_w, acc_wc, acc_b, acc_bc = map(np.ones_like, model.blocks())
     model.loss_history = [glove_loss(model, cooc)]
     for epoch in range(config.epochs):
-        order = rng.permutation(len(cooc))
-        _sgd_pass(model, acc_w, acc_wc, acc_b, acc_bc, cooc.rows, cooc.cols, fx, logx, order,
+        batches = _conflict_free_batches(cooc.rows, cooc.cols, len(words), rng)
+        _sgd_pass(model, acc_w, acc_wc, acc_b, acc_bc, cooc.rows, cooc.cols, fx, logx, batches,
                   config.learning_rate)
         loss = glove_loss(model, cooc)
         if not np.isfinite(loss):
@@ -275,18 +290,27 @@ def glove_train(
     return model
 
 
-def _sgd_pass(model, acc_w, acc_wc, acc_b, acc_bc, rows, cols, fx, logx, order, lr):
-    w, wc = model.w_main, model.w_context
-    b, bc = model.b_main, model.b_context
-    for p in order:
-        i = rows[p]
-        j = cols[p]
-        wi = w[i]
-        wj = wc[j]
-        diff = float(wi @ wj) + b[i] + bc[j] - logx[p]
+def _conflict_free_batches(rows, cols, n_words: int, rng) -> list[np.ndarray]:
+    """Cell indices in the conflict-free batches of one epoch (see the
+    module docstring), the non-empty batches in the order they run."""
+    pi, sigma = rng.permutation(n_words), rng.permutation(n_words)
+    batch = (pi[rows] + sigma[cols]) % n_words
+    order = np.argsort(batch, kind="stable")
+    sizes = np.bincount(batch, minlength=n_words)
+    ends = np.cumsum(sizes)
+    return [order[ends[c] - sizes[c]:ends[c]] for c in rng.permutation(n_words) if sizes[c]]
+
+
+def _sgd_pass(model, acc_w, acc_wc, acc_b, acc_bc, rows, cols, fx, logx, batches, lr):
+    """Per-cell AdaGrad, one batch of cells at a time; no batch may repeat
+    a row or a column."""
+    w, wc, b, bc = model.blocks()
+    for p in batches:
+        i, j = rows[p], cols[p]
+        diff, wi, wj = _residuals(model, i, j, logx[p])
         g = 2.0 * fx[p] * diff
-        gw = g * wj
-        gwc = g * wi
+        gw = g[:, None] * wj
+        gwc = g[:, None] * wi
         acc_w[i] += gw * gw
         acc_wc[j] += gwc * gwc
         w[i] = wi - lr * gw / np.sqrt(acc_w[i])

@@ -194,28 +194,18 @@ def _render_display(table: EvalTable) -> str:
         "".ljust(label_width)
         + "".join(pair_label(p).rjust(col_width) for p in table.pairs)
     )
-    out = ["Cohen's d between issue priorities", header]
-    for field in table.fields:
-        for i, mode in enumerate(table.modes):
-            label = (DISPLAY_FIELD_LABELS[field] if i == 0 else "") + f" [{mode}]"
-            cells = []
-            for pair in table.pairs:
-                cell = table.cell(field, mode, pair)
-                cells.append(f"{cell.cohen_d:.4f}" if cell else "-")
-            out.append(label.ljust(label_width) + "".join(c.rjust(col_width) for c in cells))
-    out.append("")
-    out.append("t-test p-values (*** p<0.001, ** p<0.01, * p<0.05)")
-    out.append(header)
-    for field in table.fields:
-        for i, mode in enumerate(table.modes):
-            label = (DISPLAY_FIELD_LABELS[field] if i == 0 else "") + f" [{mode}]"
-            cells = []
-            for pair in table.pairs:
-                cell = table.cell(field, mode, pair)
-                if cell is None:
-                    cells.append("-")
-                else:
-                    cells.append(f"{cell.p:.3g}{significance_marker(cell.p)}")
-            out.append(label.ljust(label_width) + "".join(c.rjust(col_width) for c in cells))
-    out.append("")
+    out = []
+    for title, render in (
+        ("Cohen's d between issue priorities", lambda cell: f"{cell.cohen_d:.4f}"),
+        ("t-test p-values (*** p<0.001, ** p<0.01, * p<0.05)",
+         lambda cell: f"{cell.p:.3g}{significance_marker(cell.p)}"),
+    ):
+        out += [title, header]
+        for field in table.fields:
+            for i, mode in enumerate(table.modes):
+                label = (DISPLAY_FIELD_LABELS[field] if i == 0 else "") + f" [{mode}]"
+                cells = [render(cell) if (cell := table.cell(field, mode, pair)) else "-"
+                         for pair in table.pairs]
+                out.append(label.ljust(label_width) + "".join(c.rjust(col_width) for c in cells))
+        out.append("")
     return "\n".join(out) + "\n"

@@ -23,7 +23,7 @@ import logging
 import statistics
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -291,20 +291,23 @@ def _scan_pole(
 def load_seed_list(path: str | Path, vocab: Vocabulary) -> list[Seed]:
     """Extra seeds from a ``word,pole,source`` file; frequency from the corpus."""
     seeds = []
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
+    for lineno, parts in _hand_edited_rows(path):
+        if len(parts) != 3 or parts[1] not in ("high", "low") or parts[2] not in SEED_SOURCES:
+            logger.warning("%s:%d: bad seed row, skipped", path, lineno)
+            continue
+        word = parts[0].lower()
+        seeds.append(Seed(word, parts[1], parts[2], vocab.freq(word)))
+    return seeds
+
+
+def _hand_edited_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """Line number and stripped comma-separated fields of each line that
+    is neither blank nor a ``#`` comment."""
+    with Path(path).open("r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 3 or parts[1] not in ("high", "low") \
-                    or parts[2] not in SEED_SOURCES:
-                logger.warning("%s:%d: bad seed row, skipped", path, lineno)
-                continue
-            word = parts[0].lower()
-            seeds.append(Seed(word, parts[1], parts[2], vocab.freq(word)))
-    return seeds
+            if line and not line.startswith("#"):
+                yield lineno, [p.strip() for p in line.split(",")]
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +410,8 @@ def expand_wordnet(
     A synonym reachable from several seeds keeps its first provenance.
     Returns the number of candidates added.
     """
-    added = 0
-    for seed in seeds:
-        for syn in sorted(synonyms(db, seed.word)):
-            if syn not in vocab:
-                continue
-            if candidates.add(Candidate(syn, Provenance("wordnet", seed=seed.word))):
-                added += 1
-    return added
+    return sum(candidates.add(Candidate(syn, Provenance("wordnet", seed=seed.word)))
+               for seed in seeds for syn in sorted(synonyms(db, seed.word)) if syn in vocab)
 
 
 def expand_embedding(
@@ -440,11 +437,7 @@ def expand_embedding(
             prov = best.get(neighbor)
             if prov is None or sim > prov.similarity:
                 best[neighbor] = Provenance("embedding", seed=word, similarity=sim)
-    added = 0
-    for word, prov in best.items():
-        if candidates.add(Candidate(word, prov)):
-            added += 1
-    return added
+    return sum(candidates.add(Candidate(word, prov)) for word, prov in best.items())
 
 
 def _queryable(vectors: Optional[WordVectors], words: Sequence[str], warning: str) -> list[str]:
@@ -467,26 +460,18 @@ def apply_review(candidates: CandidateSet, decisions_path: str | Path) -> tuple[
     Returns (accepted, rejected) counts applied.
     """
     n_accept = n_reject = 0
-    path = Path(decisions_path)
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 2 or parts[1] not in ("accept", "reject"):
-                logger.warning("%s:%d: bad decision row, skipped", path, lineno)
-                continue
-            word = parts[0].lower()
-            if word not in candidates:
-                logger.warning("%s:%d: decision for unknown word %r", path, lineno, word)
-                continue
-            candidate = candidates.get(word)
-            candidate.status = "accepted" if parts[1] == "accept" else "rejected"
-            if parts[1] == "accept":
-                n_accept += 1
-            else:
-                n_reject += 1
+    path = decisions_path
+    for lineno, parts in _hand_edited_rows(path):
+        if len(parts) != 2 or parts[1] not in ("accept", "reject"):
+            logger.warning("%s:%d: bad decision row, skipped", path, lineno)
+            continue
+        word = parts[0].lower()
+        if word not in candidates:
+            logger.warning("%s:%d: decision for unknown word %r", path, lineno, word)
+            continue
+        accept = parts[1] == "accept"
+        candidates.get(word).status = "accepted" if accept else "rejected"
+        n_accept, n_reject = n_accept + accept, n_reject + (not accept)
     return n_accept, n_reject
 
 

@@ -279,9 +279,8 @@ def run_ratings(
 ):
     ws = Workspace(config)
     records, report = ingest_ratings(sheet_files, labels)
-    if report.errors:
-        for error in report.errors:
-            logger.warning("rating row rejected: %s", error)
+    for error in report.errors:
+        logger.warning("rating row rejected: %s", error)
     save_rating_records(records, ws.path("ratings.csv"))
     ws.record_stage("ratings")
     logger.info(

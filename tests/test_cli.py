@@ -233,6 +233,14 @@ class TestCommandLine:
         assert "unknown config key 'embedding.threads'" in result.output
         assert isinstance(result.exception, SystemExit)
 
+    def test_config_value_of_wrong_type_fails_without_traceback(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"min_count": "5"}))
+        result = CliRunner().invoke(main, ["--config", str(config_path), "ingest"])
+        assert result.exit_code == 1
+        assert "min_count must be an integer, got '5'" in result.output
+        assert isinstance(result.exception, SystemExit)
+
     def test_config_round_trip(self, tmp_path):
         config = PipelineConfig()
         config.embedding.dim = 64

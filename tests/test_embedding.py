@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arousalkit import embedding
+from arousalkit.config import PipelineConfig
 from arousalkit.corpus import CorpusFormatError, Vocabulary
 from arousalkit.embedding import (
     CoocMatrix,
@@ -284,6 +285,127 @@ class TestTraining:
         config = EmbeddingConfig(dim=8, epochs=5, seed=4, learning_rate=1e200)
         with pytest.raises(TrainingDivergedError, match="learning rate"):
             glove_train(cooc, vocab.words, config)
+
+
+def reference_sgd_pass(model, acc_w, acc_wc, acc_b, acc_bc, rows, cols, fx, logx, order, lr):
+    """The per-cell AdaGrad loop the batched pass replaced: one update per
+    cell, in ``order``."""
+    w, wc = model.w_main, model.w_context
+    b, bc = model.b_main, model.b_context
+    for p in order:
+        i = rows[p]
+        j = cols[p]
+        wi = w[i]
+        wj = wc[j]
+        diff = float(wi @ wj) + b[i] + bc[j] - logx[p]
+        g = 2.0 * fx[p] * diff
+        gw = g * wj
+        gwc = g * wi
+        acc_w[i] += gw * gw
+        acc_wc[j] += gwc * gwc
+        w[i] = wi - lr * gw / np.sqrt(acc_w[i])
+        wc[j] = wj - lr * gwc / np.sqrt(acc_wc[j])
+        acc_b[i] += g * g
+        acc_bc[j] += g * g
+        b[i] -= lr * g / np.sqrt(acc_b[i])
+        bc[j] -= lr * g / np.sqrt(acc_bc[j])
+
+
+@st.composite
+def cell_sets(draw):
+    """COO cells over V in 1..40 words: any cells, self cells only, one
+    row or one column; words outside every cell are common."""
+    n_words = draw(st.integers(1, 40))
+    word = st.integers(0, n_words - 1)
+    shape = draw(st.sampled_from(["any", "self", "row", "column"]))
+    if shape == "self":
+        pairs = st.builds(lambda i: (i, i), word)
+    elif shape == "row":
+        row = draw(word)
+        pairs = st.builds(lambda j: (row, j), word)
+    elif shape == "column":
+        column = draw(word)
+        pairs = st.builds(lambda i: (i, column), word)
+    else:
+        pairs = st.tuples(word, word)
+    keys = draw(st.sets(pairs, max_size=200))
+    weights = draw(st.lists(st.floats(0.05, 300.0), min_size=len(keys), max_size=len(keys)))
+    return n_words, coo(dict(zip(sorted(keys), weights)))
+
+
+class TestConflictFreeBatches:
+    @settings(max_examples=200, deadline=None)
+    @given(cell_sets(), st.integers(0, 2**32))
+    def test_batches_partition_cells_without_repeats(self, cells_of, seed):
+        n_words, cooc = cells_of
+        batches = embedding._conflict_free_batches(
+            cooc.rows, cooc.cols, n_words, np.random.default_rng(seed))
+        assert all(len(batch) > 0 for batch in batches)
+        flat = np.concatenate([np.empty(0, dtype=np.intp), *batches])
+        assert sorted(flat.tolist()) == list(range(len(cooc)))
+        for batch in batches:
+            assert len(set(cooc.rows[batch].tolist())) == len(batch)
+            assert len(set(cooc.cols[batch].tolist())) == len(batch)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cell_sets(), st.integers(1, 8), st.integers(0, 2**32))
+    def test_batched_pass_equals_the_per_cell_loop(self, cells_of, dim, seed):
+        n_words, cooc = cells_of
+        rng = np.random.default_rng(seed)
+        config = EmbeddingConfig(dim=dim, epochs=1, seed=0)
+        model = EmbeddingModel(
+            [f"w{i}" for i in range(n_words)], rng.normal(size=(n_words, dim)),
+            rng.normal(size=(n_words, dim)), rng.normal(size=n_words),
+            rng.normal(size=n_words), config)
+        acc = [1.0 + rng.random(block.shape) for block in model.blocks()]
+        fx = embedding._loss_weights(cooc.vals, config.x_max, config.alpha)
+        logx = np.log(cooc.vals)
+        batches = embedding._conflict_free_batches(cooc.rows, cooc.cols, n_words, rng)
+        reference = EmbeddingModel(list(model.words), *(b.copy() for b in model.blocks()),
+                                   config)
+        reference_acc = [a.copy() for a in acc]
+        embedding._sgd_pass(model, *acc, cooc.rows, cooc.cols, fx, logx, batches, 0.05)
+        reference_sgd_pass(reference, *reference_acc, cooc.rows, cooc.cols, fx, logx,
+                           np.concatenate([np.empty(0, dtype=np.intp), *batches]), 0.05)
+        for got, expected in zip([*model.blocks(), *acc],
+                                 [*reference.blocks(), *reference_acc]):
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+
+class TestConfigRefusals:
+    @pytest.mark.parametrize("data, message", [
+        ({"embedding": {"dim": 32.0}}, "embedding.dim must be an integer, got 32.0"),
+        ({"embedding": {"window": True}}, "embedding.window must be an integer, got True"),
+        ({"embedding": {"epochs": "6"}}, "embedding.epochs must be an integer, got '6'"),
+        ({"embedding": {"seed": -1}}, "embedding.seed must be >= 0, got -1"),
+        ({"embedding": {"dim": 0}}, "embedding.dim must be >= 1, got 0"),
+        ({"embedding": {"x_max": math.nan}}, "embedding.x_max must be a finite number, got nan"),
+        ({"embedding": {"x_max": 10**400}}, "embedding.x_max must be a finite number"),
+        ({"embedding": {"learning_rate": math.inf}},
+         "embedding.learning_rate must be a finite number, got inf"),
+        ({"embedding": {"learning_rate": 0}}, "embedding.learning_rate must be > 0, got 0"),
+        ({"embedding": {"alpha": -1}}, "embedding.alpha must be >= 0, got -1"),
+        ({"embedding": {"alpha": "0.75"}}, "embedding.alpha must be a finite number, got '0.75'"),
+        ({"min_count": "5"}, "min_count must be an integer, got '5'"),
+        ({"min_count": 0}, "min_count must be >= 1, got 0"),
+        ({"k": 2.5}, "k must be an integer, got 2.5"),
+        ({"seeds": {"f2": False}}, "seeds.f2 must be an integer, got False"),
+        ({"seeds": {"n1": 0}}, "seeds.n1 must be >= 1, got 0"),
+        ({"shuffle_sheet": 1.0}, "shuffle_sheet must be an integer, got 1.0"),
+        ({"shuffle_sheet": -3}, "shuffle_sheet must be >= 0, got -3"),
+    ])
+    def test_wrong_value_is_refused_naming_the_key(self, data, message):
+        with pytest.raises(ValueError) as info:
+            PipelineConfig.from_dict(data)
+        assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("data", [
+        {"embedding": {"x_max": 10, "alpha": 0, "learning_rate": 1}},
+        {"embedding": {"alpha": 0.0, "seed": 0, "epochs": 0}},
+        {"shuffle_sheet": 0, "k": 0},
+    ])
+    def test_edge_values_are_accepted(self, data):
+        PipelineConfig.from_dict(data)
 
 
 class TestWordVector:
