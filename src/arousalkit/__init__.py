@@ -42,6 +42,7 @@ from .lexicon import (
 )
 from .scoring import (
     MODES,
+    ScoreTable,
     ScoringLexicon,
     UnitScore,
     combined_score,

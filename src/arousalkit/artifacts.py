@@ -65,6 +65,16 @@ def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]
             raise CorpusFormatError(f"{path}: cannot write row: {exc}") from None
 
 
+def quote_cells(strings: Iterable[str], path: str | Path) -> list[str]:
+    """Each string as ``write_rows`` writes it in a row of more than one cell."""
+    lines: list[str] = []
+    try:
+        csv.writer(SimpleNamespace(write=lines.append)).writerows((s, "") for s in strings)
+    except csv.Error as exc:
+        raise CorpusFormatError(f"{path}: cannot write row: {exc}") from None
+    return [line[:-3] for line in lines]  # less the empty cell and "\r\n"
+
+
 def read_rows(path: str | Path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, row) after the header.
 

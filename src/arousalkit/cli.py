@@ -177,8 +177,8 @@ def build(ctx):
 @click.pass_context
 def score(ctx, modes):
     """Score every issue text unit under the selected lexicon modes."""
-    rows = _run(run_score, _config(ctx), modes.split(","))
-    click.echo(f"{len(rows)} scored rows written")
+    table = _run(run_score, _config(ctx), modes.split(","))
+    click.echo(f"{len(table)} scored rows written")
 
 
 @main.command()

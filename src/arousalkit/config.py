@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -47,8 +48,12 @@ class PipelineConfig:
             raise ValueError(f"bad kappa_weighting: {self.kappa_weighting!r}")
         if self.t_test not in ("welch", "pooled"):
             raise ValueError(f"bad t_test: {self.t_test!r}")
-        if isinstance(self.sea_avg, str) and self.sea_avg not in ("lexicon", "dataset"):
-            raise ValueError(f"bad sea_avg: {self.sea_avg!r}")
+        if isinstance(self.sea_avg, str):
+            if self.sea_avg not in ("lexicon", "dataset"):
+                raise ValueError(f'sea_avg must be "lexicon", "dataset" or a finite number, '
+                                 f"got {self.sea_avg!r}")
+        else:
+            require_number("sea_avg", self.sea_avg, -math.inf, integer=False)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

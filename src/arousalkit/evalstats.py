@@ -1,4 +1,4 @@
-"""Priority-pair effect sizes and significance tables over score rows.
+"""Priority-pair effect sizes and significance tables over a score table.
 
 Scores are grouped by (field, mode, priority); for each of the five
 priority pairs the group means are compared with Cohen's d and a two
@@ -12,13 +12,13 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .artifacts import atomic_open
 from .corpus import Field, Priority
-from .scoring import MODES, ScoredRow
+from .scoring import CODES, MODES, ScoreTable
 from .stats import cohens_d, pooled_t_test, welch_t_test
 
 logger = logging.getLogger(__name__)
@@ -42,14 +42,12 @@ DISPLAY_FIELD_LABELS = {
 
 
 _N_MODES, _N_PRIORITIES = len(MODES), len(Priority)
-_FIELD_KEY = {f: i * _N_MODES * _N_PRIORITIES for i, f in enumerate(Field)}
-_MODE_KEY = {m: i * _N_PRIORITIES for i, m in enumerate(MODES)}
-_PRIORITY_KEY = {p: i for i, p in enumerate(Priority)}
 
 
-def _group_key(field: Field, mode: str, priority: Priority) -> int:
-    """Integer key of a (field, mode, priority) group, ordered like the tuple."""
-    return _FIELD_KEY[field] + _MODE_KEY[mode] + _PRIORITY_KEY[priority]
+def _group_key(field, mode, priority):
+    """Integer key of the (field, mode, priority) codes, ordered like the
+    tuple; the codes may be int64 arrays."""
+    return (field * _N_MODES + mode) * _N_PRIORITIES + priority
 
 
 def pair_label(pair: tuple[Priority, Priority]) -> str:
@@ -81,32 +79,26 @@ class EvalTable:
         return self.cells.get((field, mode, pair))
 
 
-def evaluate_priorities(
-    rows: Iterable[ScoredRow], t_test: str = "welch"
-) -> EvalTable:
+def evaluate_priorities(scores: ScoreTable, t_test: str = "welch") -> EvalTable:
     """Build the full field x mode x priority-pair comparison grid.
 
     Unknown-priority rows are dropped. A pair whose groups are too small
     (or degenerate) yields an empty cell and a warning, never an error.
     """
-    if t_test == "welch":
-        t_test_fn = welch_t_test
-    elif t_test == "pooled":
-        t_test_fn = pooled_t_test
-    else:
+    t_test_fn = {"welch": welch_t_test, "pooled": pooled_t_test}.get(t_test)
+    if t_test_fn is None:
         raise ValueError(f"unknown t-test variant: {t_test!r}")
-    rows = list(rows)
-    if not rows:
+    if not len(scores):
         raise ValueError("empty score table")
-    # one integer key per row; a stable sort keeps file order within a group
-    keys = np.array([_group_key(r.field, r.mode, r.priority) for r in rows], dtype=np.int64)
+    # one integer key per row; a stable sort keeps table order within a group
+    keys = _group_key(scores.field.astype(np.int64), scores.mode, scores.priority)
     order = np.argsort(keys, kind="stable")
-    keys, scores = keys[order], np.array([r.score for r in rows], dtype=np.float64)[order]
-    known = keys % _N_PRIORITIES != _PRIORITY_KEY[Priority.UNKNOWN]
-    keys, scores = keys[known], scores[known]
+    keys, values = keys[order], scores.score[order]
+    known = keys % _N_PRIORITIES != CODES[Priority.UNKNOWN]
+    keys, values = keys[known], values[known]
     group_keys, starts = np.unique(keys, return_index=True)
     ends = np.append(starts[1:], len(keys))
-    groups = {key: scores[start:end] for key, start, end
+    groups = {key: values[start:end] for key, start, end
               in zip(group_keys.tolist(), starts.tolist(), ends.tolist())}
     modes_seen = {MODES[key // _N_PRIORITIES % _N_MODES] for key in groups}
     modes = tuple(m for m in MODES if m in modes_seen)
@@ -116,51 +108,36 @@ def evaluate_priorities(
     for field in fields:
         for mode in modes:
             for pair in PRIORITY_PAIRS:
-                high = groups.get(_group_key(field, mode, pair[0]), empty)
-                low = groups.get(_group_key(field, mode, pair[1]), empty)
+                high, low = (groups.get(_group_key(CODES[field], CODES[mode], CODES[p]), empty)
+                             for p in pair)
                 key = (field, mode, pair)
+                table.cells[key] = None
                 if len(high) < 2 or len(low) < 2:
-                    table.cells[key] = None
-                    msg = (
-                        f"{field.value}/{mode}/{pair_label(pair)}: group too small "
-                        f"({len(high)} vs {len(low)}), cell left empty"
-                    )
-                    table.warnings.append(msg)
-                    logger.warning(msg)
-                    continue
-                try:
-                    d = cohens_d(high, low)
-                    t, df, p = t_test_fn(high, low)
-                except ValueError as exc:
-                    table.cells[key] = None
-                    msg = f"{field.value}/{mode}/{pair_label(pair)}: {exc}; cell left empty"
-                    table.warnings.append(msg)
-                    logger.warning(msg)
-                    continue
-                table.cells[key] = ComparisonCell(
-                    field, mode, pair, d, t, df, p, len(high), len(low)
-                )
+                    problem = f"group too small ({len(high)} vs {len(low)}), cell left empty"
+                else:
+                    try:
+                        table.cells[key] = ComparisonCell(
+                            field, mode, pair, cohens_d(high, low), *t_test_fn(high, low),
+                            len(high), len(low))
+                        continue
+                    except ValueError as exc:
+                        problem = f"{exc}; cell left empty"
+                msg = f"{field.value}/{mode}/{pair_label(pair)}: {problem}"
+                table.warnings.append(msg)
+                logger.warning(msg)
     return table
 
 
 def significance_marker(p: float) -> str:
-    if p < 0.001:
-        return "***"
-    if p < 0.01:
-        return "**"
-    if p < 0.05:
-        return "*"
-    return ""
+    return "***" if p < 0.001 else "**" if p < 0.01 else "*" if p < 0.05 else ""
 
 
 def _stat_lines(table: EvalTable, stat: str, fmt: str) -> list[str]:
     lines = ["field,mode," + ",".join(pair_label(p) for p in table.pairs)]
     for field in table.fields:
         for mode in table.modes:
-            cells = []
-            for pair in table.pairs:
-                cell = table.cell(field, mode, pair)
-                cells.append(format(getattr(cell, stat), fmt) if cell else "")
+            cells = [format(getattr(cell, stat), fmt) if (cell := table.cell(field, mode, pair))
+                     else "" for pair in table.pairs]
             lines.append(f"{field.value},{mode}," + ",".join(cells))
     return lines
 
@@ -188,12 +165,8 @@ def render_tables(table: EvalTable, out_dir: str | Path) -> list[Path]:
 
 
 def _render_display(table: EvalTable) -> str:
-    col_width = 18
-    label_width = 16
-    header = (
-        "".ljust(label_width)
-        + "".join(pair_label(p).rjust(col_width) for p in table.pairs)
-    )
+    col_width, label_width = 18, 16
+    header = "".ljust(label_width) + "".join(pair_label(p).rjust(col_width) for p in table.pairs)
     out = []
     for title, render in (
         ("Cohen's d between issue priorities", lambda cell: f"{cell.cohen_d:.4f}"),

@@ -99,7 +99,7 @@ STAGE_ARTIFACTS: dict[str, list[str]] = {
     "ratings": ["ratings.csv"],
     "agreement": ["agreement.txt"],
     "build": ["sea_lexicon.csv"],
-    "score": ["scores.csv"],
+    "score": ["scores.csv", "scores.bin"],
     "evaluate": ["eval_d.csv", "eval_t.csv", "eval_df.csv", "eval_p.csv",
                  "eval_tables.txt"],
 }
@@ -322,20 +322,21 @@ def run_score(config: PipelineConfig, modes: Sequence[str] = MODES):
     sea = ScoringLexicon(SeaLexicon.load(ws.path("sea_lexicon.csv")).arousal_map())
     store = TokenStore.load(ws.path("tokens.bin"))
     sea_avg = resolve_sea_avg(sea, config.sea_avg, store)
-    rows = score_corpus(store, general, sea, sea_avg, modes,
-                        priorities=load_priorities(ws.path("priorities.csv")))
-    scoring_mod.save_scores(rows, ws.path("scores.csv"))
+    table = score_corpus(store, general, sea, sea_avg, modes,
+                         priorities=load_priorities(ws.path("priorities.csv")))
+    # evaluation reads the reals as the export states them, at 4 decimals
+    table = scoring_mod.save_scores(table, ws.path("scores.csv"))
+    scoring_mod.save_score_records(table, ws.path("scores.bin"))
     ws.record_stage("score")
-    logger.info("score: %d present rows (sea_avg %.4f)", len(rows), sea_avg)
-    return rows
+    logger.info("score: %d present rows (sea_avg %.4f)", len(table), sea_avg)
+    return table
 
 
 def run_evaluate(config: PipelineConfig) -> EvalTable:
     ws = Workspace(config)
     ws.check_upstream("evaluate")
-    priorities = load_priorities(ws.path("priorities.csv"))
-    rows = scoring_mod.load_scores(ws.path("scores.csv"), priorities)
-    table = evaluate_priorities(rows, t_test=config.t_test)
+    table = evaluate_priorities(scoring_mod.load_scores(ws.path("scores.bin")),
+                                t_test=config.t_test)
     render_tables(table, ws.work_dir)
     ws.record_stage("evaluate")
     return table

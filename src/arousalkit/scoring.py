@@ -21,23 +21,23 @@ distinct words, so both give the same floats.
 from __future__ import annotations
 
 import math
+import numbers
 import statistics
-import sys
-from dataclasses import dataclass
-from itertools import repeat
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .artifacts import read_rows, write_rows
-from .corpus import CorpusFormatError, Field, Priority, TokenStore
+from .artifacts import (atomic_open, pack_strings, quote_cells, read_records, unpack_strings,
+                        write_records)
+from .corpus import Field, Priority, TokenStore
 
 MODES = ("general", "sea", "combined")
+#: the code of a field, mode or priority in a ScoreTable: its position in Field, MODES or Priority
+CODES = {member: i for members in (Field, MODES, Priority) for i, member in enumerate(members)}
 
 _FIELDS = tuple(Field)
-_FIELD_BY_VALUE = {f.value: f for f in Field}
-_MODE_BY_VALUE = {m: m for m in MODES}  # loaded rows share these strings
 
 
 class ScoringLexicon:
@@ -80,28 +80,18 @@ def score_text(tokens: Sequence[str], lex: ScoringLexicon) -> Optional[UnitScore
     below the lexicon average (or raw min above it) is clamped to the
     average.
     """
-    n_matched = 0
-    matched: set[str] = set()
-    for token in tokens:
-        if token in lex:
-            n_matched += 1
-            matched.add(token)
+    matched = [token for token in tokens if token in lex]
     if not matched:
         return None
-    arousals = [lex.arousal(w) for w in matched]
-    raw_max = max(arousals)
-    raw_min = min(arousals)
+    arousals = [lex.arousal(w) for w in set(matched)]
+    raw_max, raw_min = max(arousals), min(arousals)
     max_used = raw_max if raw_max >= lex.avg else lex.avg
     min_used = raw_min if raw_min <= lex.avg else lex.avg
-    return UnitScore(n_matched, max_used, min_used, max_used + min_used)
+    return UnitScore(len(matched), max_used, min_used, max_used + min_used)
 
 
-def combined_score(
-    tokens: Sequence[str],
-    general: ScoringLexicon,
-    sea: ScoringLexicon,
-    sea_avg: float,
-) -> Optional[UnitScore]:
+def combined_score(tokens: Sequence[str], general: ScoringLexicon, sea: ScoringLexicon,
+                   sea_avg: float) -> Optional[UnitScore]:
     """General-lexicon score adjusted by the centered domain score.
 
     Absent whenever the general lexicon has no match; a missing domain
@@ -113,8 +103,7 @@ def combined_score(
         return None
     domain = score_text(tokens, sea)
     adjustment = (domain.score - sea_avg) if domain is not None else 0.0
-    return UnitScore(base.n_matched, base.max_used, base.min_used,
-                     base.score + adjustment)
+    return replace(base, score=base.score + adjustment)
 
 
 def _score_units(
@@ -154,7 +143,7 @@ def resolve_sea_avg(
     A number is used as-is. Effect sizes are invariant to this choice;
     only raw combined scores move.
     """
-    if isinstance(setting, (int, float)):
+    if isinstance(setting, numbers.Real) and not isinstance(setting, bool):
         return float(setting)
     if setting == "lexicon":
         return 2.0 * sea.avg
@@ -171,26 +160,32 @@ def resolve_sea_avg(
     raise ValueError(f"unknown sea_avg setting: {setting!r}")
 
 
-@dataclass(slots=True)
-class ScoredRow:
-    issue_id: str
-    priority: Priority
-    field: Field
-    mode: str
-    n_matched: int
-    max_used: float
-    min_used: float
-    score: float
+@dataclass(frozen=True, eq=False)
+class ScoreTable:
+    """Present scores, one array per column, in canonical (issue id, field,
+    mode) order. Row r belongs to issue ``issue_ids[issue[r]]`` (int64
+    index; the ids are sorted). ``field``, ``mode`` and ``priority`` are
+    int8 ``CODES``; ``n_matched`` (int64) counts matched occurrences, and
+    the reals are float64."""
+
+    issue_ids: list[str]
+    issue: np.ndarray
+    field: np.ndarray
+    mode: np.ndarray
+    priority: np.ndarray
+    n_matched: np.ndarray
+    max_used: np.ndarray
+    min_used: np.ndarray
+    score: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.score)
 
 
-def score_corpus(
-    store: TokenStore,
-    general: Optional[ScoringLexicon],
-    sea: Optional[ScoringLexicon],
-    sea_avg: Optional[float] = None,
-    modes: Sequence[str] = MODES,
-    priorities: Optional[Mapping[str, Priority]] = None,
-) -> list[ScoredRow]:
+def score_corpus(store: TokenStore, general: Optional[ScoringLexicon],
+                 sea: Optional[ScoringLexicon], sea_avg: Optional[float] = None,
+                 modes: Sequence[str] = MODES,
+                 priorities: Optional[Mapping[str, Priority]] = None) -> ScoreTable:
     """One row per (issue, field, mode) with a present score.
 
     Absent scores are omitted; rows come out in canonical
@@ -200,86 +195,98 @@ def score_corpus(
     for mode in modes:
         if mode not in MODES:
             raise ValueError(f"unknown scoring mode: {mode!r}")
-    if "general" in modes or "combined" in modes:
-        if general is None:
-            raise ValueError("general lexicon required for general/combined modes")
-    if "sea" in modes or "combined" in modes:
-        if sea is None:
-            raise ValueError("sea lexicon required for sea/combined modes")
-    if "combined" in modes and sea_avg is None:
-        sea_avg = resolve_sea_avg(sea)
     modes = [m for m in MODES if m in modes]
-    if not modes:
-        return []
     # units in corpus order, issue by issue, five per issue in Field order
     starts, ends, present = (a.ravel() for a in store.units())
-    by_lexicon = {}
-    if "general" in modes or "combined" in modes:
-        by_lexicon["general"] = _score_units(store, general, starts, ends)
-    if "sea" in modes or "combined" in modes:
-        by_lexicon["sea"] = _score_units(store, sea, starts, ends)
-    columns = []  # (n_matched, max, min, score) per mode
-    for mode in modes:
-        if mode == "combined":
-            n_matched, max_used, min_used, base = by_lexicon["general"]
-            sea_n, _, _, sea_score = by_lexicon["sea"]
-            score = np.where(sea_n > 0, base + (sea_score - sea_avg), base + 0.0)
-            columns.append((n_matched, max_used, min_used, score))
-        else:
-            columns.append(by_lexicon[mode])
+    columns = {}  # per mode: n_matched, max, min and score of every unit
+    for name, lex in (("general", general), ("sea", sea)):
+        if name in modes or "combined" in modes:
+            if lex is None:
+                raise ValueError(f"{name} lexicon required for {name}/combined modes")
+            columns[name] = np.stack(_score_units(store, lex, starts, ends))
+    if "combined" in modes:
+        sea_avg = resolve_sea_avg(sea) if sea_avg is None else sea_avg
+        sea_n, _, _, sea_score = columns["sea"]
+        combined = columns["combined"] = columns["general"].copy()
+        combined[3] = np.where(sea_n > 0, combined[3] + (sea_score - sea_avg), combined[3] + 0.0)
+    grid = np.stack([columns[m] for m in modes]) if modes else np.empty((0, 4, len(starts)))
     # the (unit, mode) grid of present scores with its units in issue id
     # order, read row-major: canonical row order
-    issue_order = sorted(range(len(store.issue_ids)), key=store.issue_ids.__getitem__)
+    order = sorted(range(len(store.issue_ids)), key=store.issue_ids.__getitem__)
+    issue_ids = [store.issue_ids[i] for i in order]
     n_fields = len(_FIELDS)
-    by_id = (np.asarray(issue_order, dtype=np.int64)[:, None] * n_fields
-             + np.arange(n_fields)).ravel()
-    scored = np.stack([present & (c[0] > 0) for c in columns], axis=1)[by_id]
-    unit, column = np.nonzero(scored)
-    unit = by_id[unit]
-    values = [np.stack([c[k] for c in columns], axis=1)[unit, column].tolist()
-              for k in range(4)]
-    issue_ids = list(map(store.issue_ids.__getitem__, (unit // n_fields).tolist()))
-    return list(map(
-        ScoredRow, issue_ids,
-        map((priorities or {}).get, issue_ids, repeat(Priority.UNKNOWN)),
-        map(_FIELDS.__getitem__, (unit % n_fields).tolist()),
-        map(modes.__getitem__, column.tolist()), *values,
-    ))
+    by_id = (np.array(order, dtype=np.int64)[:, None] * n_fields + np.arange(n_fields)).ravel()
+    unit, column = np.nonzero((present[:, None] & (grid[:, 0].T > 0))[by_id])
+    n_matched, max_used, min_used, score = grid[column, :, by_id[unit]].T
+    priorities = priorities or {}
+    priority = np.array([CODES[priorities.get(i, Priority.UNKNOWN)] for i in issue_ids],
+                        dtype=np.int8)
+    issue = unit // n_fields
+    return ScoreTable(issue_ids, issue, (unit % n_fields).astype(np.int8),
+                      np.array([CODES[m] for m in modes], dtype=np.int8)[column],
+                      priority[issue], n_matched.astype(np.int64), max_used, min_used, score)
 
 
 SCORE_HEADER = ("issue_id", "field", "mode", "n_matched", "max", "min", "score")
+_CHUNK_ROWS = 1 << 16
 
 
-def save_scores(rows: Iterable[ScoredRow], path: str | Path) -> None:
-    write_rows(path, SCORE_HEADER, (
-        (r.issue_id, r.field.value, r.mode, r.n_matched,
-         f"{r.max_used:.4f}", f"{r.min_used:.4f}", f"{r.score:.4f}")
-        for r in rows
-    ))
+def save_scores(table: ScoreTable, path: str | Path) -> ScoreTable:
+    """Write the ``scores.csv`` export: the bytes ``write_rows`` gives for
+    one row per score with reals at 4 decimals, formatted column by column
+    in bounded chunks. Returns ``table`` with its reals as the file states
+    them: the float64 of each 4-decimal text."""
+    ids = quote_cells(table.issue_ids, path)
+    fields = [f.value for f in _FIELDS]
+    reals = [np.empty(len(table)) for _ in range(3)]
+    with atomic_open(path) as out:
+        out.write(",".join(SCORE_HEADER) + "\n")
+        for start in range(0, len(table), _CHUNK_ROWS):
+            part = slice(start, start + _CHUNK_ROWS)
+            columns = [map(ids.__getitem__, table.issue[part].tolist()),
+                       map(fields.__getitem__, table.field[part].tolist()),
+                       map(MODES.__getitem__, table.mode[part].tolist()),
+                       map(str, table.n_matched[part].tolist())]
+            for values, parsed in zip((table.max_used, table.min_used, table.score), reals):
+                # each distinct value (by its bits: -0.0 is not 0.0) is formatted once
+                distinct, index = np.unique(values[part].view(np.int64), return_inverse=True)
+                text = list(map("{:.4f}".format, distinct.view(np.float64).tolist()))
+                parsed[part] = np.fromiter(map(float, text), np.float64, len(text))[index]
+                columns.append(map(text.__getitem__, index.tolist()))
+            out.write("\n".join(map(",".join, zip(*columns))) + "\n")
+    return replace(table, max_used=reals[0], min_used=reals[1], score=reals[2])
 
 
-def load_scores(
-    path: str | Path, priorities: Optional[dict[str, Priority]] = None
-) -> list[ScoredRow]:
-    """Read a score table; issue priorities are joined from the given map
-    (Unknown when absent, since the file format does not carry them)."""
-    priorities = priorities or {}
-    rows = []
-    for lineno, (issue_id, field_text, mode_text, n_matched, mx, mn, score) in read_rows(
-        path, SCORE_HEADER
-    ):
-        field = _FIELD_BY_VALUE.get(field_text)
-        if field is None:
-            raise CorpusFormatError(f"{path}:{lineno}: unknown text field {field_text!r}")
-        mode = _MODE_BY_VALUE.get(mode_text)
-        if mode is None:
-            raise CorpusFormatError(f"{path}:{lineno}: unknown mode {mode_text!r}")
-        # an issue has up to 15 rows: they share one id string
-        issue_id = sys.intern(issue_id)
-        rows.append(
-            ScoredRow(
-                issue_id, priorities.get(issue_id, Priority.UNKNOWN), field, mode,
-                int(n_matched), float(mx), float(mn), float(score),
-            )
-        )
-    return rows
+_SCORES_TAG = b"arousalkit scores 1"
+#: dtype and number of dimensions of each score table record after the tag
+_SCORES_LAYOUT = ((np.uint8, 1), (np.int64, 1), (np.int64, 1), (np.int8, 2), (np.int64, 1),
+                  (np.float64, 2))
+
+
+def save_score_records(table: ScoreTable, path: str | Path) -> None:
+    """Seven ``.npy`` records: a format tag, the issue ids as UTF-8 bytes and
+    byte offsets, then the columns: issue, the (3, rows) int8 field, mode
+    and priority codes, n_matched, and the (3, rows) float64 max, min and score."""
+    write_records(path, _SCORES_TAG, (
+        *pack_strings(table.issue_ids), table.issue,
+        np.stack([table.field, table.mode, table.priority]), table.n_matched,
+        np.stack([table.max_used, table.min_used, table.score])))
+
+
+def load_scores(path: str | Path) -> ScoreTable:
+    """Read a table written by ``save_score_records``; a short, corrupt or
+    inconsistent file raises CorpusFormatError naming the path."""
+    return read_records(path, "score table", _SCORES_TAG, _SCORES_LAYOUT, _unpack_scores)
+
+
+def _unpack_scores(id_data, id_offsets, issue, codes, n_matched, reals) -> ScoreTable:
+    issue_ids = unpack_strings(id_data, id_offsets)
+    if {codes.shape, reals.shape, (3, len(n_matched))} != {(3, len(issue))}:
+        raise ValueError("columns differ in length")
+    for name, column, n_codes in zip(("issue", "field", "mode", "priority"), (issue, *codes),
+                                     (len(issue_ids), len(_FIELDS), len(MODES), len(Priority))):
+        if len(column) and (column.min() < 0 or column.max() >= n_codes):
+            raise ValueError(f"{name} code out of range")
+    if np.any(np.diff((issue * len(_FIELDS) + codes[0]) * len(MODES) + codes[1]) <= 0):
+        raise ValueError("rows are not in canonical order")
+    return ScoreTable(issue_ids, issue, *codes, n_matched, *reals)

@@ -123,11 +123,12 @@ def welch_t_test(
         raise ValueError("need at least 2 observations per group")
     va = float(a.var(ddof=1))
     vb = float(b.var(ddof=1))
-    if va == 0.0 and vb == 0.0:
-        raise ValueError("both groups have zero variance")
     qa, qb = va / na, vb / nb
+    spread = qa**2 / (na - 1) + qb**2 / (nb - 1)
+    if spread == 0.0:  # also when the variances are too small to square
+        raise ValueError("both groups have zero variance")
     t = float((a.mean() - b.mean()) / math.sqrt(qa + qb))
-    df = (qa + qb) ** 2 / (qa**2 / (na - 1) + qb**2 / (nb - 1))
+    df = (qa + qb) ** 2 / spread
     return t, df, student_t_two_sided_p(abs(t), df)
 
 

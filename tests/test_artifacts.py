@@ -1,15 +1,23 @@
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arousalkit.artifacts import CorpusFormatError, atomic_open, read_rows, write_rows
-from arousalkit.corpus import Field, Priority
+from arousalkit.corpus import Field, Issue, Priority, TokenStore
 from arousalkit.lexicon import RatingRecord, load_rating_records, save_rating_records
 from arousalkit.pipeline import load_priorities, save_priorities
-from arousalkit.scoring import MODES, ScoredRow, load_scores, save_scores
+from arousalkit.scoring import (
+    MODES,
+    SCORE_HEADER,
+    ScoreTable,
+    load_scores,
+    save_score_records,
+    save_scores,
+)
 
 # Python 3.10's csv module refuses NUL (loudly) on write and on read.
 _NUL = "\x00" if sys.version_info < (3, 11) else ""
@@ -25,6 +33,59 @@ adversarial = st.text(
 )
 
 HEADER = ("a", "b", "c")
+
+
+#: ids with the characters csv must quote, spaces, and letters outside the
+#: Basic Multilingual Plane
+score_ids = st.text(
+    st.one_of(
+        st.sampled_from(list(',"\r\n ') + ["é", "\U0001f600", "\U00010348"]),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters=_NUL),
+    ),
+    max_size=8,
+)
+
+#: reals that test the 4-decimal text: ties and near ties at the fifth
+#: decimal, values that round to -0.0000, signed zeros, large magnitudes
+score_reals = st.one_of(
+    st.integers(-10**7, 10**7).map(lambda n: (n + 0.5) / 10**4),
+    st.floats(-1e-3, 1e-3),
+    st.sampled_from([0.0, -0.0, -4e-5, -5e-5, 5e-5, 2.00005, -1e17, 1e300, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def score_tables(draw):
+    """A score table in canonical order over a subset of the modes."""
+    ids = sorted(draw(st.lists(score_ids, max_size=5, unique=True)))
+    modes = sorted(draw(st.sets(st.integers(0, len(MODES) - 1), min_size=1)))
+    cells = [(i, f, m) for i in range(len(ids)) for f in range(len(Field)) for m in modes]
+    cells = [c for c, keep in zip(cells, draw(st.lists(
+        st.booleans(), min_size=len(cells), max_size=len(cells)))) if keep]
+    n = len(cells)
+    priority = draw(st.lists(st.integers(0, len(Priority) - 1), min_size=len(ids),
+                             max_size=len(ids)))
+    reals = [np.array(draw(st.lists(score_reals, min_size=n, max_size=n)), dtype=np.float64)
+             for _ in range(3)]
+    issue, field, mode = (np.array([c[k] for c in cells], dtype=np.int64) for k in range(3))
+    return ScoreTable(ids, issue, field.astype(np.int8), mode.astype(np.int8),
+                      np.array(priority, dtype=np.int8)[issue].astype(np.int8),
+                      np.array(draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n)),
+                               dtype=np.int64), *reals)
+
+
+def reference_save_scores(table, path):
+    """The row-at-a-time writer of ``scores.csv`` that the column-wise
+    export replaced: one ``write_rows`` row per score."""
+    fields = list(Field)
+    write_rows(path, SCORE_HEADER, (
+        (table.issue_ids[i], fields[f].value, MODES[m], n, f"{mx:.4f}", f"{mn:.4f}", f"{sc:.4f}")
+        for i, f, m, n, mx, mn, sc in zip(
+            table.issue.tolist(), table.field.tolist(), table.mode.tolist(),
+            table.n_matched.tolist(), table.max_used.tolist(), table.min_used.tolist(),
+            table.score.tolist())
+    ))
 
 
 class TestRows:
@@ -90,19 +151,21 @@ class TestStageArtifacts:
         save_priorities(priorities, path)
         assert load_priorities(path) == priorities
 
-    #: reals the 4-decimal score format holds exactly
-    fixed4 = st.integers(-10**6, 10**6).map(lambda n: n / 10**4)
-
-    @given(st.lists(st.builds(
-        ScoredRow, adversarial, st.sampled_from(list(Priority)), st.sampled_from(list(Field)),
-        st.sampled_from(MODES), st.integers(0, 10**6), fixed4, fixed4, fixed4,
-    ), max_size=8))
-    def test_scores_round_trip_joins_priorities(self, tmp_path_factory, rows):
-        path = tmp_path_factory.mktemp("scores") / "scores.csv"
-        save_scores(rows, path)
-        priorities = {r.issue_id: r.priority for r in rows}
-        expected = [replace(r, priority=priorities[r.issue_id]) for r in rows]
-        assert load_scores(path, priorities) == expected
+    @settings(max_examples=200, deadline=None)
+    @given(score_tables())
+    def test_scores_round_trip_joins_priorities(self, tmp_path_factory, table):
+        work = tmp_path_factory.mktemp("scores")
+        rounded = save_scores(table, work / "scores.csv")
+        reference_save_scores(table, work / "reference.csv")
+        assert (work / "scores.csv").read_bytes() == (work / "reference.csv").read_bytes()
+        save_score_records(rounded, work / "scores.bin")
+        loaded = load_scores(work / "scores.bin")
+        assert loaded.issue_ids == table.issue_ids
+        for name in ("issue", "field", "mode", "priority", "n_matched"):
+            assert getattr(loaded, name).tolist() == getattr(table, name).tolist(), name
+        for name in ("max_used", "min_used", "score"):
+            assert [x.hex() for x in getattr(loaded, name).tolist()] == \
+                [float(f"{x:.4f}").hex() for x in getattr(table, name).tolist()], name
 
     @given(st.lists(st.builds(RatingRecord, adversarial, adversarial, st.integers(1, 9)),
                     max_size=8))
@@ -110,3 +173,62 @@ class TestStageArtifacts:
         path = tmp_path_factory.mktemp("ratings") / "ratings.csv"
         save_rating_records(records, path)
         assert load_rating_records(path) == records
+
+
+class TestScoreRecords:
+    def table(self, **changes):
+        ids = ["a", "b"]
+        base = ScoreTable(ids, np.array([0, 0, 1]), np.array([0, 0, 4], dtype=np.int8),
+                          np.array([0, 2, 1], dtype=np.int8), np.array([1, 1, 5], dtype=np.int8),
+                          np.array([1, 2, 3]), np.array([6.0, 7.0, 8.0]),
+                          np.array([4.0, 3.0, 2.0]), np.array([10.0, 10.5, 10.0]))
+        return replace(base, **changes)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: data[:-9], "not a valid score table"),
+        (lambda data: data[:40], "not a valid score table"),
+        (lambda data: data + b"\x00", "not a valid score table: trailing bytes"),
+    ])
+    def test_truncated_or_trailing_bytes_are_refused(self, tmp_path, edit, message):
+        path = tmp_path / "scores.bin"
+        save_score_records(self.table(), path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(CorpusFormatError, match=f"{path}: {message}"):
+            load_scores(path)
+
+    @pytest.mark.parametrize("record, array", [
+        (4, np.zeros((2, 3), dtype=np.int8)),
+        (5, np.array([1, 2])),
+        (6, np.zeros((3, 2))),
+    ])
+    def test_columns_of_other_lengths_are_refused(self, tmp_path, record, array):
+        path = tmp_path / "scores.bin"
+        save_score_records(self.table(), path)
+        with path.open("rb") as handle:
+            records = [np.lib.format.read_array(handle) for _ in range(7)]
+        records[record] = array
+        with path.open("wb") as handle:
+            for r in records:
+                np.lib.format.write_array(handle, r)
+        with pytest.raises(CorpusFormatError, match=f"{path}: .*columns differ in length"):
+            load_scores(path)
+
+    def test_foreign_file_is_refused(self, tmp_path):
+        path = tmp_path / "scores.bin"
+        TokenStore.from_issues([Issue("a", Priority.MAJOR, "t", "d", [])]).save(path)
+        with pytest.raises(CorpusFormatError, match=f"{path}: .*unknown format tag"):
+            load_scores(path)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"field": np.array([0, 0, 5], dtype=np.int8)}, "field code out of range"),
+        ({"mode": np.array([0, 3, 1], dtype=np.int8)}, "mode code out of range"),
+        ({"priority": np.array([1, 6, 5], dtype=np.int8)}, "priority code out of range"),
+        ({"priority": np.array([-1, 1, 5], dtype=np.int8)}, "priority code out of range"),
+        ({"issue": np.array([0, 0, 2])}, "issue code out of range"),
+        ({"mode": np.array([2, 0, 1], dtype=np.int8)}, "not in canonical order"),
+    ])
+    def test_inconsistent_columns_are_refused(self, tmp_path, changes, message):
+        path = tmp_path / "scores.bin"
+        save_score_records(self.table(**changes), path)
+        with pytest.raises(CorpusFormatError, match=f"{path}: .*{message}"):
+            load_scores(path)

@@ -48,7 +48,7 @@ class TestDemo:
             "vocab.csv", "priorities.csv", "tokens.bin", "embedding.txt", "embedding.bin",
             "seeds.csv",
             "candidates.csv", "sheet.csv", "ratings.csv", "agreement.txt",
-            "sea_lexicon.csv", "scores.csv", "eval_d.csv", "eval_p.csv",
+            "sea_lexicon.csv", "scores.csv", "scores.bin", "eval_d.csv", "eval_p.csv",
             "eval_tables.txt", "manifest.json",
         ):
             assert (demo_workdir / name).is_file(), name
@@ -239,6 +239,26 @@ class TestCommandLine:
         result = CliRunner().invoke(main, ["--config", str(config_path), "ingest"])
         assert result.exit_code == 1
         assert "min_count must be an integer, got '5'" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("value", [
+        True, False, None, float("nan"), float("inf"), -float("inf"), 10**400, [1], {}, "bogus",
+        "Lexicon",
+    ])
+    def test_bad_sea_avg_is_refused(self, value):
+        with pytest.raises(ValueError, match="^sea_avg must be"):
+            PipelineConfig.from_dict({"sea_avg": value})
+
+    @pytest.mark.parametrize("value", ["lexicon", "dataset", 10.5, -2, 0])
+    def test_sea_avg_settings_accepted(self, value):
+        assert PipelineConfig.from_dict({"sea_avg": value}).sea_avg == value
+
+    def test_bad_sea_avg_fails_without_traceback(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"sea_avg": True}))
+        result = CliRunner().invoke(main, ["--config", str(config_path), "ingest"])
+        assert result.exit_code == 1
+        assert "sea_avg must be a finite number, got True" in result.output
         assert isinstance(result.exception, SystemExit)
 
     def test_config_round_trip(self, tmp_path):

@@ -11,6 +11,7 @@ from arousalkit.scoring import (
     combined_score,
     load_scores,
     resolve_sea_avg,
+    save_score_records,
     save_scores,
     score_corpus,
     score_text,
@@ -107,6 +108,11 @@ class TestResolveSeaAvg:
         with pytest.raises(ValueError):
             resolve_sea_avg(ScoringLexicon({"a": 4.0}), "bogus")
 
+    @pytest.mark.parametrize("setting", [True, False, [1], None])
+    def test_bool_or_non_number_is_an_error(self, setting):
+        with pytest.raises(ValueError, match="sea_avg"):
+            resolve_sea_avg(ScoringLexicon({"a": 4.0}), setting)
+
 
 def issue(id_, title="", description="", comments=(), priority=Priority.MAJOR):
     return Issue(id_, priority, title, description, [Comment(b) for b in comments])
@@ -116,27 +122,40 @@ def store(issues):
     return TokenStore.from_issues(issues)
 
 
+def rows(table):
+    """The rows of a score table as (issue id, Field, mode, Priority,
+    n_matched, max, min, score) tuples, in table order."""
+    return list(zip(
+        [table.issue_ids[i] for i in table.issue.tolist()],
+        [list(Field)[c] for c in table.field.tolist()],
+        [MODES[c] for c in table.mode.tolist()],
+        [list(Priority)[c] for c in table.priority.tolist()],
+        table.n_matched.tolist(), table.max_used.tolist(), table.min_used.tolist(),
+        table.score.tolist(),
+    ))
+
+
 class TestScoreCorpus:
     SEA = ScoringLexicon({"fire": 8.5, "sleepy": 1.5})
 
     def test_all_fields_matching_give_five_rows_per_mode(self):
         issues = [issue("1", "fire", "calm fire", ["fire a", "calm b"])]
-        rows = score_corpus(store(issues), GENERAL, self.SEA, 10.7, modes=["general"])
-        assert len(rows) == 5
-        assert {r.field for r in rows} == set(Field)
+        table = score_corpus(store(issues), GENERAL, self.SEA, 10.7, modes=["general"])
+        assert len(table) == 5
+        assert {r[1] for r in rows(table)} == set(Field)
 
     def test_unmatched_field_has_no_row(self):
         issues = [issue("1", "fire", "no match here")]
-        rows = score_corpus(store(issues), GENERAL, self.SEA, 10.7, modes=["general"])
-        assert [r.field for r in rows] == [Field.TITLE]
+        table = score_corpus(store(issues), GENERAL, self.SEA, 10.7, modes=["general"])
+        assert [r[1] for r in rows(table)] == [Field.TITLE]
 
     def test_canonical_ordering(self):
         issues = [
             issue("b", "fire", "fire"),
             issue("a", "fire", "fire"),
         ]
-        rows = score_corpus(store(issues), GENERAL, self.SEA, 10.7)
-        keys = [(r.issue_id, r.field.value, r.mode) for r in rows]
+        table = score_corpus(store(issues), GENERAL, self.SEA, 10.7)
+        keys = [(issue_id, field.value, mode) for issue_id, field, mode, *_ in rows(table)]
         assert keys == sorted(
             keys, key=lambda k: (k[0], [f.value for f in Field].index(k[1]),
                                  MODES.index(k[2]))
@@ -145,22 +164,35 @@ class TestScoreCorpus:
     def test_rerun_is_byte_identical(self, tmp_path):
         issues = [issue(f"i{n}", "fire note", "calm word", ["fire sleepy"])
                   for n in range(10)]
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        save_scores(score_corpus(store(issues), GENERAL, self.SEA, 10.7), a)
-        save_scores(score_corpus(store(issues), GENERAL, self.SEA, 10.7), b)
-        assert a.read_bytes() == b.read_bytes()
+        for name in ("a", "b"):
+            table = save_scores(score_corpus(store(issues), GENERAL, self.SEA, 10.7),
+                                tmp_path / f"{name}.csv")
+            save_score_records(table, tmp_path / f"{name}.bin")
+        for suffix in ("csv", "bin"):
+            assert (tmp_path / f"a.{suffix}").read_bytes() == \
+                (tmp_path / f"b.{suffix}").read_bytes()
 
     def test_save_load_round_trip_with_priorities(self, tmp_path):
         issues = [issue("x", "fire", priority=Priority.BLOCKER)]
-        rows = score_corpus(store(issues), GENERAL, self.SEA, 10.7, modes=["general"])
+        table = score_corpus(store(issues), GENERAL, self.SEA, 10.7, modes=["general"],
+                             priorities={"x": Priority.BLOCKER})
         path = tmp_path / "scores.csv"
-        save_scores(rows, path)
-        loaded = load_scores(path, {"x": Priority.BLOCKER})
+        save_score_records(save_scores(table, path), tmp_path / "scores.bin")
+        loaded = rows(load_scores(tmp_path / "scores.bin"))
         assert len(loaded) == 1
-        assert loaded[0].priority is Priority.BLOCKER
-        assert loaded[0].score == pytest.approx(rows[0].score, abs=5e-5)
+        assert loaded[0][3] is Priority.BLOCKER
+        assert loaded[0][7] == pytest.approx(table.score[0], abs=5e-5)
         header = path.read_text(encoding="utf-8").splitlines()[0]
         assert header == "issue_id,field,mode,n_matched,max,min,score"
+
+    def test_priorities_default_to_unknown(self):
+        table = score_corpus(store([issue("x", "fire"), issue("y", "fire")]), GENERAL,
+                             self.SEA, 10.7, modes=["general"], priorities={"y": Priority.MINOR})
+        assert [r[3] for r in rows(table)] == [Priority.UNKNOWN, Priority.MINOR]
+
+    def test_no_mode_gives_an_empty_table(self):
+        table = score_corpus(store([issue("x", "fire")]), GENERAL, self.SEA, 10.7, modes=[])
+        assert len(table) == 0 and rows(table) == []
 
 
 arousal_values = st.floats(min_value=1.0, max_value=9.0, allow_nan=False)
@@ -258,8 +290,7 @@ class TestArrayScoringOracle:
     def test_every_unit_matches_the_reference_rule_bit_for_bit(self, case):
         issues, general, sea, sea_avg = case
         store = TokenStore.from_issues(issues)
-        got = {(r.issue_id, r.field, r.mode): r
-               for r in score_corpus(store, general, sea, sea_avg)}
+        got = {row[:3]: row[4:] for row in rows(score_corpus(store, general, sea, sea_avg))}
         expected, sea_scores = {}, []
         for issue_ in issues:
             for field, tokens in reference_units(issue_).items():
@@ -272,9 +303,9 @@ class TestArrayScoringOracle:
                             sea_scores.append(ref.score)
         assert got.keys() == expected.keys()
         for key, ref in expected.items():
-            row = got[key]
-            assert row.n_matched == ref.n_matched
-            assert (row.max_used.hex(), row.min_used.hex(), row.score.hex()) == \
+            n_matched, max_used, min_used, score = got[key]
+            assert n_matched == ref.n_matched
+            assert (max_used.hex(), min_used.hex(), score.hex()) == \
                 (ref.max_used.hex(), ref.min_used.hex(), ref.score.hex())
         if sea_scores:
             assert resolve_sea_avg(sea, "dataset", store).hex() == \
@@ -286,7 +317,7 @@ class TestArrayScoringOracle:
     def test_unit_of_only_average_words_keeps_both_at_the_average(self):
         lex = ScoringLexicon({"aa": 2.0, "bb": 4.0, "cc": 6.0})
         store = TokenStore.from_issues([issue("1", "bb bb zz")])
-        (row,) = score_corpus(store, lex, lex, 8.0, modes=["general"])
+        (row,) = rows(score_corpus(store, lex, lex, 8.0, modes=["general"]))
         ref = score_text(["bb", "bb", "zz"], lex)
-        assert (row.n_matched, row.max_used, row.min_used, row.score) == \
-            (ref.n_matched, ref.max_used, ref.min_used, ref.score) == (2, 4.0, 4.0, 8.0)
+        assert row[4:] == (ref.n_matched, ref.max_used, ref.min_used, ref.score) == \
+            (2, 4.0, 4.0, 8.0)

@@ -218,6 +218,11 @@ class TestWelch:
         t, df, p = welch_t_test([3.0, 3.0, 3.0], [4.0, 5.0, 6.0])
         assert math.isfinite(t) and math.isfinite(p)
 
+    def test_variances_too_small_to_square_raise_value_error(self):
+        # the Welch df squares the variances; 1e-238 squared underflows to 0
+        with pytest.raises(ValueError, match="zero variance"):
+            welch_t_test([0.0, 2.76e-119], [1.0, 1.0])
+
 
 class TestPooledT:
     def test_matches_welch_for_equal_variances_sizes(self):
