@@ -13,7 +13,7 @@ import argparse
 from arousalkit.corpus import Field, TokenStore, parse_corpus
 from arousalkit.evalstats import evaluate_priorities, pair_label, render_tables
 from arousalkit.lexicon import SeaLexicon, load_general_lexicon
-from arousalkit.scoring import ScoringLexicon, resolve_sea_avg, score_corpus
+from arousalkit.scoring import ScoringLexicon, score_corpus
 
 
 def main():
@@ -25,12 +25,11 @@ def main():
     parser.add_argument("--t-test", choices=("welch", "pooled"), default="welch")
     args = parser.parse_args()
 
-    general = ScoringLexicon(load_general_lexicon(args.general_lexicon).arousal_map())
+    general = load_general_lexicon(args.general_lexicon)
     sea = ScoringLexicon(SeaLexicon.load(args.sea_lexicon).arousal_map())
-    sea_avg = resolve_sea_avg(sea, "lexicon")
     issues = list(parse_corpus(args.corpus))
     store = TokenStore.from_issues(issues)
-    rows = score_corpus(store, general, sea, sea_avg,
+    rows = score_corpus(store, general, sea,
                         priorities={issue.id: issue.priority for issue in issues})
     table = evaluate_priorities(rows, t_test=args.t_test)
     written = render_tables(table, args.out_dir)

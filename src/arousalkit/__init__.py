@@ -25,7 +25,6 @@ from .embedding import (
 from .lexicon import (
     AgreementReport,
     CandidateSet,
-    GeneralLexicon,
     RatingRecord,
     SeaLexicon,
     SeedConfig,

@@ -54,6 +54,12 @@ class PipelineConfig:
                                  f"got {self.sea_avg!r}")
         else:
             require_number("sea_avg", self.sea_avg, -math.inf, integer=False)
+        columns = self.general_columns
+        if columns is not None and not (
+                isinstance(columns, dict) and set(columns) <= {"word", "arousal"}
+                and all(isinstance(v, str) and v for v in columns.values())):
+            raise ValueError("general_columns must map word and/or arousal to column names, "
+                             f"got {columns!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -13,7 +13,7 @@ File formats owned by this module:
 * arousal lexicon       header ``word,arousal,r1,r2,source``
 
 The headed tables are ``artifacts`` CSV files; the other three are edited
-by people and read leniently.
+by people and read by one lenient rule, ``_hand_edited_rows``.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import numpy as np
 from .artifacts import atomic_open, read_rows, write_rows
 from .corpus import Vocabulary
 from .embedding import WordVectors, nearest_neighbors_batch
+from .scoring import ScoringLexicon
 from .stats import pearson_r, weighted_kappa
 from .wordnet import SynsetDb, synonyms
 
@@ -69,62 +70,25 @@ class LexiconFormatError(Exception):
 # general-purpose lexicon
 
 
-@dataclass
-class GeneralEntry:
-    arousal: float
-    valence: Optional[float] = None
-    dominance: Optional[float] = None
-    arousal_sd: Optional[float] = None
+DEFAULT_GENERAL_COLUMNS = {"word": "Word", "arousal": "A.Mean.Sum"}
 
 
-class GeneralLexicon:
-    """Word -> arousal map loaded from a delimited general-purpose lexicon."""
+def load_general_lexicon(path: str | Path,
+                         columns: Optional[dict[str, str]] = None) -> ScoringLexicon:
+    """Word -> arousal from a comma-separated lexicon with a header row.
 
-    def __init__(self, entries: dict[str, GeneralEntry]):
-        self.entries = entries
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def arousal(self, word: str) -> float:
-        return self.entries[word].arousal
-
-    def arousal_map(self) -> dict[str, float]:
-        return {w: e.arousal for w, e in self.entries.items()}
-
-
-DEFAULT_GENERAL_COLUMNS = {
-    "word": "Word",
-    "arousal": "A.Mean.Sum",
-    "valence": "V.Mean.Sum",
-    "dominance": "D.Mean.Sum",
-    "arousal_sd": "A.SD.Sum",
-}
-
-
-def load_general_lexicon(
-    path: str | Path,
-    columns: Optional[dict[str, str]] = None,
-    delimiter: str = ",",
-) -> GeneralLexicon:
-    """Load a delimited lexicon with a header row.
-
-    ``columns`` maps the logical names word/arousal (and optionally
-    valence/dominance/arousal_sd) to header names; defaults match the
-    published general-purpose arousal lexicon. Rows with arousal outside
-    [1, 9] are rejected with a warning; duplicate words keep the last row.
+    ``columns`` maps the logical names word and arousal to header names;
+    defaults match the published general-purpose arousal lexicon, and no
+    other column is read. Rows with an empty word or an arousal that is
+    not a number in [1, 9] are rejected with a warning; duplicate words
+    keep the last row. A file without a usable row is refused.
     """
-    colmap = dict(DEFAULT_GENERAL_COLUMNS)
-    if columns:
-        colmap.update(columns)
+    colmap = {**DEFAULT_GENERAL_COLUMNS, **(columns or {})}
     path = Path(path)
-    entries: dict[str, GeneralEntry] = {}
+    arousal_by_word: dict[str, float] = {}
     n_dupes = n_rejected = 0
     with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle, delimiter=delimiter)
+        reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise LexiconFormatError(f"{path}: empty lexicon file")
         for logical in ("word", "arousal"):
@@ -147,29 +111,16 @@ def load_general_lexicon(
                 logger.warning("%s: arousal %.3f out of [1,9] for %r", path, arousal, word)
                 n_rejected += 1
                 continue
-            if word in entries:
+            if word in arousal_by_word:
                 n_dupes += 1
-            entries[word] = GeneralEntry(
-                arousal=arousal,
-                valence=_optional_float(row, colmap["valence"]),
-                dominance=_optional_float(row, colmap["dominance"]),
-                arousal_sd=_optional_float(row, colmap["arousal_sd"]),
-            )
+            arousal_by_word[word] = arousal
     if n_dupes:
         logger.warning("%s: %d duplicate word(s), last row wins", path, n_dupes)
     if n_rejected:
         logger.warning("%s: rejected %d row(s)", path, n_rejected)
-    return GeneralLexicon(entries)
-
-
-def _optional_float(row: dict, column: str) -> Optional[float]:
-    value = row.get(column)
-    if value in (None, ""):
-        return None
-    try:
-        return float(value)
-    except ValueError:
-        return None
+    if not arousal_by_word:
+        raise LexiconFormatError(f"{path}: no usable lexicon row")
+    return ScoringLexicon(arousal_by_word)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +190,7 @@ class SeedSelectionError(Exception):
 
 
 def select_seeds(
-    general: GeneralLexicon, vocab: Vocabulary, cfg: SeedConfig = SeedConfig()
+    general: ScoringLexicon, vocab: Vocabulary, cfg: SeedConfig = SeedConfig()
 ) -> SeedSet:
     """Pick frequency-validated extreme-arousal seeds from the general lexicon.
 
@@ -248,10 +199,8 @@ def select_seeds(
     next n2 words with frequency > f2. Ties in arousal are broken
     lexicographically so the pick is independent of input row order.
     """
-    if not len(general):
-        raise SeedSelectionError("general lexicon is empty")
-    by_desc = sorted(general.entries, key=lambda w: (-general.arousal(w), w))
-    by_asc = sorted(general.entries, key=lambda w: (general.arousal(w), w))
+    by_desc = sorted(general, key=lambda w: (-general.arousal(w), w))
+    by_asc = sorted(general, key=lambda w: (general.arousal(w), w))
     high = _scan_pole(by_desc, vocab, cfg, "high")
     low = _scan_pole(by_asc, vocab, cfg, "low")
     overlap = {s.word for s in high} & {s.word for s in low}
@@ -460,14 +409,13 @@ def apply_review(candidates: CandidateSet, decisions_path: str | Path) -> tuple[
     Returns (accepted, rejected) counts applied.
     """
     n_accept = n_reject = 0
-    path = decisions_path
-    for lineno, parts in _hand_edited_rows(path):
+    for lineno, parts in _hand_edited_rows(decisions_path):
         if len(parts) != 2 or parts[1] not in ("accept", "reject"):
-            logger.warning("%s:%d: bad decision row, skipped", path, lineno)
+            logger.warning("%s:%d: bad decision row, skipped", decisions_path, lineno)
             continue
         word = parts[0].lower()
         if word not in candidates:
-            logger.warning("%s:%d: decision for unknown word %r", path, lineno, word)
+            logger.warning("%s:%d: decision for unknown word %r", decisions_path, lineno, word)
             continue
         accept = parts[1] == "accept"
         candidates.get(word).status = "accepted" if accept else "rejected"
@@ -537,7 +485,8 @@ def ingest_ratings(
     sheet_paths: Sequence[str | Path],
     rater_labels: Optional[Sequence[str]] = None,
 ) -> tuple[list[RatingRecord], IngestReport]:
-    """Read filled rating sheets, one per rater.
+    """Read filled rating sheets, one per rater, by the hand-edited file
+    rule of ``_hand_edited_rows``; the header row is skipped.
 
     Empty rating cells are skipped (counted); non-integer or out-of-range
     cells are collected as row errors. A word duplicated within one file
@@ -551,38 +500,35 @@ def ingest_ratings(
         raise ValueError("one rater label per sheet required")
     records: list[RatingRecord] = []
     report = IngestReport()
+    header = SHEET_HEADER.split(",")
     for label, path in zip(rater_labels, sheet_paths):
         path = Path(path)
         seen: set[str] = set()
-        with path.open("r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, 1):
-                line = line.rstrip("\n")
-                if not line or line.startswith("#") or line == SHEET_HEADER:
-                    continue
-                parts = line.split(",")
-                if len(parts) < 2:
-                    report.errors.append(f"{path}:{lineno}: too few columns")
-                    continue
-                word = parts[0].strip().lower()
-                if word in seen:
-                    raise LexiconFormatError(
-                        f"{path}:{lineno}: word {word!r} appears twice in one sheet"
-                    )
-                seen.add(word)
-                cell = parts[1].strip()
-                if not cell:
-                    report.n_skipped += 1
-                    continue
-                try:
-                    score = int(cell)
-                except ValueError:
-                    report.errors.append(f"{path}:{lineno}: non-integer rating {cell!r}")
-                    continue
-                if not 1 <= score <= 9:
-                    report.errors.append(f"{path}:{lineno}: rating {score} out of 1..9")
-                    continue
-                records.append(RatingRecord(word, label, score))
-                report.n_records += 1
+        for lineno, parts in _hand_edited_rows(path):
+            if parts == header:
+                continue
+            if len(parts) < 2:
+                report.errors.append(f"{path}:{lineno}: too few columns")
+                continue
+            word, cell = parts[0].lower(), parts[1]
+            if word in seen:
+                raise LexiconFormatError(
+                    f"{path}:{lineno}: word {word!r} appears twice in one sheet"
+                )
+            seen.add(word)
+            if not cell:
+                report.n_skipped += 1
+                continue
+            try:
+                score = int(cell)
+            except ValueError:
+                report.errors.append(f"{path}:{lineno}: non-integer rating {cell!r}")
+                continue
+            if not 1 <= score <= 9:
+                report.errors.append(f"{path}:{lineno}: rating {score} out of 1..9")
+                continue
+            records.append(RatingRecord(word, label, score))
+            report.n_records += 1
     return records, report
 
 

@@ -41,7 +41,7 @@ from .lexicon import (
     save_rating_records,
     select_seeds,
 )
-from .scoring import MODES, ScoringLexicon, resolve_sea_avg, score_corpus
+from .scoring import MODES, ScoringLexicon, score_corpus
 from .wordnet import load_wordnet
 
 logger = logging.getLogger(__name__)
@@ -316,19 +316,15 @@ def run_build(config: PipelineConfig) -> SeaLexicon:
 def run_score(config: PipelineConfig, modes: Sequence[str] = MODES):
     ws = Workspace(config)
     ws.check_upstream("score")
-    general = ScoringLexicon(
-        load_general_lexicon(config.general_lexicon, config.general_columns).arousal_map()
-    )
+    general = load_general_lexicon(config.general_lexicon, config.general_columns)
     sea = ScoringLexicon(SeaLexicon.load(ws.path("sea_lexicon.csv")).arousal_map())
-    store = TokenStore.load(ws.path("tokens.bin"))
-    sea_avg = resolve_sea_avg(sea, config.sea_avg, store)
-    table = score_corpus(store, general, sea, sea_avg, modes,
-                         priorities=load_priorities(ws.path("priorities.csv")))
+    table = score_corpus(TokenStore.load(ws.path("tokens.bin")), general, sea, config.sea_avg,
+                         modes, priorities=load_priorities(ws.path("priorities.csv")))
     # evaluation reads the reals as the export states them, at 4 decimals
     table = scoring_mod.save_scores(table, ws.path("scores.csv"))
     scoring_mod.save_score_records(table, ws.path("scores.bin"))
     ws.record_stage("score")
-    logger.info("score: %d present rows (sea_avg %.4f)", len(table), sea_avg)
+    logger.info("score: %d present rows (sea_avg %s)", len(table), config.sea_avg)
     return table
 
 
@@ -381,9 +377,7 @@ def run_demo(work_dir: str | Path, n_issues: int = 1000, seed: int = 7) -> EvalT
     candidates = run_expand(config)
 
     review_path = work_dir / "review_accept_all.csv"
-    with review_path.open("w", encoding="utf-8") as out:
-        for candidate in candidates:
-            out.write(f"{candidate.word},accept\n")
+    review_path.write_text("".join(f"{c.word},accept\n" for c in candidates), encoding="utf-8")
     run_sheet(config, review=str(review_path))
 
     truth = synthetic.load_truth(inputs.truth_path)

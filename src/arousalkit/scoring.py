@@ -25,7 +25,7 @@ import numbers
 import statistics
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -55,8 +55,15 @@ class ScoringLexicon:
     def __len__(self) -> int:
         return len(self._arousal)
 
+    def __iter__(self) -> Iterator[str]:
+        """The words in load order."""
+        return iter(self._arousal)
+
     def arousal(self, word: str) -> float:
         return self._arousal[word]
+
+    def arousal_map(self) -> dict[str, float]:
+        return dict(self._arousal)
 
     def lookup(self, words: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """Arousal of each word (0.0 where absent) and the mask of present words."""
@@ -150,14 +157,19 @@ def resolve_sea_avg(
     if setting == "dataset":
         if store is None:
             raise ValueError("dataset sea_avg needs the token store")
-        starts, ends, present = store.units()
-        n_matched, _, _, scores = _score_units(store, sea, starts.ravel(), ends.ravel())
-        scores = scores[present.ravel() & (n_matched > 0)]
-        if not len(scores):
-            raise ValueError("no sea-mode scores present; cannot take dataset mean")
-        # what statistics.fmean computes: the exactly rounded sum over the count
-        return math.fsum(scores.tolist()) / len(scores)
+        starts, ends, present = (a.ravel() for a in store.units())
+        n_matched, _, _, scores = _score_units(store, sea, starts, ends)
+        return _present_mean(scores, present & (n_matched > 0))
     raise ValueError(f"unknown sea_avg setting: {setting!r}")
+
+
+def _present_mean(scores: np.ndarray, present: np.ndarray) -> float:
+    """The "dataset" sea_avg: the mean of the present sea-mode unit scores."""
+    scores = scores[present]
+    if not len(scores):
+        raise ValueError("no sea-mode scores present; cannot take dataset mean")
+    # what statistics.fmean computes: the exactly rounded sum over the count
+    return math.fsum(scores.tolist()) / len(scores)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,11 +195,13 @@ class ScoreTable:
 
 
 def score_corpus(store: TokenStore, general: Optional[ScoringLexicon],
-                 sea: Optional[ScoringLexicon], sea_avg: Optional[float] = None,
+                 sea: Optional[ScoringLexicon], sea_avg: Union[str, float] = "lexicon",
                  modes: Sequence[str] = MODES,
                  priorities: Optional[Mapping[str, Priority]] = None) -> ScoreTable:
     """One row per (issue, field, mode) with a present score.
 
+    ``sea_avg`` is a ``resolve_sea_avg`` setting; "dataset" takes the
+    mean of the sea-mode scores computed here.
     Absent scores are omitted; rows come out in canonical
     (issue id, field, mode) order. Priorities are joined from the given
     map (Unknown when absent).
@@ -205,8 +219,11 @@ def score_corpus(store: TokenStore, general: Optional[ScoringLexicon],
                 raise ValueError(f"{name} lexicon required for {name}/combined modes")
             columns[name] = np.stack(_score_units(store, lex, starts, ends))
     if "combined" in modes:
-        sea_avg = resolve_sea_avg(sea) if sea_avg is None else sea_avg
         sea_n, _, _, sea_score = columns["sea"]
+        if sea_avg == "dataset":
+            sea_avg = _present_mean(sea_score, present & (sea_n > 0))
+        else:
+            sea_avg = resolve_sea_avg(sea, sea_avg)
         combined = columns["combined"] = columns["general"].copy()
         combined[3] = np.where(sea_n > 0, combined[3] + (sea_score - sea_avg), combined[3] + 0.0)
     grid = np.stack([columns[m] for m in modes]) if modes else np.empty((0, 4, len(starts)))

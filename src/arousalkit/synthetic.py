@@ -17,6 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import read_rows, write_rows
+from .lexicon import SHEET_HEADER
+
 # (word, planted arousal); the first 20 of each pole are the designated
 # seeds, the rest stay below/above the seed cut and are expansion targets.
 HIGH_WORDS = [
@@ -161,27 +164,19 @@ def generate_general_lexicon(path: str | Path) -> None:
     """General-lexicon CSV (default column layout) covering the planted
     high/low words plus some mid-arousal everyday words."""
     rows = HIGH_WORDS + LOW_WORDS + NEUTRAL_LEXICON_WORDS
-    with Path(path).open("w", encoding="utf-8") as out:
-        out.write("Word,V.Mean.Sum,A.Mean.Sum,D.Mean.Sum\n")
-        for word, arousal in sorted(rows):
-            out.write(f"{word},5.00,{arousal:.2f},5.00\n")
+    write_rows(path, ("Word", "V.Mean.Sum", "A.Mean.Sum", "D.Mean.Sum"),
+               ((word, "5.00", f"{arousal:.2f}", "5.00") for word, arousal in sorted(rows)))
+
+
+TRUTH_HEADER = ("word", "arousal")
 
 
 def write_truth(path: str | Path, truth: dict[str, float]) -> None:
-    with Path(path).open("w", encoding="utf-8") as out:
-        out.write("word,arousal\n")
-        for word in sorted(truth):
-            out.write(f"{word},{truth[word]:.2f}\n")
+    write_rows(path, TRUTH_HEADER, ((word, f"{truth[word]:.2f}") for word in sorted(truth)))
 
 
 def load_truth(path: str | Path) -> dict[str, float]:
-    truth = {}
-    with Path(path).open("r", encoding="utf-8") as handle:
-        handle.readline()
-        for line in handle:
-            word, arousal = line.strip().split(",")
-            truth[word] = float(arousal)
-    return truth
+    return {word: float(arousal) for _, (word, arousal) in read_rows(path, TRUTH_HEADER)}
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +261,7 @@ def fill_ratings(
     with Path(sheet_path).open("r", encoding="utf-8") as handle:
         for line in handle:
             stripped = line.rstrip("\n")
-            if stripped.startswith("#") or stripped.startswith("word,"):
+            if stripped.startswith("#") or stripped == SHEET_HEADER:
                 lines_out.append(stripped)
                 continue
             if not stripped:

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -261,6 +264,30 @@ class TestCommandLine:
         assert "sea_avg must be a finite number, got True" in result.output
         assert isinstance(result.exception, SystemExit)
 
+    @pytest.mark.parametrize("value", [
+        "Word", ["word", "Word"], {"Word": "token"}, {"valence": "V"},
+        {"word": "Word", "arousal_sd": "A.SD.Sum"}, {"word": ""}, {"arousal": None},
+        {"arousal": 3},
+    ])
+    def test_bad_general_columns_are_refused(self, value):
+        with pytest.raises(ValueError, match="^general_columns must map word and/or arousal"):
+            PipelineConfig.from_dict({"general_columns": value})
+
+    @pytest.mark.parametrize("value", [None, {}, {"word": "token"},
+                                       {"word": "token", "arousal": "activation"}])
+    def test_general_columns_accepted(self, value):
+        assert PipelineConfig.from_dict({"general_columns": value}).general_columns == value
+
+    def test_bad_general_columns_fail_without_traceback(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"general_columns": {"valence": "V"}}))
+        result = CliRunner().invoke(main, ["--config", str(config_path), "seeds"])
+        assert result.exit_code == 1
+        assert ("general_columns must map word and/or arousal to column names, "
+                "got {'valence': 'V'}") in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
     def test_config_round_trip(self, tmp_path):
         config = PipelineConfig()
         config.embedding.dim = 64
@@ -287,3 +314,22 @@ class TestCommandLine:
         )
         assert result.exit_code == 0, result.output
         assert "kappa" in result.output
+
+
+class TestReproduceScript:
+    def test_scores_the_demo_corpus_with_both_lexicons(self, demo_run, tmp_path):
+        repo = Path(__file__).resolve().parents[1]
+        inputs, out_dir = demo_run.work_dir / "inputs", tmp_path / "eval"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, str(repo / "scripts" / "reproduce_published_eval.py"),
+             str(inputs / "corpus.jsonl"), str(inputs / "general_lexicon.csv"),
+             str(demo_run.work_dir / "sea_lexicon.csv"), "--out-dir", str(out_dir)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "eval_d.csv", "eval_df.csv", "eval_p.csv", "eval_t.csv", "eval_tables.txt"]
+        match = re.search(r"^combined all_comments .*: d=(-?\d+\.\d+) ", result.stdout, re.M)
+        assert match, result.stdout
+        assert float(match.group(1)) > 0

@@ -1,13 +1,19 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arousalkit.corpus import Vocabulary
 from arousalkit.embedding import WordVectors
 from arousalkit.lexicon import (
+    SHEET_HEADER,
+    SHEET_INSTRUCTIONS,
     Candidate,
     CandidateSet,
+    IngestReport,
     LexiconFormatError,
     Provenance,
     RatingRecord,
@@ -30,7 +36,8 @@ from arousalkit.lexicon import (
     save_rating_records,
     select_seeds,
 )
-from arousalkit.synthetic import write_wordnet_fixture
+from arousalkit.scoring import ScoringLexicon
+from arousalkit.synthetic import fill_ratings, load_truth, write_truth, write_wordnet_fixture
 from arousalkit.wordnet import load_wordnet
 
 
@@ -77,14 +84,29 @@ class TestLoadGeneralLexicon:
         path = write_general(tmp_path, ["Alpha,3.5"])
         assert "alpha" in load_general_lexicon(path)
 
-    def test_optional_columns_loaded(self, tmp_path):
-        path = write_general(
-            tmp_path, ["alpha,5.5,3.2,6.0"],
-            header="Word,A.Mean.Sum,V.Mean.Sum,D.Mean.Sum",
-        )
-        entry = load_general_lexicon(path).entries["alpha"]
-        assert entry.valence == pytest.approx(3.2)
-        assert entry.dominance == pytest.approx(6.0)
+    def test_is_a_scoring_lexicon_in_load_order(self, tmp_path):
+        general = load_general_lexicon(write_general(
+            tmp_path, ["beta,7.1", "alpha,3.5", "beta,6.0", "gamma,5.0"]))
+        assert isinstance(general, ScoringLexicon)
+        assert list(general) == ["beta", "alpha", "gamma"]
+        assert general.arousal_map() == {"beta": 6.0, "alpha": 3.5, "gamma": 5.0}
+
+    def test_only_word_and_arousal_are_read(self, tmp_path):
+        path = write_general(tmp_path, ["alpha,not a number,5.5,", "beta,,2.0,x"],
+                             header="Word,V.Mean.Sum,A.Mean.Sum,D.Mean.Sum")
+        assert load_general_lexicon(path).arousal_map() == {"alpha": 5.5, "beta": 2.0}
+
+    @pytest.mark.parametrize("rows", [[], [",5.0", "alpha,high", "beta,0.5", "gamma,9.5"]])
+    def test_file_without_usable_row_is_refused(self, tmp_path, rows):
+        path = write_general(tmp_path, rows)
+        with pytest.raises(LexiconFormatError, match=f"^{re.escape(str(path))}: no usable"):
+            load_general_lexicon(path)
+
+    def test_empty_file_is_refused(self, tmp_path):
+        path = tmp_path / "general.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(LexiconFormatError, match="empty lexicon file"):
+            load_general_lexicon(path)
 
 
 def seed_fixture(tmp_path):
@@ -167,8 +189,7 @@ class TestSelectSeeds:
 
     def test_row_order_independent(self, tmp_path):
         general, vocab = seed_fixture(tmp_path)
-        shuffled = dict(reversed(list(general.entries.items())))
-        general.entries = shuffled
+        general = ScoringLexicon(dict(reversed(list(general.arousal_map().items()))))
         seeds = select_seeds(general, vocab, SeedConfig(n1=10, f1=100, n2=10, f2=1000))
         assert [s.word for s in seeds][:3] == ["hi01", "hi02", "hi03"]
 
@@ -481,13 +502,13 @@ class TestIngestRatings:
         assert len(report.errors) == 1
 
     def test_empty_cell_skipped_and_counted(self, tmp_path, small_world):
-        p1, _ = self.make_sheets(tmp_path, small_world, {"quick": 8}, {})
-        records, report = ingest_ratings([p1])
-        assert report.n_skipped == 0 or report.n_skipped >= 0
-        records, report = ingest_ratings(
-            [p1], rater_labels=["r1"]
-        )
-        assert report.n_records == 1
+        p1, p2 = self.make_sheets(tmp_path, small_world, {"quick": 8}, {})
+        records, report = ingest_ratings([p1], rater_labels=["r1"])
+        assert records == [RatingRecord("quick", "r1", 8)]
+        assert (report.n_records, report.n_skipped) == (1, 0)
+        records, report = ingest_ratings([p2], rater_labels=["r2"])
+        assert records == []
+        assert (report.n_records, report.n_skipped) == (0, 1)
 
     def test_one_empty_cell_counts_one_skip(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -513,6 +534,142 @@ class TestIngestRatings:
         path = tmp_path / "records.csv"
         save_rating_records(records, path)
         assert load_rating_records(path) == records
+
+    def test_whitespace_only_line_is_skipped(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(f"{SHEET_HEADER}\nalpha,7,5,\n   \t\nbeta,3,5,\n", encoding="utf-8")
+        records, report = ingest_ratings([path], ["r1"])
+        assert [(r.word, r.score) for r in records] == [("alpha", 7), ("beta", 3)]
+        assert report.errors == []
+        # the line-by-line reader this one replaced called it a row error
+        _, old_report = reference_ingest_ratings([path], ["r1"])
+        assert old_report.errors == [f"{path}:3: too few columns"]
+
+    @pytest.mark.parametrize("comment", ["  # note", "\t#alpha,9,5,"])
+    def test_indented_hash_line_is_a_comment(self, tmp_path, comment):
+        path = tmp_path / "r.csv"
+        path.write_text(f"{SHEET_HEADER}\n{comment}\nalpha,7,5,\n", encoding="utf-8")
+        records, report = ingest_ratings([path], ["r1"])
+        assert [(r.word, r.score) for r in records] == [("alpha", 7)]
+        assert (report.n_records, report.n_skipped, report.errors) == (1, 0, [])
+        assert reference_ingest_ratings([path], ["r1"]) != (records, report)
+
+    def test_word_named_word_is_a_row(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(f"{SHEET_HEADER}\nword,3,5,\n", encoding="utf-8")
+        records, _ = ingest_ratings([path], ["r1"])
+        assert records == [RatingRecord("word", "r1", 3)]
+
+
+def reference_ingest_ratings(sheet_paths, rater_labels):
+    """The line-by-line sheet reader that ``ingest_ratings`` replaced."""
+    records = []
+    report = IngestReport()
+    for label, path in zip(rater_labels, sheet_paths):
+        path = Path(path)
+        seen = set()
+        with path.open("r", encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, 1):
+                line = line.rstrip("\n")
+                if not line or line.startswith("#") or line == SHEET_HEADER:
+                    continue
+                parts = line.split(",")
+                if len(parts) < 2:
+                    report.errors.append(f"{path}:{lineno}: too few columns")
+                    continue
+                word = parts[0].strip().lower()
+                if word in seen:
+                    raise LexiconFormatError(
+                        f"{path}:{lineno}: word {word!r} appears twice in one sheet"
+                    )
+                seen.add(word)
+                cell = parts[1].strip()
+                if not cell:
+                    report.n_skipped += 1
+                    continue
+                try:
+                    score = int(cell)
+                except ValueError:
+                    report.errors.append(f"{path}:{lineno}: non-integer rating {cell!r}")
+                    continue
+                if not 1 <= score <= 9:
+                    report.errors.append(f"{path}:{lineno}: rating {score} out of 1..9")
+                    continue
+                records.append(RatingRecord(word, label, score))
+                report.n_records += 1
+    return records, report
+
+
+_PAD = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def padded(draw, cells):
+    return draw(_PAD) + draw(cells) + draw(_PAD)
+
+
+#: a sheet row of 1 to 5 cells: word, rating, then frequency and neighbor cells
+_SHEET_ROW = st.tuples(
+    padded(st.sampled_from(["alpha", "Alpha", "BETA", "beta", "gamma", "word", ""])),
+    st.lists(padded(st.one_of(
+        st.just(""),
+        st.integers(-2, 12).map(str),
+        st.integers(1, 9).map(str),
+        st.sampled_from(["7.5", "x", "nine", "+4", "1e1", "a:0.10;b:0.20"]),
+    )), max_size=4),
+).map(lambda row: ",".join([row[0], *row[1]]))
+
+_SHEET_LINE = st.one_of(
+    _SHEET_ROW, _SHEET_ROW, st.just(""), st.just(SHEET_HEADER), st.just("# a note"),
+).map(lambda line: line if line.strip() else "")  # no whitespace-only line
+
+_SHEET = st.tuples(st.booleans(), st.lists(_SHEET_LINE, max_size=12)).map(
+    lambda sheet: [f"# {line}" for line in SHEET_INSTRUCTIONS.splitlines()] * sheet[0]
+    + sheet[1])
+
+
+class TestSimulatedRaters:
+    def test_candidate_named_word_is_rated(self, tmp_path):
+        sheet, filled = tmp_path / "sheet.csv", tmp_path / "filled.csv"
+        sheet.write_text(f"# Rate each word.\n{SHEET_HEADER}\nword,,3,a:0.10\nzeta,,4,\n",
+                         encoding="utf-8")
+        fill_ratings(sheet, filled, {"word": 7.0, "zeta": 2.0}, seed=1)
+        lines = filled.read_text(encoding="utf-8").splitlines()
+        assert lines[:2] == ["# Rate each word.", SHEET_HEADER]
+        assert [line.split(",")[0] for line in lines[2:]] == ["word", "zeta"]
+        assert all(line.split(",")[1] for line in lines[2:])
+        records, report = ingest_ratings([filled], ["r1"])
+        assert [r.word for r in records] == ["word", "zeta"]
+        assert (report.n_skipped, report.errors) == (0, [])
+
+    def test_truth_file_bytes_and_round_trip(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        write_truth(path, {"panic": 8.9, "calm": 1.4, "soon": 6.5})
+        assert path.read_bytes() == b"word,arousal\ncalm,1.40\npanic,8.90\nsoon,6.50\n"
+        assert load_truth(path) == {"calm": 1.4, "panic": 8.9, "soon": 6.5}
+
+
+class TestIngestRatingsAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(sheets=st.lists(_SHEET, min_size=1, max_size=3))
+    def test_same_records_report_and_errors(self, tmp_path_factory, sheets):
+        work = tmp_path_factory.mktemp("sheets")
+        paths = []
+        for n, lines in enumerate(sheets):
+            paths.append(work / f"rater{n}.csv")
+            paths[-1].write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        labels = [f"r{n}" for n in range(len(paths))]
+        try:
+            expected = reference_ingest_ratings(paths, labels)
+        except LexiconFormatError as exc:
+            with pytest.raises(LexiconFormatError) as info:
+                ingest_ratings(paths, labels)
+            assert str(info.value) == str(exc)
+            return
+        records, report = ingest_ratings(paths, labels)
+        assert records == expected[0]
+        assert (report.n_records, report.n_skipped, report.errors) == \
+            (expected[1].n_records, expected[1].n_skipped, expected[1].errors)
 
 
 class TestAggregate:

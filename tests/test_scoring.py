@@ -21,6 +21,19 @@ GENERAL = ScoringLexicon({"fire": 8.0, "calm": 2.0, "note": 5.3, "word": 5.9})
 # avg = (8.0 + 2.0 + 5.3 + 5.9) / 4 = 5.3
 
 
+class TestScoringLexicon:
+    def test_iterates_words_in_load_order(self):
+        assert list(ScoringLexicon({"b": 2.0, "a": 1.0, "c": 3.0})) == ["b", "a", "c"]
+
+    def test_arousal_map_is_a_copy(self):
+        lex = ScoringLexicon({"a": 4.0, "b": 6.0})
+        arousal = lex.arousal_map()
+        assert arousal == {"a": 4.0, "b": 6.0}
+        arousal["a"] = 9.0
+        assert lex.arousal("a") == 4.0
+        assert ScoringLexicon(lex.arousal_map()).avg == lex.avg
+
+
 class TestScoreText:
     def test_no_match_is_absent(self):
         assert score_text(["nothing", "here"], GENERAL) is None
@@ -308,11 +321,16 @@ class TestArrayScoringOracle:
             assert (max_used.hex(), min_used.hex(), score.hex()) == \
                 (ref.max_used.hex(), ref.min_used.hex(), ref.score.hex())
         if sea_scores:
-            assert resolve_sea_avg(sea, "dataset", store).hex() == \
-                statistics.fmean(sea_scores).hex()
+            dataset_avg = resolve_sea_avg(sea, "dataset", store)
+            assert dataset_avg.hex() == statistics.fmean(sea_scores).hex()
+            # score_corpus takes the same mean from the sea column it computes
+            assert rows(score_corpus(store, general, sea, "dataset")) == \
+                rows(score_corpus(store, general, sea, dataset_avg))
         else:
-            with pytest.raises(ValueError, match="no sea-mode scores"):
-                resolve_sea_avg(sea, "dataset", store)
+            for resolve in (lambda: resolve_sea_avg(sea, "dataset", store),
+                            lambda: score_corpus(store, general, sea, "dataset")):
+                with pytest.raises(ValueError, match="no sea-mode scores"):
+                    resolve()
 
     def test_unit_of_only_average_words_keeps_both_at_the_average(self):
         lex = ScoringLexicon({"aa": 2.0, "bb": 4.0, "cc": 6.0})
