@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
+import orjson
 
 from .artifacts import (
     CorpusFormatError,
@@ -368,15 +369,19 @@ class WordVectors:
     def save(self, path: str | Path) -> None:
         """Text dump: first line "|V| d", then one "word v1 ... vd" per word.
 
-        Floats are written with shortest round-trip repr, so save/load and
-        repeated runs are byte-identical.
+        Each value is written as ``repr`` writes it, the shortest string
+        that reads back to the same float, so save/load and repeated runs
+        are byte-identical. Rows are formatted in blocks by orjson, whose
+        shortest round-trip digits are ``repr``'s wherever both use plain
+        decimal notation (see ``_dump_rows``); the other values go through
+        ``repr`` itself.
         """
-        with atomic_open(path) as out:
-            out.write(f"{len(self.words)} {self.dim}\n")
-            # one row of Python floats at a time: the whole matrix as a list
-            # would be ~100 MB of objects at 10k words x 300
-            for word, row in zip(self.words, self.matrix):
-                out.write(word + " " + " ".join(map(repr, row.tolist())) + "\n")
+        rows_per_block = max(1, _DUMP_BLOCK // (8 * max(self.dim, 1)))
+        with atomic_open(path, "wb") as out:
+            out.write(f"{len(self.words)} {self.dim}\n".encode())
+            for start in range(0, len(self.words), rows_per_block):
+                stop = start + rows_per_block
+                out.write(_dump_rows(self.words[start:stop], self.matrix[start:stop]))
 
     @classmethod
     def load(cls, path: str | Path) -> "WordVectors":
@@ -426,6 +431,38 @@ class WordVectors:
         naming the path."""
         return read_records(path, "binary embedding", _VECTORS_TAG, _VECTORS_LAYOUT,
                             _unpack_vectors)
+
+
+#: Bytes of float64 values one block of the text dump formats at once;
+#: larger blocks are no faster and raise the peak memory of ``save``.
+_DUMP_BLOCK = 64 << 10
+
+
+def _dump_rows(words: Sequence[str], block: np.ndarray) -> bytes:
+    """The dump lines of ``words`` and their rows ``block``, as UTF-8.
+
+    orjson and ``repr`` write the same shortest digits, and the same
+    notation for 0 and for 1e-4 <= |x| < 1e16. Every other value (NaN,
+    infinities, tiny, subnormal and huge values) is set to NaN, which
+    orjson writes as ``null``, and its ``repr`` is spliced in there.
+    """
+    block = np.array(block, dtype=np.float64, order="C")
+    magnitude = np.abs(block)
+    outside = ~(((magnitude >= 1e-4) & (magnitude < 1e16)) | (block == 0))
+    spliced = [repr(x).encode() for x in block[outside].tolist()]
+    block[outside] = np.nan
+    # "[[v,v],[v,null]]": null for each NaN; no digits hold "[", "]", "," or "n"
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].replace(b",", b" ")
+    if spliced:
+        pieces = text.split(b"null")
+        if len(pieces) != len(spliced) + 1:
+            raise RuntimeError(f"orjson wrote {len(pieces) - 1} nulls for {len(spliced)} values")
+        joined = [b""] * (2 * len(spliced) + 1)
+        joined[0::2] = pieces
+        joined[1::2] = spliced
+        text = b"".join(joined)
+    rows = text.split(b"] [")
+    return b"".join(word.encode() + b" " + row + b"\n" for word, row in zip(words, rows))
 
 
 def _unpack_vectors(word_data, word_offsets, matrix) -> WordVectors:
