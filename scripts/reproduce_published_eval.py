@@ -27,10 +27,7 @@ def main():
 
     general = load_general_lexicon(args.general_lexicon)
     sea = ScoringLexicon(SeaLexicon.load(args.sea_lexicon).arousal_map())
-    issues = list(parse_corpus(args.corpus))
-    store = TokenStore.from_issues(issues)
-    rows = score_corpus(store, general, sea,
-                        priorities={issue.id: issue.priority for issue in issues})
+    rows = score_corpus(TokenStore.from_issues(parse_corpus(args.corpus)), general, sea)
     table = evaluate_priorities(rows, t_test=args.t_test)
     written = render_tables(table, args.out_dir)
     for path in written:

@@ -1,6 +1,6 @@
 """Tabular stage artifacts: one CSV dialect, header checks, atomic writes.
 
-Every table a stage writes (vocabulary, priorities, seeds, candidates,
+Every table a stage writes (vocabulary, seeds, candidates,
 rating records, domain lexicon, scores) is UTF-8 text with a header row
 and ``\\n`` line ends. A field is quoted only when it contains a comma, a
 double quote or a line break (RFC 4180), so any string round-trips.

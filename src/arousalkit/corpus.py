@@ -54,6 +54,8 @@ class Priority(Enum):
 
 
 _PRIORITY_BY_LABEL = {member.value.lower(): member for member in Priority}
+#: A priority's int8 code in the token store and the score table: its position in Priority.
+PRIORITY_CODES = {member: code for code, member in enumerate(Priority)}
 
 
 #: The five Jira priorities used in the evaluation, highest first.
@@ -164,7 +166,7 @@ def _parse_record(line: str, lineno: int) -> Optional[Issue]:
 
 
 #: First record of a token store file, checked on load.
-_STORE_TAG = b"arousalkit token store 1"
+_STORE_TAG = b"arousalkit token store 2"
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +178,8 @@ class TokenStore:
     text: title, description, then each comment, issue by issue in corpus
     order. Stream k is ``ids[offsets[k]:offsets[k + 1]]``; issue i (id
     ``issue_ids[i]``) owns streams ``issue_streams[i]`` up to, but not
-    including, ``issue_streams[i + 1]``.
+    including, ``issue_streams[i + 1]``, and has the int8 priority code
+    ``priority[i]`` (``PRIORITY_CODES``).
     """
 
     ids: np.ndarray
@@ -184,23 +187,26 @@ class TokenStore:
     issue_ids: list[str]
     offsets: np.ndarray
     issue_streams: np.ndarray
+    priority: np.ndarray
 
     @classmethod
     def from_issues(cls, issues: Iterable[Issue]) -> "TokenStore":
         index: defaultdict[str, int] = defaultdict()
         index.default_factory = index.__len__  # a new word gets the next id
         ids, offsets, issue_streams = array("i"), array("q", [0]), array("q", [0])
-        issue_ids = []
+        issue_ids, priority = [], array("b")
         for issue in issues:
             for text in (issue.title, issue.description, *(c.body for c in issue.comments)):
                 ids.extend(map(index.__getitem__, tokenize(text)))
                 offsets.append(len(ids))
             issue_streams.append(len(offsets) - 1)
             issue_ids.append(issue.id)
+            priority.append(PRIORITY_CODES[issue.priority])
         index.default_factory = None
         return cls(np.frombuffer(ids, dtype=np.intc).astype(np.int32, copy=False), list(index),
                    issue_ids, np.frombuffer(offsets, dtype=np.int64),
-                   np.frombuffer(issue_streams, dtype=np.int64))
+                   np.frombuffer(issue_streams, dtype=np.int64),
+                   np.frombuffer(priority, dtype=np.int8))
 
     def units(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Token bounds of the five scoring units of every issue.
@@ -225,13 +231,13 @@ class TokenStore:
         return np.where(present, starts, ends), ends, present
 
     def save(self, path: str | Path) -> None:
-        """Eight .npy records back to back: a format tag, ``ids``, ``offsets``,
-        ``issue_streams``, then the UTF-8 bytes and byte offsets of the words
-        and of the issue ids. The file holds no timestamp, so saving the same
-        store twice gives the same bytes."""
+        """Nine .npy records back to back: a format tag, ``ids``, ``offsets``,
+        ``issue_streams``, the UTF-8 bytes and byte offsets of the words and
+        of the issue ids, then ``priority``. The file holds no timestamp, so
+        saving the same store twice gives the same bytes."""
         write_records(path, _STORE_TAG, (self.ids, self.offsets, self.issue_streams,
                                          *pack_strings(self.words),
-                                         *pack_strings(self.issue_ids)))
+                                         *pack_strings(self.issue_ids), self.priority))
 
     @classmethod
     def load(cls, path: str | Path) -> "TokenStore":
@@ -242,11 +248,11 @@ class TokenStore:
 
 #: dtype and number of dimensions of each token store record after the tag
 _STORE_LAYOUT = ((np.int32, 1), (np.int64, 1), (np.int64, 1), (np.uint8, 1), (np.int64, 1),
-                 (np.uint8, 1), (np.int64, 1))
+                 (np.uint8, 1), (np.int64, 1), (np.int8, 1))
 
 
 def _unpack_store(ids, offsets, issue_streams, word_data, word_offsets, id_data,
-                  id_offsets) -> TokenStore:
+                  id_offsets, priority) -> TokenStore:
     words = unpack_strings(word_data, word_offsets)
     issue_ids = unpack_strings(id_data, id_offsets)
     if (offsets[0] != 0 or offsets[-1] != len(ids) or np.any(np.diff(offsets) < 0)
@@ -255,7 +261,11 @@ def _unpack_store(ids, offsets, issue_streams, word_data, word_offsets, id_data,
         raise ValueError("stream bounds are inconsistent")
     if len(ids) and (ids.min() < 0 or ids.max() >= len(words)):
         raise ValueError("token id outside the dictionary")
-    return TokenStore(ids, words, issue_ids, offsets, issue_streams)
+    if len(priority) != len(issue_ids):
+        raise ValueError("one priority code per issue required")
+    if len(priority) and (priority.min() < 0 or priority.max() >= len(Priority)):
+        raise ValueError("priority code out of range")
+    return TokenStore(ids, words, issue_ids, offsets, issue_streams, priority)
 
 
 VOCAB_HEADER = ("word", "id", "freq")

@@ -238,13 +238,17 @@ def _scan_pole(
 
 
 def load_seed_list(path: str | Path, vocab: Vocabulary) -> list[Seed]:
-    """Extra seeds from a ``word,pole,source`` file; frequency from the corpus."""
+    """Extra seeds from a ``word,pole,source`` file; frequency from the corpus.
+    A bad row or a word outside the vocabulary is skipped with a warning."""
     seeds = []
     for lineno, parts in _hand_edited_rows(path):
         if len(parts) != 3 or parts[1] not in ("high", "low") or parts[2] not in SEED_SOURCES:
             logger.warning("%s:%d: bad seed row, skipped", path, lineno)
             continue
         word = parts[0].lower()
+        if word not in vocab:
+            logger.warning("%s:%d: seed %r is not in the vocabulary, skipped", path, lineno, word)
+            continue
         seeds.append(Seed(word, parts[1], parts[2], vocab.freq(word)))
     return seeds
 
@@ -490,7 +494,7 @@ def ingest_ratings(
 
     Empty rating cells are skipped (counted); non-integer or out-of-range
     cells are collected as row errors. A word duplicated within one file
-    is fatal for that file.
+    is fatal for that file, and so is a rater label given to two sheets.
     """
     if not sheet_paths:
         raise ValueError("need at least one rating sheet")
@@ -498,6 +502,11 @@ def ingest_ratings(
         rater_labels = [Path(p).stem for p in sheet_paths]
     if len(rater_labels) != len(sheet_paths):
         raise ValueError("one rater label per sheet required")
+    first: dict[str, int] = {}
+    for n, label in enumerate(rater_labels):
+        if first.setdefault(label, n) != n:
+            raise ValueError(f"rater label {label!r} is given to two sheets: "
+                             f"{sheet_paths[first[label]]} and {sheet_paths[n]}")
     records: list[RatingRecord] = []
     report = IngestReport()
     header = SHEET_HEADER.split(",")

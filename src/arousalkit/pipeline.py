@@ -18,9 +18,9 @@ import numpy as np
 
 from . import scoring as scoring_mod
 from . import synthetic
-from .artifacts import atomic_open, read_rows, write_rows
+from .artifacts import atomic_open
 from .config import PipelineConfig, hash_config_slice
-from .corpus import Priority, TokenStore, Vocabulary, build_vocabulary, parse_corpus
+from .corpus import TokenStore, Vocabulary, build_vocabulary, parse_corpus
 from .embedding import WordVectors, count_cooccurrences, glove_train, nearest_neighbors
 from .evalstats import EvalTable, evaluate_priorities, render_tables
 from .lexicon import (
@@ -91,7 +91,7 @@ STAGE_REQUIRES: dict[str, list[str]] = {
 }
 
 STAGE_ARTIFACTS: dict[str, list[str]] = {
-    "ingest": ["vocab.csv", "priorities.csv", "tokens.bin"],
+    "ingest": ["vocab.csv", "tokens.bin"],
     "train": ["embedding.txt", "embedding.bin"],
     "seeds": ["seeds.csv"],
     "expand": ["candidates.csv"],
@@ -158,34 +158,13 @@ class Workspace:
 def run_ingest(config: PipelineConfig) -> Vocabulary:
     ws = Workspace(config)
     ws.work_dir.mkdir(parents=True, exist_ok=True)
-    priorities: dict[str, Priority] = {}
-
-    def issues_with_priorities():
-        for issue in parse_corpus(config.corpus):
-            priorities[issue.id] = issue.priority
-            yield issue
-
-    store = TokenStore.from_issues(issues_with_priorities())
+    store = TokenStore.from_issues(parse_corpus(config.corpus))
     vocab = build_vocabulary(store, min_count=config.min_count)
     vocab.save(ws.path("vocab.csv"))
-    save_priorities(priorities, ws.path("priorities.csv"))
     store.save(ws.path("tokens.bin"))
     ws.record_stage("ingest")
-    logger.info("ingest: %d issues, %d vocabulary words", len(priorities), len(vocab))
+    logger.info("ingest: %d issues, %d vocabulary words", len(store.issue_ids), len(vocab))
     return vocab
-
-
-PRIORITY_HEADER = ("issue_id", "priority")
-
-
-def save_priorities(priorities: dict[str, Priority], path: Path) -> None:
-    write_rows(path, PRIORITY_HEADER,
-               ((issue_id, priorities[issue_id].value) for issue_id in sorted(priorities)))
-
-
-def load_priorities(path: Path) -> dict[str, Priority]:
-    return {issue_id: Priority.parse(label)
-            for _, (issue_id, label) in read_rows(path, PRIORITY_HEADER)}
 
 
 def run_train(config: PipelineConfig):
@@ -319,7 +298,7 @@ def run_score(config: PipelineConfig, modes: Sequence[str] = MODES):
     general = load_general_lexicon(config.general_lexicon, config.general_columns)
     sea = ScoringLexicon(SeaLexicon.load(ws.path("sea_lexicon.csv")).arousal_map())
     table = score_corpus(TokenStore.load(ws.path("tokens.bin")), general, sea, config.sea_avg,
-                         modes, priorities=load_priorities(ws.path("priorities.csv")))
+                         modes)
     # evaluation reads the reals as the export states them, at 4 decimals
     table = scoring_mod.save_scores(table, ws.path("scores.csv"))
     scoring_mod.save_score_records(table, ws.path("scores.bin"))

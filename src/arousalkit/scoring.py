@@ -25,17 +25,18 @@ import numbers
 import statistics
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .artifacts import (atomic_open, pack_strings, quote_cells, read_records, unpack_strings,
                         write_records)
-from .corpus import Field, Priority, TokenStore
+from .corpus import PRIORITY_CODES, Field, Priority, TokenStore
 
 MODES = ("general", "sea", "combined")
 #: the code of a field, mode or priority in a ScoreTable: its position in Field, MODES or Priority
-CODES = {member: i for members in (Field, MODES, Priority) for i, member in enumerate(members)}
+CODES = {member: i for members in (Field, MODES) for i, member in enumerate(members)}
+CODES.update(PRIORITY_CODES)
 
 _FIELDS = tuple(Field)
 
@@ -137,29 +138,20 @@ def _score_units(
     return counts[ends] - counts[starts], max_used, min_used, max_used + min_used
 
 
-def resolve_sea_avg(
-    sea: ScoringLexicon,
-    setting: Union[str, float] = "lexicon",
-    store: Optional[TokenStore] = None,
-) -> float:
+def resolve_sea_avg(sea: ScoringLexicon, setting: Union[str, float] = "lexicon") -> float:
     """The centering constant subtracted from domain scores in combined mode.
 
     "lexicon" (default): twice the mean word arousal, i.e. the score a
-    text of all-average words would receive. "dataset": the mean of the
-    present sea-mode text scores over the units of the given token store.
-    A number is used as-is. Effect sizes are invariant to this choice;
-    only raw combined scores move.
+    text of all-average words would receive. A number is used as-is.
+    "dataset" depends on the corpus and is resolved by ``score_corpus``.
+    Effect sizes are invariant to this choice; only raw combined scores move.
     """
     if isinstance(setting, numbers.Real) and not isinstance(setting, bool):
         return float(setting)
     if setting == "lexicon":
         return 2.0 * sea.avg
     if setting == "dataset":
-        if store is None:
-            raise ValueError("dataset sea_avg needs the token store")
-        starts, ends, present = (a.ravel() for a in store.units())
-        n_matched, _, _, scores = _score_units(store, sea, starts, ends)
-        return _present_mean(scores, present & (n_matched > 0))
+        raise ValueError("the dataset sea_avg is resolved by score_corpus")
     raise ValueError(f"unknown sea_avg setting: {setting!r}")
 
 
@@ -196,15 +188,14 @@ class ScoreTable:
 
 def score_corpus(store: TokenStore, general: Optional[ScoringLexicon],
                  sea: Optional[ScoringLexicon], sea_avg: Union[str, float] = "lexicon",
-                 modes: Sequence[str] = MODES,
-                 priorities: Optional[Mapping[str, Priority]] = None) -> ScoreTable:
+                 modes: Sequence[str] = MODES) -> ScoreTable:
     """One row per (issue, field, mode) with a present score.
 
-    ``sea_avg`` is a ``resolve_sea_avg`` setting; "dataset" takes the
-    mean of the sea-mode scores computed here.
+    ``sea_avg`` is a ``resolve_sea_avg`` setting or "dataset", the mean
+    of the present sea-mode scores computed here.
     Absent scores are omitted; rows come out in canonical
-    (issue id, field, mode) order. Priorities are joined from the given
-    map (Unknown when absent).
+    (issue id, field, mode) order, each with its issue's priority from
+    the store.
     """
     for mode in modes:
         if mode not in MODES:
@@ -229,19 +220,18 @@ def score_corpus(store: TokenStore, general: Optional[ScoringLexicon],
     grid = np.stack([columns[m] for m in modes]) if modes else np.empty((0, 4, len(starts)))
     # the (unit, mode) grid of present scores with its units in issue id
     # order, read row-major: canonical row order
-    order = sorted(range(len(store.issue_ids)), key=store.issue_ids.__getitem__)
-    issue_ids = [store.issue_ids[i] for i in order]
+    order = np.array(sorted(range(len(store.issue_ids)), key=store.issue_ids.__getitem__),
+                     dtype=np.int64)
+    issue_ids = [store.issue_ids[i] for i in order.tolist()]
     n_fields = len(_FIELDS)
-    by_id = (np.array(order, dtype=np.int64)[:, None] * n_fields + np.arange(n_fields)).ravel()
+    by_id = (order[:, None] * n_fields + np.arange(n_fields)).ravel()
     unit, column = np.nonzero((present[:, None] & (grid[:, 0].T > 0))[by_id])
     n_matched, max_used, min_used, score = grid[column, :, by_id[unit]].T
-    priorities = priorities or {}
-    priority = np.array([CODES[priorities.get(i, Priority.UNKNOWN)] for i in issue_ids],
-                        dtype=np.int8)
     issue = unit // n_fields
     return ScoreTable(issue_ids, issue, (unit % n_fields).astype(np.int8),
                       np.array([CODES[m] for m in modes], dtype=np.int8)[column],
-                      priority[issue], n_matched.astype(np.int64), max_used, min_used, score)
+                      store.priority[order[issue]], n_matched.astype(np.int64), max_used,
+                      min_used, score)
 
 
 SCORE_HEADER = ("issue_id", "field", "mode", "n_matched", "max", "min", "score")

@@ -258,16 +258,13 @@ def test_criterion_07_combined_shift_invariance(demo_run):
         load_general_lexicon(work / "inputs" / "general_lexicon.csv").arousal_map()
     )
     sea = ScoringLexicon(SeaLexicon.load(work / "sea_lexicon.csv").arousal_map())
-    issues = list(parse_corpus(work / "inputs" / "corpus.jsonl"))
-    store = TokenStore.from_issues(issues)
-    priorities = {issue.id: issue.priority for issue in issues}
+    store = TokenStore.from_issues(parse_corpus(work / "inputs" / "corpus.jsonl"))
     base_avg = 2.0 * sea.avg
-    base_rows = score_corpus(store, general, sea, base_avg, priorities=priorities)
+    base_rows = score_corpus(store, general, sea, base_avg)
     base_table = evaluate_priorities(base_rows)
     rng = np.random.default_rng(23)
     for shift in rng.uniform(-5.0, 5.0, size=3):
-        rows = score_corpus(store, general, sea, base_avg + float(shift),
-                            priorities=priorities)
+        rows = score_corpus(store, general, sea, base_avg + float(shift))
         table = evaluate_priorities(rows)
         for key, cell in base_table.cells.items():
             other = table.cells[key]
@@ -316,10 +313,8 @@ def test_criterion_09_external_data_reproduction():
     sea_path = os.path.join(EXTERNAL_DATA_DIR, "sea_lexicon.csv")
     general = ScoringLexicon(load_general_lexicon(general_path).arousal_map())
     sea = ScoringLexicon(SeaLexicon.load(sea_path).arousal_map())
-    issues = list(parse_corpus(corpus_path))
-    rows = score_corpus(TokenStore.from_issues(issues), general, sea, 2.0 * sea.avg,
-                        modes=["combined"],
-                        priorities={issue.id: issue.priority for issue in issues})
+    rows = score_corpus(TokenStore.from_issues(parse_corpus(corpus_path)), general, sea,
+                        2.0 * sea.avg, modes=["combined"])
     table = evaluate_priorities(rows)
     cell = table.cell(Field.ALL_COMMENTS, "combined", PRIORITY_PAIRS[0])
     assert cell is not None

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from arousalkit.artifacts import CorpusFormatError, atomic_open, read_rows, write_rows
 from arousalkit.corpus import Field, Issue, Priority, TokenStore
 from arousalkit.lexicon import RatingRecord, load_rating_records, save_rating_records
-from arousalkit.pipeline import load_priorities, save_priorities
 from arousalkit.scoring import (
     MODES,
     SCORE_HEADER,
@@ -145,12 +144,6 @@ class TestAtomicWrite:
 
 
 class TestStageArtifacts:
-    @given(st.dictionaries(adversarial, st.sampled_from(list(Priority)), max_size=8))
-    def test_priorities_round_trip(self, tmp_path_factory, priorities):
-        path = tmp_path_factory.mktemp("prio") / "priorities.csv"
-        save_priorities(priorities, path)
-        assert load_priorities(path) == priorities
-
     @settings(max_examples=200, deadline=None)
     @given(score_tables())
     def test_scores_round_trip_joins_priorities(self, tmp_path_factory, table):

@@ -13,15 +13,18 @@ from arousalkit import synthetic
 from arousalkit.artifacts import CorpusFormatError
 from arousalkit.cli import main
 from arousalkit.config import PipelineConfig
+from arousalkit.corpus import Priority, TokenStore
 from arousalkit.pipeline import (
     PipelineError,
     Workspace,
     demo_config,
-    load_priorities,
     run_demo,
     run_evaluate,
+    run_expand,
     run_ingest,
     run_score,
+    run_seeds,
+    run_sheet,
     run_train,
 )
 
@@ -48,7 +51,7 @@ def workdir_digest(work: Path) -> dict[str, str]:
 class TestDemo:
     def test_all_stage_artifacts_produced(self, demo_workdir):
         for name in (
-            "vocab.csv", "priorities.csv", "tokens.bin", "embedding.txt", "embedding.bin",
+            "vocab.csv", "tokens.bin", "embedding.txt", "embedding.bin",
             "seeds.csv",
             "candidates.csv", "sheet.csv", "ratings.csv", "agreement.txt",
             "sea_lexicon.csv", "scores.csv", "scores.bin", "eval_d.csv", "eval_p.csv",
@@ -98,8 +101,8 @@ class TestAdversarialIssueIds:
         run_ingest(config)
         run_score(config)
         after = run_evaluate(config)
-        priorities = load_priorities(Path(config.work_dir) / "priorities.csv")
-        assert {i: priorities[i].value for i in self.IDS} == renamed
+        stored = stored_priorities(config)
+        assert {i: stored[i].value for i in self.IDS} == renamed
         assert self.group_sizes(after) == self.group_sizes(before)
 
     @staticmethod
@@ -124,20 +127,41 @@ class TestAdversarialIssueIds:
         assert isinstance(result.exception, SystemExit)
 
     def test_nul_in_id_round_trips_or_is_refused_by_name(self, tmp_path):
-        synthetic.generate_demo_inputs(tmp_path, n_issues=40, seed=3)
-        config = demo_config(tmp_path, seed=3, n_issues=40)
+        run_demo(tmp_path, n_issues=N_ISSUES, seed=11)
+        config = demo_config(tmp_path, seed=11, n_issues=N_ISSUES)
         corpus = Path(config.corpus)
         records = [json.loads(line) for line in corpus.read_text(encoding="utf-8").splitlines()]
         records[0]["id"] = "A\x00B"
         corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        run_ingest(config)
+        assert stored_priorities(config)["A\x00B"].value == records[0]["priority"]
         if sys.version_info >= (3, 11):
-            run_ingest(config)
-            priorities = load_priorities(Path(config.work_dir) / "priorities.csv")
-            assert priorities["A\x00B"].value == records[0]["priority"]
+            assert "A\x00B" in run_score(config).issue_ids
         else:  # Python 3.10's csv module cannot write NUL
-            with pytest.raises(CorpusFormatError, match="priorities.csv"):
-                run_ingest(config)
-            assert not list(Path(config.work_dir).glob(".priorities.csv.*"))
+            with pytest.raises(CorpusFormatError, match="scores.csv"):
+                run_score(config)
+            assert not list(Path(config.work_dir).glob(".scores.*"))
+
+
+def stored_priorities(config) -> dict[str, Priority]:
+    store = TokenStore.load(Path(config.work_dir) / "tokens.bin")
+    return {i: list(Priority)[c] for i, c in zip(store.issue_ids, store.priority.tolist())}
+
+
+class TestExtraSeeds:
+    def test_seed_outside_the_vocabulary_does_not_reach_the_sheet(self, tmp_path):
+        synthetic.generate_demo_inputs(tmp_path, n_issues=N_ISSUES, seed=11)
+        config = demo_config(tmp_path, seed=11, n_issues=N_ISSUES)
+        config.extra_seeds = str(tmp_path / "extra_seeds.csv")
+        Path(config.extra_seeds).write_text("zzzword,high,survey\n", encoding="utf-8")
+        run_ingest(config)
+        run_train(config)
+        assert "zzzword" not in run_seeds(config)
+        candidates = run_expand(config)
+        review = tmp_path / "review.csv"
+        review.write_text("".join(f"{c.word},accept\n" for c in candidates), encoding="utf-8")
+        sheet = run_sheet(config, review=str(review))
+        assert "\nzzzword," not in sheet.read_text(encoding="utf-8")
 
 
 class TestManifestChecks:
@@ -211,6 +235,23 @@ class TestCommandLine:
         )
         assert result.exit_code == 0, result.output
         assert (tmp_path / "w" / "eval_tables.txt").is_file()
+
+    @pytest.mark.parametrize("labels", [[], ["--labels", "r1,r1"]])
+    def test_repeated_rater_label_fails_without_traceback(self, tmp_path, labels):
+        sheets = []
+        for rater in ("alice", "bob"):
+            (tmp_path / rater).mkdir()
+            sheets.append(tmp_path / rater / "sheet.csv")
+            sheets[-1].write_text("word,rating,frequency,similar_words\nalpha,5,5,\n",
+                                  encoding="utf-8")
+        result = CliRunner().invoke(main, ["--work-dir", str(tmp_path / "w"), "ratings",
+                                           *map(str, sheets), *labels])
+        assert result.exit_code == 1
+        label = "r1" if labels else "sheet"
+        assert f"rater label '{label}' is given to two sheets: {sheets[0]} and {sheets[1]}" \
+            in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not (tmp_path / "w" / "ratings.csv").exists()
 
     def test_agreement_subcommand_reports(self, demo_workdir):
         config_path = demo_workdir / "inputs" / "config.json"

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from arousalkit.artifacts import pack_strings, write_records
 from arousalkit.corpus import (
+    _STORE_TAG,
     Comment,
     CorpusFormatError,
     Field,
@@ -167,7 +169,9 @@ def store_of(*issues):
 def same_store(a, b):
     return (a.ids.tobytes() == b.ids.tobytes() and a.words == b.words
             and a.issue_ids == b.issue_ids and np.array_equal(a.offsets, b.offsets)
-            and np.array_equal(a.issue_streams, b.issue_streams))
+            and np.array_equal(a.issue_streams, b.issue_streams)
+            and a.priority.dtype == b.priority.dtype == np.int8
+            and np.array_equal(a.priority, b.priority))
 
 
 class TestTokenStore:
@@ -210,16 +214,55 @@ class TestTokenStore:
         assert loaded.issue_ids == ids
         assert same_store(loaded, store)
 
-    @given(st.lists(st.tuples(st.text(max_size=8), st.text(max_size=40),
-                              st.lists(st.text(max_size=20), max_size=3)),
+    @given(st.lists(st.tuples(st.text(max_size=8), st.sampled_from(list(Priority)),
+                              st.text(max_size=40), st.lists(st.text(max_size=20), max_size=3)),
                     max_size=6, unique_by=lambda t: t[0]))
     def test_any_corpus_round_trips(self, tmp_path_factory, records):
-        issues = [Issue(i, Priority.MAJOR, title, "", [Comment(c) for c in comments])
-                  for i, title, comments in records]
+        issues = [Issue(i, priority, title, "", [Comment(c) for c in comments])
+                  for i, priority, title, comments in records]
         path = tmp_path_factory.mktemp("store") / "tokens.bin"
         store = store_of(*issues)
         store.save(path)
-        assert same_store(TokenStore.load(path), store)
+        loaded = TokenStore.load(path)
+        assert same_store(loaded, store)
+        assert [list(Priority)[c] for c in loaded.priority.tolist()] == \
+            [issue.priority for issue in issues]
+
+    def rewrite(self, path, priority=None):
+        """Save the fixture store to ``path``, with another priority record if given."""
+        store = store_of(*self.issues())
+        write_records(path, _STORE_TAG, (
+            store.ids, store.offsets, store.issue_streams, *pack_strings(store.words),
+            *pack_strings(store.issue_ids), store.priority if priority is None else priority))
+
+    def test_rewrite_helper_matches_save(self, tmp_path):
+        store_of(*self.issues()).save(tmp_path / "a.bin")
+        self.rewrite(tmp_path / "b.bin")
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    def test_version_1_store_is_refused_by_name(self, tmp_path):
+        path = tmp_path / "tokens.bin"
+        store = store_of(*self.issues())
+        # the layout of the first format: no priority record
+        write_records(path, b"arousalkit token store 1",
+                      (store.ids, store.offsets, store.issue_streams,
+                       *pack_strings(store.words), *pack_strings(store.issue_ids)))
+        with pytest.raises(CorpusFormatError, match="tokens.bin.*unknown format tag"):
+            TokenStore.load(path)
+
+    @pytest.mark.parametrize("priority, problem", [
+        (np.array([2, 3], dtype=np.int8), "one priority code per issue"),
+        (np.array([2, 3, 0, 1], dtype=np.int8), "one priority code per issue"),
+        (np.array([2, 3, len(Priority)], dtype=np.int8), "priority code out of range"),
+        (np.array([2, -1, 0], dtype=np.int8), "priority code out of range"),
+        (np.array([2, 3, 0], dtype=np.int64), "unexpected record shape or type"),
+        (np.array([[2, 3, 0]], dtype=np.int8), "unexpected record shape or type"),
+    ])
+    def test_bad_priority_record_is_refused_by_name(self, tmp_path, priority, problem):
+        path = tmp_path / "tokens.bin"
+        self.rewrite(path, priority=priority)
+        with pytest.raises(CorpusFormatError, match=f"tokens.bin.*{problem}"):
+            TokenStore.load(path)
 
     @pytest.mark.parametrize("cut", [1, 10, 100, -1])
     def test_truncated_store_names_the_file(self, tmp_path, cut):

@@ -210,12 +210,19 @@ class TestSeedList:
             "# comment\nrage,high,brainstorm\nsnooze,low,liwc\nbad row\n",
             encoding="utf-8",
         )
-        vocab = Vocabulary({"rage": 40}, min_count=1)
+        vocab = Vocabulary({"rage": 40, "snooze": 3}, min_count=1)
         seeds = load_seed_list(path, vocab)
         assert [(s.word, s.pole, s.source, s.freq) for s in seeds] == [
             ("rage", "high", "brainstorm", 40),
-            ("snooze", "low", "liwc", 0),
+            ("snooze", "low", "liwc", 3),
         ]
+
+    def test_word_outside_the_vocabulary_is_skipped_with_its_line(self, tmp_path, caplog):
+        path = tmp_path / "extra.csv"
+        path.write_text("rage,high,brainstorm\nzzzword,high,survey\n", encoding="utf-8")
+        seeds = load_seed_list(path, Vocabulary({"rage": 40}, min_count=1))
+        assert [s.word for s in seeds] == ["rage"]
+        assert f"{path}:2: seed 'zzzword' is not in the vocabulary, skipped" in caplog.text
 
     def test_duplicate_words_rejected_by_seedset(self):
         seeds = SeedSet()
@@ -559,6 +566,28 @@ class TestIngestRatings:
         path.write_text(f"{SHEET_HEADER}\nword,3,5,\n", encoding="utf-8")
         records, _ = ingest_ratings([path], ["r1"])
         assert records == [RatingRecord("word", "r1", 3)]
+
+    def two_sheets_named_sheet(self, tmp_path):
+        paths = []
+        for rater, score in (("alice", 7), ("bob", 3)):
+            (tmp_path / rater).mkdir()
+            paths.append(tmp_path / rater / "sheet.csv")
+            paths[-1].write_text(f"{SHEET_HEADER}\nalpha,{score},5,\n", encoding="utf-8")
+        return paths
+
+    def test_sheets_with_the_same_stem_are_refused(self, tmp_path):
+        alice, bob = self.two_sheets_named_sheet(tmp_path)
+        with pytest.raises(ValueError) as info:
+            ingest_ratings([alice, bob])
+        assert str(info.value) == \
+            f"rater label 'sheet' is given to two sheets: {alice} and {bob}"
+
+    def test_repeated_label_is_refused(self, tmp_path):
+        alice, bob = self.two_sheets_named_sheet(tmp_path)
+        with pytest.raises(ValueError, match=f"'r1' is given to two sheets: {alice} and {bob}"):
+            ingest_ratings([alice, bob], ["r1", "r1"])
+        records, _ = ingest_ratings([alice, bob], ["r1", "r2"])
+        assert records == [RatingRecord("alpha", "r1", 7), RatingRecord("alpha", "r2", 3)]
 
 
 def reference_ingest_ratings(sheet_paths, rater_labels):

@@ -114,8 +114,14 @@ class TestResolveSeaAvg:
             Issue("2", Priority.MAJOR, "b b", "", []),     # score 6 + 5 = 11
             Issue("3", Priority.MAJOR, "zzz", "", []),     # absent
         ]
-        assert resolve_sea_avg(lex, "dataset", TokenStore.from_issues(issues)) == \
-            pytest.approx(10.0)
+        table = score_corpus(TokenStore.from_issues(issues), lex, lex, "dataset",
+                             modes=["combined"])
+        # combined = general + (sea - 10.0), and general equals sea here
+        assert table.score.tolist() == pytest.approx([8.0, 12.0])
+
+    def test_dataset_setting_is_left_to_score_corpus(self):
+        with pytest.raises(ValueError, match="resolved by score_corpus"):
+            resolve_sea_avg(ScoringLexicon({"a": 4.0}), "dataset")
 
     def test_unknown_setting_is_an_error(self):
         with pytest.raises(ValueError):
@@ -187,8 +193,7 @@ class TestScoreCorpus:
 
     def test_save_load_round_trip_with_priorities(self, tmp_path):
         issues = [issue("x", "fire", priority=Priority.BLOCKER)]
-        table = score_corpus(store(issues), GENERAL, self.SEA, 10.7, modes=["general"],
-                             priorities={"x": Priority.BLOCKER})
+        table = score_corpus(store(issues), GENERAL, self.SEA, 10.7, modes=["general"])
         path = tmp_path / "scores.csv"
         save_score_records(save_scores(table, path), tmp_path / "scores.bin")
         loaded = rows(load_scores(tmp_path / "scores.bin"))
@@ -198,10 +203,13 @@ class TestScoreCorpus:
         header = path.read_text(encoding="utf-8").splitlines()[0]
         assert header == "issue_id,field,mode,n_matched,max,min,score"
 
-    def test_priorities_default_to_unknown(self):
-        table = score_corpus(store([issue("x", "fire"), issue("y", "fire")]), GENERAL,
-                             self.SEA, 10.7, modes=["general"], priorities={"y": Priority.MINOR})
-        assert [r[3] for r in rows(table)] == [Priority.UNKNOWN, Priority.MINOR]
+    def test_priorities_come_from_the_store(self):
+        issues = [issue("y", "fire", "", ["fire"], priority=Priority.MINOR),
+                  issue("x", "fire", priority=Priority.UNKNOWN),
+                  issue("z", "calm", priority=Priority.TRIVIAL)]
+        table = score_corpus(store(issues), GENERAL, self.SEA, 10.7, modes=["general"])
+        assert [(r[0], r[3]) for r in rows(table)] == [
+            ("x", Priority.UNKNOWN), *[("y", Priority.MINOR)] * 4, ("z", Priority.TRIVIAL)]
 
     def test_no_mode_gives_an_empty_table(self):
         table = score_corpus(store([issue("x", "fire")]), GENERAL, self.SEA, 10.7, modes=[])
@@ -321,16 +329,17 @@ class TestArrayScoringOracle:
             assert (max_used.hex(), min_used.hex(), score.hex()) == \
                 (ref.max_used.hex(), ref.min_used.hex(), ref.score.hex())
         if sea_scores:
-            dataset_avg = resolve_sea_avg(sea, "dataset", store)
-            assert dataset_avg.hex() == statistics.fmean(sea_scores).hex()
-            # score_corpus takes the same mean from the sea column it computes
-            assert rows(score_corpus(store, general, sea, "dataset")) == \
-                rows(score_corpus(store, general, sea, dataset_avg))
+            # "dataset" centres on the mean of the reference sea scores, bit for
+            # bit: under an all-zero general lexicon combined = sea - mean, which
+            # is exact (so any other mean shows) for sea scores within a factor
+            # of two of the mean
+            mean = statistics.fmean(sea_scores)
+            for anchor in (general, ScoringLexicon(dict.fromkeys(WORDS, 0.0))):
+                assert rows(score_corpus(store, anchor, sea, "dataset")) == \
+                    rows(score_corpus(store, anchor, sea, mean))
         else:
-            for resolve in (lambda: resolve_sea_avg(sea, "dataset", store),
-                            lambda: score_corpus(store, general, sea, "dataset")):
-                with pytest.raises(ValueError, match="no sea-mode scores"):
-                    resolve()
+            with pytest.raises(ValueError, match="no sea-mode scores"):
+                score_corpus(store, general, sea, "dataset")
 
     def test_unit_of_only_average_words_keeps_both_at_the_average(self):
         lex = ScoringLexicon({"aa": 2.0, "bb": 4.0, "cc": 6.0})
