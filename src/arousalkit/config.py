@@ -42,6 +42,11 @@ class PipelineConfig:
         require_number("k", self.k, 0)
         for name in ("n1", "f1", "n2", "f2"):
             require_number("seeds." + name, getattr(self.seeds, name), 1)
+        for name in ("corpus", "general_lexicon", "wordnet_dir", "work_dir", "extra_seeds"):
+            value = getattr(self, name)
+            if not isinstance(value, str) and not (name == "extra_seeds" and value is None):
+                kind = "null or a string" if name == "extra_seeds" else "a string"
+                raise ValueError(f"{name} must be {kind}, got {value!r}")
         if self.shuffle_sheet is not None:
             require_number("shuffle_sheet", self.shuffle_sheet, 0)
         if self.kappa_weighting not in ("linear", "quadratic"):

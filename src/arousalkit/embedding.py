@@ -18,9 +18,10 @@ The output vector of a word is the sum of its main and context rows.
 
 Co-occurrence cells are COO arrays rows, cols (int64 word ids) and vals
 (float64), one entry per nonzero cell, sorted by (row, col). Counting
-adds each cell's weights one at a time in a fixed order (position, then
-offset, then (i, j) before (j, i)): float addition is not associative,
-so only a fixed order makes the weights bit-reproducible.
+first takes the exact integer number n_d of pairs at each distance d,
+then applies the 1/d weights in distance order. Integers add exactly, so
+a cell's value depends only on its counts, not on the order of the
+streams or of the pairs within them.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numbers
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import orjson
@@ -94,73 +95,48 @@ class CoocMatrix:
         return len(self.vals)
 
 
-#: Most directed entries generated and summed at once while counting.
-_COUNT_CHUNK = 1 << 16
-
-
 def count_cooccurrences(ids: np.ndarray, offsets: np.ndarray, window: int) -> CoocMatrix:
     """Harmonically weighted symmetric counts within each token stream.
 
     ``ids`` holds word ids, -1 for a token outside the vocabulary; stream
     k is ``ids[offsets[k]:offsets[k + 1]]`` and the streams cover ``ids``
-    in order. Every ordered pair at distance d <= window adds 1/d to both
-    matrix cells. Out-of-vocabulary tokens are skipped but still occupy
-    their positions; no pair spans two streams.
+    in order. Cell (i, j) is the sum over d = 1..window of n_d * (1/d),
+    added in distance order, where n_d counts the pairs at distance d with
+    i first or j first. Out-of-vocabulary tokens are skipped but still
+    occupy their positions; no pair spans two streams.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     if offsets[0] != 0 or offsets[-1] != len(ids):
         raise ValueError("stream offsets must run from 0 to the number of tokens")
     n_words = max(int(ids.max(initial=-1)) + 1, 1)
-    # window sentinels after the last token give every position a full span
-    padded = np.concatenate([ids, np.full(window, -1, dtype=ids.dtype)])
-    # pass 1: sorted cell keys, merged geometrically so memory follows the cells
-    keys, pending = np.empty(0, dtype=np.int64), []
-    for chunk_keys, _ in _directed_entries(padded, offsets, window, n_words):
-        pending.append(_sorted_unique(chunk_keys))
-        if sum(map(len, pending)) > len(keys):
-            keys, pending = _sorted_unique(np.concatenate([keys, *pending])), []
-    keys = _sorted_unique(np.concatenate([keys, *pending]))
-    # pass 2: np.add.at is unbuffered, so each cell sums in counting order
-    vals = np.zeros(len(keys))
-    for chunk_keys, weights in _directed_entries(padded, offsets, window, n_words):
-        unique, inverse = np.unique(chunk_keys, return_inverse=True)
-        np.add.at(vals, np.searchsorted(keys, unique)[inverse], weights)
-    rows, cols = np.divmod(keys, n_words)
+    # window sentinels after every stream, so no pair spans two streams
+    padded = np.insert(ids, np.repeat(offsets[1:], window), -1)
+    # per distance: the sorted keys i * n_words + j of the pairs with i first
+    # and their counts, then the same for the pairs with j first
+    counted = []
+    for d in range(1, window + 1):
+        left, right = padded[:-d], padded[d:]
+        ok = (left >= 0) & (right >= 0)
+        keys = left[ok].astype(np.int64)
+        keys *= n_words
+        keys += right[ok]
+        keys, counts = np.unique(keys, return_counts=True)
+        first, second = np.divmod(keys, n_words)
+        flipped = second * n_words + first
+        order = np.argsort(flipped)  # sorted lookups below stay local in cells
+        counted.append(((keys, counts), (flipped[order], counts[order])))
+    # sort + diff: bare np.unique may take a hash-table path, slower on int64 keys
+    cells = np.sort(np.concatenate([keys for both in counted for keys, _ in both]))
+    cells = cells[np.diff(cells, prepend=-1) != 0]
+    vals = np.zeros(len(cells))
+    for d, both in enumerate(counted, 1):
+        n = np.zeros(len(cells), dtype=np.int64)
+        for keys, counts in both:
+            n[np.searchsorted(cells, keys)] += counts
+        vals += n * (1.0 / d)
+    rows, cols = np.divmod(cells, n_words)
     return CoocMatrix(rows, cols, vals)
-
-
-def _sorted_unique(keys: np.ndarray) -> np.ndarray:
-    # np.unique may take a hash-table path that is slower on int64 keys
-    keys = np.sort(keys)
-    return keys[np.diff(keys, prepend=-1) != 0]
-
-
-def _directed_entries(
-    ids: np.ndarray, offsets: np.ndarray, window: int, n_words: int
-) -> Iterator[tuple]:
-    """Keys (i * n_words + j) and weights of all directed entries in chunks,
-    in counting order; ids end with window sentinels, and a pair counts only
-    when both tokens lie in one stream of ``offsets``."""
-    n_tokens = len(ids) - window
-    if n_tokens == 0:
-        return
-    # row t holds the token at position t and the window tokens after it
-    spans = np.lib.stride_tricks.sliding_window_view(ids, window + 1)
-    distance = np.arange(1, window + 1)
-    harmonic = 1.0 / distance
-    step = max(1, _COUNT_CHUNK // (2 * window))
-    for lo in range(0, n_tokens, step):
-        hi = min(lo + step, n_tokens)
-        position = np.arange(lo, hi)
-        # tokens from each position to the end of its stream
-        to_end = offsets[np.searchsorted(offsets, position, side="right")] - position
-        right = spans[lo:hi, 1:]
-        left = np.broadcast_to(spans[lo:hi, :1], right.shape)
-        ok = (left >= 0) & (right >= 0) & (distance < to_end[:, None])
-        i, j = left[ok].astype(np.int64), right[ok].astype(np.int64)
-        keys = np.stack([i * n_words + j, j * n_words + i], axis=1).ravel()
-        yield keys, np.repeat(np.broadcast_to(harmonic, right.shape)[ok], 2)
 
 
 @dataclass(eq=False)

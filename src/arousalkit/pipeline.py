@@ -258,6 +258,7 @@ def run_ratings(
 ):
     ws = Workspace(config)
     records, report = ingest_ratings(sheet_files, labels)
+    ws.work_dir.mkdir(parents=True, exist_ok=True)
     for error in report.errors:
         logger.warning("rating row rejected: %s", error)
     save_rating_records(records, ws.path("ratings.csv"))

@@ -253,6 +253,20 @@ class TestCommandLine:
         assert isinstance(result.exception, SystemExit)
         assert not (tmp_path / "w" / "ratings.csv").exists()
 
+    def test_ratings_creates_the_work_directory(self, tmp_path):
+        # ratings needs no upstream stage, so it may be the first in a new work dir
+        sheets = []
+        for rater in ("alice", "bob"):
+            sheets.append(tmp_path / f"{rater}.csv")
+            sheets[-1].write_text("word,rating,frequency,similar_words\nalpha,5,5,\n",
+                                  encoding="utf-8")
+        work = tmp_path / "new" / "w"
+        result = CliRunner().invoke(main, ["--work-dir", str(work), "ratings",
+                                           *map(str, sheets)])
+        assert result.exit_code == 0, result.output
+        assert (work / "ratings.csv").is_file()
+        assert "ratings" in json.loads((work / "manifest.json").read_text())
+
     def test_agreement_subcommand_reports(self, demo_workdir):
         config_path = demo_workdir / "inputs" / "config.json"
         result = CliRunner().invoke(main, ["--config", str(config_path), "agreement"])
@@ -303,6 +317,28 @@ class TestCommandLine:
         result = CliRunner().invoke(main, ["--config", str(config_path), "ingest"])
         assert result.exit_code == 1
         assert "sea_avg must be a finite number, got True" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("key, kind, value", [
+        (key, kind, value)
+        for key, kind in [("corpus", "a string"), ("general_lexicon", "a string"),
+                          ("wordnet_dir", "a string"), ("work_dir", "a string"),
+                          ("extra_seeds", "null or a string")]
+        for value in (5, None, True, ["a.jsonl"], {"path": "a"}, 1.5)
+        if not (key == "extra_seeds" and value is None)
+    ])
+    def test_path_keys_must_be_strings(self, key, kind, value):
+        with pytest.raises(ValueError) as info:
+            PipelineConfig.from_dict({key: value})
+        assert str(info.value) == f"{key} must be {kind}, got {value!r}"
+
+    def test_path_key_of_wrong_type_fails_without_traceback(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"corpus": 5}))
+        result = CliRunner().invoke(main, ["--config", str(config_path), "ingest"])
+        assert result.exit_code == 1
+        assert "Error: corpus must be a string, got 5" in result.output
+        assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
 
     @pytest.mark.parametrize("value", [
