@@ -114,28 +114,25 @@ def combined_score(tokens: Sequence[str], general: ScoringLexicon, sea: ScoringL
     return replace(base, score=base.score + adjustment)
 
 
-def _score_units(
-    store: TokenStore, lex: ScoringLexicon, starts: np.ndarray, ends: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``score_text`` of every unit ``store.ids[starts:ends]`` as arrays:
-    matched count, clamped max, clamped min and score; the last three mean
-    something only where the count is positive."""
-    arousal, present = lex.lookup(store.words)
-    counts = np.zeros(len(store.ids) + 1, dtype=np.int32)
-    np.cumsum(present[store.ids], out=counts[1:])
-    # reduceat over interleaved (start, end) pairs reduces each [start, end);
-    # the extra last element keeps an end after the last token a valid index
-    bounds = np.stack([starts, ends], axis=-1).ravel()
-    per_token = np.empty(len(store.ids) + 1)
+def _score_units(ids: np.ndarray, words: Sequence[str], lex: ScoringLexicon,
+                 bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``score_text`` of every unit ``ids[bounds[2k]:bounds[2k + 1]]`` as arrays: matched
+    count, clamped max, clamped min and score; the last three mean something only where the
+    count is positive. The intp ``ids`` end in the sentinel ``len(words)``, so an end after
+    the last token is a valid index; each per-word table gets one entry for the sentinel and
+    is read token by token with one fancy index, ``table[ids]``."""
+    arousal, present = lex.lookup(words)
+    counts = np.zeros(len(ids) + 1, dtype=np.int32)
+    np.cumsum(np.append(present, False)[ids], out=counts[1:])
+    # reduceat over interleaved (start, end) pairs reduces each [start, end)
     extremes = []
     for ufunc, missing in ((np.maximum, -np.inf), (np.minimum, np.inf)):
-        np.take(np.where(present, arousal, missing), store.ids, out=per_token[:-1])
-        per_token[-1] = missing
+        per_token = np.append(np.where(present, arousal, missing), missing)[ids]
         extremes.append(ufunc.reduceat(per_token, bounds)[::2])
     raw_max, raw_min = extremes
     max_used = np.where(raw_max >= lex.avg, raw_max, lex.avg)
     min_used = np.where(raw_min <= lex.avg, raw_min, lex.avg)
-    return counts[ends] - counts[starts], max_used, min_used, max_used + min_used
+    return np.diff(counts[bounds])[::2], max_used, min_used, max_used + min_used
 
 
 def resolve_sea_avg(sea: ScoringLexicon, setting: Union[str, float] = "lexicon") -> float:
@@ -203,12 +200,14 @@ def score_corpus(store: TokenStore, general: Optional[ScoringLexicon],
     modes = [m for m in MODES if m in modes]
     # units in corpus order, issue by issue, five per issue in Field order
     starts, ends, present = (a.ravel() for a in store.units())
+    bounds = np.stack([starts, ends], axis=-1).ravel()
+    ids = np.concatenate([store.ids, [len(store.words)]]).astype(np.intp, copy=False)
     columns = {}  # per mode: n_matched, max, min and score of every unit
     for name, lex in (("general", general), ("sea", sea)):
         if name in modes or "combined" in modes:
             if lex is None:
                 raise ValueError(f"{name} lexicon required for {name}/combined modes")
-            columns[name] = np.stack(_score_units(store, lex, starts, ends))
+            columns[name] = np.stack(_score_units(ids, store.words, lex, bounds))
     if "combined" in modes:
         sea_n, _, _, sea_score = columns["sea"]
         if sea_avg == "dataset":
@@ -235,33 +234,50 @@ def score_corpus(store: TokenStore, general: Optional[ScoringLexicon],
 
 
 SCORE_HEADER = ("issue_id", "field", "mode", "n_matched", "max", "min", "score")
+_REALS = ("max_used", "min_used", "score")
 _CHUNK_ROWS = 1 << 16
+
+
+def _four_decimals(values: np.ndarray) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The 4-decimal text of each distinct value by its bits (-0.0 is not
+    0.0), formatted once; the position of each value's text; and the
+    float64 that each value's text reads back to."""
+    distinct, index = np.unique(values.view(np.int64), return_inverse=True)
+    texts = list(map("{:.4f}".format, distinct.view(np.float64).tolist()))
+    return texts, index, np.fromiter(map(float, texts), np.float64, len(texts))[index]
+
+
+def round_scores(table: ScoreTable) -> ScoreTable:
+    """``table`` with each real replaced by the float64 that its 4-decimal
+    text in ``scores.csv`` reads back to: the reals that ``evaluate`` sees."""
+    return replace(table, **{name: _four_decimals(getattr(table, name))[2] for name in _REALS})
 
 
 def save_scores(table: ScoreTable, path: str | Path) -> ScoreTable:
     """Write the ``scores.csv`` export: the bytes ``write_rows`` gives for
-    one row per score with reals at 4 decimals, formatted column by column
-    in bounded chunks. Returns ``table`` with its reals as the file states
-    them: the float64 of each 4-decimal text."""
-    ids = quote_cells(table.issue_ids, path)
-    fields = [f.value for f in _FIELDS]
-    reals = [np.empty(len(table)) for _ in range(3)]
+    one row per score with reals at 4 decimals. Each column becomes a table
+    of its distinct cell texts with their separators (quoted ids, the 15
+    ``field,mode`` pairs, distinct ``n_matched``, distinct bit patterns of
+    each real); a chunk of rows is one gather of texts and one ``"".join``.
+    Returns ``table`` with its reals as ``round_scores`` gives them."""
+    n_matched, n_index = np.unique(table.n_matched, return_inverse=True)
+    texts = [[cell + "," for cell in quote_cells(table.issue_ids, path)],
+             [f"{field.value},{mode}," for field in _FIELDS for mode in MODES],
+             [f"{n}," for n in n_matched.tolist()]]
+    index = [table.issue, table.field.astype(np.intp) * len(MODES) + table.mode, n_index]
+    reals = {}
+    for name, end in zip(_REALS, ",,\n"):
+        distinct, position, reals[name] = _four_decimals(getattr(table, name))
+        texts.append([text + end for text in distinct])
+        index.append(position)
+    cells = np.array([text for column in texts for text in column], dtype=object)
+    offsets = np.cumsum([0] + [len(column) for column in texts[:-1]])
     with atomic_open(path) as out:
         out.write(",".join(SCORE_HEADER) + "\n")
         for start in range(0, len(table), _CHUNK_ROWS):
-            part = slice(start, start + _CHUNK_ROWS)
-            columns = [map(ids.__getitem__, table.issue[part].tolist()),
-                       map(fields.__getitem__, table.field[part].tolist()),
-                       map(MODES.__getitem__, table.mode[part].tolist()),
-                       map(str, table.n_matched[part].tolist())]
-            for values, parsed in zip((table.max_used, table.min_used, table.score), reals):
-                # each distinct value (by its bits: -0.0 is not 0.0) is formatted once
-                distinct, index = np.unique(values[part].view(np.int64), return_inverse=True)
-                text = list(map("{:.4f}".format, distinct.view(np.float64).tolist()))
-                parsed[part] = np.fromiter(map(float, text), np.float64, len(text))[index]
-                columns.append(map(text.__getitem__, index.tolist()))
-            out.write("\n".join(map(",".join, zip(*columns))) + "\n")
-    return replace(table, max_used=reals[0], min_used=reals[1], score=reals[2])
+            rows = np.stack([column[start:start + _CHUNK_ROWS] for column in index], axis=-1)
+            out.write("".join(cells[(rows + offsets).ravel()].tolist()))
+    return replace(table, **reals)
 
 
 _SCORES_TAG = b"arousalkit scores 1"

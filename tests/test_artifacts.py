@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arousalkit import scoring
 from arousalkit.artifacts import CorpusFormatError, atomic_open, read_rows, write_rows
 from arousalkit.corpus import Field, Issue, Priority, TokenStore
 from arousalkit.lexicon import RatingRecord, load_rating_records, save_rating_records
@@ -87,6 +88,18 @@ def reference_save_scores(table, path):
     ))
 
 
+def assert_export_matches_reference(table, work):
+    """``save_scores`` writes the reference bytes and returns each real as
+    the float64 that its 4-decimal text reads back to, bit for bit."""
+    rounded = save_scores(table, work / "scores.csv")
+    reference_save_scores(table, work / "reference.csv")
+    assert (work / "scores.csv").read_bytes() == (work / "reference.csv").read_bytes()
+    for name in ("max_used", "min_used", "score"):
+        assert [x.hex() for x in getattr(rounded, name).tolist()] == \
+            [float(f"{x:.4f}").hex() for x in getattr(table, name).tolist()], name
+    return rounded
+
+
 class TestRows:
     @given(st.lists(st.tuples(adversarial, adversarial, adversarial), max_size=8))
     def test_round_trip_keeps_every_string(self, tmp_path_factory, rows):
@@ -148,9 +161,7 @@ class TestStageArtifacts:
     @given(score_tables())
     def test_scores_round_trip_joins_priorities(self, tmp_path_factory, table):
         work = tmp_path_factory.mktemp("scores")
-        rounded = save_scores(table, work / "scores.csv")
-        reference_save_scores(table, work / "reference.csv")
-        assert (work / "scores.csv").read_bytes() == (work / "reference.csv").read_bytes()
+        rounded = assert_export_matches_reference(table, work)
         save_score_records(rounded, work / "scores.bin")
         loaded = load_scores(work / "scores.bin")
         assert loaded.issue_ids == table.issue_ids
@@ -158,7 +169,38 @@ class TestStageArtifacts:
             assert getattr(loaded, name).tolist() == getattr(table, name).tolist(), name
         for name in ("max_used", "min_used", "score"):
             assert [x.hex() for x in getattr(loaded, name).tolist()] == \
-                [float(f"{x:.4f}").hex() for x in getattr(table, name).tolist()], name
+                [x.hex() for x in getattr(rounded, name).tolist()], name
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 7])
+    @settings(max_examples=60, deadline=None)
+    @given(table=score_tables())
+    def test_scores_export_with_small_chunks(self, tmp_path_factory, chunk_rows, table):
+        work = tmp_path_factory.mktemp("chunks")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scoring, "_CHUNK_ROWS", chunk_rows)
+            assert_export_matches_reference(table, work)
+
+    def test_scores_export_across_chunks(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n, per_issue = 3 * scoring._CHUNK_ROWS + 5, len(Field) * len(MODES)
+        n_ids = -(-n // per_issue)
+        ids = sorted(f"{k:05d}" + ("", ',a"b', "\n", " x", "é")[k % 5] for k in range(n_ids))
+        row = np.arange(n)
+        reals = []
+        for _ in range(3):
+            # many distinct values, at 0 to 7 decimals
+            scale = 10.0 ** rng.integers(0, 8, n)
+            values = np.rint(rng.normal(0.0, 50.0, n) * scale) / scale
+            values[::97] = -0.0
+            values[1::97] = 0.0
+            values[2::97] = -4e-5
+            values[3::97] = (rng.integers(-10**6, 10**6, len(values[3::97])) + 0.5) / 10**4
+            reals.append(values)
+        table = ScoreTable(ids, row // per_issue, (row % per_issue // len(MODES)).astype(np.int8),
+                           (row % len(MODES)).astype(np.int8), np.zeros(n, dtype=np.int8),
+                           rng.integers(1, 10**4, n), *reals)
+        assert len(np.unique(table.score)) > 10**5
+        assert_export_matches_reference(table, tmp_path)
 
     @given(st.lists(st.builds(RatingRecord, adversarial, adversarial, st.integers(1, 9)),
                     max_size=8))

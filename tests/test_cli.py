@@ -407,6 +407,9 @@ class TestReproduceScript:
         assert result.returncode == 0, result.stderr
         assert sorted(p.name for p in out_dir.iterdir()) == [
             "eval_d.csv", "eval_df.csv", "eval_p.csv", "eval_t.csv", "eval_tables.txt"]
+        # the script evaluates the reals that the export states, as `evaluate` does
+        for path in out_dir.iterdir():
+            assert path.read_bytes() == (demo_run.work_dir / path.name).read_bytes(), path.name
         match = re.search(r"^combined all_comments .*: d=(-?\d+\.\d+) ", result.stdout, re.M)
         assert match, result.stdout
         assert float(match.group(1)) > 0
