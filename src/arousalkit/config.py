@@ -8,12 +8,13 @@ Defaults reproduce the reference settings: 300-dimensional vectors, a
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .embedding import EmbeddingConfig, require_number
 from .lexicon import SeedConfig
@@ -89,17 +90,6 @@ class PipelineConfig:
     def load(cls, path: str | Path) -> "PipelineConfig":
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
-    def flat(self) -> dict[str, object]:
-        """Dotted-key view used for per-stage config hashing."""
-        out: dict[str, object] = {}
-        for key, value in self.to_dict().items():
-            if isinstance(value, dict) and key in ("embedding", "seeds"):
-                for sub, subval in value.items():
-                    out[f"{key}.{sub}"] = subval
-            else:
-                out[key] = value
-        return out
-
 
 def _known(kind, data: dict, prefix: str, **nested):
     names = {f.name for f in dataclasses.fields(kind)}
@@ -111,8 +101,8 @@ def _known(kind, data: dict, prefix: str, **nested):
     return kind(**data, **nested)
 
 
-def hash_config_slice(config: PipelineConfig, keys: list[str]) -> str:
-    flat = config.flat()
-    selected = {k: flat.get(k) for k in sorted(keys)}
+def hash_config_slice(config: PipelineConfig, keys: Iterable[str]) -> str:
+    """Short sha256 of the values of the given dotted keys, e.g. "embedding.dim"."""
+    selected = {k: functools.reduce(getattr, k.split("."), config) for k in sorted(keys)}
     blob = json.dumps(selected, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]

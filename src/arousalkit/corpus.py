@@ -58,16 +58,6 @@ _PRIORITY_BY_LABEL = {member.value.lower(): member for member in Priority}
 PRIORITY_CODES = {member: code for code, member in enumerate(Priority)}
 
 
-#: The five Jira priorities used in the evaluation, highest first.
-RANKED_PRIORITIES = (
-    Priority.BLOCKER,
-    Priority.CRITICAL,
-    Priority.MAJOR,
-    Priority.MINOR,
-    Priority.TRIVIAL,
-)
-
-
 class Field(Enum):
     TITLE = "title"
     DESCRIPTION = "description"

@@ -162,9 +162,6 @@ class SeedSet:
     def __contains__(self, word: str) -> bool:
         return word in self._entries
 
-    def words(self) -> list[str]:
-        return list(self._entries)
-
     def save(self, path: str | Path) -> None:
         write_rows(path, SEED_HEADER,
                    ((s.word, s.pole, s.source, s.freq) for s in self._entries.values()))

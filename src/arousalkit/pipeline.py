@@ -1,18 +1,25 @@
 """Stage orchestration over a work directory.
 
-Each stage reads its declared inputs, writes its artifacts into the work
-directory, and records a hash of the configuration slice it depends on
-in ``manifest.json``. A stage consuming an upstream artifact checks that
-hash first, so a config change that invalidates earlier artifacts is
-reported instead of silently mixing stale and fresh files.
+Each stage reads the artifacts of the stages it names, writes its own
+artifacts into the work directory, and records a hash of its
+configuration slice in ``manifest.json``. A stage's slice is its own
+config keys plus the slices of the stages whose artifacts it reads;
+``ratings`` reads no artifact but takes the sheet's slice, because its
+raters rated that sheet. A stage first checks the recorded hashes of the
+stages it reads, so a config change that invalidates earlier artifacts is
+reported instead of silently mixing stale and fresh files. A stage that
+fails records nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import logging
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -51,58 +58,41 @@ class PipelineError(Exception):
     pass
 
 
-#: config keys each stage's output depends on (cumulative over upstream)
-_INGEST_KEYS = ["corpus", "min_count"]
-_TRAIN_KEYS = _INGEST_KEYS + [
-    "embedding.dim", "embedding.window", "embedding.x_max", "embedding.alpha",
-    "embedding.learning_rate", "embedding.epochs", "embedding.seed",
-]
-_SEEDS_KEYS = _INGEST_KEYS + [
-    "general_lexicon", "general_columns", "extra_seeds",
-    "seeds.n1", "seeds.f1", "seeds.n2", "seeds.f2",
-]
-_EXPAND_KEYS = sorted(set(_TRAIN_KEYS + _SEEDS_KEYS + ["wordnet_dir", "k"]))
-_SHEET_KEYS = _EXPAND_KEYS + ["shuffle_sheet"]
+@dataclass(frozen=True)
+class Stage:
+    keys: tuple[str, ...]  # config keys of the stage itself
+    reads: tuple[str, ...]  # stages whose artifacts it reads
+    artifacts: tuple[str, ...]
+    slice_of: Optional[tuple[str, ...]] = None  # upstream slices it takes; default reads
 
-STAGE_KEYS: dict[str, list[str]] = {
-    "ingest": _INGEST_KEYS,
-    "train": _TRAIN_KEYS,
-    "seeds": _SEEDS_KEYS,
-    "expand": _EXPAND_KEYS,
-    "sheet": _SHEET_KEYS,
-    "ratings": _SHEET_KEYS,
-    "agreement": _SHEET_KEYS + ["kappa_weighting"],
-    "build": _SHEET_KEYS,
-    "score": _SHEET_KEYS + ["sea_avg"],
-    "evaluate": _SHEET_KEYS + ["sea_avg", "t_test"],
+
+STAGES: dict[str, Stage] = {
+    "ingest": Stage(("corpus", "min_count"), (), ("vocab.csv", "tokens.bin")),
+    "train": Stage(("embedding.dim", "embedding.window", "embedding.x_max", "embedding.alpha",
+                    "embedding.learning_rate", "embedding.epochs", "embedding.seed"),
+                   ("ingest",), ("embedding.txt", "embedding.bin")),
+    "seeds": Stage(("general_lexicon", "general_columns", "extra_seeds",
+                    "seeds.n1", "seeds.f1", "seeds.n2", "seeds.f2"),
+                   ("ingest",), ("seeds.csv",)),
+    "expand": Stage(("wordnet_dir", "k"), ("ingest", "train", "seeds"), ("candidates.csv",)),
+    "sheet": Stage(("shuffle_sheet",), ("ingest", "train", "expand"), ("sheet.csv",)),
+    # the raters rated the sheet, so their ratings depend on its configuration
+    "ratings": Stage((), (), ("ratings.csv",), slice_of=("sheet",)),
+    "agreement": Stage(("kappa_weighting",), ("ratings",), ("agreement.txt",)),
+    "build": Stage((), ("ratings", "expand"), ("sea_lexicon.csv",)),
+    "score": Stage(("sea_avg",), ("ingest", "build"), ("scores.csv", "scores.bin")),
+    "evaluate": Stage(("t_test",), ("ingest", "score"),
+                      ("eval_d.csv", "eval_t.csv", "eval_df.csv", "eval_p.csv",
+                       "eval_tables.txt")),
 }
 
-STAGE_REQUIRES: dict[str, list[str]] = {
-    "ingest": [],
-    "train": ["ingest"],
-    "seeds": ["ingest"],
-    "expand": ["ingest", "train", "seeds"],
-    "sheet": ["ingest", "train", "expand"],
-    "ratings": [],
-    "agreement": ["ratings"],
-    "build": ["ratings", "expand"],
-    "score": ["ingest", "build"],
-    "evaluate": ["ingest", "score"],
-}
 
-STAGE_ARTIFACTS: dict[str, list[str]] = {
-    "ingest": ["vocab.csv", "tokens.bin"],
-    "train": ["embedding.txt", "embedding.bin"],
-    "seeds": ["seeds.csv"],
-    "expand": ["candidates.csv"],
-    "sheet": ["sheet.csv"],
-    "ratings": ["ratings.csv"],
-    "agreement": ["agreement.txt"],
-    "build": ["sea_lexicon.csv"],
-    "score": ["scores.csv", "scores.bin"],
-    "evaluate": ["eval_d.csv", "eval_t.csv", "eval_df.csv", "eval_p.csv",
-                 "eval_tables.txt"],
-}
+@functools.cache
+def stage_keys(stage: str) -> frozenset[str]:
+    """The config keys a stage's outputs depend on: its configuration slice."""
+    spec = STAGES[stage]
+    upstream = spec.reads if spec.slice_of is None else spec.slice_of
+    return frozenset(spec.keys).union(*map(stage_keys, upstream))
 
 
 class Workspace:
@@ -116,39 +106,51 @@ class Workspace:
     def path(self, name: str) -> Path:
         return self.work_dir / name
 
-    def _manifest(self) -> dict:
-        if self.manifest_path.is_file():
-            return json.loads(self.manifest_path.read_text(encoding="utf-8"))
-        return {}
-
-    def record_stage(self, stage: str) -> None:
-        manifest = self._manifest()
-        manifest[stage] = {
-            "config_hash": hash_config_slice(self.config, STAGE_KEYS[stage]),
-            "artifacts": STAGE_ARTIFACTS[stage],
-        }
+    @contextlib.contextmanager
+    def stage(self, name: str) -> Iterator[Workspace]:
+        """Check the stages ``name`` reads, create the work directory, run
+        the block, then record ``name``; a block that raises records nothing."""
+        manifest = self.check_stages(STAGES[name].reads)
         self.work_dir.mkdir(parents=True, exist_ok=True)
+        yield self
+        self.record_stage(name, manifest)
+
+    def record_stage(self, stage: str, manifest: dict) -> None:
+        manifest[stage] = {
+            "config_hash": hash_config_slice(self.config, stage_keys(stage)),
+            "artifacts": STAGES[stage].artifacts,
+        }
         with atomic_open(self.manifest_path) as out:
             out.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
-    def check_upstream(self, stage: str) -> None:
-        self.check_stages(STAGE_REQUIRES[stage])
-
-    def check_stages(self, stages: list[str]) -> None:
-        manifest = self._manifest()
+    def check_stages(self, stages: Sequence[str]) -> dict:
+        """Refuse missing or stale artifacts of ``stages``; return the manifest."""
+        manifest = {}
+        if self.manifest_path.is_file():
+            try:
+                manifest = json.loads(self.manifest_path.read_text(encoding="utf-8"))
+            except ValueError:
+                manifest = None
+            if not (isinstance(manifest, dict)
+                    and all(isinstance(entry, dict) for entry in manifest.values())):
+                raise PipelineError(
+                    f"damaged stage manifest {self.manifest_path}: expected a JSON object "
+                    "of stage entries; delete it and re-run the stages"
+                )
         for upstream in stages:
-            for artifact in STAGE_ARTIFACTS[upstream]:
+            for artifact in STAGES[upstream].artifacts:
                 if not self.path(artifact).is_file():
                     raise PipelineError(
                         f"missing artifact {artifact!r}; run the {upstream!r} stage first"
                     )
             entry = manifest.get(upstream)
-            expected = hash_config_slice(self.config, STAGE_KEYS[upstream])
+            expected = hash_config_slice(self.config, stage_keys(upstream))
             if entry is None or entry.get("config_hash") != expected:
                 raise PipelineError(
                     f"artifacts of stage {upstream!r} are stale for the current "
                     f"configuration; re-run {upstream!r}"
                 )
+        return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -156,27 +158,24 @@ class Workspace:
 
 
 def run_ingest(config: PipelineConfig) -> Vocabulary:
-    ws = Workspace(config)
-    ws.work_dir.mkdir(parents=True, exist_ok=True)
-    store = TokenStore.from_issues(parse_corpus(config.corpus))
-    vocab = build_vocabulary(store, min_count=config.min_count)
-    vocab.save(ws.path("vocab.csv"))
-    store.save(ws.path("tokens.bin"))
-    ws.record_stage("ingest")
+    with Workspace(config).stage("ingest") as ws:
+        store = TokenStore.from_issues(parse_corpus(config.corpus))
+        vocab = build_vocabulary(store, min_count=config.min_count)
+        vocab.save(ws.path("vocab.csv"))
+        store.save(ws.path("tokens.bin"))
     logger.info("ingest: %d issues, %d vocabulary words", len(store.issue_ids), len(vocab))
     return vocab
 
 
 def run_train(config: PipelineConfig):
-    ws = Workspace(config)
-    ws.check_upstream("train")
-    vocab = Vocabulary.load(ws.path("vocab.csv"))
-    cooc = _count_store(TokenStore.load(ws.path("tokens.bin")), vocab, config.embedding.window)
-    model = glove_train(cooc, vocab.words, config.embedding)
-    vectors = model.to_vectors()
-    vectors.save(ws.path("embedding.txt"))
-    vectors.save_binary(ws.path("embedding.bin"))
-    ws.record_stage("train")
+    with Workspace(config).stage("train") as ws:
+        vocab = Vocabulary.load(ws.path("vocab.csv"))
+        cooc = _count_store(TokenStore.load(ws.path("tokens.bin")), vocab,
+                            config.embedding.window)
+        model = glove_train(cooc, vocab.words, config.embedding)
+        vectors = model.to_vectors()
+        vectors.save(ws.path("embedding.txt"))
+        vectors.save_binary(ws.path("embedding.bin"))
     logger.info(
         "train: %d cells, loss %.2f -> %.2f",
         len(cooc), model.loss_history[0], model.loss_history[-1],
@@ -201,32 +200,28 @@ def run_neighbors(config: PipelineConfig, word: str, k: Optional[int] = None):
 
 
 def run_seeds(config: PipelineConfig) -> SeedSet:
-    ws = Workspace(config)
-    ws.check_upstream("seeds")
-    vocab = Vocabulary.load(ws.path("vocab.csv"))
-    general = load_general_lexicon(config.general_lexicon, config.general_columns)
-    seeds = select_seeds(general, vocab, config.seeds)
-    if config.extra_seeds:
-        for seed in load_seed_list(config.extra_seeds, vocab):
-            if not seeds.add(seed):
-                logger.warning("extra seed %r already selected, skipped", seed.word)
-    seeds.save(ws.path("seeds.csv"))
-    ws.record_stage("seeds")
+    with Workspace(config).stage("seeds") as ws:
+        vocab = Vocabulary.load(ws.path("vocab.csv"))
+        general = load_general_lexicon(config.general_lexicon, config.general_columns)
+        seeds = select_seeds(general, vocab, config.seeds)
+        if config.extra_seeds:
+            for seed in load_seed_list(config.extra_seeds, vocab):
+                if not seeds.add(seed):
+                    logger.warning("extra seed %r already selected, skipped", seed.word)
+        seeds.save(ws.path("seeds.csv"))
     return seeds
 
 
 def run_expand(config: PipelineConfig) -> CandidateSet:
-    ws = Workspace(config)
-    ws.check_upstream("expand")
-    vocab = Vocabulary.load(ws.path("vocab.csv"))
-    seeds = SeedSet.load(ws.path("seeds.csv"))
-    candidates = CandidateSet.from_seeds(seeds)
-    db = load_wordnet(config.wordnet_dir)
-    n_wn = expand_wordnet(candidates, seeds, db, vocab)
-    vectors = WordVectors.load_binary(ws.path("embedding.bin"))
-    n_emb = expand_embedding(candidates, seeds, vectors, config.k)
-    candidates.save(ws.path("candidates.csv"))
-    ws.record_stage("expand")
+    with Workspace(config).stage("expand") as ws:
+        vocab = Vocabulary.load(ws.path("vocab.csv"))
+        seeds = SeedSet.load(ws.path("seeds.csv"))
+        candidates = CandidateSet.from_seeds(seeds)
+        db = load_wordnet(config.wordnet_dir)
+        n_wn = expand_wordnet(candidates, seeds, db, vocab)
+        vectors = WordVectors.load_binary(ws.path("embedding.bin"))
+        n_emb = expand_embedding(candidates, seeds, vectors, config.k)
+        candidates.save(ws.path("candidates.csv"))
     logger.info(
         "expand: %d seeds + %d wordnet + %d embedding = %d candidates",
         len(seeds), n_wn, n_emb, len(candidates),
@@ -235,20 +230,17 @@ def run_expand(config: PipelineConfig) -> CandidateSet:
 
 
 def run_sheet(config: PipelineConfig, review: Optional[str] = None) -> Path:
-    ws = Workspace(config)
-    ws.check_upstream("sheet")
-    candidates = CandidateSet.load(ws.path("candidates.csv"))
-    if review:
-        n_accept, n_reject = apply_review(candidates, review)
-        candidates.save(ws.path("candidates.csv"))
-        logger.info("review: %d accepted, %d rejected", n_accept, n_reject)
-    vocab = Vocabulary.load(ws.path("vocab.csv"))
-    vectors = WordVectors.load_binary(ws.path("embedding.bin"))
-    out = ws.path("sheet.csv")
-    generate_sheet(out, candidates.accepted_words(), vocab, vectors,
-                   k=config.k, shuffle_seed=config.shuffle_sheet)
-    ws.record_stage("sheet")
-    return out
+    with Workspace(config).stage("sheet") as ws:
+        candidates = CandidateSet.load(ws.path("candidates.csv"))
+        if review:
+            n_accept, n_reject = apply_review(candidates, review)
+            candidates.save(ws.path("candidates.csv"))
+            logger.info("review: %d accepted, %d rejected", n_accept, n_reject)
+        vocab = Vocabulary.load(ws.path("vocab.csv"))
+        vectors = WordVectors.load_binary(ws.path("embedding.bin"))
+        generate_sheet(ws.path("sheet.csv"), candidates.accepted_words(), vocab, vectors,
+                       k=config.k, shuffle_seed=config.shuffle_sheet)
+    return ws.path("sheet.csv")
 
 
 def run_ratings(
@@ -256,13 +248,11 @@ def run_ratings(
     sheet_files: Sequence[str],
     labels: Optional[Sequence[str]] = None,
 ):
-    ws = Workspace(config)
     records, report = ingest_ratings(sheet_files, labels)
-    ws.work_dir.mkdir(parents=True, exist_ok=True)
-    for error in report.errors:
-        logger.warning("rating row rejected: %s", error)
-    save_rating_records(records, ws.path("ratings.csv"))
-    ws.record_stage("ratings")
+    with Workspace(config).stage("ratings") as ws:
+        for error in report.errors:
+            logger.warning("rating row rejected: %s", error)
+        save_rating_records(records, ws.path("ratings.csv"))
     logger.info(
         "ratings: %d records, %d empty cells skipped, %d rejected rows",
         report.n_records, report.n_skipped, len(report.errors),
@@ -271,50 +261,42 @@ def run_ratings(
 
 
 def run_agreement(config: PipelineConfig) -> AgreementReport:
-    ws = Workspace(config)
-    ws.check_upstream("agreement")
-    records = load_rating_records(ws.path("ratings.csv"))
-    report = rater_agreement(records, kappa_weighting=config.kappa_weighting)
-    with atomic_open(ws.path("agreement.txt")) as out:
-        out.write("\n".join(report.lines()) + "\n")
-    ws.record_stage("agreement")
+    with Workspace(config).stage("agreement") as ws:
+        records = load_rating_records(ws.path("ratings.csv"))
+        report = rater_agreement(records, kappa_weighting=config.kappa_weighting)
+        with atomic_open(ws.path("agreement.txt")) as out:
+            out.write("\n".join(report.lines()) + "\n")
     return report
 
 
 def run_build(config: PipelineConfig) -> SeaLexicon:
-    ws = Workspace(config)
-    ws.check_upstream("build")
-    records = load_rating_records(ws.path("ratings.csv"))
-    candidates = CandidateSet.load(ws.path("candidates.csv"))
-    sea = aggregate_ratings(records, provenance=candidates.provenance_map())
-    sea.save(ws.path("sea_lexicon.csv"))
-    ws.record_stage("build")
+    with Workspace(config).stage("build") as ws:
+        records = load_rating_records(ws.path("ratings.csv"))
+        candidates = CandidateSet.load(ws.path("candidates.csv"))
+        sea = aggregate_ratings(records, provenance=candidates.provenance_map())
+        sea.save(ws.path("sea_lexicon.csv"))
     logger.info("build: %d lexicon words, mean arousal %.3f", len(sea), sea.mu)
     return sea
 
 
 def run_score(config: PipelineConfig, modes: Sequence[str] = MODES):
-    ws = Workspace(config)
-    ws.check_upstream("score")
-    general = load_general_lexicon(config.general_lexicon, config.general_columns)
-    sea = ScoringLexicon(SeaLexicon.load(ws.path("sea_lexicon.csv")).arousal_map())
-    table = score_corpus(TokenStore.load(ws.path("tokens.bin")), general, sea, config.sea_avg,
-                         modes)
-    # evaluation reads the reals as the export states them, at 4 decimals
-    table = scoring_mod.save_scores(table, ws.path("scores.csv"))
-    scoring_mod.save_score_records(table, ws.path("scores.bin"))
-    ws.record_stage("score")
+    with Workspace(config).stage("score") as ws:
+        general = load_general_lexicon(config.general_lexicon, config.general_columns)
+        sea = ScoringLexicon(SeaLexicon.load(ws.path("sea_lexicon.csv")).arousal_map())
+        table = score_corpus(TokenStore.load(ws.path("tokens.bin")), general, sea,
+                             config.sea_avg, modes)
+        # evaluation reads the reals as the export states them, at 4 decimals
+        table = scoring_mod.save_scores(table, ws.path("scores.csv"))
+        scoring_mod.save_score_records(table, ws.path("scores.bin"))
     logger.info("score: %d present rows (sea_avg %s)", len(table), config.sea_avg)
     return table
 
 
 def run_evaluate(config: PipelineConfig) -> EvalTable:
-    ws = Workspace(config)
-    ws.check_upstream("evaluate")
-    table = evaluate_priorities(scoring_mod.load_scores(ws.path("scores.bin")),
-                                t_test=config.t_test)
-    render_tables(table, ws.work_dir)
-    ws.record_stage("evaluate")
+    with Workspace(config).stage("evaluate") as ws:
+        table = evaluate_priorities(scoring_mod.load_scores(ws.path("scores.bin")),
+                                    t_test=config.t_test)
+        render_tables(table, ws.work_dir)
     return table
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -15,6 +16,7 @@ from arousalkit.cli import main
 from arousalkit.config import PipelineConfig
 from arousalkit.corpus import Priority, TokenStore
 from arousalkit.pipeline import (
+    STAGES,
     PipelineError,
     Workspace,
     demo_config,
@@ -26,9 +28,60 @@ from arousalkit.pipeline import (
     run_seeds,
     run_sheet,
     run_train,
+    stage_keys,
 )
 
 N_ISSUES = 150
+
+# the config keys each stage's outputs depend on
+_INGEST = {"corpus", "min_count"}
+_TRAIN = _INGEST | {"embedding.dim", "embedding.window", "embedding.x_max",
+                    "embedding.alpha", "embedding.learning_rate", "embedding.epochs",
+                    "embedding.seed"}
+_SEEDS = _INGEST | {"general_lexicon", "general_columns", "extra_seeds",
+                    "seeds.n1", "seeds.f1", "seeds.n2", "seeds.f2"}
+_EXPAND = _TRAIN | _SEEDS | {"wordnet_dir", "k"}
+_SHEET = _EXPAND | {"shuffle_sheet"}
+STAGE_SLICES = {
+    "ingest": _INGEST,
+    "train": _TRAIN,
+    "seeds": _SEEDS,
+    "expand": _EXPAND,
+    "sheet": _SHEET,
+    "ratings": _SHEET,
+    "agreement": _SHEET | {"kappa_weighting"},
+    "build": _SHEET,
+    "score": _SHEET | {"sea_avg"},
+    "evaluate": _SHEET | {"sea_avg", "t_test"},
+}
+
+# a valid value for each key that differs from the demo configuration's
+OTHER_VALUES = {
+    "corpus": "other.jsonl",
+    "min_count": 9,
+    "embedding.dim": 33,
+    "embedding.window": 3,
+    "embedding.x_max": 50.0,
+    "embedding.alpha": 0.5,
+    "embedding.learning_rate": 0.1,
+    "embedding.epochs": 2,
+    "embedding.seed": 12,
+    "general_lexicon": "other.csv",
+    "general_columns": {"word": "term"},
+    "extra_seeds": "extra.csv",
+    "seeds.n1": 7,
+    "seeds.f1": 77,
+    "seeds.n2": 8,
+    "seeds.f2": 88,
+    "wordnet_dir": "otherwn",
+    "k": 4,
+    "shuffle_sheet": 3,
+    "kappa_weighting": "quadratic",
+    "sea_avg": 4.5,
+    "t_test": "pooled",
+}
+
+DAMAGED_MANIFESTS = [b'{"ingest": ', b"[]", b'{"ingest": 5}', b"null", b'"ingest"', b"\xff{}"]
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +244,70 @@ class TestManifestChecks:
         config = demo_config(tmp_path, seed=3, n_issues=40)
         run_ingest(config)
         Workspace(config).check_stages(["ingest"])
+
+    def test_stage_slices_match_the_table(self):
+        assert {stage: set(stage_keys(stage)) for stage in STAGES} == STAGE_SLICES
+
+    @pytest.mark.parametrize("key,value", sorted(OTHER_VALUES.items()))
+    def test_changed_key_makes_exactly_its_stages_stale(self, demo_workdir, key, value):
+        config = demo_config(demo_workdir, seed=11, n_issues=N_ISSUES)
+        *parents, name = key.split(".")
+        owner = functools.reduce(getattr, parents, config)
+        assert getattr(owner, name) != value
+        setattr(owner, name, value)
+        config.validate()
+        stale = set()
+        for stage in STAGE_SLICES:
+            try:
+                Workspace(config).check_stages([stage])
+            except PipelineError as exc:
+                assert "stale" in str(exc)
+                stale.add(stage)
+        assert stale == {stage for stage, keys in STAGE_SLICES.items() if key in keys}
+
+    def test_every_config_key_but_the_work_dir_is_varied(self):
+        config = PipelineConfig().to_dict()
+        groups = ("embedding", "seeds")
+        keys = {name for name in config if name not in groups}
+        keys |= {f"{group}.{sub}" for group in groups for sub in config[group]}
+        assert keys - set(OTHER_VALUES) == {"work_dir"}
+        assert set().union(*STAGE_SLICES.values()) == set(OTHER_VALUES)
+
+    def test_failed_stage_records_nothing(self, tmp_path):
+        synthetic.generate_demo_inputs(tmp_path, n_issues=40, seed=3)
+        config = demo_config(tmp_path, seed=3, n_issues=40)
+        run_ingest(config)
+        config.general_lexicon = str(tmp_path / "missing.csv")
+        with pytest.raises(FileNotFoundError):
+            run_seeds(config)
+        assert set(json.loads((tmp_path / "manifest.json").read_text())) == {"ingest"}
+        assert not (tmp_path / "seeds.csv").exists()
+
+    @pytest.mark.parametrize("text", DAMAGED_MANIFESTS)
+    def test_damaged_manifest_is_refused_by_name(self, tmp_path, text):
+        synthetic.generate_demo_inputs(tmp_path, n_issues=40, seed=3)
+        config = demo_config(tmp_path, seed=3, n_issues=40)
+        run_ingest(config)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(text)
+        with pytest.raises(PipelineError, match=re.escape(f"damaged stage manifest {manifest}")):
+            run_train(config)
+        assert not (tmp_path / "embedding.bin").exists()
+
+    @pytest.mark.parametrize("text", DAMAGED_MANIFESTS)
+    def test_damaged_manifest_fails_without_traceback(self, tmp_path, text):
+        synthetic.generate_demo_inputs(tmp_path, n_issues=40, seed=3)
+        config = demo_config(tmp_path, seed=3, n_issues=40)
+        config_path = tmp_path / "config.json"
+        config.save(config_path)
+        run_ingest(config)
+        (tmp_path / "manifest.json").write_bytes(text)
+        result = CliRunner().invoke(main, ["--config", str(config_path), "train"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"damaged stage manifest {tmp_path / 'manifest.json'}" in result.output
+        assert "re-run the stages" in result.output
+        assert "Traceback" not in result.output
 
 
 class TestCommandLine:
