@@ -30,13 +30,13 @@ from .lexicon import (
     SeedConfig,
     SeedSet,
     aggregate_ratings,
-    apply_review,
     expand_embedding,
     expand_wordnet,
     generate_sheet,
     ingest_ratings,
     load_general_lexicon,
     rater_agreement,
+    read_review,
     select_seeds,
 )
 from .scoring import (

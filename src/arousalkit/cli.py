@@ -33,7 +33,6 @@ from .pipeline import (
     run_sheet,
     run_train,
 )
-from .scoring import MODES
 from .wordnet import WordNetError
 
 _USER_ERRORS = (
@@ -129,11 +128,11 @@ def expand(ctx):
 
 
 @main.command()
-@click.option("--review", default=None, type=click.Path(exists=True),
-              help="Accept/reject decisions file to apply first.")
+@click.option("--review", required=True, type=click.Path(exists=True),
+              help="Accept/reject decisions file: one word,accept or word,reject per line.")
 @click.pass_context
 def sheet(ctx, review):
-    """Write the rating sheet for accepted candidate words."""
+    """Write the rating sheet for the candidate words the review accepts."""
     path = _run(run_sheet, _config(ctx), review)
     click.echo(f"sheet written to {path}")
 
@@ -172,12 +171,10 @@ def build(ctx):
 
 
 @main.command()
-@click.option("--modes", default=",".join(MODES),
-              help=f"Comma-separated scoring modes from {MODES}.")
 @click.pass_context
-def score(ctx, modes):
-    """Score every issue text unit under the selected lexicon modes."""
-    table = _run(run_score, _config(ctx), modes.split(","))
+def score(ctx):
+    """Score every issue text unit under the general, sea and combined modes."""
+    table = _run(run_score, _config(ctx))
     click.echo(f"{len(table)} scored rows written")
 
 

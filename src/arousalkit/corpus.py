@@ -302,8 +302,24 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        counts = {word: int(freq) for _, (word, _, freq) in read_rows(path, VOCAB_HEADER)}
-        return cls(counts, min_count=1)
+        """Read a table written by ``save``: ids 0, 1, ... in (freq descending,
+        word) order. Any other id, a freq that is not an integer >= 1, a repeated
+        word or a row out of order raises CorpusFormatError with the file and line."""
+        counts: dict[str, int] = {}
+        linenos = []
+        for lineno, (word, id_text, freq) in read_rows(path, VOCAB_HEADER):
+            if word in counts:
+                raise CorpusFormatError(f"{path}:{lineno}: duplicate word {word!r}")
+            if id_text != str(len(counts)) or not freq.isdecimal() or int(freq) < 1:
+                raise CorpusFormatError(f"{path}:{lineno}: expected id {len(counts)} and an "
+                                        f"integer freq >= 1, got {id_text!r} and {freq!r}")
+            counts[word] = int(freq)
+            linenos.append(lineno)
+        vocab = cls(counts)
+        for lineno, word, expected in zip(linenos, counts, vocab.words):
+            if word != expected:
+                raise CorpusFormatError(f"{path}:{lineno}: {word!r} is out of order")
+        return vocab
 
 
 def build_vocabulary(store: TokenStore, min_count: int = 1) -> Vocabulary:

@@ -219,22 +219,29 @@ def _residuals(model: EmbeddingModel, rows, cols, logx) -> tuple:
     return pred - logx, wi, wj
 
 
+def _cell_gradients(fx, diff, wi, wj) -> tuple:
+    """Gradients of each cell's f(X_ij) * diff^2: g = 2 f diff for both
+    biases, g * w~_j for w_i and g * w_i for w~_j."""
+    g = 2.0 * fx * diff
+    return g, g[:, None] * wj, g[:, None] * wi
+
+
 def loss_and_gradients(
     model: EmbeddingModel, cooc: CoocMatrix
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Full-batch loss and analytic gradients for every parameter block.
 
-    Returns (loss, dW, dW~, db, db~); used by the finite-difference check.
-    Training does not sum gradients: it applies each cell's own update.
+    Returns (loss, dW, dW~, db, db~), the sums per row of the per-cell
+    gradients that training applies one cell at a time.
     """
     rows, cols = cooc.rows, cooc.cols
     fx = _loss_weights(cooc.vals, model.config.x_max, model.config.alpha)
     diff, wi, wj = _residuals(model, rows, cols, np.log(cooc.vals))
     loss = float(np.sum(fx * diff * diff))
-    g = 2.0 * fx * diff
+    g, gw, gwc = _cell_gradients(fx, diff, wi, wj)
     d_w, d_wc, d_b, d_bc = map(np.zeros_like, model.blocks())
-    np.add.at(d_w, rows, g[:, None] * wj)
-    np.add.at(d_wc, cols, g[:, None] * wi)
+    np.add.at(d_w, rows, gw)
+    np.add.at(d_wc, cols, gwc)
     np.add.at(d_b, rows, g)
     np.add.at(d_bc, cols, g)
     return loss, d_w, d_wc, d_b, d_bc
@@ -285,9 +292,7 @@ def _sgd_pass(model, acc_w, acc_wc, acc_b, acc_bc, rows, cols, fx, logx, batches
     for p in batches:
         i, j = rows[p], cols[p]
         diff, wi, wj = _residuals(model, i, j, logx[p])
-        g = 2.0 * fx[p] * diff
-        gw = g[:, None] * wj
-        gwc = g[:, None] * wi
+        g, gw, gwc = _cell_gradients(fx[p], diff, wi, wj)
         acc_w[i] += gw * gw
         acc_wc[j] += gwc * gwc
         w[i] = wi - lr * gw / np.sqrt(acc_w[i])

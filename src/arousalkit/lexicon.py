@@ -5,14 +5,15 @@ File formats owned by this module:
 
 * seed list             one ``word,pole,source`` per line
 * selected seeds        header ``word,pole,source,freq``
-* candidate list        header ``word,provenance,status``
-* review decisions      one ``word,accept|reject`` per line
+* candidate list        header ``word,provenance``, written by expansion only
+* review decisions      one ``word,accept|reject`` per line; the sheet's input
 * rating sheet          ``#``-prefixed instruction block, then
                         ``word,rating,frequency,similar_words`` rows
 * rating records        header ``word,rater,score``
 * arousal lexicon       header ``word,arousal,r1,r2,source``
 
-The headed tables are ``artifacts`` CSV files; the other three are edited
+The headed tables are ``artifacts`` CSV files, whose loaders refuse a bad
+cell or a repeated word with the file and line; the other three are edited
 by people and read by one lenient rule, ``_hand_edited_rows``.
 """
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 import csv
 import logging
 import statistics
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import astuple, dataclass, field as dataclass_field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -127,30 +128,19 @@ def load_general_lexicon(path: str | Path,
 # seed selection
 
 
-@dataclass
-class Seed:
-    word: str
-    pole: str  # "high" | "low"
-    source: str
-    freq: int
+class _WordTable:
+    """Entries with a ``word``, one per word in insertion order, stored as a
+    table under the subclass's ``HEADER``: ``row(entry)`` gives the cells
+    and ``parse(*cells)`` reads them back."""
 
-
-SEED_HEADER = ("word", "pole", "source", "freq")
-
-
-class SeedSet:
     def __init__(self):
-        self._entries: dict[str, Seed] = {}
+        self._entries: dict = {}
 
-    def add(self, seed: Seed) -> bool:
-        """False (and no change) when the word is already a seed."""
-        if seed.word in self._entries:
+    def add(self, entry) -> bool:
+        """False (and no change) when the word is already present."""
+        if entry.word in self._entries:
             return False
-        if seed.pole not in ("high", "low"):
-            raise ValueError(f"bad pole {seed.pole!r} for seed {seed.word!r}")
-        if seed.source not in SEED_SOURCES:
-            raise ValueError(f"unknown seed source {seed.source!r}")
-        self._entries[seed.word] = seed
+        self._entries[entry.word] = entry
         return True
 
     def __iter__(self):
@@ -163,15 +153,43 @@ class SeedSet:
         return word in self._entries
 
     def save(self, path: str | Path) -> None:
-        write_rows(path, SEED_HEADER,
-                   ((s.word, s.pole, s.source, s.freq) for s in self._entries.values()))
+        write_rows(path, self.HEADER, map(self.row, self))
 
     @classmethod
-    def load(cls, path: str | Path) -> "SeedSet":
-        seeds = cls()
-        for _, (word, pole, source, freq) in read_rows(path, SEED_HEADER):
-            seeds.add(Seed(word, pole, source, int(freq)))
-        return seeds
+    def load(cls, path: str | Path):
+        """A bad cell or a repeated word raises LexiconFormatError with the file and line."""
+        entries = cls()
+        for lineno, cells in read_rows(path, cls.HEADER):
+            try:
+                added = entries.add(cls.parse(*cells))
+            except ValueError as exc:
+                raise LexiconFormatError(f"{path}:{lineno}: {exc}") from None
+            if not added:
+                raise LexiconFormatError(f"{path}:{lineno}: duplicate word {cells[0]!r}")
+        return entries
+
+
+@dataclass
+class Seed:
+    word: str
+    pole: str  # "high" | "low"
+    source: str
+    freq: int
+
+    def __post_init__(self):
+        if self.pole not in ("high", "low"):
+            raise ValueError(f"bad pole {self.pole!r} for seed {self.word!r}")
+        if self.source not in SEED_SOURCES:
+            raise ValueError(f"unknown seed source {self.source!r}")
+
+
+class SeedSet(_WordTable):
+    HEADER = ("word", "pole", "source", "freq")
+    row = staticmethod(astuple)  # a Seed's fields are the columns
+
+    @staticmethod
+    def parse(word: str, pole: str, source: str, freq: str) -> Seed:
+        return Seed(word, pole, source, int(freq))
 
 
 @dataclass
@@ -293,15 +311,10 @@ class Provenance:
 class Candidate:
     word: str
     provenance: Provenance
-    status: str = "pending"  # pending | accepted | rejected
 
 
-CANDIDATE_HEADER = ("word", "provenance", "status")
-
-
-class CandidateSet:
-    def __init__(self):
-        self._entries: dict[str, Candidate] = {}
+class CandidateSet(_WordTable):
+    HEADER = ("word", "provenance")
 
     @classmethod
     def from_seeds(cls, seeds: SeedSet) -> "CandidateSet":
@@ -310,52 +323,19 @@ class CandidateSet:
             candidates.add(Candidate(seed.word, Provenance("seed")))
         return candidates
 
-    def add(self, candidate: Candidate) -> bool:
-        """False when the word is already a candidate (first provenance kept)."""
-        if candidate.word in self._entries:
-            return False
-        if candidate.status not in ("pending", "accepted", "rejected"):
-            raise ValueError(f"bad status {candidate.status!r}")
-        self._entries[candidate.word] = candidate
-        return True
+    @staticmethod
+    def row(candidate: Candidate) -> tuple:
+        return candidate.word, candidate.provenance.render()
 
-    def __iter__(self):
-        return iter(self._entries.values())
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self._entries
-
-    def get(self, word: str) -> Candidate:
-        return self._entries[word]
-
-    def with_status(self, status: str) -> list[Candidate]:
-        return [c for c in self._entries.values() if c.status == status]
-
-    def accepted_words(self) -> list[str]:
-        return [c.word for c in self.with_status("accepted")]
-
-    def provenance_map(self) -> dict[str, str]:
-        return {c.word: c.provenance.render() for c in self._entries.values()}
-
-    def save(self, path: str | Path) -> None:
-        write_rows(path, CANDIDATE_HEADER,
-                   ((c.word, c.provenance.render(), c.status) for c in self._entries.values()))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "CandidateSet":
-        candidates = cls()
-        for _, (word, provenance, status) in read_rows(path, CANDIDATE_HEADER):
-            candidates.add(Candidate(word, Provenance.parse(provenance), status))
-        return candidates
+    @staticmethod
+    def parse(word: str, provenance: str) -> Candidate:
+        return Candidate(word, Provenance.parse(provenance))
 
 
 def expand_wordnet(
     candidates: CandidateSet, seeds: SeedSet, db: SynsetDb, vocab: Vocabulary
 ) -> int:
-    """Add in-vocabulary synonyms of every seed as pending candidates.
+    """Add in-vocabulary synonyms of every seed as candidates.
 
     A synonym reachable from several seeds keeps its first provenance.
     Returns the number of candidates added.
@@ -370,8 +350,7 @@ def expand_embedding(
     vectors: WordVectors,
     k: int = 10,
 ) -> int:
-    """Add the k nearest embedding neighbors of every seed as pending
-    candidates.
+    """Add the k nearest embedding neighbors of every seed as candidates.
 
     A neighbor shared by several seeds keeps the provenance with the
     higher similarity. Seeds that are not in the embedding vocabulary or
@@ -404,24 +383,23 @@ def _queryable(vectors: Optional[WordVectors], words: Sequence[str], warning: st
     return queries
 
 
-def apply_review(candidates: CandidateSet, decisions_path: str | Path) -> tuple[int, int]:
-    """Apply an accept/reject decisions file; unknown words only warn.
+def read_review(candidates: CandidateSet, review_path: str | Path) -> list[str]:
+    """The candidate words a review file accepts, in candidate order.
 
-    Returns (accepted, rejected) counts applied.
+    The last decision for a word wins; a bad row or a word that is not a
+    candidate is skipped with a warning.
     """
-    n_accept = n_reject = 0
-    for lineno, parts in _hand_edited_rows(decisions_path):
+    accepted: dict[str, bool] = {}
+    for lineno, parts in _hand_edited_rows(review_path):
         if len(parts) != 2 or parts[1] not in ("accept", "reject"):
-            logger.warning("%s:%d: bad decision row, skipped", decisions_path, lineno)
+            logger.warning("%s:%d: bad decision row, skipped", review_path, lineno)
             continue
         word = parts[0].lower()
         if word not in candidates:
-            logger.warning("%s:%d: decision for unknown word %r", decisions_path, lineno, word)
+            logger.warning("%s:%d: decision for unknown word %r", review_path, lineno, word)
             continue
-        accept = parts[1] == "accept"
-        candidates.get(word).status = "accepted" if accept else "rejected"
-        n_accept, n_reject = n_accept + accept, n_reject + (not accept)
-    return n_accept, n_reject
+        accepted[word] = parts[1] == "accept"
+    return [c.word for c in candidates if accepted.get(c.word)]
 
 
 # ---------------------------------------------------------------------------

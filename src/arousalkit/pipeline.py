@@ -36,7 +36,6 @@ from .lexicon import (
     SeaLexicon,
     SeedSet,
     aggregate_ratings,
-    apply_review,
     expand_embedding,
     expand_wordnet,
     generate_sheet,
@@ -45,10 +44,11 @@ from .lexicon import (
     load_rating_records,
     load_seed_list,
     rater_agreement,
+    read_review,
     save_rating_records,
     select_seeds,
 )
-from .scoring import MODES, ScoringLexicon, score_corpus
+from .scoring import ScoringLexicon, score_corpus
 from .wordnet import load_wordnet
 
 logger = logging.getLogger(__name__)
@@ -229,16 +229,17 @@ def run_expand(config: PipelineConfig) -> CandidateSet:
     return candidates
 
 
-def run_sheet(config: PipelineConfig, review: Optional[str] = None) -> Path:
+def run_sheet(config: PipelineConfig, review: str | Path) -> Path:
     with Workspace(config).stage("sheet") as ws:
         candidates = CandidateSet.load(ws.path("candidates.csv"))
-        if review:
-            n_accept, n_reject = apply_review(candidates, review)
-            candidates.save(ws.path("candidates.csv"))
-            logger.info("review: %d accepted, %d rejected", n_accept, n_reject)
+        words = read_review(candidates, review)
+        if not words:
+            raise PipelineError(f"review file {review} accepts none of the "
+                                f"{len(candidates)} candidates; nothing to rate")
+        logger.info("review: %d of %d candidates accepted", len(words), len(candidates))
         vocab = Vocabulary.load(ws.path("vocab.csv"))
         vectors = WordVectors.load_binary(ws.path("embedding.bin"))
-        generate_sheet(ws.path("sheet.csv"), candidates.accepted_words(), vocab, vectors,
+        generate_sheet(ws.path("sheet.csv"), words, vocab, vectors,
                        k=config.k, shuffle_seed=config.shuffle_sheet)
     return ws.path("sheet.csv")
 
@@ -273,18 +274,18 @@ def run_build(config: PipelineConfig) -> SeaLexicon:
     with Workspace(config).stage("build") as ws:
         records = load_rating_records(ws.path("ratings.csv"))
         candidates = CandidateSet.load(ws.path("candidates.csv"))
-        sea = aggregate_ratings(records, provenance=candidates.provenance_map())
+        sea = aggregate_ratings(records, {c.word: c.provenance.render() for c in candidates})
         sea.save(ws.path("sea_lexicon.csv"))
     logger.info("build: %d lexicon words, mean arousal %.3f", len(sea), sea.mu)
     return sea
 
 
-def run_score(config: PipelineConfig, modes: Sequence[str] = MODES):
+def run_score(config: PipelineConfig):
     with Workspace(config).stage("score") as ws:
         general = load_general_lexicon(config.general_lexicon, config.general_columns)
         sea = ScoringLexicon(SeaLexicon.load(ws.path("sea_lexicon.csv")).arousal_map())
         table = score_corpus(TokenStore.load(ws.path("tokens.bin")), general, sea,
-                             config.sea_avg, modes)
+                             config.sea_avg)
         # evaluation reads the reals as the export states them, at 4 decimals
         table = scoring_mod.save_scores(table, ws.path("scores.csv"))
         scoring_mod.save_score_records(table, ws.path("scores.bin"))

@@ -141,7 +141,9 @@ def resolve_sea_avg(sea: ScoringLexicon, setting: Union[str, float] = "lexicon")
     "lexicon" (default): twice the mean word arousal, i.e. the score a
     text of all-average words would receive. A number is used as-is.
     "dataset" depends on the corpus and is resolved by ``score_corpus``.
-    Effect sizes are invariant to this choice; only raw combined scores move.
+    The choice shifts only the combined scores of units with a domain match,
+    so it leaves effect sizes unchanged only if no unit has a general match
+    without a domain match.
     """
     if isinstance(setting, numbers.Real) and not isinstance(setting, bool):
         return float(setting)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -135,6 +136,84 @@ class TestDemo:
         for line in rows:
             cell = line.split(",")[3]
             assert len(cell.split(";")) == config.k
+
+
+class TestReviewFile:
+    """The review file is an input of ``sheet``; ``candidates.csv`` belongs to ``expand``."""
+
+    @pytest.fixture
+    def staged(self, demo_workdir, tmp_path):
+        """A copy of the demo work directory and its configuration."""
+        work = tmp_path / "work"
+        shutil.copytree(demo_workdir, work)
+        config = PipelineConfig.load(demo_workdir / "inputs" / "config.json")
+        config.work_dir = str(work)
+        return work, config
+
+    def test_sheet_leaves_candidates_byte_identical(self, staged):
+        work, config = staged
+        before = (work / "candidates.csv").read_bytes()
+        review = work / "review.csv"
+        review.write_text("".join(f"{c.word},reject\n" for c in run_expand(config))
+                          + "panic,accept\n", encoding="utf-8")
+        expanded = (work / "candidates.csv").read_bytes()
+        sheet = run_sheet(config, review=review)
+        assert (work / "candidates.csv").read_bytes() == expanded == before
+        rows = [line for line in sheet.read_text(encoding="utf-8").splitlines()
+                if line and not line.startswith("#")]
+        assert [row.split(",")[0] for row in rows] == ["word", "panic"]
+
+    def test_candidate_file_holds_word_and_provenance(self, demo_workdir):
+        lines = (demo_workdir / "candidates.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "word,provenance"
+        assert all(line.count(",") == 1 for line in lines)
+
+    @pytest.mark.parametrize("text", ["", "# nothing decided\n", "panic,reject\n",
+                                      "ghost,accept\n", "panic,yes\n"])
+    def test_review_accepting_nothing_fails_and_records_no_sheet(self, staged, text):
+        work, config = staged
+        (work / "sheet.csv").unlink()
+        manifest = json.loads((work / "manifest.json").read_text())
+        del manifest["sheet"]
+        (work / "manifest.json").write_text(json.dumps(manifest))
+        review = work / "review.csv"
+        review.write_text(text, encoding="utf-8")
+        with pytest.raises(PipelineError, match=re.escape(f"review file {review} accepts none")):
+            run_sheet(config, review=review)
+        assert "sheet" not in json.loads((work / "manifest.json").read_text())
+        assert not (work / "sheet.csv").exists()
+
+    def test_three_column_candidate_file_is_refused_by_sheet(self, staged):
+        work, config = staged
+        candidates = work / "candidates.csv"
+        candidates.write_text("word,provenance,status\npanic,seed,accepted\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=re.escape(f"{candidates}:1: expected header")):
+            run_sheet(config, review=work / "review_accept_all.csv")
+
+    def test_sheet_without_review_is_a_usage_error(self, demo_workdir):
+        config_path = demo_workdir / "inputs" / "config.json"
+        result = CliRunner().invoke(main, ["--config", str(config_path), "sheet"])
+        assert result.exit_code == 2
+        assert "Missing option '--review'" in result.output
+
+    def test_sheet_with_review_rejecting_all_fails_without_traceback(self, staged):
+        work, config = staged
+        config_path = work / "config.json"
+        config.save(config_path)
+        review = work / "review.csv"
+        review.write_text("panic,reject\n", encoding="utf-8")
+        result = CliRunner().invoke(main, ["--config", str(config_path), "sheet",
+                                           "--review", str(review)])
+        assert result.exit_code == 1
+        assert f"review file {review} accepts none" in result.output
+        assert "Traceback" not in result.output
+
+    def test_score_has_no_modes_option(self, demo_workdir):
+        config_path = demo_workdir / "inputs" / "config.json"
+        result = CliRunner().invoke(main, ["--config", str(config_path), "score",
+                                           "--modes", "general"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
 
 
 class TestAdversarialIssueIds:

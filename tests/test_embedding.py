@@ -871,7 +871,7 @@ class TestPlantedSimilarity:
         candidates = CandidateSet.from_seeds(seeds)
         expand_embedding(candidates, seeds, model.to_vectors(), k=10)
         assert "soon" in candidates
-        provenance = candidates.get("soon").provenance
+        provenance = {c.word: c for c in candidates}["soon"].provenance
         assert provenance.kind == "embedding"
         assert provenance.seed == "asap"
         assert 0.0 < provenance.similarity <= 1.0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arousalkit.artifacts import CorpusFormatError
 from arousalkit.corpus import Vocabulary
 from arousalkit.embedding import WordVectors
 from arousalkit.lexicon import (
@@ -24,7 +25,6 @@ from arousalkit.lexicon import (
     SeedSelectionError,
     SeedSet,
     aggregate_ratings,
-    apply_review,
     expand_embedding,
     expand_wordnet,
     generate_sheet,
@@ -33,12 +33,17 @@ from arousalkit.lexicon import (
     load_rating_records,
     load_seed_list,
     rater_agreement,
+    read_review,
     save_rating_records,
     select_seeds,
 )
 from arousalkit.scoring import ScoringLexicon
 from arousalkit.synthetic import fill_ratings, load_truth, write_truth, write_wordnet_fixture
 from arousalkit.wordnet import load_wordnet
+
+
+def by_word(candidates):
+    return {c.word: c for c in candidates}
 
 
 def write_general(tmp_path, rows, header="Word,A.Mean.Sum"):
@@ -202,6 +207,18 @@ class TestSelectSeeds:
         assert [(s.word, s.pole, s.freq) for s in loaded] == \
             [(s.word, s.pole, s.freq) for s in seeds]
 
+    @pytest.mark.parametrize("row,message", [
+        ("calm,low,survey,many", r"seeds.csv:3: invalid literal for int\(\)"),
+        ("calm,middle,survey,5", "seeds.csv:3: bad pole 'middle' for seed 'calm'"),
+        ("calm,low,poll,5", "seeds.csv:3: unknown seed source 'poll'"),
+        ("fire,low,survey,5", "seeds.csv:3: duplicate word 'fire'"),
+    ])
+    def test_bad_seed_file_row_is_refused_with_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "seeds.csv"
+        path.write_text(f"word,pole,source,freq\nfire,high,survey,9\n{row}\n", encoding="utf-8")
+        with pytest.raises(LexiconFormatError, match=message):
+            SeedSet.load(path)
+
 
 class TestSeedList:
     def test_load_extra_seeds(self, tmp_path):
@@ -261,10 +278,9 @@ class TestExpandWordnet:
         candidates = CandidateSet.from_seeds(seeds)
         added = expand_wordnet(candidates, seeds, db, vocab)
         assert added == 2  # fast (from quick), serene (from calm); speedy filtered
-        fast = candidates.get("fast")
+        fast = by_word(candidates)["fast"]
         assert fast.provenance.kind == "wordnet"
         assert fast.provenance.seed == "quick"
-        assert fast.status == "pending"
         assert "speedy" not in candidates
 
     def test_no_in_vocabulary_synonyms_adds_nothing(self, small_world):
@@ -286,7 +302,7 @@ class TestExpandWordnet:
         seeds.add(Seed("b", "high", "brainstorm", 9))
         candidates = CandidateSet.from_seeds(seeds)
         assert expand_wordnet(candidates, seeds, db, vocab) == 1
-        assert candidates.get("shared").provenance.seed == "a"
+        assert by_word(candidates)["shared"].provenance.seed == "a"
 
 
 class TestExpandEmbedding:
@@ -300,7 +316,7 @@ class TestExpandEmbedding:
         candidates = CandidateSet.from_seeds(seeds)
         added = expand_embedding(candidates, seeds, vectors, k=2)
         assert added >= 1
-        for cand in candidates.with_status("pending"):
+        for cand in candidates:
             if cand.provenance.kind == "embedding":
                 assert cand.provenance.seed in ("quick", "calm")
                 assert -1.0 <= cand.provenance.similarity <= 1.0
@@ -318,7 +334,7 @@ class TestExpandEmbedding:
         seeds.add(Seed("s2", "high", "brainstorm", 1))
         candidates = CandidateSet.from_seeds(seeds)
         expand_embedding(candidates, seeds, vectors, k=1)
-        assert candidates.get("shared").provenance.seed == "s1"
+        assert by_word(candidates)["shared"].provenance.seed == "s1"
 
     def test_out_of_vocabulary_seed_skipped_with_warning(self, small_world, caplog):
         seeds, _, _, vectors = small_world
@@ -349,41 +365,79 @@ class TestReviewAndCandidates:
             candidates.add(Candidate(word, Provenance("seed")))
         return candidates
 
-    def test_accept_all(self, tmp_path):
-        candidates = self.build()
+    def review(self, tmp_path, text):
         path = tmp_path / "review.csv"
-        path.write_text("one,accept\ntwo,accept\nthree,accept\n", encoding="utf-8")
-        assert apply_review(candidates, path) == (3, 0)
-        assert candidates.accepted_words() == ["one", "two", "three"]
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    def test_accept_all(self, tmp_path):
+        path = self.review(tmp_path, "one,accept\ntwo,accept\nthree,accept\n")
+        assert read_review(self.build(), path) == ["one", "two", "three"]
 
     def test_reject_one_leaves_others(self, tmp_path):
-        candidates = self.build()
-        path = tmp_path / "review.csv"
-        path.write_text("two,reject\n", encoding="utf-8")
-        assert apply_review(candidates, path) == (0, 1)
-        assert candidates.get("two").status == "rejected"
-        assert candidates.get("one").status == "pending"
+        path = self.review(tmp_path, "one,accept\ntwo,reject\nthree,accept\n")
+        assert read_review(self.build(), path) == ["one", "three"]
+
+    def test_undecided_words_are_not_accepted(self, tmp_path):
+        path = self.review(tmp_path, "# only one decision\n\ntwo,accept\n")
+        assert read_review(self.build(), path) == ["two"]
+
+    def test_accepted_words_come_in_candidate_order(self, tmp_path):
+        path = self.review(tmp_path, "three,accept\nONE, accept\n")
+        assert read_review(self.build(), path) == ["one", "three"]
+
+    def test_last_decision_for_a_word_wins(self, tmp_path):
+        path = self.review(tmp_path, "one,accept\none,reject\ntwo,reject\ntwo,accept\n")
+        assert read_review(self.build(), path) == ["two"]
 
     def test_unknown_word_warns_without_state_change(self, tmp_path, caplog):
         candidates = self.build()
-        path = tmp_path / "review.csv"
-        path.write_text("ghost,accept\n", encoding="utf-8")
+        path = self.review(tmp_path, "ghost,accept\n")
         with caplog.at_level("WARNING"):
-            assert apply_review(candidates, path) == (0, 0)
-        assert any("ghost" in r.message for r in caplog.records)
-        assert all(c.status == "pending" for c in candidates)
+            assert read_review(candidates, path) == []
+        assert any(f"{path}:1: decision for unknown word 'ghost'" in r.message
+                   for r in caplog.records)
+        assert [c.word for c in candidates] == ["one", "two", "three"]
+
+    @pytest.mark.parametrize("row", ["one,maybe", "one", "one,accept,now"])
+    def test_bad_row_warns_and_is_skipped(self, tmp_path, caplog, row):
+        path = self.review(tmp_path, f"two,accept\n{row}\n")
+        with caplog.at_level("WARNING"):
+            assert read_review(self.build(), path) == ["two"]
+        assert any(f"{path}:2: bad decision row" in r.message for r in caplog.records)
 
     def test_candidate_save_load_round_trip(self, tmp_path):
         candidates = CandidateSet()
-        candidates.add(Candidate("a", Provenance("seed"), "accepted"))
+        candidates.add(Candidate("a", Provenance("seed")))
         candidates.add(Candidate("b", Provenance("wordnet", seed="a")))
         candidates.add(Candidate("c", Provenance("embedding", seed="a", similarity=0.8123)))
         path = tmp_path / "candidates.csv"
         candidates.save(path)
-        loaded = CandidateSet.load(path)
-        assert loaded.get("a").status == "accepted"
-        assert loaded.get("b").provenance.render() == "wordnet:a"
-        assert loaded.get("c").provenance.similarity == pytest.approx(0.8123)
+        assert path.read_text(encoding="utf-8") == \
+            "word,provenance\na,seed\nb,wordnet:a\nc,embedding:a:0.8123\n"
+        loaded = by_word(CandidateSet.load(path))
+        assert list(loaded) == ["a", "b", "c"]
+        assert loaded["a"].provenance.kind == "seed"
+        assert loaded["b"].provenance.render() == "wordnet:a"
+        assert loaded["c"].provenance.similarity == pytest.approx(0.8123)
+
+    def test_three_column_candidate_file_is_refused_with_its_path(self, tmp_path):
+        path = tmp_path / "candidates.csv"
+        path.write_text("word,provenance,status\na,seed,accepted\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError,
+                           match=re.escape(f"{path}:1: expected header 'word,provenance'")):
+            CandidateSet.load(path)
+
+    @pytest.mark.parametrize("row,message", [
+        ("a,wordnet:b", "candidates.csv:3: duplicate word 'a'"),
+        ("b,bogus", "candidates.csv:3: bad provenance: 'bogus'"),
+        ("b,embedding:a:high", "candidates.csv:3: could not convert"),
+    ])
+    def test_bad_candidate_row_is_refused_with_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "candidates.csv"
+        path.write_text(f"word,provenance\na,seed\n{row}\n", encoding="utf-8")
+        with pytest.raises(LexiconFormatError, match=message):
+            CandidateSet.load(path)
 
 
 class TestSheet:

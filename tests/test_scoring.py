@@ -16,6 +16,7 @@ from arousalkit.scoring import (
     score_corpus,
     score_text,
 )
+from arousalkit.stats import cohens_d
 
 GENERAL = ScoringLexicon({"fire": 8.0, "calm": 2.0, "note": 5.3, "word": 5.9})
 # avg = (8.0 + 2.0 + 5.3 + 5.9) / 4 = 5.3
@@ -98,6 +99,9 @@ class TestCombinedScore:
         assert result.min_used == base.min_used
 
 
+SEA_FIRE_CALM = ScoringLexicon({"fire": 8.5, "calm": 1.5})
+
+
 class TestResolveSeaAvg:
     def test_lexicon_mode_is_twice_mean(self):
         lex = ScoringLexicon({"a": 4.0, "b": 6.0})
@@ -131,6 +135,36 @@ class TestResolveSeaAvg:
     def test_bool_or_non_number_is_an_error(self, setting):
         with pytest.raises(ValueError, match="sea_avg"):
             resolve_sea_avg(ScoringLexicon({"a": 4.0}), setting)
+
+    @staticmethod
+    def blocker_trivial_d(blocker_titles, trivial_titles, sea_avg):
+        """Cohen's d of the combined title scores, Blocker against Trivial."""
+        issues = [Issue(f"B{n}", Priority.BLOCKER, t, "", [])
+                  for n, t in enumerate(blocker_titles)]
+        issues += [Issue(f"T{n}", Priority.TRIVIAL, t, "", [])
+                   for n, t in enumerate(trivial_titles)]
+        table = score_corpus(TokenStore.from_issues(issues), GENERAL, SEA_FIRE_CALM,
+                             sea_avg, modes=["combined"])
+        blocker = table.priority == list(Priority).index(Priority.BLOCKER)
+        return cohens_d(table.score[blocker].tolist(), table.score[~blocker].tolist())
+
+    def test_effect_size_moves_with_sea_avg_when_units_lack_a_domain_match(self):
+        # "word" and "note" are general-lexicon words only: their units keep
+        # their general score whatever sea_avg is, the others shift with it
+        blocker = ["fire"] * 120 + ["fire calm"] * 40 + ["word"] * 40
+        trivial = ["calm"] * 120 + ["fire calm"] * 40 + ["note"] * 40
+        twice_avg = 2.0 * SEA_FIRE_CALM.avg
+        at_avg = self.blocker_trivial_d(blocker, trivial, twice_avg)
+        shifted = self.blocker_trivial_d(blocker, trivial, twice_avg + 3.0)
+        assert at_avg == pytest.approx(2.5271, abs=1e-4)
+        assert shifted == pytest.approx(2.2939, abs=1e-4)
+
+    def test_effect_size_ignores_sea_avg_when_every_unit_has_a_domain_match(self):
+        blocker = ["fire"] * 120 + ["fire calm"] * 40 + ["fire word"] * 40
+        trivial = ["calm"] * 120 + ["fire calm"] * 40 + ["calm note"] * 40
+        twice_avg = 2.0 * SEA_FIRE_CALM.avg
+        assert self.blocker_trivial_d(blocker, trivial, twice_avg) == pytest.approx(
+            self.blocker_trivial_d(blocker, trivial, twice_avg + 3.0), rel=1e-12)
 
 
 def issue(id_, title="", description="", comments=(), priority=Priority.MAJOR):
