@@ -19,9 +19,10 @@ from __future__ import annotations
 import contextlib
 import csv
 import os
+from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -98,6 +99,33 @@ def read_rows(path: str | Path, header: Sequence[str]) -> Iterator[tuple[int, li
                 lineno = reader.line_num + 1
         except csv.Error as exc:
             raise CorpusFormatError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def read_table(path: str | Path, header: Sequence[str], parse: Callable[..., T],
+               key: Sequence[str] = ("word",), lines: Optional[list[int]] = None) -> list[T]:
+    """``parse(*cells)`` of each row after the header, in file order.
+
+    The ``key`` columns identify a row. A ValueError raised by ``parse``, or
+    a row whose key cells equal those of an earlier row, raises
+    CorpusFormatError with the path and line, as do the errors of
+    ``read_rows``. ``lines``, when given, receives the line of each row.
+    """
+    key_of = itemgetter(*map(list(header).index, key))
+    first_line: dict = {}
+    entries = []
+    for lineno, cells in read_rows(path, header):
+        try:
+            entries.append(parse(*cells))
+        except ValueError as exc:
+            raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
+        row_key = key_of(cells)
+        first = first_line.setdefault(row_key, lineno)
+        if first != lineno:
+            raise CorpusFormatError(f"{path}:{lineno}: duplicate {', '.join(key)} {row_key!r} "
+                                    f"(first on line {first})")
+        if lines is not None:
+            lines.append(lineno)
+    return entries
 
 
 def write_records(path: str | Path, tag: bytes, records: Iterable[np.ndarray]) -> None:

@@ -17,7 +17,7 @@ from .config import PipelineConfig
 from .corpus import CorpusFormatError, Field
 from .embedding import TrainingDivergedError
 from .evalstats import pair_label
-from .lexicon import LexiconFormatError, SeedSelectionError
+from .lexicon import SeedSelectionError
 from .pipeline import (
     PipelineError,
     run_agreement,
@@ -38,7 +38,6 @@ from .wordnet import WordNetError
 _USER_ERRORS = (
     PipelineError,
     CorpusFormatError,
-    LexiconFormatError,
     SeedSelectionError,
     WordNetError,
     TrainingDivergedError,

@@ -10,6 +10,7 @@ The corpus file is UTF-8 JSON lines, one issue per line:
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import re
@@ -26,7 +27,7 @@ from .artifacts import (
     CorpusFormatError,
     pack_strings,
     read_records,
-    read_rows,
+    read_table,
     unpack_strings,
     write_records,
     write_rows,
@@ -305,16 +306,17 @@ class Vocabulary:
         """Read a table written by ``save``: ids 0, 1, ... in (freq descending,
         word) order. Any other id, a freq that is not an integer >= 1, a repeated
         word or a row out of order raises CorpusFormatError with the file and line."""
-        counts: dict[str, int] = {}
-        linenos = []
-        for lineno, (word, id_text, freq) in read_rows(path, VOCAB_HEADER):
-            if word in counts:
-                raise CorpusFormatError(f"{path}:{lineno}: duplicate word {word!r}")
-            if id_text != str(len(counts)) or not freq.isdecimal() or int(freq) < 1:
-                raise CorpusFormatError(f"{path}:{lineno}: expected id {len(counts)} and an "
-                                        f"integer freq >= 1, got {id_text!r} and {freq!r}")
-            counts[word] = int(freq)
-            linenos.append(lineno)
+        position = itertools.count()
+
+        def parse(word: str, id_text: str, freq: str) -> tuple[str, int]:
+            expected = next(position)
+            if id_text != str(expected) or not freq.isdecimal() or int(freq) < 1:
+                raise ValueError(f"expected id {expected} and an integer freq >= 1, "
+                                 f"got {id_text!r} and {freq!r}")
+            return word, int(freq)
+
+        linenos: list[int] = []
+        counts = dict(read_table(path, VOCAB_HEADER, parse, lines=linenos))
         vocab = cls(counts)
         for lineno, word, expected in zip(linenos, counts, vocab.words):
             if word != expected:

@@ -12,9 +12,12 @@ File formats owned by this module:
 * rating records        header ``word,rater,score``
 * arousal lexicon       header ``word,arousal,r1,r2,source``
 
-The headed tables are ``artifacts`` CSV files, whose loaders refuse a bad
-cell or a repeated word with the file and line; the other three are edited
-by people and read by one lenient rule, ``_hand_edited_rows``.
+The headed tables are ``artifacts`` CSV files read by ``read_table``: a bad
+cell, or a repeated word (a repeated word and rater in the rating records),
+raises CorpusFormatError with the file and line. A domain lexicon row holds
+scores in 1..9 and an arousal in [1, 9] equal to the mean of its scores.
+The other three files are edited by people and read by one lenient rule,
+``_hand_edited_rows``.
 """
 
 from __future__ import annotations
@@ -23,12 +26,13 @@ import csv
 import logging
 import statistics
 from dataclasses import astuple, dataclass, field as dataclass_field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .artifacts import atomic_open, read_rows, write_rows
+from .artifacts import CorpusFormatError, atomic_open, read_table, write_rows
 from .corpus import Vocabulary
 from .embedding import WordVectors, nearest_neighbors_batch
 from .scoring import ScoringLexicon
@@ -63,8 +67,7 @@ Enter one whole number from 1 to 9 in the rating column, work at a quick
 pace, and do not dwell on any single word."""
 
 
-class LexiconFormatError(Exception):
-    pass
+LexiconFormatError = CorpusFormatError  # the former name of a bad lexicon file's error
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +94,10 @@ def load_general_lexicon(path: str | Path,
     with path.open("r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
-            raise LexiconFormatError(f"{path}: empty lexicon file")
+            raise CorpusFormatError(f"{path}: empty lexicon file")
         for logical in ("word", "arousal"):
             if colmap[logical] not in reader.fieldnames:
-                raise LexiconFormatError(
+                raise CorpusFormatError(
                     f"{path}: missing required column {colmap[logical]!r}"
                 )
         for row in reader:
@@ -120,7 +123,7 @@ def load_general_lexicon(path: str | Path,
     if n_rejected:
         logger.warning("%s: rejected %d row(s)", path, n_rejected)
     if not arousal_by_word:
-        raise LexiconFormatError(f"{path}: no usable lexicon row")
+        raise CorpusFormatError(f"{path}: no usable lexicon row")
     return ScoringLexicon(arousal_by_word)
 
 
@@ -133,40 +136,32 @@ class _WordTable:
     table under the subclass's ``HEADER``: ``row(entry)`` gives the cells
     and ``parse(*cells)`` reads them back."""
 
-    def __init__(self):
-        self._entries: dict = {}
+    def __init__(self, entries: Iterable = ()):  # entries with distinct words
+        self.entries: dict = {entry.word: entry for entry in entries}
 
     def add(self, entry) -> bool:
         """False (and no change) when the word is already present."""
-        if entry.word in self._entries:
+        if entry.word in self.entries:
             return False
-        self._entries[entry.word] = entry
+        self.entries[entry.word] = entry
         return True
 
     def __iter__(self):
-        return iter(self._entries.values())
+        return iter(self.entries.values())
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def __contains__(self, word: str) -> bool:
-        return word in self._entries
+        return word in self.entries
 
     def save(self, path: str | Path) -> None:
         write_rows(path, self.HEADER, map(self.row, self))
 
     @classmethod
     def load(cls, path: str | Path):
-        """A bad cell or a repeated word raises LexiconFormatError with the file and line."""
-        entries = cls()
-        for lineno, cells in read_rows(path, cls.HEADER):
-            try:
-                added = entries.add(cls.parse(*cells))
-            except ValueError as exc:
-                raise LexiconFormatError(f"{path}:{lineno}: {exc}") from None
-            if not added:
-                raise LexiconFormatError(f"{path}:{lineno}: duplicate word {cells[0]!r}")
-        return entries
+        """A bad cell or a repeated word raises CorpusFormatError with the file and line."""
+        return cls(read_table(path, cls.HEADER, cls.parse))
 
 
 @dataclass
@@ -496,7 +491,7 @@ def ingest_ratings(
                 continue
             word, cell = parts[0].lower(), parts[1]
             if word in seen:
-                raise LexiconFormatError(
+                raise CorpusFormatError(
                     f"{path}:{lineno}: word {word!r} appears twice in one sheet"
                 )
             seen.add(word)
@@ -524,13 +519,11 @@ def save_rating_records(records: Iterable[RatingRecord], path: str | Path) -> No
 
 
 def load_rating_records(path: str | Path) -> list[RatingRecord]:
-    records = []
-    for lineno, (word, rater, score) in read_rows(path, RATING_HEADER):
-        try:
-            records.append(RatingRecord(word, rater, int(score)))
-        except ValueError as exc:
-            raise LexiconFormatError(f"{path}:{lineno}: {exc}") from None
-    return records
+    """A bad score, or a word and rater repeated, raises CorpusFormatError
+    with the file and line."""
+    return read_table(path, RATING_HEADER,
+                      lambda word, rater, score: RatingRecord(word, rater, int(score)),
+                      key=("word", "rater"))
 
 
 # ---------------------------------------------------------------------------
@@ -539,97 +532,52 @@ def load_rating_records(path: str | Path) -> list[RatingRecord]:
 
 @dataclass
 class SeaEntry:
+    word: str
     arousal: float
     scores: list[tuple[str, int]]  # (rater, score), rater order fixed
     provenance: str = ""
 
+    def __post_init__(self):
+        for rater, score in self.scores:
+            RatingRecord(self.word, rater, score)  # refuses a score outside 1..9
+        if not 1.0 <= self.arousal <= 9.0:
+            raise ValueError(f"arousal {self.arousal} out of [1,9] for {self.word!r}")
+        if self.scores and abs(self.arousal - statistics.fmean(s for _, s in self.scores)) > 5e-4:
+            raise ValueError(f"arousal does not match the rater mean for {self.word!r}")
 
-SEA_HEADER = ("word", "arousal", "r1", "r2", "source")
 
+class SeaLexicon(_WordTable):
+    """The bootstrapped arousal lexicon: per-word rater scores and means.
 
-class SeaLexicon:
-    """The bootstrapped arousal lexicon: per-word rater scores and means."""
+    Its file has one score column per rater, so it holds at most 2 raters;
+    the columns read back as raters ``r1`` and ``r2``.
+    """
 
-    def __init__(self, entries: dict[str, SeaEntry]):
-        self.entries = entries
+    HEADER = ("word", "arousal", "r1", "r2", "source")
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SeaLexicon):
-            return NotImplemented
-        if set(self.entries) != set(other.entries):
-            return False
-        for word, entry in self.entries.items():
-            theirs = other.entries[word]
-            if (
-                abs(entry.arousal - theirs.arousal) > 1e-9
-                or [s for _, s in entry.scores] != [s for _, s in theirs.scores]
-                or entry.provenance != theirs.provenance
-            ):
-                return False
-        return True
+    @staticmethod
+    def parse(word: str, arousal: str, r1: str, r2: str, source: str) -> SeaEntry:
+        scores = [(rater, int(cell)) for rater, cell in (("r1", r1), ("r2", r2)) if cell]
+        return SeaEntry(word, float(arousal), scores, source)
 
     @property
     def mu(self) -> float:
         """Mean arousal over all lexicon words, recomputed on demand."""
         if not self.entries:
             raise ValueError("empty lexicon has no mean")
-        return statistics.fmean(e.arousal for e in self.entries.values())
+        return statistics.fmean(e.arousal for e in self)
 
     def arousal_map(self) -> dict[str, float]:
         return {w: e.arousal for w, e in self.entries.items()}
 
     def save(self, path: str | Path) -> None:
-        raters = sorted({r for e in self.entries.values() for r, _ in e.scores})
+        raters = sorted({r for e in self for r, _ in e.scores})
         if len(raters) > 2:
-            raise LexiconFormatError(
-                f"lexicon file format holds at most 2 raters, got {len(raters)}"
-            )
-        rows = []
-        for word in sorted(self.entries):
-            entry = self.entries[word]
-            by_rater = dict(entry.scores)
-            cells = [by_rater.get(r, "") for r in raters]
-            cells += [""] * (2 - len(cells))
-            rows.append((word, f"{entry.arousal:.4f}", *cells, entry.provenance))
-        write_rows(path, SEA_HEADER, rows)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SeaLexicon":
-        entries: dict[str, SeaEntry] = {}
-        for lineno, (word, arousal_text, r1, r2, provenance) in read_rows(path, SEA_HEADER):
-            try:
-                arousal = float(arousal_text)
-            except ValueError:
-                raise LexiconFormatError(f"{path}:{lineno}: non-numeric arousal") from None
-            scores: list[tuple[str, int]] = []
-            for rater, cell in (("r1", r1), ("r2", r2)):
-                if cell == "":
-                    continue
-                try:
-                    score = int(cell)
-                except ValueError:
-                    raise LexiconFormatError(
-                        f"{path}:{lineno}: non-integer score {cell!r}"
-                    ) from None
-                if not 1 <= score <= 9:
-                    raise LexiconFormatError(f"{path}:{lineno}: score {score} out of 1..9")
-                scores.append((rater, score))
-            if not 1.0 <= arousal <= 9.0:
-                raise LexiconFormatError(f"{path}:{lineno}: arousal {arousal} out of [1,9]")
-            if scores and abs(arousal - statistics.fmean(s for _, s in scores)) > 5e-4:
-                raise LexiconFormatError(
-                    f"{path}:{lineno}: arousal does not match the rater mean"
-                )
-            if word in entries:
-                raise LexiconFormatError(f"{path}:{lineno}: duplicate word {word!r}")
-            entries[word] = SeaEntry(arousal, scores, provenance)
-        return cls(entries)
+            raise CorpusFormatError(f"lexicon file format holds at most 2 raters, got {len(raters)}")
+        columns = raters + [None] * (2 - len(raters))  # an absent rater's cells stay empty
+        write_rows(path, self.HEADER, (
+            (word, f"{e.arousal:.4f}", *(dict(e.scores).get(r, "") for r in columns), e.provenance)
+            for word, e in sorted(self.entries.items())))
 
 
 def aggregate_ratings(
@@ -642,15 +590,11 @@ def aggregate_ratings(
         by_word.setdefault(record.word, []).append((record.rater, record.score))
     if not by_word:
         raise ValueError("no rating records to aggregate")
-    entries = {}
-    for word, scores in by_word.items():
-        scores.sort(key=lambda rs: rs[0])
-        entries[word] = SeaEntry(
-            arousal=statistics.fmean(s for _, s in scores),
-            scores=scores,
-            provenance=(provenance or {}).get(word, ""),
-        )
-    return SeaLexicon(entries)
+    provenance = provenance or {}
+    return SeaLexicon(
+        SeaEntry(word, statistics.fmean(s for _, s in scores), sorted(scores, key=itemgetter(0)),
+                 provenance.get(word, ""))
+        for word, scores in by_word.items())
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,9 @@ def run_ratings(
     sheet_files: Sequence[str],
     labels: Optional[Sequence[str]] = None,
 ):
+    if len(sheet_files) > 2:  # the domain lexicon holds two raters' scores
+        raise PipelineError(f"the ratings stage takes at most 2 rating sheets, one per rater; got "
+                            f"{len(sheet_files)}: {', '.join(map(str, sheet_files))}")
     records, report = ingest_ratings(sheet_files, labels)
     with Workspace(config).stage("ratings") as ws:
         for error in report.errors:

@@ -93,12 +93,9 @@ def weighted_kappa(
     return 1.0 - float(np.sum(weights * observed)) / expected_disagreement
 
 
-def cohens_d(a: Sequence[float], b: Sequence[float]) -> float:
-    """Standardized mean difference with the pooled standard deviation.
-
-    d = (mean(a) - mean(b)) / s_p,
-    s_p = sqrt(((n_a - 1) s_a^2 + (n_b - 1) s_b^2) / (n_a + n_b - 2)).
-    """
+def _two_groups(a: Sequence[float], b: Sequence[float]):
+    """(mean(a) - mean(b), n_a, n_b, s_a^2, s_b^2, pooled variance) of two
+    groups of at least 2 observations each."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     na, nb = len(a), len(b)
@@ -107,27 +104,31 @@ def cohens_d(a: Sequence[float], b: Sequence[float]) -> float:
     va = float(a.var(ddof=1))
     vb = float(b.var(ddof=1))
     pooled = ((na - 1) * va + (nb - 1) * vb) / (na + nb - 2)
+    return a.mean() - b.mean(), na, nb, va, vb, pooled
+
+
+def cohens_d(a: Sequence[float], b: Sequence[float]) -> float:
+    """Standardized mean difference with the pooled standard deviation.
+
+    d = (mean(a) - mean(b)) / s_p,
+    s_p = sqrt(((n_a - 1) s_a^2 + (n_b - 1) s_b^2) / (n_a + n_b - 2)).
+    """
+    diff, _, _, _, _, pooled = _two_groups(a, b)
     if pooled == 0.0:
         raise ValueError("zero pooled standard deviation")
-    return float((a.mean() - b.mean()) / math.sqrt(pooled))
+    return float(diff / math.sqrt(pooled))
 
 
 def welch_t_test(
     a: Sequence[float], b: Sequence[float]
 ) -> tuple[float, float, float]:
     """Welch two-sample t test: (t, Welch-Satterthwaite df, two-sided p)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na, nb = len(a), len(b)
-    if na < 2 or nb < 2:
-        raise ValueError("need at least 2 observations per group")
-    va = float(a.var(ddof=1))
-    vb = float(b.var(ddof=1))
+    diff, na, nb, va, vb, _ = _two_groups(a, b)
     qa, qb = va / na, vb / nb
     spread = qa**2 / (na - 1) + qb**2 / (nb - 1)
     if spread == 0.0:  # also when the variances are too small to square
         raise ValueError("both groups have zero variance")
-    t = float((a.mean() - b.mean()) / math.sqrt(qa + qb))
+    t = float(diff / math.sqrt(qa + qb))
     df = (qa + qb) ** 2 / spread
     return t, df, student_t_two_sided_p(abs(t), df)
 
@@ -136,16 +137,9 @@ def pooled_t_test(
     a: Sequence[float], b: Sequence[float]
 ) -> tuple[float, float, float]:
     """Classic equal-variance two-sample t test, for sensitivity checks."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na, nb = len(a), len(b)
-    if na < 2 or nb < 2:
-        raise ValueError("need at least 2 observations per group")
-    va = float(a.var(ddof=1))
-    vb = float(b.var(ddof=1))
-    pooled = ((na - 1) * va + (nb - 1) * vb) / (na + nb - 2)
+    diff, na, nb, _, _, pooled = _two_groups(a, b)
     if pooled == 0.0:
         raise ValueError("zero pooled variance")
-    t = float((a.mean() - b.mean()) / math.sqrt(pooled * (1.0 / na + 1.0 / nb)))
+    t = float(diff / math.sqrt(pooled * (1.0 / na + 1.0 / nb)))
     df = float(na + nb - 2)
     return t, df, student_t_two_sided_p(abs(t), df)

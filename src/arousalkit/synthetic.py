@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import read_rows, write_rows
+from .artifacts import read_table, write_rows
 from .lexicon import SHEET_HEADER
 
 # (word, planted arousal); the first 20 of each pole are the designated
@@ -176,7 +176,7 @@ def write_truth(path: str | Path, truth: dict[str, float]) -> None:
 
 
 def load_truth(path: str | Path) -> dict[str, float]:
-    return {word: float(arousal) for _, (word, arousal) in read_rows(path, TRUTH_HEADER)}
+    return dict(read_table(path, TRUTH_HEADER, lambda word, arousal: (word, float(arousal))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import re
 import sys
 from dataclasses import replace
 
@@ -7,9 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arousalkit import scoring
-from arousalkit.artifacts import CorpusFormatError, atomic_open, read_rows, write_rows
+from arousalkit.artifacts import (
+    CorpusFormatError,
+    atomic_open,
+    read_rows,
+    read_table,
+    write_rows,
+)
 from arousalkit.corpus import Field, Issue, Priority, TokenStore
-from arousalkit.lexicon import RatingRecord, load_rating_records, save_rating_records
+from arousalkit.lexicon import (
+    LexiconFormatError,
+    RatingRecord,
+    load_rating_records,
+    save_rating_records,
+)
 from arousalkit.scoring import (
     MODES,
     SCORE_HEADER,
@@ -132,6 +144,53 @@ class TestRows:
             list(read_rows(path, HEADER))
 
 
+def physical_lines(rows) -> list[int]:
+    """The line each row of a ``write_rows`` file starts on: a line break
+    inside a cell (``\r\n``, ``\r`` or ``\n``) moves the rows after it down."""
+    lines, line = [], 2
+    for row in rows:
+        lines.append(line)
+        line += 1 + sum(len(re.findall(r"\r\n|\r|\n", cell)) for cell in row)
+    return lines
+
+
+class TestReadTable:
+    HEADER = ("word", "rater", "score")
+
+    @given(rows=st.lists(st.tuples(st.sampled_from(["a", "b", "x\ny", 'c,"d', "e\r\n"]),
+                                   st.sampled_from(["r1", "r2"]), adversarial), max_size=8),
+           key=st.sampled_from([("word",), ("word", "rater")]))
+    def test_repeated_key_is_refused_at_the_line_of_the_repeat(self, tmp_path_factory,
+                                                              rows, key):
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        write_rows(path, self.HEADER, rows)
+        lines = physical_lines(rows)
+        keys = [row[:len(key)] for row in rows]  # the key columns come first
+        repeat = next((i for i, k in enumerate(keys) if k in keys[:i]), None)
+        if repeat is None:
+            got_lines = []
+            assert read_table(path, self.HEADER, lambda *cells: cells, key, got_lines) == rows
+            assert got_lines == lines
+            return
+        shown = keys[repeat] if len(key) > 1 else keys[repeat][0]
+        with pytest.raises(CorpusFormatError) as info:
+            read_table(path, self.HEADER, lambda *cells: cells, key)
+        assert str(info.value) == (
+            f"{path}:{lines[repeat]}: duplicate {', '.join(key)} {shown!r} "
+            f"(first on line {lines[keys.index(keys[repeat])]})"
+        )
+
+    def test_value_error_of_the_parser_names_the_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_rows(path, ("word", "n"), [("a", "1"), ("b\nc", "2"), ("d", "x")])
+        with pytest.raises(CorpusFormatError,
+                           match=re.escape(f"{path}:5: invalid literal for int()")):
+            read_table(path, ("word", "n"), lambda word, n: (word, int(n)))
+
+    def test_one_format_error(self):
+        assert LexiconFormatError is CorpusFormatError
+
+
 class TestAtomicWrite:
     def test_failed_write_keeps_previous_artifact_and_no_temp_file(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -203,7 +262,7 @@ class TestStageArtifacts:
         assert_export_matches_reference(table, tmp_path)
 
     @given(st.lists(st.builds(RatingRecord, adversarial, adversarial, st.integers(1, 9)),
-                    max_size=8))
+                    max_size=8, unique_by=lambda r: (r.word, r.rater)))
     def test_rating_records_round_trip(self, tmp_path_factory, records):
         path = tmp_path_factory.mktemp("ratings") / "ratings.csv"
         save_rating_records(records, path)

@@ -21,10 +21,13 @@ from arousalkit.pipeline import (
     PipelineError,
     Workspace,
     demo_config,
+    run_agreement,
+    run_build,
     run_demo,
     run_evaluate,
     run_expand,
     run_ingest,
+    run_ratings,
     run_score,
     run_seeds,
     run_sheet,
@@ -138,17 +141,18 @@ class TestDemo:
             assert len(cell.split(";")) == config.k
 
 
+@pytest.fixture
+def staged(demo_workdir, tmp_path):
+    """A copy of the demo work directory and its configuration."""
+    work = tmp_path / "work"
+    shutil.copytree(demo_workdir, work)
+    config = PipelineConfig.load(demo_workdir / "inputs" / "config.json")
+    config.work_dir = str(work)
+    return work, config
+
+
 class TestReviewFile:
     """The review file is an input of ``sheet``; ``candidates.csv`` belongs to ``expand``."""
-
-    @pytest.fixture
-    def staged(self, demo_workdir, tmp_path):
-        """A copy of the demo work directory and its configuration."""
-        work = tmp_path / "work"
-        shutil.copytree(demo_workdir, work)
-        config = PipelineConfig.load(demo_workdir / "inputs" / "config.json")
-        config.work_dir = str(work)
-        return work, config
 
     def test_sheet_leaves_candidates_byte_identical(self, staged):
         work, config = staged
@@ -214,6 +218,71 @@ class TestReviewFile:
                                            "--modes", "general"])
         assert result.exit_code == 2
         assert "No such option" in result.output
+
+
+class TestRatingRefusals:
+    """Rating input that the domain lexicon cannot hold fails at the stage that
+    reads it, names the file and records nothing."""
+
+    @staticmethod
+    def repeat_first_rating(work: Path) -> str:
+        """Append a second score for the first (word, rater) of ratings.csv;
+        return the error message expected for it."""
+        ratings = work / "ratings.csv"
+        lines = ratings.read_text(encoding="utf-8").splitlines()
+        word, rater, _ = lines[1].split(",")
+        with ratings.open("a", encoding="utf-8") as out:
+            out.write(f"{word},{rater},9\n")
+        return (f"{ratings}:{len(lines) + 1}: duplicate word, rater "
+                f"{(word, rater)!r} (first on line 2)")
+
+    @pytest.mark.parametrize("stage, name, artifact", [
+        (run_agreement, "agreement", "agreement.txt"),
+        (run_build, "build", "sea_lexicon.csv"),
+    ])
+    def test_repeated_rating_is_refused_with_its_line(self, staged, stage, name, artifact):
+        work, config = staged
+        manifest = json.loads((work / "manifest.json").read_text())
+        del manifest[name]  # so that a new entry for the stage would show
+        (work / "manifest.json").write_text(json.dumps(manifest))
+        before = {path: (work / path).read_bytes() for path in ("manifest.json", artifact)}
+        message = self.repeat_first_rating(work)
+        with pytest.raises(CorpusFormatError, match=re.escape(message)):
+            stage(config)
+        assert {path: (work / path).read_bytes() for path in before} == before
+
+    def test_repeated_rating_fails_agreement_without_traceback(self, staged):
+        work, _ = staged
+        message = self.repeat_first_rating(work)
+        result = CliRunner().invoke(main, ["--config", str(work / "inputs" / "config.json"),
+                                           "--work-dir", str(work), "agreement"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+
+    def test_third_rating_sheet_is_refused_by_name(self, staged):
+        work, config = staged
+        sheets = [work / "ratings_r1.csv", work / "ratings_r2.csv", work / "ratings_r3.csv"]
+        shutil.copy(sheets[0], sheets[2])
+        before = {path: (work / path).read_bytes() for path in ("manifest.json", "ratings.csv")}
+        with pytest.raises(PipelineError, match=re.escape(
+                f"at most 2 rating sheets, one per rater; got 3: "
+                f"{sheets[0]}, {sheets[1]}, {sheets[2]}")):
+            run_ratings(config, sheets)
+        assert {path: (work / path).read_bytes() for path in before} == before
+
+    def test_third_rating_sheet_fails_without_traceback(self, tmp_path):
+        sheets = []
+        for rater in ("alice", "bob", "carol"):
+            sheets.append(tmp_path / f"{rater}.csv")
+            sheets[-1].write_text("word,rating,frequency,similar_words\nalpha,5,5,\n",
+                                  encoding="utf-8")
+        result = CliRunner().invoke(main, ["--work-dir", str(tmp_path / "w"), "ratings",
+                                           *map(str, sheets)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "got 3" in result.output
+        assert not (tmp_path / "w").exists()
 
 
 class TestAdversarialIssueIds:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arousalkit.artifacts import CorpusFormatError
@@ -772,7 +772,7 @@ class TestAggregate:
 
     def test_mu_recomputed_on_mutation(self):
         sea = aggregate_ratings([RatingRecord("a", "r1", 4)])
-        sea.entries["b"] = SeaEntry(8.0, [("r1", 8)])
+        sea.entries["b"] = SeaEntry("b", 8.0, [("r1", 8)])
         assert sea.mu == pytest.approx(6.0)
 
     def test_provenance_attached(self):
@@ -800,6 +800,11 @@ class TestAggregate:
         assert all(1.0 <= e.arousal <= 9.0 for e in sea.entries.values())
 
 
+#: any text a CSV cell can hold (csv refuses NUL on Python 3.10), but not empty
+_CELL_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"),
+                     min_size=1)
+
+
 class TestSeaLexiconFile:
     def build(self):
         return aggregate_ratings(
@@ -815,7 +820,37 @@ class TestSeaLexiconFile:
         sea = self.build()
         path = tmp_path / "sea.csv"
         sea.save(path)
-        assert SeaLexicon.load(path) == sea
+        assert SeaLexicon.load(path).entries == sea.entries
+
+    @given(ratings=st.dictionaries(
+        _CELL_TEXT,
+        st.tuples(st.dictionaries(st.sampled_from(["r1", "r2"]), st.integers(1, 9), min_size=1),
+                  st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"))),
+        min_size=1, max_size=12))
+    def test_save_load_round_trip_of_one_or_two_raters(self, tmp_path_factory, ratings):
+        records = [RatingRecord(word, rater, score)
+                   for word, (scores, _) in ratings.items() for rater, score in scores.items()]
+        # the file names its score columns r1 and r2, so a lone rater is r1
+        assume(any("r1" in scores for scores, _ in ratings.values()))
+        sea = aggregate_ratings(records, {word: source for word, (_, source) in ratings.items()})
+        path = tmp_path_factory.mktemp("sea") / "sea.csv"
+        sea.save(path)
+        assert SeaLexicon.load(path).entries == sea.entries
+
+    @pytest.mark.parametrize("row,message", [
+        ("fast,7.0000,7,,seed", "sea.csv:3: duplicate word 'fast'"),
+        ("slow,0.5000,,,seed", "sea.csv:3: arousal 0.5 out of [1,9] for 'slow'"),
+        ("slow,low,2,,seed", "sea.csv:3: could not convert string to float: 'low'"),
+        ("slow,2.0000,two,,seed", "sea.csv:3: invalid literal for int()"),
+        ("slow,2.0000,2,0,seed", "sea.csv:3: score 0 out of 1..9 for 'slow'"),
+        ("slow,2.5000,2,2,seed", "sea.csv:3: arousal does not match the rater mean for 'slow'"),
+    ])
+    def test_bad_row_is_refused_with_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "sea.csv"
+        path.write_text(f"word,arousal,r1,r2,source\nfast,7.5000,7,8,seed\n{row}\n",
+                        encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=re.escape(message)):
+            SeaLexicon.load(path)
 
     def test_header_format(self, tmp_path):
         sea = self.build()
