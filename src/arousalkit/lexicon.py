@@ -17,7 +17,7 @@ cell, or a repeated word (a repeated word and rater in the rating records),
 raises CorpusFormatError with the file and line. A domain lexicon row holds
 scores in 1..9 and an arousal in [1, 9] equal to the mean of its scores.
 The other three files are edited by people and read by one lenient rule,
-``_hand_edited_rows``.
+``_hand_edited_rows``; the generated sheet and its filled copies alike.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ import csv
 import logging
 import statistics
 from dataclasses import astuple, dataclass, field as dataclass_field
-from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -455,37 +454,51 @@ class IngestReport:
     errors: list[str] = dataclass_field(default_factory=list)
 
 
-def ingest_ratings(
-    sheet_paths: Sequence[str | Path],
-    rater_labels: Optional[Sequence[str]] = None,
-) -> tuple[list[RatingRecord], IngestReport]:
-    """Read filled rating sheets, one per rater, by the hand-edited file
-    rule of ``_hand_edited_rows``; the header row is skipped.
-
-    Empty rating cells are skipped (counted); non-integer or out-of-range
-    cells are collected as row errors. A word duplicated within one file
-    is fatal for that file, and so is a rater label given to two sheets.
-    """
+def sheet_labels(sheet_paths: Sequence[str | Path],
+                 rater_labels: Optional[Sequence[str]] = None) -> list[str]:
+    """One rater label per rating sheet, by default the sheet's file stem;
+    a label given to two sheets is refused."""
     if not sheet_paths:
         raise ValueError("need at least one rating sheet")
     if rater_labels is None:
         rater_labels = [Path(p).stem for p in sheet_paths]
     if len(rater_labels) != len(sheet_paths):
         raise ValueError("one rater label per sheet required")
-    first: dict[str, int] = {}
     for n, label in enumerate(rater_labels):
-        if first.setdefault(label, n) != n:
+        if (first := rater_labels.index(label)) != n:
             raise ValueError(f"rater label {label!r} is given to two sheets: "
-                             f"{sheet_paths[first[label]]} and {sheet_paths[n]}")
+                             f"{sheet_paths[first]} and {sheet_paths[n]}")
+    return list(rater_labels)
+
+
+def _sheet_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:  # the header skipped
+    return (row for row in _hand_edited_rows(path) if ",".join(row[1]) != SHEET_HEADER)
+
+
+def read_sheet_words(path: str | Path) -> set[str]:
+    """The words a rating sheet lists, read as ``ingest_ratings`` reads them."""
+    return {parts[0].lower() for _, parts in _sheet_rows(path)}
+
+
+def ingest_ratings(
+    sheet_paths: Sequence[str | Path],
+    rater_labels: Optional[Sequence[str]] = None,
+    sheet_words: Optional[Collection[str]] = None,
+) -> tuple[list[RatingRecord], IngestReport]:
+    """Read filled rating sheets, one per rater, by the rule of ``_sheet_rows``.
+
+    Empty rating cells are skipped (counted); non-integer or out-of-range
+    cells, and a filled row whose word is not among ``sheet_words`` (when
+    given), are collected as row errors. A word duplicated within one file
+    is fatal for that file, and so is a rater label given to two sheets.
+    """
+    labels = sheet_labels(sheet_paths, rater_labels)
     records: list[RatingRecord] = []
     report = IngestReport()
-    header = SHEET_HEADER.split(",")
-    for label, path in zip(rater_labels, sheet_paths):
+    for label, path in zip(labels, sheet_paths):
         path = Path(path)
         seen: set[str] = set()
-        for lineno, parts in _hand_edited_rows(path):
-            if parts == header:
-                continue
+        for lineno, parts in _sheet_rows(path):
             if len(parts) < 2:
                 report.errors.append(f"{path}:{lineno}: too few columns")
                 continue
@@ -497,6 +510,9 @@ def ingest_ratings(
             seen.add(word)
             if not cell:
                 report.n_skipped += 1
+                continue
+            if sheet_words is not None and word not in sheet_words:
+                report.errors.append(f"{path}:{lineno}: word {word!r} is not on the sheet")
                 continue
             try:
                 score = int(cell)
@@ -530,15 +546,32 @@ def load_rating_records(path: str | Path) -> list[RatingRecord]:
 # the bootstrapped arousal lexicon
 
 
+SEA_COLUMNS = ("r1", "r2")  # the domain lexicon's score columns, one per rater
+
+
+def _scores_by_rater(records: Iterable[RatingRecord]) -> dict[str, dict[str, int]]:
+    """rater -> word -> score; a word rated twice by one rater is refused."""
+    by_rater: dict[str, dict[str, int]] = {}
+    for record in records:
+        scores = by_rater.setdefault(record.rater, {})
+        if record.word in scores:
+            raise ValueError(f"word {record.word!r} is rated twice by rater {record.rater!r}: "
+                             f"{scores[record.word]} and {record.score}")
+        scores[record.word] = record.score
+    return by_rater
+
+
 @dataclass
 class SeaEntry:
     word: str
     arousal: float
-    scores: list[tuple[str, int]]  # (rater, score), rater order fixed
+    scores: list[tuple[str, int]]  # (rater, score), each rater one of SEA_COLUMNS
     provenance: str = ""
 
     def __post_init__(self):
         for rater, score in self.scores:
+            if rater not in SEA_COLUMNS:
+                raise ValueError(f"rater {rater!r} of {self.word!r} is not one of {SEA_COLUMNS}")
             RatingRecord(self.word, rater, score)  # refuses a score outside 1..9
         if not 1.0 <= self.arousal <= 9.0:
             raise ValueError(f"arousal {self.arousal} out of [1,9] for {self.word!r}")
@@ -547,17 +580,15 @@ class SeaEntry:
 
 
 class SeaLexicon(_WordTable):
-    """The bootstrapped arousal lexicon: per-word rater scores and means.
+    """The bootstrapped arousal lexicon: per-word rater scores and means;
+    an entry names its raters by the file's score columns, SEA_COLUMNS."""
 
-    Its file has one score column per rater, so it holds at most 2 raters;
-    the columns read back as raters ``r1`` and ``r2``.
-    """
-
-    HEADER = ("word", "arousal", "r1", "r2", "source")
+    HEADER = ("word", "arousal", *SEA_COLUMNS, "source")
 
     @staticmethod
-    def parse(word: str, arousal: str, r1: str, r2: str, source: str) -> SeaEntry:
-        scores = [(rater, int(cell)) for rater, cell in (("r1", r1), ("r2", r2)) if cell]
+    def parse(word: str, arousal: str, *cells: str) -> SeaEntry:
+        *score_cells, source = cells
+        scores = [(rater, int(cell)) for rater, cell in zip(SEA_COLUMNS, score_cells) if cell]
         return SeaEntry(word, float(arousal), scores, source)
 
     @property
@@ -571,29 +602,29 @@ class SeaLexicon(_WordTable):
         return {w: e.arousal for w, e in self.entries.items()}
 
     def save(self, path: str | Path) -> None:
-        raters = sorted({r for e in self for r, _ in e.scores})
-        if len(raters) > 2:
-            raise CorpusFormatError(f"lexicon file format holds at most 2 raters, got {len(raters)}")
-        columns = raters + [None] * (2 - len(raters))  # an absent rater's cells stay empty
         write_rows(path, self.HEADER, (
-            (word, f"{e.arousal:.4f}", *(dict(e.scores).get(r, "") for r in columns), e.provenance)
+            (word, f"{e.arousal:.4f}", *(dict(e.scores).get(c, "") for c in SEA_COLUMNS),
+             e.provenance)
             for word, e in sorted(self.entries.items())))
 
 
-def aggregate_ratings(
-    records: Iterable[RatingRecord],
-    provenance: Optional[dict[str, str]] = None,
-) -> SeaLexicon:
-    """Word arousal = arithmetic mean of its rater scores."""
-    by_word: dict[str, list[tuple[str, int]]] = {}
-    for record in records:
-        by_word.setdefault(record.word, []).append((record.rater, record.score))
-    if not by_word:
+def aggregate_ratings(records: Iterable[RatingRecord],
+                      provenance: Optional[dict[str, str]] = None) -> SeaLexicon:
+    """Word arousal = arithmetic mean of its rater scores. The raters in
+    label order are the score columns ``r1`` and ``r2``; a third is refused."""
+    by_rater = _scores_by_rater(records)
+    if not by_rater:
         raise ValueError("no rating records to aggregate")
+    if len(by_rater) > len(SEA_COLUMNS):
+        raise ValueError(f"the domain lexicon holds at most {len(SEA_COLUMNS)} raters, "
+                         f"got {len(by_rater)}: {', '.join(sorted(by_rater))}")
+    by_word: dict[str, list[tuple[str, int]]] = {}
+    for column, rater in zip(SEA_COLUMNS, sorted(by_rater)):
+        for word, score in by_rater[rater].items():
+            by_word.setdefault(word, []).append((column, score))
     provenance = provenance or {}
     return SeaLexicon(
-        SeaEntry(word, statistics.fmean(s for _, s in scores), sorted(scores, key=itemgetter(0)),
-                 provenance.get(word, ""))
+        SeaEntry(word, statistics.fmean(s for _, s in scores), scores, provenance.get(word, ""))
         for word, scores in by_word.items())
 
 
@@ -636,13 +667,11 @@ class AgreementReport:
         ]
 
 
-def rater_agreement(
-    records: Iterable[RatingRecord], kappa_weighting: str = "linear"
-) -> AgreementReport:
-    """Agreement statistics for exactly two raters over the same word set."""
-    by_rater: dict[str, dict[str, int]] = {}
-    for record in records:
-        by_rater.setdefault(record.rater, {})[record.word] = record.score
+def rater_agreement(records: Iterable[RatingRecord],
+                    kappa_weighting: str = "linear") -> AgreementReport:
+    """Agreement statistics for exactly two raters over the same word set;
+    a word rated twice by one rater is refused."""
+    by_rater = _scores_by_rater(records)
     if len(by_rater) != 2:
         raise ValueError(f"need exactly 2 raters, got {len(by_rater)}")
     (r1, scores1), (r2, scores2) = sorted(by_rater.items())
@@ -655,17 +684,13 @@ def rater_agreement(
     words = sorted(scores1)
     x = np.array([scores1[w] for w in words], dtype=np.float64)
     y = np.array([scores2[w] for w in words], dtype=np.float64)
-    n = len(words)
     try:
         r, p = pearson_r(x, y)
     except ValueError:
         r = p = None
     kappa = weighted_kappa(x.astype(int), y.astype(int), weighting=kappa_weighting)
-    exact = float(np.mean(x == y))
-    within_one = float(np.mean(np.abs(x - y) <= 1))
-    opposite = float(np.mean(((x > 5) & (y < 5)) | ((x < 5) & (y > 5))))
     return AgreementReport(
-        n_words=n,
+        n_words=len(words),
         raters=(r1, r2),
         means=(float(x.mean()), float(y.mean())),
         sds=(float(x.std(ddof=1)), float(y.std(ddof=1))),
@@ -673,7 +698,7 @@ def rater_agreement(
         pearson_p=p,
         kappa=kappa,
         kappa_weighting=kappa_weighting,
-        pct_exact=100.0 * exact,
-        pct_within_one=100.0 * within_one,
-        pct_opposite=100.0 * opposite,
+        pct_exact=100.0 * float(np.mean(x == y)),
+        pct_within_one=100.0 * float(np.mean(np.abs(x - y) <= 1)),
+        pct_opposite=100.0 * float(np.mean(((x > 5) & (y < 5)) | ((x < 5) & (y > 5)))),
     )

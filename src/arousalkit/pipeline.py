@@ -3,12 +3,10 @@
 Each stage reads the artifacts of the stages it names, writes its own
 artifacts into the work directory, and records a hash of its
 configuration slice in ``manifest.json``. A stage's slice is its own
-config keys plus the slices of the stages whose artifacts it reads;
-``ratings`` reads no artifact but takes the sheet's slice, because its
-raters rated that sheet. A stage first checks the recorded hashes of the
-stages it reads, so a config change that invalidates earlier artifacts is
-reported instead of silently mixing stale and fresh files. A stage that
-fails records nothing.
+config keys plus the slices of the stages whose artifacts it reads. A
+stage first checks the recorded hashes of the stages it reads, so a
+config change that invalidates earlier artifacts is reported instead of
+silently mixing stale and fresh files. A stage that fails records nothing.
 """
 
 from __future__ import annotations
@@ -45,8 +43,10 @@ from .lexicon import (
     load_seed_list,
     rater_agreement,
     read_review,
+    read_sheet_words,
     save_rating_records,
     select_seeds,
+    sheet_labels,
 )
 from .scoring import ScoringLexicon, score_corpus
 from .wordnet import load_wordnet
@@ -63,7 +63,6 @@ class Stage:
     keys: tuple[str, ...]  # config keys of the stage itself
     reads: tuple[str, ...]  # stages whose artifacts it reads
     artifacts: tuple[str, ...]
-    slice_of: Optional[tuple[str, ...]] = None  # upstream slices it takes; default reads
 
 
 STAGES: dict[str, Stage] = {
@@ -76,8 +75,7 @@ STAGES: dict[str, Stage] = {
                    ("ingest",), ("seeds.csv",)),
     "expand": Stage(("wordnet_dir", "k"), ("ingest", "train", "seeds"), ("candidates.csv",)),
     "sheet": Stage(("shuffle_sheet",), ("ingest", "train", "expand"), ("sheet.csv",)),
-    # the raters rated the sheet, so their ratings depend on its configuration
-    "ratings": Stage((), (), ("ratings.csv",), slice_of=("sheet",)),
+    "ratings": Stage((), ("sheet",), ("ratings.csv",)),
     "agreement": Stage(("kappa_weighting",), ("ratings",), ("agreement.txt",)),
     "build": Stage((), ("ratings", "expand"), ("sea_lexicon.csv",)),
     "score": Stage(("sea_avg",), ("ingest", "build"), ("scores.csv", "scores.bin")),
@@ -91,8 +89,7 @@ STAGES: dict[str, Stage] = {
 def stage_keys(stage: str) -> frozenset[str]:
     """The config keys a stage's outputs depend on: its configuration slice."""
     spec = STAGES[stage]
-    upstream = spec.reads if spec.slice_of is None else spec.slice_of
-    return frozenset(spec.keys).union(*map(stage_keys, upstream))
+    return frozenset(spec.keys).union(*map(stage_keys, spec.reads))
 
 
 class Workspace:
@@ -244,16 +241,15 @@ def run_sheet(config: PipelineConfig, review: str | Path) -> Path:
     return ws.path("sheet.csv")
 
 
-def run_ratings(
-    config: PipelineConfig,
-    sheet_files: Sequence[str],
-    labels: Optional[Sequence[str]] = None,
-):
+def run_ratings(config: PipelineConfig, sheet_files: Sequence[str],
+                labels: Optional[Sequence[str]] = None):
     if len(sheet_files) > 2:  # the domain lexicon holds two raters' scores
         raise PipelineError(f"the ratings stage takes at most 2 rating sheets, one per rater; got "
                             f"{len(sheet_files)}: {', '.join(map(str, sheet_files))}")
-    records, report = ingest_ratings(sheet_files, labels)
+    labels = sheet_labels(sheet_files, labels)  # refused before the sheet is looked at
     with Workspace(config).stage("ratings") as ws:
+        records, report = ingest_ratings(sheet_files, labels,
+                                         read_sheet_words(ws.path("sheet.csv")))
         for error in report.errors:
             logger.warning("rating row rejected: %s", error)
         save_rating_records(records, ws.path("ratings.csv"))

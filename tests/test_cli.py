@@ -284,6 +284,21 @@ class TestRatingRefusals:
         assert "got 3" in result.output
         assert not (tmp_path / "w").exists()
 
+    def test_word_not_on_the_sheet_is_rejected_per_sheet(self, staged, tmp_path):
+        work, config = staged
+        before = {name: (work / name).read_bytes() for name in ("ratings.csv", "sea_lexicon.csv")}
+        sheets, expected = [], []
+        for label in ("r1", "r2"):
+            sheets.append(tmp_path / f"filled_{label}.csv")
+            lines = (work / f"ratings_{label}.csv").read_text(encoding="utf-8").splitlines()
+            sheets[-1].write_text("\n".join([*lines, "zzzword,7,1,"]) + "\n", encoding="utf-8")
+            expected.append(f"{sheets[-1]}:{len(lines) + 1}: word 'zzzword' is not on the sheet")
+        records, report = run_ratings(config, sheets, labels=["r1", "r2"])
+        assert report.errors == expected
+        assert "zzzword" not in {record.word for record in records}
+        run_build(config)
+        assert {name: (work / name).read_bytes() for name in before} == before
+
 
 class TestAdversarialIssueIds:
     IDS = ("A,1", " B-2", 'C"3', "D\n4")
@@ -518,19 +533,24 @@ class TestCommandLine:
         assert isinstance(result.exception, SystemExit)
         assert not (tmp_path / "w" / "ratings.csv").exists()
 
-    def test_ratings_creates_the_work_directory(self, tmp_path):
-        # ratings needs no upstream stage, so it may be the first in a new work dir
+    def test_ratings_without_a_sheet_is_refused_naming_it(self, tmp_path):
+        # ratings reads sheet.csv, so it cannot be the first stage in a new work dir
         sheets = []
         for rater in ("alice", "bob"):
             sheets.append(tmp_path / f"{rater}.csv")
             sheets[-1].write_text("word,rating,frequency,similar_words\nalpha,5,5,\n",
                                   encoding="utf-8")
         work = tmp_path / "new" / "w"
+        message = "missing artifact 'sheet.csv'; run the 'sheet' stage first"
+        with pytest.raises(PipelineError, match=re.escape(message)):
+            run_ratings(PipelineConfig(work_dir=str(work)), sheets)
         result = CliRunner().invoke(main, ["--work-dir", str(work), "ratings",
                                            *map(str, sheets)])
-        assert result.exit_code == 0, result.output
-        assert (work / "ratings.csv").is_file()
-        assert "ratings" in json.loads((work / "manifest.json").read_text())
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+        assert not (work / "ratings.csv").exists()
+        assert not (work / "manifest.json").exists()
 
     def test_agreement_subcommand_reports(self, demo_workdir):
         config_path = demo_workdir / "inputs" / "config.json"

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arousalkit.artifacts import CorpusFormatError
@@ -34,6 +34,7 @@ from arousalkit.lexicon import (
     load_seed_list,
     rater_agreement,
     read_review,
+    read_sheet_words,
     save_rating_records,
     select_seeds,
 )
@@ -615,6 +616,22 @@ class TestIngestRatings:
         assert (report.n_records, report.n_skipped, report.errors) == (1, 0, [])
         assert reference_ingest_ratings([path], ["r1"]) != (records, report)
 
+    def test_filled_row_off_the_sheet_is_row_error(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(f"{SHEET_HEADER}\nalpha,7,5,\nzzzword,7,1,\nyyyword,,1,\n",
+                        encoding="utf-8")
+        records, report = ingest_ratings([path], ["r1"], sheet_words={"alpha"})
+        assert records == [RatingRecord("alpha", "r1", 7)]
+        assert report.errors == [f"{path}:3: word 'zzzword' is not on the sheet"]
+        assert (report.n_records, report.n_skipped) == (1, 1)
+
+    def test_generated_sheet_words_are_read_by_the_filled_sheet_rule(self, tmp_path,
+                                                                       small_world):
+        _, vocab, _, vectors = small_world
+        sheet = tmp_path / "sheet.csv"
+        generate_sheet(sheet, ["quick", "calm"], vocab, vectors, k=1)
+        assert read_sheet_words(sheet) == {"quick", "calm"}
+
     def test_word_named_word_is_a_row(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text(f"{SHEET_HEADER}\nword,3,5,\n", encoding="utf-8")
@@ -775,6 +792,12 @@ class TestAggregate:
         sea.entries["b"] = SeaEntry("b", 8.0, [("r1", 8)])
         assert sea.mu == pytest.approx(6.0)
 
+    def test_repeated_rating_is_refused(self):
+        records = [RatingRecord("a", "r1", 1), RatingRecord("a", "r2", 4),
+                   RatingRecord("a", "r1", 9)]
+        with pytest.raises(ValueError, match="'a' is rated twice by rater 'r1': 1 and 9"):
+            aggregate_ratings(records)
+
     def test_provenance_attached(self):
         sea = aggregate_ratings(
             [RatingRecord("a", "r1", 4)], provenance={"a": "wordnet:q"}
@@ -822,16 +845,16 @@ class TestSeaLexiconFile:
         sea.save(path)
         assert SeaLexicon.load(path).entries == sea.entries
 
-    @given(ratings=st.dictionaries(
-        _CELL_TEXT,
-        st.tuples(st.dictionaries(st.sampled_from(["r1", "r2"]), st.integers(1, 9), min_size=1),
-                  st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"))),
-        min_size=1, max_size=12))
+    @given(ratings=st.lists(_CELL_TEXT, min_size=1, max_size=2, unique=True).flatmap(
+        lambda raters: st.dictionaries(
+            _CELL_TEXT,
+            st.tuples(st.dictionaries(st.sampled_from(raters), st.integers(1, 9), min_size=1),
+                      st.text(st.characters(blacklist_categories=("Cs",),
+                                            blacklist_characters="\0"))),
+            min_size=1, max_size=12)))
     def test_save_load_round_trip_of_one_or_two_raters(self, tmp_path_factory, ratings):
         records = [RatingRecord(word, rater, score)
                    for word, (scores, _) in ratings.items() for rater, score in scores.items()]
-        # the file names its score columns r1 and r2, so a lone rater is r1
-        assume(any("r1" in scores for scores, _ in ratings.values()))
         sea = aggregate_ratings(records, {word: source for word, (_, source) in ratings.items()})
         path = tmp_path_factory.mktemp("sea") / "sea.csv"
         sea.save(path)
@@ -877,11 +900,25 @@ class TestSeaLexiconFile:
             SeaLexicon.load(path)
 
     def test_more_than_two_raters_cannot_serialize(self, tmp_path):
-        sea = aggregate_ratings(
-            [RatingRecord("w", r, 5) for r in ("r1", "r2", "r3")]
-        )
-        with pytest.raises(LexiconFormatError, match="2 raters"):
-            sea.save(tmp_path / "sea.csv")
+        with pytest.raises(ValueError, match="2 raters"):
+            aggregate_ratings(
+                [RatingRecord("w", r, 5) for r in ("r1", "r2", "r3")]
+            )
+
+    def test_raters_fill_the_columns_in_label_order(self, tmp_path):
+        sea = aggregate_ratings([RatingRecord("a", "bob", 3), RatingRecord("b", "alice", 4),
+                                 RatingRecord("c", "bob", 6)])
+        path = tmp_path / "sea.csv"
+        sea.save(path)
+        assert path.read_text(encoding="utf-8").splitlines()[1:] == \
+            ["a,3.0000,,3,", "b,4.0000,4,,", "c,6.0000,,6,"]
+        assert SeaLexicon.load(path).entries["a"].scores == [("r2", 3)]
+        lone = aggregate_ratings([RatingRecord("a", "bob", 3)])
+        assert lone.entries["a"].scores == [("r1", 3)]
+
+    def test_entry_rater_must_be_a_column(self):
+        with pytest.raises(ValueError, match="'alice' of 'w' is not one of"):
+            SeaEntry("w", 5.0, [("alice", 5)])
 
 
 class TestRaterAgreement:
@@ -925,6 +962,11 @@ class TestRaterAgreement:
     def test_word_set_mismatch_is_fatal_and_lists_difference(self):
         records = self.records([5, 5], [5, 5])[:-1]  # drop r2's last word
         with pytest.raises(ValueError, match="w001"):
+            rater_agreement(records)
+
+    def test_repeated_rating_is_refused(self):
+        records = self.records([5, 6], [5, 6]) + [RatingRecord("w001", "r2", 6)]
+        with pytest.raises(ValueError, match="'w001' is rated twice by rater 'r2': 6 and 6"):
             rater_agreement(records)
 
     def test_three_raters_rejected(self):
