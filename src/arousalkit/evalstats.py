@@ -46,7 +46,7 @@ _N_MODES, _N_PRIORITIES = len(MODES), len(Priority)
 
 def _group_key(field, mode, priority):
     """Integer key of the (field, mode, priority) codes, ordered like the
-    tuple; the codes may be int64 arrays."""
+    tuple; the codes may be int8 arrays, as every key is below 90."""
     return (field * _N_MODES + mode) * _N_PRIORITIES + priority
 
 
@@ -90,14 +90,15 @@ def evaluate_priorities(scores: ScoreTable, t_test: str = "welch") -> EvalTable:
         raise ValueError(f"unknown t-test variant: {t_test!r}")
     if not len(scores):
         raise ValueError("empty score table")
-    # one integer key per row; a stable sort keeps table order within a group
-    keys = _group_key(scores.field.astype(np.int64), scores.mode, scores.priority)
+    # one int8 key per row; a stable sort (a radix sort on int8) keeps table
+    # order within a group
+    keys = _group_key(scores.field, scores.mode, scores.priority)
     order = np.argsort(keys, kind="stable")
     keys, values = keys[order], scores.score[order]
     known = keys % _N_PRIORITIES != CODES[Priority.UNKNOWN]
     keys, values = keys[known], values[known]
-    group_keys, starts = np.unique(keys, return_index=True)
-    ends = np.append(starts[1:], len(keys))
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    group_keys, ends = keys[starts], np.append(starts[1:], len(keys))
     groups = {key: values[start:end] for key, start, end
               in zip(group_keys.tolist(), starts.tolist(), ends.tolist())}
     modes_seen = {MODES[key // _N_PRIORITIES % _N_MODES] for key in groups}

@@ -12,10 +12,13 @@ domain-lexicon score:
 
 ``score_text`` and ``combined_score`` state the rule for one token
 sequence. ``score_corpus`` applies it to every unit of a token store at
-once: a lexicon becomes an arousal vector over the store's dictionary,
-and per-unit maxima, minima and match counts are reductions over slices
-of the token array. Max and min over occurrences equal max and min over
-distinct words, so both give the same floats.
+once. The matched words' sorted distinct arousal values are ranked, and
+each word of the store's dictionary gets two codes in the narrowest
+unsigned dtype: 0 for no match, rank + 1 for the max and the reversed
+rank for the min. Per-unit match counts and largest codes are reductions
+over slices of the token array, and a largest code indexes its clamped
+value. Max and min over occurrences equal max and min over distinct
+words, and codes order like their values, so both give the same floats.
 """
 
 from __future__ import annotations
@@ -48,6 +51,9 @@ class ScoringLexicon:
         if not arousal:
             raise ValueError("scoring lexicon is empty")
         self._arousal = dict(arousal)
+        for word, value in self._arousal.items():
+            if not math.isfinite(value):
+                raise ValueError(f"arousal of {word!r} is not finite: {value!r}")
         self.avg = statistics.fmean(self._arousal.values())
 
     def __contains__(self, word: str) -> bool:
@@ -120,18 +126,21 @@ def _score_units(ids: np.ndarray, words: Sequence[str], lex: ScoringLexicon,
     count, clamped max, clamped min and score; the last three mean something only where the
     count is positive. The intp ``ids`` end in the sentinel ``len(words)``, so an end after
     the last token is a valid index; each per-word table gets one entry for the sentinel and
-    is read token by token with one fancy index, ``table[ids]``."""
+    is read token by token with one fancy index, ``table[ids]``. The extremes reduce the
+    rank codes of the module docstring; code 0, no match, reads as the average."""
     arousal, present = lex.lookup(words)
     counts = np.zeros(len(ids) + 1, dtype=np.int32)
     np.cumsum(np.append(present, False)[ids], out=counts[1:])
-    # reduceat over interleaved (start, end) pairs reduces each [start, end)
+    values, rank = np.unique(arousal[present], return_inverse=True)
+    top = np.where(values >= lex.avg, values, lex.avg)
+    bottom = np.where(values <= lex.avg, values, lex.avg)[::-1]
     extremes = []
-    for ufunc, missing in ((np.maximum, -np.inf), (np.minimum, np.inf)):
-        per_token = np.append(np.where(present, arousal, missing), missing)[ids]
-        extremes.append(ufunc.reduceat(per_token, bounds)[::2])
-    raw_max, raw_min = extremes
-    max_used = np.where(raw_max >= lex.avg, raw_max, lex.avg)
-    min_used = np.where(raw_min <= lex.avg, raw_min, lex.avg)
+    for clamped, code in ((top, rank + 1), (bottom, len(values) - rank)):
+        table = np.zeros(len(words) + 1, dtype=np.min_scalar_type(len(values)))
+        table[:-1][present] = code
+        # reduceat over interleaved (start, end) pairs reduces each [start, end)
+        extremes.append(np.append(lex.avg, clamped)[np.maximum.reduceat(table[ids], bounds)[::2]])
+    max_used, min_used = extremes
     return np.diff(counts[bounds])[::2], max_used, min_used, max_used + min_used
 
 

@@ -123,7 +123,8 @@ def generate_corpus(path: str | Path, n_issues: int = 1000, seed: int = 7) -> No
         return word
 
     def make_unit(priority: str, length: int) -> str:
-        tokens = list(rng.choice(FILLER_WORDS, size=length))
+        draws = rng.integers(0, len(FILLER_WORDS), size=length)
+        tokens = [FILLER_WORDS[i] for i in draws.tolist()]
         pole = "high" if rng.random() < HIGH_SIGNAL_PROB[priority] else "low"
         signal = [next_signal(pole)]
         if rng.random() < 0.35:

@@ -1,5 +1,6 @@
 import statistics
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from arousalkit.corpus import Comment, Field, Issue, Priority, TokenStore, token
 from arousalkit.scoring import (
     MODES,
     ScoringLexicon,
+    _score_units,
     combined_score,
     load_scores,
     resolve_sea_avg,
@@ -33,6 +35,11 @@ class TestScoringLexicon:
         arousal["a"] = 9.0
         assert lex.arousal("a") == 4.0
         assert ScoringLexicon(lex.arousal_map()).avg == lex.avg
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_arousal_is_refused_with_its_word(self, value):
+        with pytest.raises(ValueError, match="'bad'"):
+            ScoringLexicon({"fine": 5.0, "bad": value})
 
 
 class TestScoreText:
@@ -382,3 +389,79 @@ class TestArrayScoringOracle:
         ref = score_text(["bb", "bb", "zz"], lex)
         assert row[4:] == (ref.n_matched, ref.max_used, ref.min_used, ref.score) == \
             (2, 4.0, 4.0, 8.0)
+
+
+def reference_score_units(ids, words, lex, bounds):
+    """The float64 form of ``_score_units``: the extremes are reduced over
+    each token's arousal, with -inf/+inf where a token has no match."""
+    arousal, present = lex.lookup(words)
+    counts = np.zeros(len(ids) + 1, dtype=np.int32)
+    np.cumsum(np.append(present, False)[ids], out=counts[1:])
+    extremes = []
+    for ufunc, missing in ((np.maximum, -np.inf), (np.minimum, np.inf)):
+        per_token = np.append(np.where(present, arousal, missing), missing)[ids]
+        extremes.append(ufunc.reduceat(per_token, bounds)[::2])
+    raw_max, raw_min = extremes
+    max_used = np.where(raw_max >= lex.avg, raw_max, lex.avg)
+    min_used = np.where(raw_min <= lex.avg, raw_min, lex.avg)
+    return np.diff(counts[bounds])[::2], max_used, min_used, max_used + min_used
+
+
+def assert_kernel_matches_reference(arousal, n_absent=3, n_tokens=400, seed=0):
+    """``_score_units`` and ``reference_score_units`` agree bit for bit on
+    every unit with a match. The dictionary holds the lexicon's words and
+    ``n_absent`` words it lacks; the units are random, possibly empty or
+    overlapping, slices of random tokens, plus one unit holding only the
+    highest and one only the lowest word."""
+    rng = np.random.default_rng(seed)
+    lex = ScoringLexicon(arousal)
+    words = list(arousal) + [f"absent{i}" for i in range(n_absent)]
+    tokens = rng.integers(0, len(words), size=n_tokens)
+    extremes = [words.index(max(arousal, key=arousal.get)),
+                words.index(min(arousal, key=arousal.get))]
+    ids = np.concatenate([tokens, extremes, [len(words)]]).astype(np.intp)
+    starts = rng.integers(0, n_tokens + 1, size=200)
+    ends = np.minimum(starts + rng.integers(0, 30, size=200), n_tokens)
+    units = np.stack([np.append(starts, [n_tokens, n_tokens + 1]),
+                      np.append(ends, [n_tokens + 1, n_tokens + 2])], axis=-1)
+    bounds = units.ravel()
+    got = _score_units(ids, words, lex, bounds)
+    expected = reference_score_units(ids, words, lex, bounds)
+    assert got[0].tolist() == expected[0].tolist()
+    matched = expected[0] > 0
+    for got_column, expected_column in zip(got[1:], expected[1:]):
+        assert got_column.dtype == np.float64
+        assert got_column[matched].tobytes() == expected_column[matched].tobytes()
+    return expected[0]
+
+
+class TestRankCodedKernel:
+    def test_tied_values(self):
+        arousal = {f"w{i}": [2.0, 5.5, 5.5, 7.25][i % 4] for i in range(40)}
+        assert assert_kernel_matches_reference(arousal).any()
+
+    def test_a_single_distinct_value(self):
+        assert assert_kernel_matches_reference(dict.fromkeys(["a", "b", "c"], 6.5)).any()
+
+    def test_no_word_of_the_lexicon_in_the_dictionary(self):
+        lex = ScoringLexicon({"fire": 8.0, "calm": 2.0})
+        words = ["aa", "bb"]
+        ids = np.array([0, 1, 1, 0, len(words)], dtype=np.intp)
+        bounds = np.array([0, 2, 2, 4, 4, 4])
+        counts = _score_units(ids, words, lex, bounds)[0]
+        assert counts.tolist() == reference_score_units(ids, words, lex, bounds)[0].tolist()
+        assert counts.tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("n_distinct", [255, 256, 65535, 65536])
+    def test_code_width_boundaries(self, n_distinct):
+        # n distinct values take codes 0..n: 255 and 65535 are the largest
+        # that fit uint8 and uint16, 256 and 65536 the smallest that do not
+        arousal = {f"w{i}": 1.0 + 8.0 * i / n_distinct for i in range(n_distinct)}
+        assert assert_kernel_matches_reference(arousal, n_tokens=2000).any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.text(alphabet="abcdef", min_size=1, max_size=2),
+                           ORACLE_VALUES | st.just(0.0), min_size=1, max_size=20),
+           st.integers(0, 2**32 - 1))
+    def test_random_lexicons(self, arousal, seed):
+        assert_kernel_matches_reference(arousal, n_tokens=60, seed=seed)
