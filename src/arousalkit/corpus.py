@@ -5,7 +5,14 @@ The corpus file is UTF-8 JSON lines, one issue per line:
     {"id": "X-1", "priority": "Blocker", "title": "...", "description": "...",
      "comments": [{"ts": "2015-01-01T00:00:00Z", "body": "..."}]}
 
-``ts`` is optional; a missing ``comments`` key means no comments.
+``ts`` is optional; a missing ``comments`` key means no comments. A line is
+read as exactly what ``json.loads`` accepts, NaN, infinities and lone-surrogate
+escapes included. A file that is not UTF-8 is refused with the path and line of
+the first byte that does not decode.
+
+Tokens are the maximal runs of ASCII letters ``a``-``z`` in the text after
+Unicode lowercasing; every other character is a delimiter, digits, non-ASCII
+letters and lone surrogates included.
 """
 
 from __future__ import annotations
@@ -13,7 +20,6 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-import re
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field as dataclass_field
@@ -35,7 +41,8 @@ from .artifacts import (
 
 logger = logging.getLogger(__name__)
 
-_TOKEN_RE = re.compile(r"[a-z]+")
+#: Byte table of ``tokenize``: keeps ``a``-``z`` and makes every other byte a space.
+_LETTERS = bytes(byte if 0x61 <= byte <= 0x7A else 0x20 for byte in range(256))
 
 
 class Priority(Enum):
@@ -83,23 +90,28 @@ class Issue:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on every non-letter character.
+    """The maximal runs of ``a``-``z`` in ``text.lower()``.
 
-    Digits and punctuation act purely as delimiters, so "don't" yields
-    ["don", "t"] and "5s" yields ["s"].
+    Every other character is a delimiter, so "don't" yields ["don", "t"],
+    "5s" yields ["s"] and "naïve" yields ["na", "ve"]. The UTF-8 bytes of a
+    non-ASCII character, lone surrogates included, are all 0x80 or above,
+    so the byte table turns each of them into a space.
     """
-    return _TOKEN_RE.findall(text.lower())
+    return text.lower().encode("utf-8", "surrogatepass").translate(_LETTERS).decode(
+        "ascii").split()
 
 
 def parse_corpus(path: str | Path) -> Iterator[Issue]:
     """Stream issues from a JSON-lines corpus file.
 
     Malformed records are logged with their line number and skipped; an
-    unreadable file or a repeated or non-UTF-8 issue id raises CorpusFormatError.
+    unreadable file, a line that is not UTF-8 or a repeated or non-UTF-8
+    issue id raises CorpusFormatError.
     """
     path = Path(path)
     try:
-        handle = path.open("r", encoding="utf-8")
+        # a byte that is not UTF-8 becomes a lone surrogate, which the line check refuses
+        handle = path.open("r", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise CorpusFormatError(f"cannot read corpus file {path}: {exc}") from exc
     with handle:
@@ -108,6 +120,12 @@ def parse_corpus(path: str | Path) -> Iterator[Issue]:
         for lineno, line in enumerate(handle, 1):
             if not line.strip():
                 continue
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise CorpusFormatError(f"{path}:{lineno}: byte 0x{byte:02x} at column "
+                                        f"{exc.start + 1} is not UTF-8") from None
             issue = _parse_record(line, lineno)
             if issue is None:
                 n_bad += 1
@@ -289,6 +307,10 @@ class Vocabulary:
 
     def id(self, word: str) -> int:
         return self._ids[word]
+
+    def lookup(self, words: Iterable[str]) -> np.ndarray:
+        """The int32 id of each word, -1 for a word not in the vocabulary."""
+        return np.fromiter(map(self._ids.get, words, itertools.repeat(-1)), dtype=np.int32)
 
     def freq(self, word: str, default: int = 0) -> int:
         return self._freqs.get(word, default)

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
 from . import scoring as scoring_mod
 from . import synthetic
 from .artifacts import atomic_open
@@ -182,9 +180,7 @@ def run_train(config: PipelineConfig):
 
 def _count_store(store: TokenStore, vocab: Vocabulary, window: int):
     # store ids -> vocabulary ids, -1 for words below min_count
-    to_vocab = np.array([vocab.id(w) if w in vocab else -1 for w in store.words],
-                        dtype=np.int32)
-    ids, offsets = to_vocab[store.ids], store.offsets
+    ids, offsets = vocab.lookup(store.words)[store.ids], store.offsets
     del store  # the store's own ids are not needed while counting
     return count_cooccurrences(ids, offsets, window)
 

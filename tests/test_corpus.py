@@ -1,12 +1,18 @@
+import hashlib
 import json
+import re
 import string
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from arousalkit import synthetic
 from arousalkit.artifacts import pack_strings, write_records
+from arousalkit.config import PipelineConfig
+from arousalkit.pipeline import run_ingest
 from arousalkit.corpus import (
     _STORE_TAG,
     Comment,
@@ -51,6 +57,24 @@ class TestTokenize:
     def test_idempotent_over_join(self, text):
         once = tokenize(text)
         assert tokenize(" ".join(once)) == once
+
+    @pytest.mark.parametrize("text, expected", [
+        ("\u212aelvin", ["kelvin"]),  # KELVIN SIGN lowercases to ASCII k
+        ("\u0130stanbul", ["i", "stanbul"]),  # i + COMBINING DOT ABOVE
+        ("a\x00b", ["a", "b"]),
+        ("na\u00efve stra\u00dfe \ufb01le caf\u00e9", ["na", "ve", "stra", "e", "le", "caf"]),
+        ("a\ud800b\udfffc", ["a", "b", "c"]),
+        ("\ud800", []),
+    ])
+    def test_non_ascii_characters(self, text, expected):
+        assert tokenize(text) == expected
+
+    @given(st.text(st.one_of(st.characters(),
+                             st.integers(0xD800, 0xDFFF).map(chr),  # lone surrogates
+                             st.sampled_from("\u212a\u0130\u00df\ufb01\u00e9\x00 AZaz-'")),
+                   max_size=60))
+    def test_equals_the_regex_rule(self, text):
+        assert tokenize(text) == re.findall("[a-z]+", text.lower())
 
 
 class TestParseCorpus:
@@ -123,6 +147,24 @@ class TestParseCorpus:
                   "comments": [{"body": b} for b in bodies]}
         path = self.write(tmp_path, [json.dumps(record)])
         assert [c.body for c in next(parse_corpus(path)).comments] == bodies
+
+    def test_byte_that_is_not_utf8_is_fatal_with_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        good = json.dumps({"id": "X", "priority": "Major", "title": "a", "description": ""})
+        path.write_bytes(good.encode() + b'\n{"id": "Y", "title": "caf\xff"}\n' + good.encode())
+        with pytest.raises(CorpusFormatError,
+                           match=r"corpus.jsonl:2: byte 0xff at column 26 is not UTF-8"):
+            list(parse_corpus(path))
+
+    @pytest.mark.parametrize("tail, message", [
+        (b"\n\xe2\x82", "corpus.jsonl:2: byte 0xe2 at column 1 "),  # cut short at the end
+        (b"\r\n\r\n \x80\n", "corpus.jsonl:3: byte 0x80 at column 2 "),
+    ])
+    def test_undecodable_line_is_named(self, tmp_path, tail, message):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b'{"id": "X"}' + tail)
+        with pytest.raises(CorpusFormatError, match=message):
+            list(parse_corpus(path))
 
 
 def tokens(store, start, end):
@@ -283,6 +325,38 @@ class TestTokenStore:
             TokenStore.load(path)
 
 
+EDGE_CASES = Path(__file__).parent / "data" / "ingest_edge_cases.jsonl"
+
+
+class TestPinnedIngest:
+    """sha256 of the ingest artifacts, taken while tokenize was still the
+    regex ``[a-z]+``; any change to what ingest reads or writes moves them."""
+
+    def ingest(self, corpus, work_dir):
+        run_ingest(PipelineConfig.from_dict(
+            {"corpus": str(corpus), "work_dir": str(work_dir), "min_count": 1}))
+        return {name: hashlib.sha256((work_dir / name).read_bytes()).hexdigest()
+                for name in ("tokens.bin", "vocab.csv")}
+
+    def test_generated_corpus(self, tmp_path):
+        synthetic.generate_corpus(tmp_path / "corpus.jsonl", 200, seed=7)
+        assert self.ingest(tmp_path / "corpus.jsonl", tmp_path / "work") == {
+            "tokens.bin": "8f3a26d5ef32f2080e49b34c2d5f7a3a1be7f5a325c131700978979532304140",
+            "vocab.csv": "95bc18fd4f7597e24c95a4c71d83b3d8ec6e04672341affe584ea68b1d5d6cef",
+        }
+
+    def test_edge_case_corpus(self, tmp_path):
+        # a 2**64 id, a NaN title, escaped and raw lone surrogates and KELVIN SIGN,
+        # a float id, malformed lines, a BOM line and a repeated key
+        assert self.ingest(EDGE_CASES, tmp_path / "work") == {
+            "tokens.bin": "4cf9e909154df5d9771d8934f131233be59bbb6f493f7aba955ef527484ca347",
+            "vocab.csv": "566a4e7cf49ff1cc18b1b6d15cf5c63e12d4b62763fa1534e0dcc70d40f95e5a",
+        }
+        ids = TokenStore.load(tmp_path / "work" / "tokens.bin").issue_ids
+        assert ids == ["18446744073709551616", "NAN-1", "SUR-1", "1.5",
+                       "-9223372036854775809", "9223372036854775807", "DUP-KEY", "NUM-1"]
+
+
 class TestVocabulary:
     def test_counting_and_id_order(self):
         vocab = build_vocabulary(store_of(make_issue(title="a b b")), min_count=1)
@@ -311,6 +385,14 @@ class TestVocabulary:
         ids = sorted(vocab.id(w) for w, _, _ in vocab.items())
         assert ids == list(range(len(vocab)))
         assert all(freq >= 2 for _, _, freq in vocab.items())
+
+    def test_lookup_maps_words_to_ids_or_minus_one(self):
+        vocab = build_vocabulary(store_of(make_issue(title="a b b c c c")), min_count=2)
+        words = ["c", "a", "b", "zz", "", "c"]
+        assert vocab.lookup(words).dtype == np.int32
+        assert vocab.lookup(words).tolist() == \
+            [vocab.id(w) if w in vocab else -1 for w in words] == [0, -1, 1, -1, -1, 0]
+        assert vocab.lookup([]).tolist() == []
 
     def test_min_count_must_be_positive(self):
         with pytest.raises(ValueError):
