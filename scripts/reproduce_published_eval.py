@@ -10,7 +10,7 @@ cell is printed for comparison against the reference value 0.5070.
 
 import argparse
 
-from arousalkit.corpus import Field, TokenStore, parse_corpus
+from arousalkit.corpus import Field, read_corpus
 from arousalkit.evalstats import evaluate_priorities, pair_label, render_tables
 from arousalkit.lexicon import SeaLexicon, load_general_lexicon
 from arousalkit.scoring import ScoringLexicon, round_scores, score_corpus
@@ -28,8 +28,7 @@ def main():
     general = load_general_lexicon(args.general_lexicon)
     sea = ScoringLexicon(SeaLexicon.load(args.sea_lexicon).arousal_map())
     # the reals as the export states them, which is what `arousalkit evaluate` reads
-    rows = round_scores(score_corpus(TokenStore.from_issues(parse_corpus(args.corpus)), general,
-                                     sea))
+    rows = round_scores(score_corpus(read_corpus(args.corpus), general, sea))
     table = evaluate_priorities(rows, t_test=args.t_test)
     written = render_tables(table, args.out_dir)
     for path in written:

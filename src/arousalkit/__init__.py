@@ -2,12 +2,11 @@
 
 from .corpus import (
     Field,
-    Issue,
     Priority,
     TokenStore,
     Vocabulary,
     build_vocabulary,
-    parse_corpus,
+    read_corpus,
     tokenize,
 )
 from .embedding import (

@@ -1,14 +1,16 @@
-"""Issue-tracker corpus ingestion: parsing, tokenization, the token store, vocabulary.
+"""Issue-tracker corpus ingestion: tokenization, the token store, vocabulary.
 
-The corpus file is UTF-8 JSON lines, one issue per line:
+``read_corpus`` reads a UTF-8 JSON-lines file, one issue per line,
 
     {"id": "X-1", "priority": "Blocker", "title": "...", "description": "...",
      "comments": [{"ts": "2015-01-01T00:00:00Z", "body": "..."}]}
 
-``ts`` is optional; a missing ``comments`` key means no comments. A line is
-read as exactly what ``json.loads`` accepts, NaN, infinities and lone-surrogate
-escapes included. A file that is not UTF-8 is refused with the path and line of
-the first byte that does not decode.
+straight into a ``TokenStore``; no per-issue object is built. ``ts``, like
+any key not shown here, is accepted and not read; a missing ``comments``
+key means no comments. A line is read as exactly what
+``json.loads`` accepts, NaN, infinities and lone-surrogate escapes
+included. A file that is not UTF-8 is refused with the path and line of the
+first byte that does not decode.
 
 Tokens are the maximal runs of ASCII letters ``a``-``z`` in the text after
 Unicode lowercasing; every other character is a delimiter, digits, non-ASCII
@@ -22,10 +24,10 @@ import json
 import logging
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -53,17 +55,11 @@ class Priority(Enum):
     TRIVIAL = "Trivial"
     UNKNOWN = "Unknown"
 
-    @classmethod
-    def parse(cls, label: object) -> "Priority":
-        """Case-insensitive parse; anything unrecognized maps to UNKNOWN."""
-        if isinstance(label, str):
-            return _PRIORITY_BY_LABEL.get(label.strip().lower(), cls.UNKNOWN)
-        return cls.UNKNOWN
 
-
-_PRIORITY_BY_LABEL = {member.value.lower(): member for member in Priority}
 #: A priority's int8 code in the token store and the score table: its position in Priority.
 PRIORITY_CODES = {member: code for code, member in enumerate(Priority)}
+_CODE_BY_LABEL = {member.value.lower(): code for member, code in PRIORITY_CODES.items()}
+_UNKNOWN_CODE = PRIORITY_CODES[Priority.UNKNOWN]
 
 
 class Field(Enum):
@@ -72,21 +68,6 @@ class Field(Enum):
     ALL_COMMENTS = "all_comments"
     FIRST_COMMENT = "first_comment"
     LAST_COMMENT = "last_comment"
-
-
-@dataclass
-class Comment:
-    body: str
-    ts: Optional[str] = None
-
-
-@dataclass
-class Issue:
-    id: str
-    priority: Priority
-    title: str
-    description: str
-    comments: list[Comment] = dataclass_field(default_factory=list)
 
 
 def tokenize(text: str) -> list[str]:
@@ -101,10 +82,11 @@ def tokenize(text: str) -> list[str]:
         "ascii").split()
 
 
-def parse_corpus(path: str | Path) -> Iterator[Issue]:
-    """Stream issues from a JSON-lines corpus file.
+def read_corpus(path: str | Path) -> TokenStore:
+    """Tokenize a JSON-lines corpus file into a token store.
 
-    Malformed records are logged with their line number and skipped; an
+    Malformed records, a line nested too deeply for ``json.loads``
+    included, are logged with their line number and skipped; an
     unreadable file, a line that is not UTF-8 or a repeated or non-UTF-8
     issue id raises CorpusFormatError.
     """
@@ -114,9 +96,13 @@ def parse_corpus(path: str | Path) -> Iterator[Issue]:
         handle = path.open("r", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise CorpusFormatError(f"cannot read corpus file {path}: {exc}") from exc
+    index: defaultdict[str, int] = defaultdict()
+    index.default_factory = index.__len__  # a new word gets the next id
+    ids, offsets, issue_streams = array("i"), array("q", [0]), array("q", [0])
+    issue_ids, priority = [], array("b")
+    first_line: dict[str, int] = {}
+    n_bad = 0
     with handle:
-        n_bad = 0
-        first_line: dict[str, int] = {}
         for lineno, line in enumerate(handle, 1):
             if not line.strip():
                 continue
@@ -126,52 +112,60 @@ def parse_corpus(path: str | Path) -> Iterator[Issue]:
                 byte = ord(line[exc.start]) - 0xDC00
                 raise CorpusFormatError(f"{path}:{lineno}: byte 0x{byte:02x} at column "
                                         f"{exc.start + 1} is not UTF-8") from None
-            issue = _parse_record(line, lineno)
-            if issue is None:
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                problem = f"invalid JSON ({exc.msg})"
+            except RecursionError:
+                problem = "invalid JSON (nested too deeply)"
+            else:
+                problem = _record_problem(record)
+            if problem:
+                logger.warning("line %d: %s", lineno, problem)
                 n_bad += 1
                 continue
+            issue_id = str(record["id"])
+            texts = [str(record.get("title", "")), str(record.get("description", "")),
+                     *(str(entry.get("body", "")) for entry in record.get("comments", []))]
+            label = record.get("priority")
+            code = (_CODE_BY_LABEL.get(label.strip().lower(), _UNKNOWN_CODE)
+                    if isinstance(label, str) else _UNKNOWN_CODE)
             try:
-                issue.id.encode("utf-8")
+                issue_id.encode("utf-8")
             except UnicodeEncodeError:
                 raise CorpusFormatError(
-                    f"{path}:{lineno}: issue id {issue.id!r} cannot be encoded as UTF-8"
+                    f"{path}:{lineno}: issue id {issue_id!r} cannot be encoded as UTF-8"
                 ) from None
-            seen = first_line.setdefault(issue.id, lineno)
+            seen = first_line.setdefault(issue_id, lineno)
             if seen != lineno:
                 raise CorpusFormatError(
-                    f"{path}:{lineno}: duplicate issue id {issue.id!r} (first on line {seen})"
+                    f"{path}:{lineno}: duplicate issue id {issue_id!r} (first on line {seen})"
                 )
-            yield issue
-        if n_bad:
-            logger.warning("%s: skipped %d malformed record(s)", path, n_bad)
+            for text in texts:
+                ids.extend(map(index.__getitem__, tokenize(text)))
+                offsets.append(len(ids))
+            issue_streams.append(len(offsets) - 1)
+            issue_ids.append(issue_id)
+            priority.append(code)
+    if n_bad:
+        logger.warning("%s: skipped %d malformed record(s)", path, n_bad)
+    index.default_factory = None  # the bound __len__ would keep the dictionary in a cycle
+    return TokenStore(np.frombuffer(ids, dtype=np.intc).astype(np.int32, copy=False),
+                      list(index), issue_ids, np.frombuffer(offsets, dtype=np.int64),
+                      np.frombuffer(issue_streams, dtype=np.int64),
+                      np.frombuffer(priority, dtype=np.int8))
 
 
-def _parse_record(line: str, lineno: int) -> Optional[Issue]:
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        logger.warning("line %d: invalid JSON (%s)", lineno, exc.msg)
-        return None
+def _record_problem(record: object) -> Optional[str]:
+    """Why a decoded line is not an issue record, or None if it is one."""
     if not isinstance(record, dict) or "id" not in record:
-        logger.warning("line %d: record is not an object with an 'id'", lineno)
-        return None
-    raw_comments = record.get("comments", [])
-    if not isinstance(raw_comments, list):
-        logger.warning("line %d: 'comments' is not a list", lineno)
-        return None
-    comments = []
-    for entry in raw_comments:
-        if not isinstance(entry, dict):
-            logger.warning("line %d: comment entry is not an object", lineno)
-            return None
-        comments.append(Comment(body=str(entry.get("body", "")), ts=entry.get("ts")))
-    return Issue(
-        id=str(record["id"]),
-        priority=Priority.parse(record.get("priority", "")),
-        title=str(record.get("title", "")),
-        description=str(record.get("description", "")),
-        comments=comments,
-    )
+        return "record is not an object with an 'id'"
+    comments = record.get("comments", [])
+    if not isinstance(comments, list):
+        return "'comments' is not a list"
+    if not all(isinstance(entry, dict) for entry in comments):
+        return "comment entry is not an object"
+    return None
 
 
 #: First record of a token store file, checked on load.
@@ -197,25 +191,6 @@ class TokenStore:
     offsets: np.ndarray
     issue_streams: np.ndarray
     priority: np.ndarray
-
-    @classmethod
-    def from_issues(cls, issues: Iterable[Issue]) -> "TokenStore":
-        index: defaultdict[str, int] = defaultdict()
-        index.default_factory = index.__len__  # a new word gets the next id
-        ids, offsets, issue_streams = array("i"), array("q", [0]), array("q", [0])
-        issue_ids, priority = [], array("b")
-        for issue in issues:
-            for text in (issue.title, issue.description, *(c.body for c in issue.comments)):
-                ids.extend(map(index.__getitem__, tokenize(text)))
-                offsets.append(len(ids))
-            issue_streams.append(len(offsets) - 1)
-            issue_ids.append(issue.id)
-            priority.append(PRIORITY_CODES[issue.priority])
-        index.default_factory = None
-        return cls(np.frombuffer(ids, dtype=np.intc).astype(np.int32, copy=False), list(index),
-                   issue_ids, np.frombuffer(offsets, dtype=np.int64),
-                   np.frombuffer(issue_streams, dtype=np.int64),
-                   np.frombuffer(priority, dtype=np.int8))
 
     def units(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Token bounds of the five scoring units of every issue.

@@ -23,7 +23,7 @@ from . import scoring as scoring_mod
 from . import synthetic
 from .artifacts import atomic_open
 from .config import PipelineConfig, hash_config_slice
-from .corpus import TokenStore, Vocabulary, build_vocabulary, parse_corpus
+from .corpus import TokenStore, Vocabulary, build_vocabulary, read_corpus
 from .embedding import WordVectors, count_cooccurrences, glove_train, nearest_neighbors
 from .evalstats import EvalTable, evaluate_priorities, render_tables
 from .lexicon import (
@@ -154,7 +154,7 @@ class Workspace:
 
 def run_ingest(config: PipelineConfig) -> Vocabulary:
     with Workspace(config).stage("ingest") as ws:
-        store = TokenStore.from_issues(parse_corpus(config.corpus))
+        store = read_corpus(config.corpus)
         vocab = build_vocabulary(store, min_count=config.min_count)
         vocab.save(ws.path("vocab.csv"))
         store.save(ws.path("tokens.bin"))

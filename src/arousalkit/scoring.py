@@ -194,9 +194,8 @@ class ScoreTable:
         return len(self.score)
 
 
-def score_corpus(store: TokenStore, general: Optional[ScoringLexicon],
-                 sea: Optional[ScoringLexicon], sea_avg: Union[str, float] = "lexicon",
-                 modes: Sequence[str] = MODES) -> ScoreTable:
+def score_corpus(store: TokenStore, general: ScoringLexicon, sea: ScoringLexicon,
+                 sea_avg: Union[str, float] = "lexicon") -> ScoreTable:
     """One row per (issue, field, mode) with a present score.
 
     ``sea_avg`` is a ``resolve_sea_avg`` setting or "dataset", the mean
@@ -205,29 +204,21 @@ def score_corpus(store: TokenStore, general: Optional[ScoringLexicon],
     (issue id, field, mode) order, each with its issue's priority from
     the store.
     """
-    for mode in modes:
-        if mode not in MODES:
-            raise ValueError(f"unknown scoring mode: {mode!r}")
-    modes = [m for m in MODES if m in modes]
     # units in corpus order, issue by issue, five per issue in Field order
     starts, ends, present = (a.ravel() for a in store.units())
     bounds = np.stack([starts, ends], axis=-1).ravel()
     ids = np.concatenate([store.ids, [len(store.words)]]).astype(np.intp, copy=False)
-    columns = {}  # per mode: n_matched, max, min and score of every unit
-    for name, lex in (("general", general), ("sea", sea)):
-        if name in modes or "combined" in modes:
-            if lex is None:
-                raise ValueError(f"{name} lexicon required for {name}/combined modes")
-            columns[name] = np.stack(_score_units(ids, store.words, lex, bounds))
-    if "combined" in modes:
-        sea_n, _, _, sea_score = columns["sea"]
-        if sea_avg == "dataset":
-            sea_avg = _present_mean(sea_score, present & (sea_n > 0))
-        else:
-            sea_avg = resolve_sea_avg(sea, sea_avg)
-        combined = columns["combined"] = columns["general"].copy()
-        combined[3] = np.where(sea_n > 0, combined[3] + (sea_score - sea_avg), combined[3] + 0.0)
-    grid = np.stack([columns[m] for m in modes]) if modes else np.empty((0, 4, len(starts)))
+    # per mode: n_matched, max, min and score of every unit
+    general_columns, sea_columns = (np.stack(_score_units(ids, store.words, lex, bounds))
+                                    for lex in (general, sea))
+    sea_n, _, _, sea_score = sea_columns
+    if sea_avg == "dataset":
+        sea_avg = _present_mean(sea_score, present & (sea_n > 0))
+    else:
+        sea_avg = resolve_sea_avg(sea, sea_avg)
+    combined = general_columns.copy()
+    combined[3] = np.where(sea_n > 0, combined[3] + (sea_score - sea_avg), combined[3] + 0.0)
+    grid = np.stack([general_columns, sea_columns, combined])  # in MODES order
     # the (unit, mode) grid of present scores with its units in issue id
     # order, read row-major: canonical row order
     order = np.array(sorted(range(len(store.issue_ids)), key=store.issue_ids.__getitem__),
@@ -239,9 +230,8 @@ def score_corpus(store: TokenStore, general: Optional[ScoringLexicon],
     n_matched, max_used, min_used, score = grid[column, :, by_id[unit]].T
     issue = unit // n_fields
     return ScoreTable(issue_ids, issue, (unit % n_fields).astype(np.int8),
-                      np.array([CODES[m] for m in modes], dtype=np.int8)[column],
-                      store.priority[order[issue]], n_matched.astype(np.int64), max_used,
-                      min_used, score)
+                      column.astype(np.int8), store.priority[order[issue]],
+                      n_matched.astype(np.int64), max_used, min_used, score)
 
 
 SCORE_HEADER = ("issue_id", "field", "mode", "n_matched", "max", "min", "score")

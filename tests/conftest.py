@@ -1,9 +1,13 @@
+import json
+import tempfile
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from arousalkit import synthetic
+from arousalkit.corpus import read_corpus
 from arousalkit.pipeline import (
     demo_config,
     run_build,
@@ -17,6 +21,16 @@ from arousalkit.pipeline import (
     run_train,
     run_agreement,
 )
+
+
+def corpus_store(records):
+    """The token store ``read_corpus`` gives for ``records`` (dicts) written
+    as a JSON-lines corpus file, one record per line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        path.write_text("".join(json.dumps(record) + "\n" for record in records),
+                        encoding="utf-8")
+        return read_corpus(path)
 
 
 @pytest.fixture(scope="session")

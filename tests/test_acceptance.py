@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from arousalkit.corpus import Field, TokenStore, Vocabulary, parse_corpus
+from arousalkit.corpus import Field, Vocabulary, read_corpus
 from arousalkit.embedding import (
     CoocMatrix,
     EmbeddingConfig,
@@ -258,7 +258,7 @@ def test_criterion_07_combined_shift_invariance(demo_run):
         load_general_lexicon(work / "inputs" / "general_lexicon.csv").arousal_map()
     )
     sea = ScoringLexicon(SeaLexicon.load(work / "sea_lexicon.csv").arousal_map())
-    store = TokenStore.from_issues(parse_corpus(work / "inputs" / "corpus.jsonl"))
+    store = read_corpus(work / "inputs" / "corpus.jsonl")
     base_avg = 2.0 * sea.avg
     base_rows = score_corpus(store, general, sea, base_avg)
     base_table = evaluate_priorities(base_rows)
@@ -313,8 +313,7 @@ def test_criterion_09_external_data_reproduction():
     sea_path = os.path.join(EXTERNAL_DATA_DIR, "sea_lexicon.csv")
     general = ScoringLexicon(load_general_lexicon(general_path).arousal_map())
     sea = ScoringLexicon(SeaLexicon.load(sea_path).arousal_map())
-    rows = score_corpus(TokenStore.from_issues(parse_corpus(corpus_path)), general, sea,
-                        2.0 * sea.avg, modes=["combined"])
+    rows = score_corpus(read_corpus(corpus_path), general, sea, 2.0 * sea.avg)
     table = evaluate_priorities(rows)
     cell = table.cell(Field.ALL_COMMENTS, "combined", PRIORITY_PAIRS[0])
     assert cell is not None

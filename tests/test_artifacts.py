@@ -15,7 +15,7 @@ from arousalkit.artifacts import (
     read_table,
     write_rows,
 )
-from arousalkit.corpus import Field, Issue, Priority, TokenStore
+from arousalkit.corpus import Field, Priority
 from arousalkit.lexicon import (
     LexiconFormatError,
     RatingRecord,
@@ -30,6 +30,7 @@ from arousalkit.scoring import (
     save_score_records,
     save_scores,
 )
+from conftest import corpus_store
 
 # Python 3.10's csv module refuses NUL (loudly) on write and on read.
 _NUL = "\x00" if sys.version_info < (3, 11) else ""
@@ -309,7 +310,8 @@ class TestScoreRecords:
 
     def test_foreign_file_is_refused(self, tmp_path):
         path = tmp_path / "scores.bin"
-        TokenStore.from_issues([Issue("a", Priority.MAJOR, "t", "d", [])]).save(path)
+        corpus_store([{"id": "a", "priority": "Major", "title": "t",
+                       "description": "d"}]).save(path)
         with pytest.raises(CorpusFormatError, match=f"{path}: .*unknown format tag"):
             load_scores(path)
 

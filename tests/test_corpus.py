@@ -15,27 +15,22 @@ from arousalkit.config import PipelineConfig
 from arousalkit.pipeline import run_ingest
 from arousalkit.corpus import (
     _STORE_TAG,
-    Comment,
+    PRIORITY_CODES,
     CorpusFormatError,
     Field,
-    Issue,
     Priority,
     TokenStore,
     Vocabulary,
     build_vocabulary,
-    parse_corpus,
+    read_corpus,
     tokenize,
 )
+from conftest import corpus_store
 
 
-def make_issue(title="", description="", comments=(), priority=Priority.MAJOR):
-    return Issue(
-        id="X-1",
-        priority=priority,
-        title=title,
-        description=description,
-        comments=[Comment(body=c) for c in comments],
-    )
+def make_issue(title="", description="", comments=(), priority=Priority.MAJOR, id_="X-1"):
+    return {"id": id_, "priority": priority.value, "title": title,
+            "description": description, "comments": [{"body": c} for c in comments]}
 
 
 class TestTokenize:
@@ -89,45 +84,54 @@ class TestParseCorpus:
             "priority": "Critical",
             "title": "t",
             "description": "d",
-            "comments": [{"ts": "2016-01-01T00:00:00Z", "body": "c1"}, {"body": "c2"}],
+            "comments": [{"ts": "2016-01-01T00:00:00Z", "body": "first"},
+                         {"body": "second"}],
         }
-        path = self.write(tmp_path, [json.dumps(record)])
-        issues = list(parse_corpus(path))
-        assert len(issues) == 1
-        issue = issues[0]
-        assert issue.id == "AB-9"
-        assert issue.priority is Priority.CRITICAL
-        assert issue.title == "t"
-        assert issue.description == "d"
-        assert [c.body for c in issue.comments] == ["c1", "c2"]
-        assert issue.comments[0].ts == "2016-01-01T00:00:00Z"
-        assert issue.comments[1].ts is None
+        store = read_corpus(self.write(tmp_path, [json.dumps(record)]))
+        assert store.issue_ids == ["AB-9"]
+        assert store.priority.tolist() == [PRIORITY_CODES[Priority.CRITICAL]]
+        assert streams(store) == [["t"], ["d"], ["first"], ["second"]]
+        assert store.issue_streams.tolist() == [0, 4]
 
     def test_priority_parses_case_insensitively(self, tmp_path):
         path = self.write(
             tmp_path,
             [json.dumps({"id": "X", "priority": "blocker", "title": "", "description": ""})],
         )
-        assert next(parse_corpus(path)).priority is Priority.BLOCKER
+        assert read_corpus(path).priority.tolist() == [PRIORITY_CODES[Priority.BLOCKER]]
 
-    def test_unrecognized_priority_maps_to_unknown(self):
-        assert Priority.parse("P1") is Priority.UNKNOWN
-        assert Priority.parse(None) is Priority.UNKNOWN
-        assert Priority.parse(" minor ") is Priority.MINOR
+    def test_unrecognized_priority_maps_to_unknown(self, tmp_path):
+        records = [{"id": "A", "priority": "blocker"}, {"id": "B", "priority": " minor "},
+                   {"id": "C", "priority": "P1"}, {"id": "D", "priority": None}, {"id": "E"}]
+        store = read_corpus(self.write(tmp_path, map(json.dumps, records)))
+        assert [list(Priority)[code] for code in store.priority.tolist()] == [
+            Priority.BLOCKER, Priority.MINOR, Priority.UNKNOWN, Priority.UNKNOWN,
+            Priority.UNKNOWN]
 
     def test_missing_comments_key_is_valid(self, tmp_path):
         path = self.write(
             tmp_path, [json.dumps({"id": "X", "priority": "Major", "title": "", "description": ""})]
         )
-        issues = list(parse_corpus(path))
-        assert len(issues) == 1
-        assert issues[0].comments == []
+        store = read_corpus(path)
+        assert store.issue_ids == ["X"]
+        assert store.issue_streams.tolist() == [0, 2]
 
     def test_malformed_records_are_skipped_not_fatal(self, tmp_path):
         good = json.dumps({"id": "X", "priority": "Major", "title": "a", "description": ""})
         path = self.write(tmp_path, ["{not json", good, json.dumps({"no_id": 1})])
-        issues = list(parse_corpus(path))
-        assert [i.id for i in issues] == ["X"]
+        assert read_corpus(path).issue_ids == ["X"]
+
+    def test_deeply_nested_line_is_skipped_with_its_line(self, tmp_path, caplog):
+        depth = 100_000
+        nested = '{"id": "X", "u": ' + "[" * depth + "]" * depth + "}"
+        path = self.write(tmp_path, ['{"id": "A", "title": "one"}', nested,
+                                     '{"id": "B", "title": "two"}'])
+        with caplog.at_level("WARNING", logger="arousalkit.corpus"):
+            store = read_corpus(path)
+        assert store.issue_ids == ["A", "B"]
+        assert streams(store) == [["one"], [], ["two"], []]
+        assert "line 2: invalid JSON (nested too deeply)" in caplog.messages
+        assert f"{path}: skipped 1 malformed record(s)" in caplog.messages
 
     def test_duplicate_issue_id_is_fatal_with_both_lines(self, tmp_path):
         records = [json.dumps({"id": i, "priority": "Major", "title": "", "description": ""})
@@ -135,18 +139,18 @@ class TestParseCorpus:
         path = self.write(tmp_path, records)
         with pytest.raises(CorpusFormatError, match=r"corpus.jsonl:3: duplicate issue id 'X' "
                                                     r"\(first on line 1\)"):
-            list(parse_corpus(path))
+            read_corpus(path)
 
     def test_unreadable_file_is_fatal(self, tmp_path):
         with pytest.raises(CorpusFormatError):
-            list(parse_corpus(tmp_path / "nope.jsonl"))
+            read_corpus(tmp_path / "nope.jsonl")
 
     def test_comment_order_preserved(self, tmp_path):
-        bodies = [f"c{i}" for i in range(7)]
+        bodies = ["one", "two", "three", "four", "five", "six", "seven"]
         record = {"id": "X", "priority": "Minor", "title": "", "description": "",
                   "comments": [{"body": b} for b in bodies]}
         path = self.write(tmp_path, [json.dumps(record)])
-        assert [c.body for c in next(parse_corpus(path)).comments] == bodies
+        assert streams(read_corpus(path))[2:] == [[b] for b in bodies]
 
     def test_byte_that_is_not_utf8_is_fatal_with_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -154,7 +158,7 @@ class TestParseCorpus:
         path.write_bytes(good.encode() + b'\n{"id": "Y", "title": "caf\xff"}\n' + good.encode())
         with pytest.raises(CorpusFormatError,
                            match=r"corpus.jsonl:2: byte 0xff at column 26 is not UTF-8"):
-            list(parse_corpus(path))
+            read_corpus(path)
 
     @pytest.mark.parametrize("tail, message", [
         (b"\n\xe2\x82", "corpus.jsonl:2: byte 0xe2 at column 1 "),  # cut short at the end
@@ -164,16 +168,21 @@ class TestParseCorpus:
         path = tmp_path / "corpus.jsonl"
         path.write_bytes(b'{"id": "X"}' + tail)
         with pytest.raises(CorpusFormatError, match=message):
-            list(parse_corpus(path))
+            read_corpus(path)
 
 
 def tokens(store, start, end):
     return [store.words[i] for i in store.ids[start:end]]
 
 
+def streams(store):
+    """The tokens of each stream of the store, in order."""
+    return [tokens(store, a, b) for a, b in zip(store.offsets[:-1], store.offsets[1:])]
+
+
 def unit_tokens(issue):
     """{field: tokens} of the issue's present units, as slices of a token store."""
-    store = TokenStore.from_issues([issue])
+    store = corpus_store([issue])
     starts, ends, present = store.units()
     return {field: tokens(store, starts[0, k], ends[0, k])
             for k, field in enumerate(Field) if present[0, k]}
@@ -204,10 +213,6 @@ class TestExtractUnits:
         assert list(first) == list(Field)
 
 
-def store_of(*issues):
-    return TokenStore.from_issues(issues)
-
-
 def same_store(a, b):
     return (a.ids.tobytes() == b.ids.tobytes() and a.words == b.words
             and a.issue_ids == b.issue_ids and np.array_equal(a.offsets, b.offsets)
@@ -219,22 +224,21 @@ def same_store(a, b):
 class TestTokenStore:
     def issues(self):
         return [
-            Issue("X-2", Priority.MAJOR, "Fix the crash", "it crashes", [Comment("crash again")]),
-            Issue("X-1", Priority.MINOR, "", "", []),
-            Issue("X-3", Priority.BLOCKER, "urgent", "now", [Comment(""), Comment("ok ok")]),
+            make_issue("Fix the crash", "it crashes", ["crash again"], id_="X-2"),
+            make_issue(priority=Priority.MINOR, id_="X-1"),
+            make_issue("urgent", "now", ["", "ok ok"], Priority.BLOCKER, id_="X-3"),
         ]
 
     def test_streams_follow_issues_and_fields(self):
-        store = store_of(*self.issues())
+        store = corpus_store(self.issues())
         assert store.issue_ids == ["X-2", "X-1", "X-3"]
         assert store.ids.dtype == np.int32
-        streams = [tokens(store, a, b) for a, b in zip(store.offsets[:-1], store.offsets[1:])]
-        assert streams == [["fix", "the", "crash"], ["it", "crashes"], ["crash", "again"],
-                           [], [], ["urgent"], ["now"], [], ["ok", "ok"]]
+        assert streams(store) == [["fix", "the", "crash"], ["it", "crashes"], ["crash", "again"],
+                                  [], [], ["urgent"], ["now"], [], ["ok", "ok"]]
         assert store.issue_streams.tolist() == [0, 3, 5, 9]
 
     def test_comment_units_are_the_comment_run_and_its_ends(self):
-        store = store_of(*self.issues())
+        store = corpus_store(self.issues())
         starts, ends, present = store.units()
         assert present.tolist() == [[True] * 5, [True, True, False, False, False], [True] * 5]
         assert tokens(store, starts[2, 2], ends[2, 2]) == ["ok", "ok"]
@@ -244,13 +248,13 @@ class TestTokenStore:
 
     def test_saving_twice_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-        store_of(*self.issues()).save(a)
-        store_of(*self.issues()).save(b)
+        corpus_store(self.issues()).save(a)
+        corpus_store(self.issues()).save(b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_awkward_ids_round_trip(self, tmp_path):
         ids = ["A,1", 'B"2', "C\n3", "D\U0001d11e4", "E\x005", ""]
-        store = store_of(*(Issue(i, Priority.MAJOR, "t", "d", []) for i in ids))
+        store = corpus_store([make_issue("t", "d", id_=i) for i in ids])
         store.save(tmp_path / "tokens.bin")
         loaded = TokenStore.load(tmp_path / "tokens.bin")
         assert loaded.issue_ids == ids
@@ -260,31 +264,31 @@ class TestTokenStore:
                               st.text(max_size=40), st.lists(st.text(max_size=20), max_size=3)),
                     max_size=6, unique_by=lambda t: t[0]))
     def test_any_corpus_round_trips(self, tmp_path_factory, records):
-        issues = [Issue(i, priority, title, "", [Comment(c) for c in comments])
+        issues = [make_issue(title, "", comments, priority, id_=i)
                   for i, priority, title, comments in records]
         path = tmp_path_factory.mktemp("store") / "tokens.bin"
-        store = store_of(*issues)
+        store = corpus_store(issues)
         store.save(path)
         loaded = TokenStore.load(path)
         assert same_store(loaded, store)
         assert [list(Priority)[c] for c in loaded.priority.tolist()] == \
-            [issue.priority for issue in issues]
+            [priority for _, priority, _, _ in records]
 
     def rewrite(self, path, priority=None):
         """Save the fixture store to ``path``, with another priority record if given."""
-        store = store_of(*self.issues())
+        store = corpus_store(self.issues())
         write_records(path, _STORE_TAG, (
             store.ids, store.offsets, store.issue_streams, *pack_strings(store.words),
             *pack_strings(store.issue_ids), store.priority if priority is None else priority))
 
     def test_rewrite_helper_matches_save(self, tmp_path):
-        store_of(*self.issues()).save(tmp_path / "a.bin")
+        corpus_store(self.issues()).save(tmp_path / "a.bin")
         self.rewrite(tmp_path / "b.bin")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
     def test_version_1_store_is_refused_by_name(self, tmp_path):
         path = tmp_path / "tokens.bin"
-        store = store_of(*self.issues())
+        store = corpus_store(self.issues())
         # the layout of the first format: no priority record
         write_records(path, b"arousalkit token store 1",
                       (store.ids, store.offsets, store.issue_streams,
@@ -309,14 +313,14 @@ class TestTokenStore:
     @pytest.mark.parametrize("cut", [1, 10, 100, -1])
     def test_truncated_store_names_the_file(self, tmp_path, cut):
         path = tmp_path / "tokens.bin"
-        store_of(*self.issues()).save(path)
+        corpus_store(self.issues()).save(path)
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(CorpusFormatError, match="tokens.bin"):
             TokenStore.load(path)
 
     def test_trailing_or_foreign_bytes_are_refused(self, tmp_path):
         path = tmp_path / "tokens.bin"
-        store_of(*self.issues()).save(path)
+        corpus_store(self.issues()).save(path)
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(CorpusFormatError, match="trailing"):
             TokenStore.load(path)
@@ -359,35 +363,36 @@ class TestPinnedIngest:
 
 class TestVocabulary:
     def test_counting_and_id_order(self):
-        vocab = build_vocabulary(store_of(make_issue(title="a b b")), min_count=1)
+        vocab = build_vocabulary(corpus_store([make_issue(title="a b b")]), min_count=1)
         assert vocab.freq("b") == 2 and vocab.freq("a") == 1
         assert vocab.id("b") == 0 and vocab.id("a") == 1
 
     def test_min_count_threshold(self):
-        vocab = build_vocabulary(store_of(make_issue(title="a b b")), min_count=2)
+        vocab = build_vocabulary(corpus_store([make_issue(title="a b b")]), min_count=2)
         assert "a" not in vocab
         assert vocab.freq("b") == 2
         assert len(vocab) == 1
 
     def test_ties_broken_lexicographically(self):
-        vocab = build_vocabulary(store_of(make_issue(title="zeta echo zeta echo")), min_count=1)
+        vocab = build_vocabulary(corpus_store([make_issue(title="zeta echo zeta echo")]),
+                                 min_count=1)
         assert vocab.id("echo") == 0
         assert vocab.id("zeta") == 1
 
     def test_counts_all_fields(self):
         issue = make_issue("w x", "w y", ["w z", "w"])
-        vocab = build_vocabulary(store_of(issue), min_count=1)
+        vocab = build_vocabulary(corpus_store([issue]), min_count=1)
         assert vocab.freq("w") == 4
 
     def test_ids_dense_and_frequencies_above_threshold(self):
         issue = make_issue("a a a b b c d d", "e", ["f f"])
-        vocab = build_vocabulary(store_of(issue), min_count=2)
+        vocab = build_vocabulary(corpus_store([issue]), min_count=2)
         ids = sorted(vocab.id(w) for w, _, _ in vocab.items())
         assert ids == list(range(len(vocab)))
         assert all(freq >= 2 for _, _, freq in vocab.items())
 
     def test_lookup_maps_words_to_ids_or_minus_one(self):
-        vocab = build_vocabulary(store_of(make_issue(title="a b b c c c")), min_count=2)
+        vocab = build_vocabulary(corpus_store([make_issue(title="a b b c c c")]), min_count=2)
         words = ["c", "a", "b", "zz", "", "c"]
         assert vocab.lookup(words).dtype == np.int32
         assert vocab.lookup(words).tolist() == \
@@ -399,7 +404,7 @@ class TestVocabulary:
             Vocabulary({"a": 1}, min_count=0)
 
     def test_save_load_round_trip(self, tmp_path):
-        vocab = build_vocabulary(store_of(make_issue("a b b c c c")), min_count=1)
+        vocab = build_vocabulary(corpus_store([make_issue("a b b c c c")]), min_count=1)
         path = tmp_path / "vocab.csv"
         vocab.save(path)
         loaded = Vocabulary.load(path)
@@ -425,6 +430,6 @@ class TestVocabulary:
     @given(st.lists(st.text(alphabet="abc", min_size=1, max_size=3), max_size=50))
     def test_total_mass_equals_token_count(self, words):
         issue = make_issue(title=" ".join(words))
-        vocab = build_vocabulary(store_of(issue), min_count=1)
+        vocab = build_vocabulary(corpus_store([issue]), min_count=1)
         total = sum(freq for _, _, freq in vocab.items())
         assert total == len(tokenize(" ".join(words)))

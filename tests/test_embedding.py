@@ -22,6 +22,7 @@ from arousalkit.embedding import (
     nearest_neighbors,
     nearest_neighbors_batch,
 )
+from conftest import corpus_store
 
 
 def vocab_over(words):
@@ -756,10 +757,8 @@ class TestBinaryRoundTrip:
             WordVectors.load_binary(path)
 
     def test_token_store_is_not_an_embedding(self, tmp_path):
-        from arousalkit.corpus import Issue, Priority, TokenStore
-
         path = tmp_path / "embedding.bin"
-        TokenStore.from_issues([Issue("X-1", Priority.MAJOR, "a b", "", [])]).save(path)
+        corpus_store([{"id": "X-1", "priority": "Major", "title": "a b"}]).save(path)
         with pytest.raises(CorpusFormatError, match="embedding.bin.*format tag"):
             WordVectors.load_binary(path)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arousalkit.corpus import Comment, Field, Issue, Priority, TokenStore, tokenize
+from arousalkit.corpus import Field, Priority, tokenize
 from arousalkit.scoring import (
     MODES,
     ScoringLexicon,
@@ -19,6 +19,7 @@ from arousalkit.scoring import (
     score_text,
 )
 from arousalkit.stats import cohens_d
+from conftest import corpus_store
 
 GENERAL = ScoringLexicon({"fire": 8.0, "calm": 2.0, "note": 5.3, "word": 5.9})
 # avg = (8.0 + 2.0 + 5.3 + 5.9) / 4 = 5.3
@@ -121,14 +122,14 @@ class TestResolveSeaAvg:
     def test_dataset_mode_means_present_scores(self):
         lex = ScoringLexicon({"a": 4.0, "b": 6.0})
         issues = [
-            Issue("1", Priority.MAJOR, "a", "", []),       # score 5 + 4 = 9
-            Issue("2", Priority.MAJOR, "b b", "", []),     # score 6 + 5 = 11
-            Issue("3", Priority.MAJOR, "zzz", "", []),     # absent
+            issue("1", "a"),       # score 5 + 4 = 9
+            issue("2", "b b"),     # score 6 + 5 = 11
+            issue("3", "zzz"),     # absent
         ]
-        table = score_corpus(TokenStore.from_issues(issues), lex, lex, "dataset",
-                             modes=["combined"])
+        table = score_corpus(corpus_store(issues), lex, lex, "dataset")
+        combined = table.mode == MODES.index("combined")
         # combined = general + (sea - 10.0), and general equals sea here
-        assert table.score.tolist() == pytest.approx([8.0, 12.0])
+        assert table.score[combined].tolist() == pytest.approx([8.0, 12.0])
 
     def test_dataset_setting_is_left_to_score_corpus(self):
         with pytest.raises(ValueError, match="resolved by score_corpus"):
@@ -146,14 +147,15 @@ class TestResolveSeaAvg:
     @staticmethod
     def blocker_trivial_d(blocker_titles, trivial_titles, sea_avg):
         """Cohen's d of the combined title scores, Blocker against Trivial."""
-        issues = [Issue(f"B{n}", Priority.BLOCKER, t, "", [])
+        issues = [issue(f"B{n}", t, priority=Priority.BLOCKER)
                   for n, t in enumerate(blocker_titles)]
-        issues += [Issue(f"T{n}", Priority.TRIVIAL, t, "", [])
+        issues += [issue(f"T{n}", t, priority=Priority.TRIVIAL)
                    for n, t in enumerate(trivial_titles)]
-        table = score_corpus(TokenStore.from_issues(issues), GENERAL, SEA_FIRE_CALM,
-                             sea_avg, modes=["combined"])
+        table = score_corpus(corpus_store(issues), GENERAL, SEA_FIRE_CALM, sea_avg)
+        combined = table.mode == MODES.index("combined")
         blocker = table.priority == list(Priority).index(Priority.BLOCKER)
-        return cohens_d(table.score[blocker].tolist(), table.score[~blocker].tolist())
+        return cohens_d(table.score[combined & blocker].tolist(),
+                        table.score[combined & ~blocker].tolist())
 
     def test_effect_size_moves_with_sea_avg_when_units_lack_a_domain_match(self):
         # "word" and "note" are general-lexicon words only: their units keep
@@ -175,24 +177,21 @@ class TestResolveSeaAvg:
 
 
 def issue(id_, title="", description="", comments=(), priority=Priority.MAJOR):
-    return Issue(id_, priority, title, description, [Comment(b) for b in comments])
+    return {"id": id_, "priority": priority.value, "title": title,
+            "description": description, "comments": [{"body": b} for b in comments]}
 
 
-def store(issues):
-    return TokenStore.from_issues(issues)
-
-
-def rows(table):
-    """The rows of a score table as (issue id, Field, mode, Priority,
-    n_matched, max, min, score) tuples, in table order."""
-    return list(zip(
+def rows(table, mode=None):
+    """The rows of a score table, or only those of ``mode``, as (issue id,
+    Field, mode, Priority, n_matched, max, min, score) tuples, in table order."""
+    return [row for row in zip(
         [table.issue_ids[i] for i in table.issue.tolist()],
         [list(Field)[c] for c in table.field.tolist()],
         [MODES[c] for c in table.mode.tolist()],
         [list(Priority)[c] for c in table.priority.tolist()],
         table.n_matched.tolist(), table.max_used.tolist(), table.min_used.tolist(),
         table.score.tolist(),
-    ))
+    ) if mode in (None, row[2])]
 
 
 class TestScoreCorpus:
@@ -200,21 +199,21 @@ class TestScoreCorpus:
 
     def test_all_fields_matching_give_five_rows_per_mode(self):
         issues = [issue("1", "fire", "calm fire", ["fire a", "calm b"])]
-        table = score_corpus(store(issues), GENERAL, self.SEA, 10.7, modes=["general"])
-        assert len(table) == 5
-        assert {r[1] for r in rows(table)} == set(Field)
+        general = rows(score_corpus(corpus_store(issues), GENERAL, self.SEA, 10.7), "general")
+        assert len(general) == 5
+        assert {r[1] for r in general} == set(Field)
 
     def test_unmatched_field_has_no_row(self):
         issues = [issue("1", "fire", "no match here")]
-        table = score_corpus(store(issues), GENERAL, self.SEA, 10.7, modes=["general"])
-        assert [r[1] for r in rows(table)] == [Field.TITLE]
+        table = score_corpus(corpus_store(issues), GENERAL, self.SEA, 10.7)
+        assert [r[1] for r in rows(table, "general")] == [Field.TITLE]
 
     def test_canonical_ordering(self):
         issues = [
             issue("b", "fire", "fire"),
             issue("a", "fire", "fire"),
         ]
-        table = score_corpus(store(issues), GENERAL, self.SEA, 10.7)
+        table = score_corpus(corpus_store(issues), GENERAL, self.SEA, 10.7)
         keys = [(issue_id, field.value, mode) for issue_id, field, mode, *_ in rows(table)]
         assert keys == sorted(
             keys, key=lambda k: (k[0], [f.value for f in Field].index(k[1]),
@@ -225,7 +224,7 @@ class TestScoreCorpus:
         issues = [issue(f"i{n}", "fire note", "calm word", ["fire sleepy"])
                   for n in range(10)]
         for name in ("a", "b"):
-            table = save_scores(score_corpus(store(issues), GENERAL, self.SEA, 10.7),
+            table = save_scores(score_corpus(corpus_store(issues), GENERAL, self.SEA, 10.7),
                                 tmp_path / f"{name}.csv")
             save_score_records(table, tmp_path / f"{name}.bin")
         for suffix in ("csv", "bin"):
@@ -234,13 +233,13 @@ class TestScoreCorpus:
 
     def test_save_load_round_trip_with_priorities(self, tmp_path):
         issues = [issue("x", "fire", priority=Priority.BLOCKER)]
-        table = score_corpus(store(issues), GENERAL, self.SEA, 10.7, modes=["general"])
+        table = score_corpus(corpus_store(issues), GENERAL, self.SEA, 10.7)
         path = tmp_path / "scores.csv"
         save_score_records(save_scores(table, path), tmp_path / "scores.bin")
-        loaded = rows(load_scores(tmp_path / "scores.bin"))
+        loaded = rows(load_scores(tmp_path / "scores.bin"), "general")
         assert len(loaded) == 1
         assert loaded[0][3] is Priority.BLOCKER
-        assert loaded[0][7] == pytest.approx(table.score[0], abs=5e-5)
+        assert loaded[0][7] == pytest.approx(rows(table, "general")[0][7], abs=5e-5)
         header = path.read_text(encoding="utf-8").splitlines()[0]
         assert header == "issue_id,field,mode,n_matched,max,min,score"
 
@@ -248,13 +247,9 @@ class TestScoreCorpus:
         issues = [issue("y", "fire", "", ["fire"], priority=Priority.MINOR),
                   issue("x", "fire", priority=Priority.UNKNOWN),
                   issue("z", "calm", priority=Priority.TRIVIAL)]
-        table = score_corpus(store(issues), GENERAL, self.SEA, 10.7, modes=["general"])
-        assert [(r[0], r[3]) for r in rows(table)] == [
+        table = score_corpus(corpus_store(issues), GENERAL, self.SEA, 10.7)
+        assert [(r[0], r[3]) for r in rows(table, "general")] == [
             ("x", Priority.UNKNOWN), *[("y", Priority.MINOR)] * 4, ("z", Priority.TRIVIAL)]
-
-    def test_no_mode_gives_an_empty_table(self):
-        table = score_corpus(store([issue("x", "fire")]), GENERAL, self.SEA, 10.7, modes=[])
-        assert len(table) == 0 and rows(table) == []
 
 
 arousal_values = st.floats(min_value=1.0, max_value=9.0, allow_nan=False)
@@ -321,8 +316,9 @@ ORACLE_VALUES = st.sampled_from([1.0, 2.0, 4.0, 4.5, 6.0, 7.0]) | arousal_values
 
 def reference_units(issue):
     """The five units of one issue, tokenized straight from its text."""
-    comments = [tokenize(c.body) for c in issue.comments]
-    units = {Field.TITLE: tokenize(issue.title), Field.DESCRIPTION: tokenize(issue.description)}
+    comments = [tokenize(c["body"]) for c in issue["comments"]]
+    units = {Field.TITLE: tokenize(issue["title"]),
+             Field.DESCRIPTION: tokenize(issue["description"])}
     if comments:
         units[Field.ALL_COMMENTS] = [t for tokens in comments for t in tokens]
         units[Field.FIRST_COMMENT] = comments[0]
@@ -340,8 +336,7 @@ def scoring_cases(draw):
                                               min_size=1)))
     text = st.lists(st.sampled_from(WORDS + ["zz"]), max_size=7).map(" ".join)
     ids = draw(st.lists(st.text(max_size=3), max_size=8, unique=True))
-    issues = [Issue(i, Priority.MAJOR, draw(text), draw(text),
-                    [Comment(c) for c in draw(st.lists(text, max_size=3))]) for i in ids]
+    issues = [issue(i, draw(text), draw(text), draw(st.lists(text, max_size=3))) for i in ids]
     sea_avg = draw(st.sampled_from([2.0 * sea.avg, 0.0]) | arousal_values)
     return issues, general, sea, sea_avg
 
@@ -351,7 +346,7 @@ class TestArrayScoringOracle:
     @given(scoring_cases())
     def test_every_unit_matches_the_reference_rule_bit_for_bit(self, case):
         issues, general, sea, sea_avg = case
-        store = TokenStore.from_issues(issues)
+        store = corpus_store(issues)
         got = {row[:3]: row[4:] for row in rows(score_corpus(store, general, sea, sea_avg))}
         expected, sea_scores = {}, []
         for issue_ in issues:
@@ -360,7 +355,7 @@ class TestArrayScoringOracle:
                                   ("sea", score_text(tokens, sea)),
                                   ("combined", combined_score(tokens, general, sea, sea_avg))):
                     if ref is not None:
-                        expected[(issue_.id, field, mode)] = ref
+                        expected[(issue_["id"], field, mode)] = ref
                         if mode == "sea":
                             sea_scores.append(ref.score)
         assert got.keys() == expected.keys()
@@ -384,8 +379,8 @@ class TestArrayScoringOracle:
 
     def test_unit_of_only_average_words_keeps_both_at_the_average(self):
         lex = ScoringLexicon({"aa": 2.0, "bb": 4.0, "cc": 6.0})
-        store = TokenStore.from_issues([issue("1", "bb bb zz")])
-        (row,) = rows(score_corpus(store, lex, lex, 8.0, modes=["general"]))
+        store = corpus_store([issue("1", "bb bb zz")])
+        (row,) = rows(score_corpus(store, lex, lex, 8.0), "general")
         ref = score_text(["bb", "bb", "zz"], lex)
         assert row[4:] == (ref.n_matched, ref.max_used, ref.min_used, ref.score) == \
             (2, 4.0, 4.0, 8.0)
