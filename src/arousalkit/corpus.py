@@ -7,10 +7,11 @@
 
 straight into a ``TokenStore``; no per-issue object is built. ``ts``, like
 any key not shown here, is accepted and not read; a missing ``comments``
-key means no comments. A line is read as exactly what
-``json.loads`` accepts, NaN, infinities and lone-surrogate escapes
-included. A file that is not UTF-8 is refused with the path and line of the
-first byte that does not decode.
+key means no comments, and a missing or null title, description or body
+means no text. Any other value of those and of ``id`` is read as its
+``str()``. A line is read as exactly what ``json.loads`` accepts, NaN,
+infinities and lone-surrogate escapes included. A file that is not UTF-8 is
+refused with the path and line of the first byte that does not decode.
 
 Tokens are the maximal runs of ASCII letters ``a``-``z`` in the text after
 Unicode lowercasing; every other character is a delimiter, digits, non-ASCII
@@ -85,10 +86,11 @@ def tokenize(text: str) -> list[str]:
 def read_corpus(path: str | Path) -> TokenStore:
     """Tokenize a JSON-lines corpus file into a token store.
 
-    Malformed records, a line nested too deeply for ``json.loads``
-    included, are logged with their line number and skipped; an
-    unreadable file, a line that is not UTF-8 or a repeated or non-UTF-8
-    issue id raises CorpusFormatError.
+    Malformed records, a null ``id``, a line nested too deeply for
+    ``json.loads`` and one holding an integer too long for it included,
+    are logged with their line number and skipped; an unreadable file, a
+    line that is not UTF-8 or a repeated or non-UTF-8 issue id raises
+    CorpusFormatError.
     """
     path = Path(path)
     try:
@@ -114,8 +116,8 @@ def read_corpus(path: str | Path) -> TokenStore:
                                         f"{exc.start + 1} is not UTF-8") from None
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                problem = f"invalid JSON ({exc.msg})"
+            except ValueError as exc:  # also an integer past sys.get_int_max_str_digits()
+                problem = f"invalid JSON ({getattr(exc, 'msg', exc)})"
             except RecursionError:
                 problem = "invalid JSON (nested too deeply)"
             else:
@@ -125,8 +127,8 @@ def read_corpus(path: str | Path) -> TokenStore:
                 n_bad += 1
                 continue
             issue_id = str(record["id"])
-            texts = [str(record.get("title", "")), str(record.get("description", "")),
-                     *(str(entry.get("body", "")) for entry in record.get("comments", []))]
+            texts = [record.get("title"), record.get("description"),
+                     *(entry.get("body") for entry in record.get("comments", []))]
             label = record.get("priority")
             code = (_CODE_BY_LABEL.get(label.strip().lower(), _UNKNOWN_CODE)
                     if isinstance(label, str) else _UNKNOWN_CODE)
@@ -141,8 +143,8 @@ def read_corpus(path: str | Path) -> TokenStore:
                 raise CorpusFormatError(
                     f"{path}:{lineno}: duplicate issue id {issue_id!r} (first on line {seen})"
                 )
-            for text in texts:
-                ids.extend(map(index.__getitem__, tokenize(text)))
+            for text in texts:  # a missing or null text is no text
+                ids.extend(map(index.__getitem__, tokenize("" if text is None else str(text))))
                 offsets.append(len(ids))
             issue_streams.append(len(offsets) - 1)
             issue_ids.append(issue_id)
@@ -160,6 +162,8 @@ def _record_problem(record: object) -> Optional[str]:
     """Why a decoded line is not an issue record, or None if it is one."""
     if not isinstance(record, dict) or "id" not in record:
         return "record is not an object with an 'id'"
+    if record["id"] is None:
+        return "'id' is null"
     comments = record.get("comments", [])
     if not isinstance(comments, list):
         return "'comments' is not a list"

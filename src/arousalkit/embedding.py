@@ -36,14 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 import orjson
 
-from .artifacts import (
-    CorpusFormatError,
-    atomic_open,
-    pack_strings,
-    read_records,
-    unpack_strings,
-    write_records,
-)
+from .artifacts import atomic_open, pack_strings, read_records, unpack_strings, write_records
 
 logger = logging.getLogger(__name__)
 
@@ -313,9 +306,9 @@ _VECTORS_LAYOUT = ((np.uint8, 1), (np.int64, 1), (np.float64, 2))
 class WordVectors:
     """Dense word vectors for similarity queries.
 
-    Stored two ways: the text dump (``save``/``load``) is the documented
-    export, and the binary file (``save_binary``/``load_binary``) is the
-    copy the pipeline stages read.
+    Stored two ways: the text dump (``save``) is the documented export,
+    written for people and other tools, and the binary file
+    (``save_binary``/``load_binary``) is the copy the pipeline stages read.
     """
 
     def __init__(self, words: list[str], matrix: np.ndarray):
@@ -351,11 +344,11 @@ class WordVectors:
         """Text dump: first line "|V| d", then one "word v1 ... vd" per word.
 
         Each value is written as ``repr`` writes it, the shortest string
-        that reads back to the same float, so save/load and repeated runs
-        are byte-identical. Rows are formatted in blocks by orjson, whose
-        shortest round-trip digits are ``repr``'s wherever both use plain
-        decimal notation (see ``_dump_rows``); the other values go through
-        ``repr`` itself.
+        that ``float`` reads back to the same bits (NaN keeps no sign or
+        payload), so repeated runs are byte-identical. Rows are formatted
+        in blocks by orjson, whose shortest round-trip digits are ``repr``'s
+        wherever both use plain decimal notation (see ``_dump_rows``); the
+        other values go through ``repr`` itself.
         """
         rows_per_block = max(1, _DUMP_BLOCK // (8 * max(self.dim, 1)))
         with atomic_open(path, "wb") as out:
@@ -363,40 +356,6 @@ class WordVectors:
             for start in range(0, len(self.words), rows_per_block):
                 stop = start + rows_per_block
                 out.write(_dump_rows(self.words[start:stop], self.matrix[start:stop]))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "WordVectors":
-        """Read a text dump; a malformed header or row, a value that is not
-        a number, a repeated word or a row beyond the header's count raises
-        CorpusFormatError naming the path and line. Blank lines after the
-        last row are allowed."""
-        path = Path(path)
-        with path.open("r", encoding="utf-8") as handle:
-            try:
-                n, d = map(int, handle.readline().split())
-            except ValueError:
-                n = d = -1
-            if n < 0 or d < 1:
-                raise CorpusFormatError(f"{path}:1: bad embedding dump header")
-            first_line: dict[str, int] = {}
-            matrix = np.empty((n, d), dtype=np.float64)
-            for lineno in range(2, n + 2):
-                parts = handle.readline().split()
-                if len(parts) != d + 1:
-                    raise CorpusFormatError(f"{path}:{lineno}: bad embedding row")
-                seen = first_line.setdefault(parts[0], lineno)
-                if seen != lineno:
-                    raise CorpusFormatError(
-                        f"{path}:{lineno}: repeated word {parts[0]!r} (first on line {seen})"
-                    )
-                try:
-                    matrix[lineno - 2] = [float(v) for v in parts[1:]]
-                except ValueError as exc:
-                    raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
-            for lineno, line in enumerate(handle, n + 2):
-                if line.strip():
-                    raise CorpusFormatError(f"{path}:{lineno}: more rows than the {n} of the header")
-        return cls(list(first_line), matrix)
 
     def save_binary(self, path: str | Path) -> None:
         """Three .npy records after a format tag: the UTF-8 bytes and byte

@@ -144,34 +144,6 @@ def _score_units(ids: np.ndarray, words: Sequence[str], lex: ScoringLexicon,
     return np.diff(counts[bounds])[::2], max_used, min_used, max_used + min_used
 
 
-def resolve_sea_avg(sea: ScoringLexicon, setting: Union[str, float] = "lexicon") -> float:
-    """The centering constant subtracted from domain scores in combined mode.
-
-    "lexicon" (default): twice the mean word arousal, i.e. the score a
-    text of all-average words would receive. A number is used as-is.
-    "dataset" depends on the corpus and is resolved by ``score_corpus``.
-    The choice shifts only the combined scores of units with a domain match,
-    so it leaves effect sizes unchanged only if no unit has a general match
-    without a domain match.
-    """
-    if isinstance(setting, numbers.Real) and not isinstance(setting, bool):
-        return float(setting)
-    if setting == "lexicon":
-        return 2.0 * sea.avg
-    if setting == "dataset":
-        raise ValueError("the dataset sea_avg is resolved by score_corpus")
-    raise ValueError(f"unknown sea_avg setting: {setting!r}")
-
-
-def _present_mean(scores: np.ndarray, present: np.ndarray) -> float:
-    """The "dataset" sea_avg: the mean of the present sea-mode unit scores."""
-    scores = scores[present]
-    if not len(scores):
-        raise ValueError("no sea-mode scores present; cannot take dataset mean")
-    # what statistics.fmean computes: the exactly rounded sum over the count
-    return math.fsum(scores.tolist()) / len(scores)
-
-
 @dataclass(frozen=True, eq=False)
 class ScoreTable:
     """Present scores, one array per column, in canonical (issue id, field,
@@ -198,11 +170,15 @@ def score_corpus(store: TokenStore, general: ScoringLexicon, sea: ScoringLexicon
                  sea_avg: Union[str, float] = "lexicon") -> ScoreTable:
     """One row per (issue, field, mode) with a present score.
 
-    ``sea_avg`` is a ``resolve_sea_avg`` setting or "dataset", the mean
-    of the present sea-mode scores computed here.
-    Absent scores are omitted; rows come out in canonical
-    (issue id, field, mode) order, each with its issue's priority from
-    the store.
+    ``sea_avg``, the centering constant subtracted from domain scores in
+    combined mode, is "lexicon" (twice the mean word arousal of ``sea``,
+    the score a text of all-average words would receive), "dataset" (the
+    mean of the present sea-mode scores) or a number, used as-is. It
+    shifts only the combined scores of units with a domain match, so it
+    leaves effect sizes unchanged only if no unit has a general match
+    without a domain match. Absent scores are omitted; rows come out in
+    canonical (issue id, field, mode) order, each with its issue's
+    priority from the store.
     """
     # units in corpus order, issue by issue, five per issue in Field order
     starts, ends, present = (a.ravel() for a in store.units())
@@ -212,10 +188,18 @@ def score_corpus(store: TokenStore, general: ScoringLexicon, sea: ScoringLexicon
     general_columns, sea_columns = (np.stack(_score_units(ids, store.words, lex, bounds))
                                     for lex in (general, sea))
     sea_n, _, _, sea_score = sea_columns
-    if sea_avg == "dataset":
-        sea_avg = _present_mean(sea_score, present & (sea_n > 0))
+    if sea_avg == "lexicon":
+        sea_avg = 2.0 * sea.avg
+    elif sea_avg == "dataset":
+        present_scores = sea_score[present & (sea_n > 0)]
+        if not len(present_scores):
+            raise ValueError("no sea-mode scores present; cannot take dataset mean")
+        # what statistics.fmean computes: the exactly rounded sum over the count
+        sea_avg = math.fsum(present_scores.tolist()) / len(present_scores)
+    elif isinstance(sea_avg, numbers.Real) and not isinstance(sea_avg, bool):
+        sea_avg = float(sea_avg)
     else:
-        sea_avg = resolve_sea_avg(sea, sea_avg)
+        raise ValueError(f"unknown sea_avg setting: {sea_avg!r}")
     combined = general_columns.copy()
     combined[3] = np.where(sea_n > 0, combined[3] + (sea_score - sea_avg), combined[3] + 0.0)
     grid = np.stack([general_columns, sea_columns, combined])  # in MODES order

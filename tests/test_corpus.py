@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import string
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +133,35 @@ class TestParseCorpus:
         assert streams(store) == [["one"], [], ["two"], []]
         assert "line 2: invalid JSON (nested too deeply)" in caplog.messages
         assert f"{path}: skipped 1 malformed record(s)" in caplog.messages
+
+    def test_integer_too_long_for_json_loads_is_skipped_with_its_line(self, tmp_path, caplog):
+        long_id = '{"id": 1' + "0" * 5000 + "}"
+        path = self.write(tmp_path, ['{"id": "A", "title": "one"}', long_id,
+                                     '{"id": "B", "title": "two"}'])
+        with caplog.at_level("WARNING", logger="arousalkit.corpus"):
+            store = read_corpus(path)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if 0 < limit < 5001:
+            assert store.issue_ids == ["A", "B"]
+            assert any(m.startswith("line 2: invalid JSON (") for m in caplog.messages)
+            assert f"{path}: skipped 1 malformed record(s)" in caplog.messages
+        else:  # no limit on integer string conversion: the line parses
+            assert store.issue_ids == ["A", "1" + "0" * 5000, "B"]
+
+    def test_null_id_is_skipped_and_null_texts_are_no_text(self, tmp_path, caplog):
+        records = [{"id": "A", "title": None, "description": None,
+                    "comments": [{"body": None}, {"body": "two"}]},
+                   {"id": None, "title": "lost"}, {"id": None},
+                   {"id": "B", "title": "one", "description": float("nan")}]
+        path = self.write(tmp_path, map(json.dumps, records))
+        with caplog.at_level("WARNING", logger="arousalkit.corpus"):
+            store = read_corpus(path)
+        assert store.issue_ids == ["A", "B"]
+        assert streams(store) == [[], [], [], ["two"], ["one"], ["nan"]]
+        assert "none" not in store.words
+        assert "line 2: 'id' is null" in caplog.messages
+        assert "line 3: 'id' is null" in caplog.messages
+        assert f"{path}: skipped 2 malformed record(s)" in caplog.messages
 
     def test_duplicate_issue_id_is_fatal_with_both_lines(self, tmp_path):
         records = [json.dumps({"id": i, "priority": "Major", "title": "", "description": ""})

@@ -587,11 +587,12 @@ class TestDumpRoundTrip:
         vectors = TestNearestNeighbors().random_vectors(n=20, dim=8)
         path = tmp_path / "emb.txt"
         vectors.save(path)
-        loaded = WordVectors.load(path)
-        assert loaded.words == vectors.words
-        assert np.array_equal(loaded.matrix, vectors.matrix)
-        header = path.read_text(encoding="utf-8").splitlines()[0]
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
         assert header == "20 8"
+        # the export has no reader in the library: float() reads each value back
+        assert [line.split()[0] for line in lines] == vectors.words
+        loaded = np.array([[float(v) for v in line.split()[1:]] for line in lines])
+        assert np.array_equal(loaded.view(np.uint64), vectors.matrix.view(np.uint64))
 
     def test_saving_twice_is_byte_identical(self, tmp_path):
         vectors = TestNearestNeighbors().random_vectors(n=6, dim=3)
@@ -599,38 +600,6 @@ class TestDumpRoundTrip:
         vectors.save(a)
         vectors.save(b)
         assert a.read_bytes() == b.read_bytes()
-
-    def test_repeated_word_is_refused_with_both_lines(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("3 2\na 1 0\nb 0 1\na 0 1\n", encoding="utf-8")
-        with pytest.raises(CorpusFormatError,
-                           match=r"emb.txt:4: repeated word 'a' \(first on line 2\)"):
-            WordVectors.load(path)
-
-    @pytest.mark.parametrize("header", ["", "2", "2 x", "-1 2", "2 0"])
-    def test_bad_header_names_path_and_line(self, tmp_path, header):
-        path = tmp_path / "emb.txt"
-        path.write_text(header + "\n", encoding="utf-8")
-        with pytest.raises(CorpusFormatError, match=r"emb.txt:1: bad embedding dump header"):
-            WordVectors.load(path)
-
-    def test_non_numeric_value_names_path_and_line(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("2 2\na 1 0\nb 0 x\n", encoding="utf-8")
-        with pytest.raises(CorpusFormatError, match=r"emb.txt:3: .*'x'"):
-            WordVectors.load(path)
-
-
-    def test_rows_beyond_the_header_are_refused(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("2 2\na 1 0\nb 0 1\nc 1 1\n", encoding="utf-8")
-        with pytest.raises(CorpusFormatError, match=r"emb.txt:4: more rows than the 2 of the header"):
-            WordVectors.load(path)
-
-    def test_trailing_blank_lines_are_accepted(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("2 2\na 1 0\nb 0 1\n\n  \n", encoding="utf-8")
-        assert WordVectors.load(path).words == ["a", "b"]
 
 
 # words the text dump can hold: no whitespace, which separates its fields
@@ -720,12 +689,13 @@ class TestBinaryRoundTrip:
             vectors = WordVectors(words, matrix)
             vectors.save(directory / "embedding.txt")
             vectors.save_binary(directory / "embedding.bin")
-            text = WordVectors.load(directory / "embedding.txt")
             binary = WordVectors.load_binary(directory / "embedding.bin")
-        assert binary.words == text.words == words
-        assert binary.matrix.shape == text.matrix.shape == (len(words), dim)
-        assert np.array_equal(binary.matrix.view(np.uint64), text.matrix.view(np.uint64))
+            binary.save(directory / "reloaded.txt")
+        assert binary.words == words
+        assert binary.matrix.shape == (len(words), dim)
         assert np.array_equal(binary.matrix.view(np.uint64), matrix.view(np.uint64))
+        assert ((directory / "reloaded.txt").read_bytes()
+                == (directory / "embedding.txt").read_bytes())
 
     def test_saving_twice_is_byte_identical(self, tmp_path):
         vectors = TestNearestNeighbors().random_vectors(n=6, dim=3)

@@ -12,7 +12,6 @@ from arousalkit.scoring import (
     _score_units,
     combined_score,
     load_scores,
-    resolve_sea_avg,
     save_score_records,
     save_scores,
     score_corpus,
@@ -111,13 +110,35 @@ SEA_FIRE_CALM = ScoringLexicon({"fire": 8.5, "calm": 1.5})
 
 
 class TestResolveSeaAvg:
+    """Each ``sea_avg`` setting of ``score_corpus`` against the number it stands for."""
+
+    @staticmethod
+    def store():
+        return corpus_store([issue("1", "fire a"), issue("2", "calm calm", "word"),
+                             issue("3", "note zzz"), issue("4", "fire")])
+
+    def assert_same_table(self, setting, number):
+        store = self.store()
+        got = score_corpus(store, GENERAL, SEA_FIRE_CALM, setting)
+        expected = score_corpus(store, GENERAL, SEA_FIRE_CALM, number)
+        assert got.issue_ids == expected.issue_ids
+        for name in ("issue", "field", "mode", "priority", "n_matched", "max_used",
+                     "min_used", "score"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+
     def test_lexicon_mode_is_twice_mean(self):
-        lex = ScoringLexicon({"a": 4.0, "b": 6.0})
-        assert resolve_sea_avg(lex, "lexicon") == pytest.approx(10.0)
+        self.assert_same_table("lexicon", 2.0 * SEA_FIRE_CALM.avg)
 
     def test_numeric_passthrough(self):
-        lex = ScoringLexicon({"a": 4.0})
-        assert resolve_sea_avg(lex, 7.25) == 7.25
+        table = score_corpus(self.store(), GENERAL, SEA_FIRE_CALM, 7.25)
+        g, s = GENERAL.avg, SEA_FIRE_CALM.avg
+        # general score + (sea score - 7.25) where the unit has a sea match
+        assert [row[:2] + row[4:] for row in rows(table, "combined")] == [
+            ("1", Field.TITLE, 1, 8.0, g, (8.0 + g) + ((8.5 + s) - 7.25)),
+            ("2", Field.TITLE, 2, g, 2.0, (g + 2.0) + ((s + 1.5) - 7.25)),
+            ("2", Field.DESCRIPTION, 1, 5.9, g, 5.9 + g),
+            ("3", Field.TITLE, 1, 5.3, g, 5.3 + g),
+            ("4", Field.TITLE, 1, 8.0, g, (8.0 + g) + ((8.5 + s) - 7.25))]
 
     def test_dataset_mode_means_present_scores(self):
         lex = ScoringLexicon({"a": 4.0, "b": 6.0})
@@ -132,17 +153,20 @@ class TestResolveSeaAvg:
         assert table.score[combined].tolist() == pytest.approx([8.0, 12.0])
 
     def test_dataset_setting_is_left_to_score_corpus(self):
-        with pytest.raises(ValueError, match="resolved by score_corpus"):
-            resolve_sea_avg(ScoringLexicon({"a": 4.0}), "dataset")
+        # the present sea scores: fire 8.5 + 5.0 twice and calm 5.0 + 1.5
+        self.assert_same_table("dataset", (13.5 + 6.5 + 13.5) / 3)
+        store = corpus_store([issue("1", "note")])
+        with pytest.raises(ValueError, match="no sea-mode scores present"):
+            score_corpus(store, GENERAL, SEA_FIRE_CALM, "dataset")
 
     def test_unknown_setting_is_an_error(self):
-        with pytest.raises(ValueError):
-            resolve_sea_avg(ScoringLexicon({"a": 4.0}), "bogus")
+        with pytest.raises(ValueError, match="sea_avg"):
+            score_corpus(self.store(), GENERAL, SEA_FIRE_CALM, "bogus")
 
     @pytest.mark.parametrize("setting", [True, False, [1], None])
     def test_bool_or_non_number_is_an_error(self, setting):
         with pytest.raises(ValueError, match="sea_avg"):
-            resolve_sea_avg(ScoringLexicon({"a": 4.0}), setting)
+            score_corpus(self.store(), GENERAL, SEA_FIRE_CALM, setting)
 
     @staticmethod
     def blocker_trivial_d(blocker_titles, trivial_titles, sea_avg):
