@@ -11,7 +11,8 @@ timestamps, so the same content always gives the same bytes.
 
 Artifact files are written to a sibling temporary file that replaces the
 target only once the write has completed, so a stage that fails midway
-leaves the previous artifact as it was.
+leaves the previous artifact as it was. Every text file the program reads,
+table or outside input, is read by ``text_lines``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import os
+import tokenize
 from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
@@ -76,29 +78,48 @@ def quote_cells(strings: Iterable[str], path: str | Path) -> list[str]:
     return [line[:-3] for line in lines]  # less the empty cell and "\r\n"
 
 
+def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (line number, line) of a UTF-8 text file, the line end kept.
+    An unreadable file, or a byte that is not UTF-8, raises CorpusFormatError
+    naming the path (and the line and column of the byte)."""
+    try:
+        # a byte that is not UTF-8 becomes a lone surrogate, which the line check refuses
+        handle = open(path, "r", encoding="utf-8", errors="surrogateescape", newline="")
+    except OSError as exc:
+        raise CorpusFormatError(f"cannot read {path}: {exc}") from exc
+    with handle:
+        for lineno, line in enumerate(handle, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise CorpusFormatError(f"{path}:{lineno}: byte 0x{byte:02x} at column "
+                                        f"{exc.start + 1} is not UTF-8") from None
+            yield lineno, line
+
+
 def read_rows(path: str | Path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, row) after the header.
 
     The line number is where the row starts, for content errors raised by
     the caller. A missing or different header, a row with the wrong
-    number of columns, or broken quoting raises CorpusFormatError.
+    number of columns, or broken quoting raises CorpusFormatError, as do
+    the errors of ``text_lines``.
     """
-    path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle, strict=True)
-        try:
-            if next(reader, None) != list(header):
-                raise CorpusFormatError(f"{path}:1: expected header {','.join(header)!r}")
+    reader = csv.reader((line for _, line in text_lines(path)), strict=True)
+    try:
+        if next(reader, None) != list(header):
+            raise CorpusFormatError(f"{path}:1: expected header {','.join(header)!r}")
+        lineno = reader.line_num + 1
+        for row in reader:
+            if len(row) != len(header):
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}"
+                )
+            yield lineno, row
             lineno = reader.line_num + 1
-            for row in reader:
-                if len(row) != len(header):
-                    raise CorpusFormatError(
-                        f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}"
-                    )
-                yield lineno, row
-                lineno = reader.line_num + 1
-        except csv.Error as exc:
-            raise CorpusFormatError(f"{path}:{reader.line_num}: {exc}") from None
+    except csv.Error as exc:
+        raise CorpusFormatError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def read_table(path: str | Path, header: Sequence[str], parse: Callable[..., T],
@@ -144,9 +165,8 @@ def read_records(path: str | Path, what: str, tag: bytes,
     record of another type or shape, or a ValueError raised by ``decode``
     raises CorpusFormatError naming the path and ``what`` was expected.
     """
-    path = Path(path)
     try:
-        with path.open("rb") as handle:
+        with open(path, "rb") as handle:
             if np.lib.format.read_array(handle, allow_pickle=False).tobytes() != tag:
                 raise ValueError("unknown format tag")
             records = [np.lib.format.read_array(handle, allow_pickle=False) for _ in layout]
@@ -157,7 +177,7 @@ def read_records(path: str | Path, what: str, tag: bytes,
         return decode(*records)
     except OSError as exc:
         raise CorpusFormatError(f"cannot read {what} {path}: {exc}") from exc
-    except (ValueError, IndexError, EOFError, SyntaxError) as exc:
+    except (ValueError, IndexError, EOFError, SyntaxError, tokenize.TokenError) as exc:
         raise CorpusFormatError(f"{path}: not a valid {what}: {exc}") from None
 
 

@@ -7,11 +7,10 @@
 
 straight into a ``TokenStore``; no per-issue object is built. ``ts``, like
 any key not shown here, is accepted and not read; a missing ``comments``
-key means no comments, and a missing or null title, description or body
-means no text. Any other value of those and of ``id`` is read as its
-``str()``. A line is read as exactly what ``json.loads`` accepts, NaN,
-infinities and lone-surrogate escapes included. A file that is not UTF-8 is
-refused with the path and line of the first byte that does not decode.
+or a null ``comments`` means no comments, and a missing or null title,
+description or body means no text. Any other value of those and of ``id``
+is read as its ``str()``. A line is read as exactly what ``json.loads``
+accepts, NaN, infinities and lone-surrogate escapes included.
 
 Tokens are the maximal runs of ASCII letters ``a``-``z`` in the text after
 Unicode lowercasing; every other character is a delimiter, digits, non-ASCII
@@ -37,6 +36,7 @@ from .artifacts import (
     pack_strings,
     read_records,
     read_table,
+    text_lines,
     unpack_strings,
     write_records,
     write_rows,
@@ -88,67 +88,53 @@ def read_corpus(path: str | Path) -> TokenStore:
 
     Malformed records, a null ``id``, a line nested too deeply for
     ``json.loads`` and one holding an integer too long for it included,
-    are logged with their line number and skipped; an unreadable file, a
-    line that is not UTF-8 or a repeated or non-UTF-8 issue id raises
-    CorpusFormatError.
+    are logged with their line number and skipped; a repeated or non-UTF-8
+    issue id raises CorpusFormatError, as do the errors of ``text_lines``.
     """
-    path = Path(path)
-    try:
-        # a byte that is not UTF-8 becomes a lone surrogate, which the line check refuses
-        handle = path.open("r", encoding="utf-8", errors="surrogateescape")
-    except OSError as exc:
-        raise CorpusFormatError(f"cannot read corpus file {path}: {exc}") from exc
     index: defaultdict[str, int] = defaultdict()
     index.default_factory = index.__len__  # a new word gets the next id
     ids, offsets, issue_streams = array("i"), array("q", [0]), array("q", [0])
     issue_ids, priority = [], array("b")
     first_line: dict[str, int] = {}
     n_bad = 0
-    with handle:
-        for lineno, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                byte = ord(line[exc.start]) - 0xDC00
-                raise CorpusFormatError(f"{path}:{lineno}: byte 0x{byte:02x} at column "
-                                        f"{exc.start + 1} is not UTF-8") from None
-            try:
-                record = json.loads(line)
-            except ValueError as exc:  # also an integer past sys.get_int_max_str_digits()
-                problem = f"invalid JSON ({getattr(exc, 'msg', exc)})"
-            except RecursionError:
-                problem = "invalid JSON (nested too deeply)"
-            else:
-                problem = _record_problem(record)
-            if problem:
-                logger.warning("line %d: %s", lineno, problem)
-                n_bad += 1
-                continue
-            issue_id = str(record["id"])
-            texts = [record.get("title"), record.get("description"),
-                     *(entry.get("body") for entry in record.get("comments", []))]
-            label = record.get("priority")
-            code = (_CODE_BY_LABEL.get(label.strip().lower(), _UNKNOWN_CODE)
-                    if isinstance(label, str) else _UNKNOWN_CODE)
-            try:
-                issue_id.encode("utf-8")
-            except UnicodeEncodeError:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: issue id {issue_id!r} cannot be encoded as UTF-8"
-                ) from None
-            seen = first_line.setdefault(issue_id, lineno)
-            if seen != lineno:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: duplicate issue id {issue_id!r} (first on line {seen})"
-                )
-            for text in texts:  # a missing or null text is no text
-                ids.extend(map(index.__getitem__, tokenize("" if text is None else str(text))))
-                offsets.append(len(ids))
-            issue_streams.append(len(offsets) - 1)
-            issue_ids.append(issue_id)
-            priority.append(code)
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as exc:  # also an integer past sys.get_int_max_str_digits()
+            problem = f"invalid JSON ({getattr(exc, 'msg', exc)})"
+        except RecursionError:
+            problem = "invalid JSON (nested too deeply)"
+        else:
+            problem = _record_problem(record)
+        if problem:
+            logger.warning("line %d: %s", lineno, problem)
+            n_bad += 1
+            continue
+        issue_id = str(record["id"])
+        texts = [record.get("title"), record.get("description"),
+                 *(entry.get("body") for entry in record.get("comments") or ())]
+        label = record.get("priority")
+        code = (_CODE_BY_LABEL.get(label.strip().lower(), _UNKNOWN_CODE)
+                if isinstance(label, str) else _UNKNOWN_CODE)
+        try:
+            issue_id.encode("utf-8")
+        except UnicodeEncodeError:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: issue id {issue_id!r} cannot be encoded as UTF-8"
+            ) from None
+        seen = first_line.setdefault(issue_id, lineno)
+        if seen != lineno:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: duplicate issue id {issue_id!r} (first on line {seen})"
+            )
+        for text in texts:  # a missing or null text is no text
+            ids.extend(map(index.__getitem__, tokenize("" if text is None else str(text))))
+            offsets.append(len(ids))
+        issue_streams.append(len(offsets) - 1)
+        issue_ids.append(issue_id)
+        priority.append(code)
     if n_bad:
         logger.warning("%s: skipped %d malformed record(s)", path, n_bad)
     index.default_factory = None  # the bound __len__ would keep the dictionary in a cycle
@@ -164,10 +150,10 @@ def _record_problem(record: object) -> Optional[str]:
         return "record is not an object with an 'id'"
     if record["id"] is None:
         return "'id' is null"
-    comments = record.get("comments", [])
-    if not isinstance(comments, list):
+    comments = record.get("comments")  # missing or null: no comments
+    if comments is not None and not isinstance(comments, list):
         return "'comments' is not a list"
-    if not all(isinstance(entry, dict) for entry in comments):
+    if not all(isinstance(entry, dict) for entry in comments or ()):
         return "comment entry is not an object"
     return None
 

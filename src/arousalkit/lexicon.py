@@ -31,7 +31,7 @@ from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .artifacts import CorpusFormatError, atomic_open, read_table, write_rows
+from .artifacts import CorpusFormatError, atomic_open, read_table, text_lines, write_rows
 from .corpus import Vocabulary
 from .embedding import WordVectors, nearest_neighbors_batch
 from .scoring import ScoringLexicon
@@ -66,9 +66,6 @@ Enter one whole number from 1 to 9 in the rating column, work at a quick
 pace, and do not dwell on any single word."""
 
 
-LexiconFormatError = CorpusFormatError  # the former name of a bad lexicon file's error
-
-
 # ---------------------------------------------------------------------------
 # general-purpose lexicon
 
@@ -84,14 +81,14 @@ def load_general_lexicon(path: str | Path,
     defaults match the published general-purpose arousal lexicon, and no
     other column is read. Rows with an empty word or an arousal that is
     not a number in [1, 9] are rejected with a warning; duplicate words
-    keep the last row. A file without a usable row is refused.
+    keep the last row. A file without a usable row, or a row csv cannot
+    read (NUL on Python 3.10), is refused.
     """
     colmap = {**DEFAULT_GENERAL_COLUMNS, **(columns or {})}
-    path = Path(path)
     arousal_by_word: dict[str, float] = {}
     n_dupes = n_rejected = 0
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
+    reader = csv.DictReader(line for _, line in text_lines(path))
+    try:
         if reader.fieldnames is None:
             raise CorpusFormatError(f"{path}: empty lexicon file")
         for logical in ("word", "arousal"):
@@ -117,6 +114,9 @@ def load_general_lexicon(path: str | Path,
             if word in arousal_by_word:
                 n_dupes += 1
             arousal_by_word[word] = arousal
+    except csv.Error as exc:
+        # DictReader.line_num is set only after a row is read
+        raise CorpusFormatError(f"{path}:{reader.reader.line_num}: {exc}") from None
     if n_dupes:
         logger.warning("%s: %d duplicate word(s), last row wins", path, n_dupes)
     if n_rejected:
@@ -265,11 +265,10 @@ def load_seed_list(path: str | Path, vocab: Vocabulary) -> list[Seed]:
 def _hand_edited_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
     """Line number and stripped comma-separated fields of each line that
     is neither blank nor a ``#`` comment."""
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if line and not line.startswith("#"):
-                yield lineno, [p.strip() for p in line.split(",")]
+    for lineno, line in text_lines(path):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield lineno, [p.strip() for p in line.split(",")]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import logging
 from pathlib import Path
+from typing import Callable, Iterator
+
+from .artifacts import text_lines
 
 logger = logging.getLogger(__name__)
 
@@ -54,10 +57,6 @@ def _strip_marker(word: str) -> str:
     return word
 
 
-def _is_header(line: str) -> bool:
-    return line.startswith(" ")
-
-
 def _parse_data_line(line: str) -> tuple[int, str, list[str]]:
     """One data-file synset: offset, ss_type, member lemmas (lowercased)."""
     body = line.split("|", 1)[0]
@@ -89,12 +88,24 @@ def _parse_index_line(line: str) -> tuple[str, list[int]]:
     return lemma, [int(off) for off in tail]
 
 
+def _parsed_lines(path: Path, parse: Callable[[str], tuple]) -> Iterator[tuple[int, tuple]]:
+    """Line number and ``parse(line)`` of each line that is neither blank
+    nor part of the license header (indented); a line ``parse`` refuses
+    with a ValueError is logged with its position and skipped."""
+    for lineno, line in text_lines(path):
+        if line.startswith(" ") or not line.strip():
+            continue
+        try:
+            yield lineno, parse(line)
+        except ValueError as exc:  # raised by parse: the yield raises nothing
+            logger.warning("%s:%d: %s; line skipped", path, lineno, exc)
+
+
 def load_wordnet(dict_dir: str | Path) -> SynsetDb:
     """Load a WordNet dict directory into a SynsetDb.
 
-    A missing index or data file is fatal; a malformed line is logged with
-    its position and skipped. Index entries whose offsets do not resolve
-    to a data-file synset are dropped with a warning.
+    A missing index or data file is fatal. Index entries whose offsets do
+    not resolve to a data-file synset are dropped with a warning.
     """
     dict_dir = Path(dict_dir)
     db = SynsetDb()
@@ -107,34 +118,18 @@ def load_wordnet(dict_dir: str | Path) -> SynsetDb:
     for suffix in POS_SUFFIXES:
         data_path = dict_dir / f"data.{suffix}"
         offsets_seen: set[int] = set()
-        with data_path.open("r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, 1):
-                if _is_header(line) or not line.strip():
-                    continue
-                try:
-                    offset, ss_type, lemmas = _parse_data_line(line)
-                except ValueError as exc:
-                    logger.warning("%s:%d: %s; line skipped", data_path, lineno, exc)
-                    continue
-                db.add_synset(suffix, offset, lemmas)
-                offsets_seen.add(offset)
+        for _, (offset, ss_type, lemmas) in _parsed_lines(data_path, _parse_data_line):
+            db.add_synset(suffix, offset, lemmas)
+            offsets_seen.add(offset)
 
         index_path = dict_dir / f"index.{suffix}"
-        with index_path.open("r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, 1):
-                if _is_header(line) or not line.strip():
-                    continue
-                try:
-                    lemma, offsets = _parse_index_line(line)
-                except ValueError as exc:
-                    logger.warning("%s:%d: %s; line skipped", index_path, lineno, exc)
-                    continue
-                for off in offsets:
-                    if off not in offsets_seen:
-                        logger.warning(
-                            "%s:%d: offset %08d of %r missing from %s",
-                            index_path, lineno, off, lemma, data_path.name,
-                        )
+        for lineno, (lemma, offsets) in _parsed_lines(index_path, _parse_index_line):
+            for off in offsets:
+                if off not in offsets_seen:
+                    logger.warning(
+                        "%s:%d: offset %08d of %r missing from %s",
+                        index_path, lineno, off, lemma, data_path.name,
+                    )
     if db.multiword_lemmas:
         logger.info("loaded %d synsets (%d multiword lemmas flagged)",
                     len(db), len(db.multiword_lemmas))

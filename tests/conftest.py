@@ -7,10 +7,23 @@ from types import SimpleNamespace
 import pytest
 
 from arousalkit import synthetic
-from arousalkit.corpus import read_corpus
+from arousalkit.corpus import TokenStore, Vocabulary, read_corpus
+from arousalkit.embedding import WordVectors
+from arousalkit.lexicon import (
+    CandidateSet,
+    SeaLexicon,
+    SeedSet,
+    ingest_ratings,
+    load_general_lexicon,
+    load_rating_records,
+    load_seed_list,
+    read_review,
+    read_sheet_words,
+)
 from arousalkit.pipeline import (
     demo_config,
     run_build,
+    run_demo,
     run_evaluate,
     run_expand,
     run_ingest,
@@ -21,6 +34,36 @@ from arousalkit.pipeline import (
     run_train,
     run_agreement,
 )
+from arousalkit.scoring import load_scores
+from arousalkit.wordnet import load_wordnet
+
+#: Every file a stage reads, by its path in a ``reader_demo`` work directory,
+#: with a loader that reads it as the stage does. A loader takes the file's
+#: path and finds any other file it needs (the vocabulary, the candidates,
+#: the sheet, the rest of the WordNet directory) beside it, unedited.
+READERS = {
+    # artifacts
+    "vocab.csv": Vocabulary.load,
+    "tokens.bin": TokenStore.load,
+    "embedding.bin": WordVectors.load_binary,
+    "seeds.csv": SeedSet.load,
+    "candidates.csv": CandidateSet.load,
+    "sheet.csv": read_sheet_words,
+    "ratings.csv": load_rating_records,
+    "sea_lexicon.csv": SeaLexicon.load,
+    "scores.bin": load_scores,
+    # outside inputs
+    "inputs/corpus.jsonl": read_corpus,
+    "inputs/general_lexicon.csv": load_general_lexicon,
+    "review_accept_all.csv":
+        lambda path: read_review(CandidateSet.load(path.parent / "candidates.csv"), path),
+    "ratings_r1.csv":
+        lambda path: ingest_ratings([path], ["r1"], read_sheet_words(path.parent / "sheet.csv")),
+    "extra_seeds.csv":
+        lambda path: load_seed_list(path, Vocabulary.load(path.parent / "vocab.csv")),
+    "inputs/wordnet/data.noun": lambda path: load_wordnet(path.parent),
+    "inputs/wordnet/index.verb": lambda path: load_wordnet(path.parent),
+}
 
 
 def corpus_store(records):
@@ -31,6 +74,18 @@ def corpus_store(records):
         path.write_text("".join(json.dumps(record) + "\n" for record in records),
                         encoding="utf-8")
         return read_corpus(path)
+
+
+@pytest.fixture(scope="session")
+def reader_demo(tmp_path_factory):
+    """A 120-issue demo work directory holding every file of ``READERS``;
+    tests copy it before they edit a file."""
+    work_dir = tmp_path_factory.mktemp("reader_demo")
+    run_demo(work_dir, n_issues=120, seed=7)
+    seeds = SeedSet.load(work_dir / "seeds.csv")
+    (work_dir / "extra_seeds.csv").write_text(
+        "".join(f"{seed.word},{seed.pole},survey\n" for seed in seeds), encoding="utf-8")
+    return work_dir
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,6 @@ from arousalkit.artifacts import (
 )
 from arousalkit.corpus import Field, Priority
 from arousalkit.lexicon import (
-    LexiconFormatError,
     RatingRecord,
     load_rating_records,
     save_rating_records,
@@ -187,9 +186,6 @@ class TestReadTable:
         with pytest.raises(CorpusFormatError,
                            match=re.escape(f"{path}:5: invalid literal for int()")):
             read_table(path, ("word", "n"), lambda word, n: (word, int(n)))
-
-    def test_one_format_error(self):
-        assert LexiconFormatError is CorpusFormatError
 
 
 class TestAtomicWrite:

@@ -441,7 +441,7 @@ class TestManifestChecks:
         config = demo_config(tmp_path, seed=3, n_issues=40)
         run_ingest(config)
         config.general_lexicon = str(tmp_path / "missing.csv")
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(CorpusFormatError, match="missing.csv"):
             run_seeds(config)
         assert set(json.loads((tmp_path / "manifest.json").read_text())) == {"ingest"}
         assert not (tmp_path / "seeds.csv").exists()

@@ -163,6 +163,20 @@ class TestParseCorpus:
         assert "line 3: 'id' is null" in caplog.messages
         assert f"{path}: skipped 2 malformed record(s)" in caplog.messages
 
+    def test_null_comments_are_no_comments(self, tmp_path, caplog):
+        records = [{"id": "A", "title": "kept words", "comments": None},
+                   {"id": "B", "title": "lost", "comments": {}},
+                   {"id": "C", "title": "lost", "comments": 0},
+                   {"id": "D", "title": "kept", "comments": []}]
+        path = self.write(tmp_path, map(json.dumps, records))
+        with caplog.at_level("WARNING", logger="arousalkit.corpus"):
+            store = read_corpus(path)
+        assert store.issue_ids == ["A", "D"]
+        assert streams(store) == [["kept", "words"], [], ["kept"], []]
+        assert "line 2: 'comments' is not a list" in caplog.messages
+        assert "line 3: 'comments' is not a list" in caplog.messages
+        assert f"{path}: skipped 2 malformed record(s)" in caplog.messages
+
     def test_duplicate_issue_id_is_fatal_with_both_lines(self, tmp_path):
         records = [json.dumps({"id": i, "priority": "Major", "title": "", "description": ""})
                    for i in ("X", "Y", "X")]

@@ -15,7 +15,6 @@ from arousalkit.lexicon import (
     Candidate,
     CandidateSet,
     IngestReport,
-    LexiconFormatError,
     Provenance,
     RatingRecord,
     SeaEntry,
@@ -76,7 +75,7 @@ class TestLoadGeneralLexicon:
 
     def test_missing_mapped_column_is_fatal(self, tmp_path):
         path = write_general(tmp_path, ["alpha,3.5"], header="Word,Other")
-        with pytest.raises(LexiconFormatError, match="A.Mean.Sum"):
+        with pytest.raises(CorpusFormatError, match="A.Mean.Sum"):
             load_general_lexicon(path)
 
     def test_column_map_override(self, tmp_path):
@@ -105,13 +104,13 @@ class TestLoadGeneralLexicon:
     @pytest.mark.parametrize("rows", [[], [",5.0", "alpha,high", "beta,0.5", "gamma,9.5"]])
     def test_file_without_usable_row_is_refused(self, tmp_path, rows):
         path = write_general(tmp_path, rows)
-        with pytest.raises(LexiconFormatError, match=f"^{re.escape(str(path))}: no usable"):
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}: no usable"):
             load_general_lexicon(path)
 
     def test_empty_file_is_refused(self, tmp_path):
         path = tmp_path / "general.csv"
         path.write_text("", encoding="utf-8")
-        with pytest.raises(LexiconFormatError, match="empty lexicon file"):
+        with pytest.raises(CorpusFormatError, match="empty lexicon file"):
             load_general_lexicon(path)
 
 
@@ -217,7 +216,7 @@ class TestSelectSeeds:
     def test_bad_seed_file_row_is_refused_with_file_and_line(self, tmp_path, row, message):
         path = tmp_path / "seeds.csv"
         path.write_text(f"word,pole,source,freq\nfire,high,survey,9\n{row}\n", encoding="utf-8")
-        with pytest.raises(LexiconFormatError, match=message):
+        with pytest.raises(CorpusFormatError, match=message):
             SeedSet.load(path)
 
 
@@ -437,7 +436,7 @@ class TestReviewAndCandidates:
     def test_bad_candidate_row_is_refused_with_file_and_line(self, tmp_path, row, message):
         path = tmp_path / "candidates.csv"
         path.write_text(f"word,provenance\na,seed\n{row}\n", encoding="utf-8")
-        with pytest.raises(LexiconFormatError, match=message):
+        with pytest.raises(CorpusFormatError, match=message):
             CandidateSet.load(path)
 
 
@@ -588,7 +587,7 @@ class TestIngestRatings:
             "word,rating,frequency,similar_words\nalpha,7,5,\nalpha,6,5,\n",
             encoding="utf-8",
         )
-        with pytest.raises(LexiconFormatError, match="alpha"):
+        with pytest.raises(CorpusFormatError, match="alpha"):
             ingest_ratings([path])
 
     def test_rating_records_file_round_trip(self, tmp_path):
@@ -679,7 +678,7 @@ def reference_ingest_ratings(sheet_paths, rater_labels):
                     continue
                 word = parts[0].strip().lower()
                 if word in seen:
-                    raise LexiconFormatError(
+                    raise CorpusFormatError(
                         f"{path}:{lineno}: word {word!r} appears twice in one sheet"
                     )
                 seen.add(word)
@@ -761,8 +760,8 @@ class TestIngestRatingsAgainstReference:
         labels = [f"r{n}" for n in range(len(paths))]
         try:
             expected = reference_ingest_ratings(paths, labels)
-        except LexiconFormatError as exc:
-            with pytest.raises(LexiconFormatError) as info:
+        except CorpusFormatError as exc:
+            with pytest.raises(CorpusFormatError) as info:
                 ingest_ratings(paths, labels)
             assert str(info.value) == str(exc)
             return
@@ -888,7 +887,7 @@ class TestSeaLexiconFile:
             "word,arousal,r1,r2,source\nfast,7.5000,7,8,seed\nbad,6.0000,12,,seed\n",
             encoding="utf-8",
         )
-        with pytest.raises(LexiconFormatError, match=":3"):
+        with pytest.raises(CorpusFormatError, match=":3"):
             SeaLexicon.load(path)
 
     def test_inconsistent_mean_is_fatal(self, tmp_path):
@@ -896,7 +895,7 @@ class TestSeaLexiconFile:
         path.write_text(
             "word,arousal,r1,r2,source\nfast,9.0000,7,8,seed\n", encoding="utf-8"
         )
-        with pytest.raises(LexiconFormatError, match="mean"):
+        with pytest.raises(CorpusFormatError, match="mean"):
             SeaLexicon.load(path)
 
     def test_more_than_two_raters_cannot_serialize(self, tmp_path):
