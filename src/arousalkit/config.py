@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
+from .artifacts import CorpusFormatError, text_lines
 from .embedding import EmbeddingConfig, require_number
 from .lexicon import SeedConfig
 
@@ -88,10 +89,23 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "PipelineConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        """Read a config file. An unreadable file, a byte that is not UTF-8,
+        invalid JSON or a value that is not an object raises CorpusFormatError
+        naming the path; the errors of ``from_dict`` name the key."""
+        text = "".join(line for _, line in text_lines(path))
+        try:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise CorpusFormatError(f"{path}: invalid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise CorpusFormatError(f"{path}: expected a JSON object of config keys, "
+                                    f"got {type(data).__name__}")
+        return cls.from_dict(data)
 
 
 def _known(kind, data: dict, prefix: str, **nested):
+    if not isinstance(data, dict):
+        raise ValueError(f"{prefix[:-1]} must be an object of config keys, got {data!r}")
     names = {f.name for f in dataclasses.fields(kind)}
     unknown = sorted(set(data) - names)
     if unknown:

@@ -246,12 +246,13 @@ def glove_train(
     """AdaGrad over every nonzero cell once per epoch, for config.epochs
     epochs, in conflict-free batches."""
     model = EmbeddingModel.initialize(words, config)
+    model.loss_history = [glove_loss(model, cooc)]
+    if config.epochs == 0:  # the AdaGrad state below is as large as the model
+        return model
     fx = _loss_weights(cooc.vals, config.x_max, config.alpha)
     logx = np.log(cooc.vals)
     rng = np.random.default_rng(config.seed)
-
     acc_w, acc_wc, acc_b, acc_bc = map(np.ones_like, model.blocks())
-    model.loss_history = [glove_loss(model, cooc)]
     for epoch in range(config.epochs):
         batches = _conflict_free_batches(cooc.rows, cooc.cols, len(words), rng)
         _sgd_pass(model, acc_w, acc_wc, acc_b, acc_bc, cooc.rows, cooc.cols, fx, logx, batches,
@@ -303,6 +304,21 @@ _VECTORS_TAG = b"arousalkit embedding 1"
 _VECTORS_LAYOUT = ((np.uint8, 1), (np.int64, 1), (np.float64, 2))
 
 
+#: Most bytes of squares one block of ``_row_norms`` holds at once.
+_NORM_BLOCK = 1 << 20
+
+
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(matrix, axis=1)`` over blocks of rows, so that the
+    squares never take the matrix's size; each row is reduced as in one
+    call, so the norms are the same bits."""
+    norms = np.empty(len(matrix))
+    step = max(1, _NORM_BLOCK // (8 * max(matrix.shape[1], 1)))
+    for lo in range(0, len(matrix), step):
+        norms[lo:lo + step] = np.linalg.norm(matrix[lo:lo + step], axis=1)
+    return norms
+
+
 class WordVectors:
     """Dense word vectors for similarity queries.
 
@@ -317,7 +333,7 @@ class WordVectors:
         self.words = words
         self.matrix = np.asarray(matrix, dtype=np.float64)
         self._index = {w: i for i, w in enumerate(words)}
-        self._norms = np.linalg.norm(self.matrix, axis=1)
+        self._norms = _row_norms(self.matrix)
         # lexicographic rank of each word, for tie-breaking neighbors
         ordered = {w: r for r, w in enumerate(sorted(set(words)))}
         self._rank = np.array([ordered[w] for w in words], dtype=np.int64)

@@ -6,7 +6,9 @@ configuration slice in ``manifest.json``. A stage's slice is its own
 config keys plus the slices of the stages whose artifacts it reads. A
 stage first checks the recorded hashes of the stages it reads, so a
 config change that invalidates earlier artifacts is reported instead of
-silently mixing stale and fresh files. A stage that fails records nothing.
+silently mixing stale and fresh files. A stage drops its own entry before
+it writes, so a run that fails leaves the stage unrecorded, and the stages
+that read it refuse to run until it is re-run.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from . import synthetic
 from .artifacts import atomic_open
 from .config import PipelineConfig, hash_config_slice
 from .corpus import TokenStore, Vocabulary, build_vocabulary, read_corpus
-from .embedding import WordVectors, count_cooccurrences, glove_train, nearest_neighbors
+from .embedding import (EmbeddingModel, WordVectors, count_cooccurrences, glove_train,
+                        nearest_neighbors)
 from .evalstats import EvalTable, evaluate_priorities, render_tables
 from .lexicon import (
     AgreementReport,
@@ -103,10 +106,14 @@ class Workspace:
 
     @contextlib.contextmanager
     def stage(self, name: str) -> Iterator[Workspace]:
-        """Check the stages ``name`` reads, create the work directory, run
-        the block, then record ``name``; a block that raises records nothing."""
+        """Check the stages ``name`` reads, create the work directory, drop
+        the entry of ``name`` from the manifest, run the block, then record
+        ``name``. A block that raises leaves ``name`` unrecorded, so that no
+        reader takes a mix of old and new artifacts for a finished run."""
         manifest = self.check_stages(STAGES[name].reads)
         self.work_dir.mkdir(parents=True, exist_ok=True)
+        if manifest.pop(name, None) is not None:
+            self.write_manifest(manifest)
         yield self
         self.record_stage(name, manifest)
 
@@ -115,6 +122,9 @@ class Workspace:
             "config_hash": hash_config_slice(self.config, stage_keys(stage)),
             "artifacts": STAGES[stage].artifacts,
         }
+        self.write_manifest(manifest)
+
+    def write_manifest(self, manifest: dict) -> None:
         with atomic_open(self.manifest_path) as out:
             out.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -139,8 +149,11 @@ class Workspace:
                         f"missing artifact {artifact!r}; run the {upstream!r} stage first"
                     )
             entry = manifest.get(upstream)
-            expected = hash_config_slice(self.config, stage_keys(upstream))
-            if entry is None or entry.get("config_hash") != expected:
+            if entry is None:
+                raise PipelineError(
+                    f"the last run of stage {upstream!r} did not complete; re-run {upstream!r}"
+                )
+            if entry.get("config_hash") != hash_config_slice(self.config, stage_keys(upstream)):
                 raise PipelineError(
                     f"artifacts of stage {upstream!r} are stale for the current "
                     f"configuration; re-run {upstream!r}"
@@ -162,13 +175,18 @@ def run_ingest(config: PipelineConfig) -> Vocabulary:
     return vocab
 
 
-def run_train(config: PipelineConfig):
+def run_train(config: PipelineConfig) -> EmbeddingModel:
+    """Train and write the combined (main + context) vectors. They are
+    summed into the model's main block, so that no third word-by-dimension
+    array is made: read the returned model only for its words, dim and
+    loss history."""
     with Workspace(config).stage("train") as ws:
         vocab = Vocabulary.load(ws.path("vocab.csv"))
         cooc = _count_store(TokenStore.load(ws.path("tokens.bin")), vocab,
                             config.embedding.window)
         model = glove_train(cooc, vocab.words, config.embedding)
-        vectors = model.to_vectors()
+        model.w_main += model.w_context
+        vectors = WordVectors(model.words, model.w_main)
         vectors.save(ws.path("embedding.txt"))
         vectors.save_binary(ws.path("embedding.bin"))
     logger.info(

@@ -28,7 +28,7 @@ import numbers
 import statistics
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -72,10 +72,16 @@ class ScoringLexicon:
     def arousal_map(self) -> dict[str, float]:
         return dict(self._arousal)
 
-    def lookup(self, words: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Arousal of each word (0.0 where absent) and the mask of present words."""
-        arousal = np.array([self._arousal.get(w, 0.0) for w in words], dtype=np.float64)
-        return arousal, np.array([w in self._arousal for w in words], dtype=bool)
+    def lookup(self, index: Mapping[str, int]) -> tuple[np.ndarray, np.ndarray]:
+        """Arousal by id (0.0 where absent) and the mask of present ids, for
+        a dictionary ``index`` that maps its words to the ids 0, 1, ...
+        Each lexicon word is looked up once, however large the dictionary."""
+        placed = {index[w]: a for w, a in self._arousal.items() if w in index}
+        ids = np.fromiter(placed, dtype=np.intp, count=len(placed))
+        arousal, present = np.zeros(len(index)), np.zeros(len(index), dtype=bool)
+        arousal[ids] = np.fromiter(placed.values(), dtype=np.float64, count=len(placed))
+        present[ids] = True
+        return arousal, present
 
 
 @dataclass
@@ -120,15 +126,16 @@ def combined_score(tokens: Sequence[str], general: ScoringLexicon, sea: ScoringL
     return replace(base, score=base.score + adjustment)
 
 
-def _score_units(ids: np.ndarray, words: Sequence[str], lex: ScoringLexicon,
+def _score_units(ids: np.ndarray, index: Mapping[str, int], lex: ScoringLexicon,
                  bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``score_text`` of every unit ``ids[bounds[2k]:bounds[2k + 1]]`` as arrays: matched
     count, clamped max, clamped min and score; the last three mean something only where the
-    count is positive. The intp ``ids`` end in the sentinel ``len(words)``, so an end after
-    the last token is a valid index; each per-word table gets one entry for the sentinel and
-    is read token by token with one fancy index, ``table[ids]``. The extremes reduce the
-    rank codes of the module docstring; code 0, no match, reads as the average."""
-    arousal, present = lex.lookup(words)
+    count is positive. ``index`` maps each dictionary word to its id. The intp ``ids`` end in
+    the sentinel ``len(index)``, so an end after the last token is a valid index; each
+    per-word table gets one entry for the sentinel and is read token by token with one fancy
+    index, ``table[ids]``. The extremes reduce the rank codes of the module docstring; code
+    0, no match, reads as the average."""
+    arousal, present = lex.lookup(index)
     counts = np.zeros(len(ids) + 1, dtype=np.int32)
     np.cumsum(np.append(present, False)[ids], out=counts[1:])
     values, rank = np.unique(arousal[present], return_inverse=True)
@@ -136,7 +143,7 @@ def _score_units(ids: np.ndarray, words: Sequence[str], lex: ScoringLexicon,
     bottom = np.where(values <= lex.avg, values, lex.avg)[::-1]
     extremes = []
     for clamped, code in ((top, rank + 1), (bottom, len(values) - rank)):
-        table = np.zeros(len(words) + 1, dtype=np.min_scalar_type(len(values)))
+        table = np.zeros(len(index) + 1, dtype=np.min_scalar_type(len(values)))
         table[:-1][present] = code
         # reduceat over interleaved (start, end) pairs reduces each [start, end)
         extremes.append(np.append(lex.avg, clamped)[np.maximum.reduceat(table[ids], bounds)[::2]])
@@ -184,8 +191,11 @@ def score_corpus(store: TokenStore, general: ScoringLexicon, sea: ScoringLexicon
     starts, ends, present = (a.ravel() for a in store.units())
     bounds = np.stack([starts, ends], axis=-1).ravel()
     ids = np.concatenate([store.ids, [len(store.words)]]).astype(np.intp, copy=False)
+    index = {word: i for i, word in enumerate(store.words)}
+    if len(index) != len(store.words):
+        raise ValueError("the token store's dictionary repeats a word")
     # per mode: n_matched, max, min and score of every unit
-    general_columns, sea_columns = (np.stack(_score_units(ids, store.words, lex, bounds))
+    general_columns, sea_columns = (np.stack(_score_units(ids, index, lex, bounds))
                                     for lex in (general, sea))
     sea_n, _, _, sea_score = sea_columns
     if sea_avg == "lexicon":

@@ -11,11 +11,12 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from arousalkit import synthetic
+from arousalkit import evalstats, scoring, synthetic
 from arousalkit.artifacts import CorpusFormatError
 from arousalkit.cli import main
 from arousalkit.config import PipelineConfig
 from arousalkit.corpus import Priority, TokenStore
+from arousalkit.embedding import WordVectors
 from arousalkit.pipeline import (
     STAGES,
     PipelineError,
@@ -86,6 +87,10 @@ OTHER_VALUES = {
 }
 
 DAMAGED_MANIFESTS = [b'{"ingest": ', b"[]", b'{"ingest": 5}', b"null", b'"ingest"', b"\xff{}"]
+
+
+STAGE_RUNS = {"ingest": run_ingest, "train": run_train, "score": run_score,
+              "evaluate": run_evaluate}
 
 
 @pytest.fixture(scope="module")
@@ -446,6 +451,40 @@ class TestManifestChecks:
         assert set(json.loads((tmp_path / "manifest.json").read_text())) == {"ingest"}
         assert not (tmp_path / "seeds.csv").exists()
 
+    @pytest.mark.parametrize("name, key, value, last_writer, reader", [
+        ("ingest", "min_count", 4, (TokenStore, "save"), run_train),
+        ("train", "embedding.seed", 12, (WordVectors, "save_binary"), run_expand),
+        ("score", "sea_avg", 7.25, (scoring, "save_score_records"), run_evaluate),
+        ("evaluate", "t_test", "pooled", (evalstats, "atomic_open"),
+         lambda config: Workspace(config).check_stages(["evaluate"])),
+    ])
+    def test_failed_rerun_leaves_the_stage_unrecorded(self, demo_workdir, staged, monkeypatch,
+                                                      name, key, value, last_writer, reader):
+        work, config = staged
+        data = config.to_dict()
+        *parents, leaf = key.split(".")
+        functools.reduce(dict.__getitem__, parents, data)[leaf] = value
+        changed = PipelineConfig.from_dict(data)
+        owner, attribute = last_writer
+        writer = getattr(owner, attribute)
+
+        def fail_last(*args):
+            # every artifact of the stage but its last has been written anew
+            if attribute != "atomic_open" or Path(args[0]).name == STAGES[name].artifacts[-1]:
+                raise OSError("disk full")
+            return writer(*args)
+
+        monkeypatch.setattr(owner, attribute, fail_last)
+        with pytest.raises(OSError, match="disk full"):
+            STAGE_RUNS[name](changed)
+        monkeypatch.undo()
+        assert name not in json.loads((work / "manifest.json").read_text())
+        with pytest.raises(PipelineError, match=re.escape(
+                f"the last run of stage {name!r} did not complete; re-run {name!r}")):
+            reader(config)
+        STAGE_RUNS[name](config)
+        assert workdir_digest(work) == workdir_digest(demo_workdir)
+
     @pytest.mark.parametrize("text", DAMAGED_MANIFESTS)
     def test_damaged_manifest_is_refused_by_name(self, tmp_path, text):
         synthetic.generate_demo_inputs(tmp_path, n_issues=40, seed=3)
@@ -649,6 +688,39 @@ class TestCommandLine:
                 "got {'valence': 'V'}") in result.output
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("content, message", [
+        (b'{"corpus": "x.jsonl",', ": invalid JSON: Expecting property name enclosed in double "
+                                   "quotes: line 1 column 22 (char 21)"),
+        (b'{"corpus": "caf\xe9"}', ":1: byte 0xe9 at column 16 is not UTF-8"),
+        (b"[1]", ": expected a JSON object of config keys, got list"),
+        (b'"config"', ": expected a JSON object of config keys, got str"),
+        (b"[" * 100000 + b"]" * 100000, ": invalid JSON: maximum recursion depth exceeded"),
+    ])
+    def test_damaged_config_is_refused_naming_the_file(self, tmp_path, content, message):
+        config_path = tmp_path / "config.json"
+        config_path.write_bytes(content)
+        with pytest.raises(CorpusFormatError, match=re.escape(f"{config_path}{message}")):
+            PipelineConfig.load(config_path)
+        result = CliRunner().invoke(main, ["--config", str(config_path), "ingest"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: {config_path}{message}" in result.output
+        assert "Traceback" not in result.output
+
+    def test_unreadable_config_is_refused_naming_the_file(self, tmp_path):
+        with pytest.raises(CorpusFormatError, match=re.escape(f"cannot read {tmp_path}: ")):
+            PipelineConfig.load(tmp_path)  # a directory
+        result = CliRunner().invoke(main, ["--config", str(tmp_path), "ingest"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: cannot read {tmp_path}: " in result.output
+
+    @pytest.mark.parametrize("group", ["embedding", "seeds"])
+    def test_config_group_that_is_not_an_object_is_refused(self, group):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{group} must be an object of config keys, got 5")):
+            PipelineConfig.from_dict({group: 5})
 
     def test_config_round_trip(self, tmp_path):
         config = PipelineConfig()

@@ -1,13 +1,19 @@
+import itertools
+import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from arousalkit import embedding
 from arousalkit.config import PipelineConfig
 from arousalkit.corpus import CorpusFormatError, Vocabulary
+from arousalkit.pipeline import run_ingest, run_train
 from arousalkit.embedding import (
     CoocMatrix,
     EmbeddingConfig,
@@ -844,3 +850,71 @@ class TestPlantedSimilarity:
         assert provenance.kind == "embedding"
         assert provenance.seed == "asap"
         assert 0.0 < provenance.similarity <= 1.0
+
+
+def wide_config(tmp_path, n_words, dim, epochs):
+    """An ingested work directory whose vocabulary is ``n_words`` distinct
+    words, each once, and a config that trains them at ``dim``."""
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    words = ["".join(t) for t in itertools.islice(itertools.product(letters, repeat=3), n_words)]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps({"id": str(i), "title": " ".join(words[i:i + 20])}) + "\n"
+                              for i in range(0, n_words, 20)), encoding="utf-8")
+    config = PipelineConfig.from_dict({
+        "corpus": str(corpus), "work_dir": str(tmp_path / "work"), "min_count": 1,
+        "embedding": {"dim": dim, "window": 2, "epochs": epochs, "seed": 5}})
+    run_ingest(config)
+    return config
+
+
+def traced_peak(fn, *args):
+    """The tracemalloc peak, in bytes, of the allocations made by ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTrainMemory:
+    """``train`` holds the two parameter blocks W and W~ and no other V x d
+    array; numpy reports its buffers to tracemalloc."""
+
+    def test_zero_epoch_peak_is_two_blocks(self, tmp_path, monkeypatch):
+        config = wide_config(tmp_path, n_words=8000, dim=256, epochs=0)
+        # the per-call gathers of the loss and of the norms are bounded by
+        # these constants, not by V x d; smaller bounds leave the blocks in view
+        monkeypatch.setattr(embedding, "_LOSS_GATHER", 1 << 16)
+        monkeypatch.setattr(embedding, "_NORM_BLOCK", 1 << 16)
+        block = 8000 * 256 * 8
+        assert traced_peak(run_train, config) <= 2.3 * block
+
+    def test_word_vectors_take_norms_in_row_blocks(self):
+        matrix = np.random.default_rng(4).standard_normal((4000, 300))
+        words = [f"w{i}" for i in range(len(matrix))]
+        assert traced_peak(WordVectors, words, matrix) < matrix.nbytes / 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 6), st.data())
+    def test_blocked_norms_are_the_bits_of_one_call(self, per_block, dim, data):
+        # no rows, then below, at and above one and several blocks
+        n_rows = data.draw(st.integers(0, 3 * per_block + 1))
+        matrix = data.draw(hnp.arrays(np.float64, (n_rows, dim), elements=st.floats(width=64)))
+        with mock.patch.object(embedding, "_NORM_BLOCK", 8 * dim * per_block), \
+                np.errstate(over="ignore", invalid="ignore"):
+            assert embedding._row_norms(matrix).tobytes() == \
+                np.linalg.norm(matrix, axis=1).tobytes()
+
+    def test_zero_epoch_embedding_is_the_initial_sum(self, tmp_path):
+        config = wide_config(tmp_path, n_words=300, dim=16, epochs=0)
+        run_train(config)
+        words = Vocabulary.load(tmp_path / "work" / "vocab.csv").words
+        fresh = EmbeddingModel.initialize(words, EmbeddingConfig(dim=16, epochs=0, seed=5))
+        expected = fresh.w_main + fresh.w_context
+        loaded = WordVectors.load_binary(tmp_path / "work" / "embedding.bin")
+        assert loaded.words == words
+        assert loaded.matrix.tobytes() == expected.tobytes()
+        WordVectors(words, expected).save(tmp_path / "expected.txt")
+        assert (tmp_path / "work" / "embedding.txt").read_bytes() == \
+            (tmp_path / "expected.txt").read_bytes()

@@ -1,4 +1,5 @@
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,6 +41,18 @@ class TestScoringLexicon:
     def test_non_finite_arousal_is_refused_with_its_word(self, value):
         with pytest.raises(ValueError, match="'bad'"):
             ScoringLexicon({"fine": 5.0, "bad": value})
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.text(alphabet="abcd", min_size=1, max_size=3),
+                           st.floats(-10, 10), min_size=1, max_size=12),
+           st.lists(st.text(alphabet="abcde", min_size=1, max_size=3), unique=True, max_size=30))
+    def test_lookup_places_each_word_at_its_id(self, arousal, words):
+        lex = ScoringLexicon(arousal)
+        got_arousal, got_present = lex.lookup({w: i for i, w in enumerate(words)})
+        assert got_arousal.tobytes() == np.array([arousal.get(w, 0.0) for w in words],
+                                                 dtype=np.float64).tobytes()
+        assert got_present.tolist() == [w in arousal for w in words]
 
 
 class TestScoreText:
@@ -401,6 +414,12 @@ class TestArrayScoringOracle:
             with pytest.raises(ValueError, match="no sea-mode scores"):
                 score_corpus(store, general, sea, "dataset")
 
+    def test_dictionary_that_repeats_a_word_is_refused(self):
+        store = corpus_store([issue("1", "fire calm")])
+        store = replace(store, words=store.words + ["fire"])
+        with pytest.raises(ValueError, match="repeats a word"):
+            score_corpus(store, GENERAL, GENERAL)
+
     def test_unit_of_only_average_words_keeps_both_at_the_average(self):
         lex = ScoringLexicon({"aa": 2.0, "bb": 4.0, "cc": 6.0})
         store = corpus_store([issue("1", "bb bb zz")])
@@ -410,10 +429,16 @@ class TestArrayScoringOracle:
             (2, 4.0, 4.0, 8.0)
 
 
+def dictionary(words):
+    """The word -> id map that ``score_corpus`` passes to ``_score_units``."""
+    return {w: i for i, w in enumerate(words)}
+
+
 def reference_score_units(ids, words, lex, bounds):
     """The float64 form of ``_score_units``: the extremes are reduced over
     each token's arousal, with -inf/+inf where a token has no match."""
-    arousal, present = lex.lookup(words)
+    present = np.array([w in lex for w in words], dtype=bool)
+    arousal = np.array([lex.arousal(w) if w in lex else 0.0 for w in words])
     counts = np.zeros(len(ids) + 1, dtype=np.int32)
     np.cumsum(np.append(present, False)[ids], out=counts[1:])
     extremes = []
@@ -444,7 +469,7 @@ def assert_kernel_matches_reference(arousal, n_absent=3, n_tokens=400, seed=0):
     units = np.stack([np.append(starts, [n_tokens, n_tokens + 1]),
                       np.append(ends, [n_tokens + 1, n_tokens + 2])], axis=-1)
     bounds = units.ravel()
-    got = _score_units(ids, words, lex, bounds)
+    got = _score_units(ids, dictionary(words), lex, bounds)
     expected = reference_score_units(ids, words, lex, bounds)
     assert got[0].tolist() == expected[0].tolist()
     matched = expected[0] > 0
@@ -467,7 +492,7 @@ class TestRankCodedKernel:
         words = ["aa", "bb"]
         ids = np.array([0, 1, 1, 0, len(words)], dtype=np.intp)
         bounds = np.array([0, 2, 2, 4, 4, 4])
-        counts = _score_units(ids, words, lex, bounds)[0]
+        counts = _score_units(ids, dictionary(words), lex, bounds)[0]
         assert counts.tolist() == reference_score_units(ids, words, lex, bounds)[0].tolist()
         assert counts.tolist() == [0, 0, 0]
 
