@@ -19,7 +19,7 @@ import numpy as np
 from .artifacts import atomic_open
 from .corpus import Field, Priority
 from .scoring import CODES, MODES, ScoreTable
-from .stats import cohens_d, pooled_t_test, welch_t_test
+from .stats import Moments, cohens_d_moments, pooled_t_moments, welch_t_moments
 
 logger = logging.getLogger(__name__)
 
@@ -85,7 +85,7 @@ def evaluate_priorities(scores: ScoreTable, t_test: str = "welch") -> EvalTable:
     Unknown-priority rows are dropped. A pair whose groups are too small
     (or degenerate) yields an empty cell and a warning, never an error.
     """
-    t_test_fn = {"welch": welch_t_test, "pooled": pooled_t_test}.get(t_test)
+    t_test_fn = {"welch": welch_t_moments, "pooled": pooled_t_moments}.get(t_test)
     if t_test_fn is None:
         raise ValueError(f"unknown t-test variant: {t_test!r}")
     if not len(scores):
@@ -99,27 +99,30 @@ def evaluate_priorities(scores: ScoreTable, t_test: str = "welch") -> EvalTable:
     keys, values = keys[known], values[known]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     group_keys, ends = keys[starts], np.append(starts[1:], len(keys))
-    groups = {key: values[start:end] for key, start, end
-              in zip(group_keys.tolist(), starts.tolist(), ends.tolist())}
-    modes_seen = {MODES[key // _N_PRIORITIES % _N_MODES] for key in groups}
+    sizes = dict(zip(group_keys.tolist(), (ends - starts).tolist()))
+    # each group's moments, computed once for the two pairs it sits in
+    moments = {key: Moments.of(values[start:end]) for key, start, end
+               in zip(group_keys.tolist(), starts.tolist(), ends.tolist()) if end - start >= 2}
+    modes_seen = {MODES[key // _N_PRIORITIES % _N_MODES] for key in sizes}
     modes = tuple(m for m in MODES if m in modes_seen)
     fields = tuple(Field)
     table = EvalTable(fields, modes, PRIORITY_PAIRS, {})
-    empty = np.empty(0)
     for field in fields:
         for mode in modes:
             for pair in PRIORITY_PAIRS:
-                high, low = (groups.get(_group_key(CODES[field], CODES[mode], CODES[p]), empty)
-                             for p in pair)
+                high_key, low_key = (_group_key(CODES[field], CODES[mode], CODES[p])
+                                     for p in pair)
                 key = (field, mode, pair)
                 table.cells[key] = None
-                if len(high) < 2 or len(low) < 2:
-                    problem = f"group too small ({len(high)} vs {len(low)}), cell left empty"
+                if high_key not in moments or low_key not in moments:
+                    problem = (f"group too small ({sizes.get(high_key, 0)} vs"
+                               f" {sizes.get(low_key, 0)}), cell left empty")
                 else:
+                    high, low = moments[high_key], moments[low_key]
                     try:
                         table.cells[key] = ComparisonCell(
-                            field, mode, pair, cohens_d(high, low), *t_test_fn(high, low),
-                            len(high), len(low))
+                            field, mode, pair, cohens_d_moments(high, low),
+                            *t_test_fn(high, low), high.n, low.n)
                         continue
                     except ValueError as exc:
                         problem = f"{exc}; cell left empty"

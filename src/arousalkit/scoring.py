@@ -254,12 +254,15 @@ def save_scores(table: ScoreTable, path: str | Path) -> ScoreTable:
     of its distinct cell texts with their separators (quoted ids, the 15
     ``field,mode`` pairs, distinct ``n_matched``, distinct bit patterns of
     each real); a chunk of rows is one gather of texts and one ``"".join``.
-    Returns ``table`` with its reals as ``round_scores`` gives them."""
-    n_matched, n_index = np.unique(table.n_matched, return_inverse=True)
+    A present row has ``n_matched >= 1``, so the distinct counts are the
+    nonzero bins of one ``np.bincount``. Returns ``table`` with its reals as
+    ``round_scores`` gives them."""
+    seen = np.bincount(table.n_matched) > 0
     texts = [[cell + "," for cell in quote_cells(table.issue_ids, path)],
              [f"{field.value},{mode}," for field in _FIELDS for mode in MODES],
-             [f"{n}," for n in n_matched.tolist()]]
-    index = [table.issue, table.field.astype(np.intp) * len(MODES) + table.mode, n_index]
+             [f"{n}," for n in np.flatnonzero(seen).tolist()]]
+    index = [table.issue, table.field.astype(np.intp) * len(MODES) + table.mode,
+             (np.cumsum(seen) - 1)[table.n_matched]]
     reals = {}
     for name, end in zip(_REALS, ",,\n"):
         distinct, position, reals[name] = _four_decimals(getattr(table, name))

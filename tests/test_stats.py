@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import stdtr
 
 from arousalkit.stats import (
     cohens_d,
@@ -63,6 +64,59 @@ class TestStudentTSurvival:
 
     def test_zero_t_gives_one(self):
         assert student_t_two_sided_p(0.0, 9) == pytest.approx(1.0)
+
+
+class TestIncompleteBeta:
+    """``student_t_two_sided_p`` against ``2 * stdtr(df, -t)``. The oracle is
+    not ``betainc`` at x = df/(df + t^2): rounding that x already costs up
+    to about 2e-9 relative near x = 1."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.floats(0.0, 6.0), st.floats(-4.0, 3.0))
+    @example(6.0, 3.0)
+    @example(0.0, -4.0)
+    @example(math.log10(879_608.0), math.log10(0.00108))
+    def test_relative_error_against_stdtr(self, log_df, log_t):
+        df, t = 10.0**log_df, 10.0**log_t
+        oracle = 2.0 * float(stdtr(df, -t))
+        if oracle >= 1e-300:
+            rel = abs(student_t_two_sided_p(t, df) - oracle) / oracle
+            assert rel <= (1e-12 if df <= 1e4 else 1e-10), (t, df)
+
+    def test_near_x_one_keeps_the_digits_a_rounded_x_loses(self):
+        # 1 - df/(df + t^2) here is 1.3e-12, of which a rounded x keeps 4 digits
+        assert student_t_two_sided_p(0.00108, 879_608.0) == pytest.approx(
+            0.999138285086765, rel=1e-14)
+
+    @pytest.mark.parametrize("df", [0.0, -1.0, -math.inf])
+    def test_nonpositive_df_raises(self, df):
+        with pytest.raises(ValueError, match="degrees of freedom"):
+            student_t_two_sided_p(1.0, df)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf])
+    @pytest.mark.parametrize("df", [1.0, 30.0, math.inf, math.nan])
+    def test_infinite_t_gives_zero(self, t, df):
+        assert student_t_two_sided_p(t, df) == 0.0
+
+    @pytest.mark.parametrize("df", [1e-3, 1.0, 7.5, 1e6, 1e300])
+    def test_zero_t_gives_exactly_one(self, df):
+        assert student_t_two_sided_p(0.0, df) == 1.0
+
+    @pytest.mark.parametrize("t,df", [(math.nan, 5.0), (1.0, math.nan), (1.0, math.inf),
+                                      (0.0, math.inf)])
+    def test_nan_t_or_df_or_infinite_df_gives_nan(self, t, df):
+        assert math.isnan(student_t_two_sided_p(t, df))
+
+    def test_sign_of_t_does_not_matter(self):
+        assert student_t_two_sided_p(-2.5, 11.0) == student_t_two_sided_p(2.5, 11.0)
+
+    @pytest.mark.parametrize("df", [1e-300, 1e-12, 0.3, 1e20, 1e300])
+    @pytest.mark.parametrize("t", [1e-160, 1e-5, 1.2, 40.0, 1e150])
+    def test_extreme_df_stays_a_probability(self, t, df):
+        p = student_t_two_sided_p(t, df)
+        assert 0.0 <= p <= 1.0
+        if 1e-12 <= df <= 1e20:
+            assert p == pytest.approx(2.0 * float(stdtr(df, -t)), rel=1e-9, abs=1e-300)
 
 
 class TestPearson:
