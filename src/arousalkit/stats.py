@@ -13,11 +13,13 @@ for df <= 1e6, for 1e-4 <= t <= 1e3 wherever the p-value is at least 1e-300.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
+_LOG_SMALLEST_NORMAL = math.log(sys.float_info.min)
 
 
 def _log_gamma_half_ratio(a: float) -> float:
@@ -71,7 +73,8 @@ def student_t_two_sided_p(t: float, df: float) -> float:
     df <= 0 raises; an infinite t gives 0.0; a NaN t or df, or an infinite
     df, gives NaN. With u = t^2/df, x = 1/(1 + u) and 1 - x = u/(1 + u)
     are formed without a subtraction, and a small p is always the fraction
-    itself, never 1 minus it.
+    itself, never 1 minus it. A p whose prefix x^a (1 - x)^(1/2) / B(a, 1/2)
+    is below the smallest normal double is 0.0.
     """
     t, df = float(t), float(df)
     if df <= 0:
@@ -90,12 +93,14 @@ def student_t_two_sided_p(t: float, df: float) -> float:
         log_u, log1p_u = math.log(u), math.log1p(u)
         x, y = 1.0 / (1.0 + u), u / (1.0 + u)
     a = 0.5 * df
-    # x^a (1 - x)^(1/2) / B(a, 1/2), with B(a, 1/2) = Gamma(a) Gamma(1/2) / Gamma(a + 1/2)
-    front = math.exp(0.5 * (log_u - log1p_u) - a * log1p_u
-                     + _log_gamma_half_ratio(a) - _LOG_SQRT_PI)
+    # log of x^a (1 - x)^(1/2) / B(a, 1/2), B(a, 1/2) = Gamma(a) Gamma(1/2) / Gamma(a + 1/2)
+    log_front = (0.5 * (log_u - log1p_u) - a * log1p_u
+                 + _log_gamma_half_ratio(a) - _LOG_SQRT_PI)
     if (a + 1.0) * u > 1.5:  # x < (a + 1) / (a + 5/2)
-        return min(1.0, front * _beta_fraction(a, 0.5, x, y) / a)
-    return 1.0 - front * _beta_fraction(0.5, a, y, x) * 2.0
+        if log_front < _LOG_SMALLEST_NORMAL:  # p is 0, as scipy's betainc gave it
+            return 0.0
+        return min(1.0, math.exp(log_front) * _beta_fraction(a, 0.5, x, y) / a)
+    return 1.0 - math.exp(log_front) * _beta_fraction(0.5, a, y, x) * 2.0
 
 
 def pearson_r(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -106,6 +107,15 @@ class TestIncompleteBeta:
                                       (0.0, math.inf)])
     def test_nan_t_or_df_or_infinite_df_gives_nan(self, t, df):
         assert math.isnan(student_t_two_sided_p(t, df))
+
+    def test_p_below_the_smallest_normal_prefix_is_zero(self):
+        # as scipy's betainc gave it: a subnormal p survives only while the
+        # prefix x^a (1 - x)^(1/2) / B(a, 1/2) is still a normal double
+        assert student_t_two_sided_p(60.0, 1000.0) == 0.0
+        assert student_t_two_sided_p(1e160, 2.0) == 0.0
+        assert student_t_two_sided_p(56.0, 1000.0) == pytest.approx(
+            2.0 * float(stdtr(1000.0, -56.0)), rel=1e-9)
+        assert 0.0 < student_t_two_sided_p(56.0, 1000.0) < sys.float_info.min
 
     def test_sign_of_t_does_not_matter(self):
         assert student_t_two_sided_p(-2.5, 11.0) == student_t_two_sided_p(2.5, 11.0)
