@@ -11,7 +11,7 @@ cell is printed for comparison against the reference value 0.5070.
 import argparse
 
 from arousalkit.corpus import Field, read_corpus
-from arousalkit.evalstats import evaluate_priorities, pair_label, render_tables
+from arousalkit.evalstats import PRIORITY_PAIRS, evaluate_priorities, pair_label, render_tables
 from arousalkit.lexicon import SeaLexicon, load_general_lexicon
 from arousalkit.scoring import ScoringLexicon, round_scores, score_corpus
 
@@ -33,7 +33,7 @@ def main():
     written = render_tables(table, args.out_dir)
     for path in written:
         print(f"wrote {path}")
-    cell = table.cell(Field.ALL_COMMENTS, "combined", table.pairs[0])
+    cell = table.cell(Field.ALL_COMMENTS, "combined", PRIORITY_PAIRS[0])
     if cell:
         print(f"combined all_comments {pair_label(cell.pair)}: d={cell.cohen_d:.4f} "
               f"(reference 0.5070)")

@@ -14,7 +14,6 @@ from .embedding import (
     EmbeddingConfig,
     EmbeddingModel,
     WordVectors,
-    cosine_similarity,
     count_cooccurrences,
     glove_loss,
     glove_train,

@@ -16,7 +16,7 @@ import click
 from .config import PipelineConfig
 from .corpus import CorpusFormatError, Field
 from .embedding import TrainingDivergedError
-from .evalstats import pair_label
+from .evalstats import PRIORITY_PAIRS, pair_label
 from .lexicon import SeedSelectionError
 from .pipeline import (
     PipelineError,
@@ -147,7 +147,7 @@ def ratings(ctx, sheet_files, labels):
     label_list = labels.split(",") if labels else None
     records, report = _run(run_ratings, _config(ctx), list(sheet_files), label_list)
     click.echo(
-        f"{report.n_records} ratings ingested, {report.n_skipped} empty cells, "
+        f"{len(records)} ratings ingested, {report.n_skipped} empty cells, "
         f"{len(report.errors)} rejected rows"
     )
 
@@ -184,8 +184,6 @@ def evaluate(ctx):
     table = _run(run_evaluate, _config(ctx))
     populated = sum(1 for cell in table.cells.values() if cell is not None)
     click.echo(f"evaluation tables written ({populated} populated cells)")
-    for warning in table.warnings:
-        click.echo(f"warning: {warning}", err=True)
 
 
 @main.command()
@@ -198,7 +196,7 @@ def demo(ctx, issues):
     table = _run(run_demo, config.work_dir, n_issues=issues, seed=seed)
     click.echo(f"demo artifacts in {config.work_dir}")
     for mode in table.modes:
-        cell = table.cell(Field.ALL_COMMENTS, mode, table.pairs[0])
+        cell = table.cell(Field.ALL_COMMENTS, mode, PRIORITY_PAIRS[0])
         if cell:
             click.echo(
                 f"all_comments {pair_label(cell.pair)} [{mode}]: "

@@ -40,8 +40,8 @@ class PipelineConfig:
 
     def validate(self) -> None:
         self.embedding.validate()
-        require_number("min_count", self.min_count, 1)
-        require_number("k", self.k, 0)
+        for name, low in (("min_count", 1), ("k", 0)):
+            require_number(name, getattr(self, name), low)
         for name in ("n1", "f1", "n2", "f2"):
             require_number("seeds." + name, getattr(self.seeds, name), 1)
         for name in ("corpus", "general_lexicon", "wordnet_dir", "work_dir", "extra_seeds"):

@@ -252,7 +252,6 @@ class Vocabulary:
     def __init__(self, counts: dict[str, int], min_count: int = 1):
         if min_count < 1:
             raise ValueError("min_count must be >= 1")
-        self.min_count = min_count
         kept = [(w, c) for w, c in counts.items() if c >= min_count]
         kept.sort(key=lambda wc: (-wc[1], wc[0]))
         self._ids = {w: i for i, (w, _) in enumerate(kept)}

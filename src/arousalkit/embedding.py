@@ -352,9 +352,10 @@ class WordVectors:
         return self.matrix[idx]
 
     def norm(self, word: str) -> float:
-        """Euclidean norm of the vector of ``word``, which must be present;
-        a word whose norm is 0.0 cannot be a neighbor query."""
-        return float(np.linalg.norm(self.matrix[self._index[word]]))
+        """Euclidean norm of the vector of ``word``, which must be present,
+        read from the row norms that the neighbor queries divide by; a word
+        whose norm is 0.0 cannot be a neighbor query."""
+        return float(self._norms[self._index[word]])
 
     def save(self, path: str | Path) -> None:
         """Text dump: first line "|V| d", then one "word v1 ... vd" per word.
@@ -433,18 +434,6 @@ def _unpack_vectors(word_data, word_offsets, matrix) -> WordVectors:
     return WordVectors(words, matrix)
 
 
-def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError("vectors have different lengths")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine similarity is undefined for a zero vector")
-    return float(np.dot(u, v) / (nu * nv))
-
-
 def nearest_neighbors(vectors: WordVectors, word: str, k: int) -> list[tuple[str, float]]:
     """The k most cosine-similar vocabulary words, query excluded.
 
@@ -471,12 +460,11 @@ def nearest_neighbors_batch(
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    rows, qnorms = [], []
+    rows = []
     for word in words:
         if word not in vectors:
             raise ValueError(f"word not in vocabulary: {word!r}")
-        qnorms.append(vectors.norm(word))
-        if qnorms[-1] == 0.0:
+        if vectors.norm(word) == 0.0:
             raise ValueError(f"query word {word!r} has a zero vector")
         rows.append(vectors._index[word])
     if k == 0:
@@ -488,8 +476,7 @@ def nearest_neighbors_batch(
     for lo in range(0, len(rows), block):
         q = np.array(rows[lo:lo + block])
         with np.errstate(divide="ignore", invalid="ignore"):
-            sims = (vectors.matrix[q] @ vectors.matrix.T) / (
-                norms * np.array(qnorms[lo:lo + block])[:, None])
+            sims = (vectors.matrix[q] @ vectors.matrix.T) / (norms * norms[q][:, None])
         # a zero candidate vector gives inf or nan, never a finite similarity
         sims[~np.isfinite(sims) | (rank == rank[q][:, None])] = -np.inf
         keep = sims > -np.inf

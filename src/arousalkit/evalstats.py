@@ -9,7 +9,6 @@ significance annotations (*** p<0.001, ** p<0.01, * p<0.05).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 from typing import Optional
@@ -20,8 +19,6 @@ from .artifacts import atomic_open
 from .corpus import Field, Priority
 from .scoring import CODES, MODES, ScoreTable
 from .stats import Moments, cohens_d_moments, pooled_t_moments, welch_t_moments
-
-logger = logging.getLogger(__name__)
 
 #: (higher priority, lower priority) comparisons, in table column order.
 PRIORITY_PAIRS = (
@@ -69,9 +66,9 @@ class ComparisonCell:
 
 @dataclass
 class EvalTable:
-    fields: tuple[Field, ...]
+    """Cells over every ``Field`` x mode seen x ``PRIORITY_PAIRS``."""
+
     modes: tuple[str, ...]
-    pairs: tuple[tuple[Priority, Priority], ...]
     cells: dict[tuple[Field, str, tuple[Priority, Priority]], Optional[ComparisonCell]]
     warnings: list[str] = dataclass_field(default_factory=list)
 
@@ -83,7 +80,8 @@ def evaluate_priorities(scores: ScoreTable, t_test: str = "welch") -> EvalTable:
     """Build the full field x mode x priority-pair comparison grid.
 
     Unknown-priority rows are dropped. A pair whose groups are too small
-    (or degenerate) yields an empty cell and a warning, never an error.
+    (or degenerate) yields an empty cell and a line in ``warnings``, never
+    an error.
     """
     t_test_fn = {"welch": welch_t_moments, "pooled": pooled_t_moments}.get(t_test)
     if t_test_fn is None:
@@ -105,9 +103,8 @@ def evaluate_priorities(scores: ScoreTable, t_test: str = "welch") -> EvalTable:
                in zip(group_keys.tolist(), starts.tolist(), ends.tolist()) if end - start >= 2}
     modes_seen = {MODES[key // _N_PRIORITIES % _N_MODES] for key in sizes}
     modes = tuple(m for m in MODES if m in modes_seen)
-    fields = tuple(Field)
-    table = EvalTable(fields, modes, PRIORITY_PAIRS, {})
-    for field in fields:
+    table = EvalTable(modes, {})
+    for field in Field:
         for mode in modes:
             for pair in PRIORITY_PAIRS:
                 high_key, low_key = (_group_key(CODES[field], CODES[mode], CODES[p])
@@ -126,9 +123,7 @@ def evaluate_priorities(scores: ScoreTable, t_test: str = "welch") -> EvalTable:
                         continue
                     except ValueError as exc:
                         problem = f"{exc}; cell left empty"
-                msg = f"{field.value}/{mode}/{pair_label(pair)}: {problem}"
-                table.warnings.append(msg)
-                logger.warning(msg)
+                table.warnings.append(f"{field.value}/{mode}/{pair_label(pair)}: {problem}")
     return table
 
 
@@ -137,11 +132,11 @@ def significance_marker(p: float) -> str:
 
 
 def _stat_lines(table: EvalTable, stat: str, fmt: str) -> list[str]:
-    lines = ["field,mode," + ",".join(pair_label(p) for p in table.pairs)]
-    for field in table.fields:
+    lines = ["field,mode," + ",".join(pair_label(p) for p in PRIORITY_PAIRS)]
+    for field in Field:
         for mode in table.modes:
             cells = [format(getattr(cell, stat), fmt) if (cell := table.cell(field, mode, pair))
-                     else "" for pair in table.pairs]
+                     else "" for pair in PRIORITY_PAIRS]
             lines.append(f"{field.value},{mode}," + ",".join(cells))
     return lines
 
@@ -170,7 +165,7 @@ def render_tables(table: EvalTable, out_dir: str | Path) -> list[Path]:
 
 def _render_display(table: EvalTable) -> str:
     col_width, label_width = 18, 16
-    header = "".ljust(label_width) + "".join(pair_label(p).rjust(col_width) for p in table.pairs)
+    header = " " * label_width + "".join(pair_label(p).rjust(col_width) for p in PRIORITY_PAIRS)
     out = []
     for title, render in (
         ("Cohen's d between issue priorities", lambda cell: f"{cell.cohen_d:.4f}"),
@@ -178,11 +173,11 @@ def _render_display(table: EvalTable) -> str:
          lambda cell: f"{cell.p:.3g}{significance_marker(cell.p)}"),
     ):
         out += [title, header]
-        for field in table.fields:
+        for field in Field:
             for i, mode in enumerate(table.modes):
                 label = (DISPLAY_FIELD_LABELS[field] if i == 0 else "") + f" [{mode}]"
                 cells = [render(cell) if (cell := table.cell(field, mode, pair)) else "-"
-                         for pair in table.pairs]
+                         for pair in PRIORITY_PAIRS]
                 out.append(label.ljust(label_width) + "".join(c.rjust(col_width) for c in cells))
         out.append("")
     return "\n".join(out) + "\n"

@@ -448,7 +448,6 @@ class RatingRecord:
 
 @dataclass
 class IngestReport:
-    n_records: int = 0
     n_skipped: int = 0
     errors: list[str] = dataclass_field(default_factory=list)
 
@@ -522,7 +521,6 @@ def ingest_ratings(
                 report.errors.append(f"{path}:{lineno}: rating {score} out of 1..9")
                 continue
             records.append(RatingRecord(word, label, score))
-            report.n_records += 1
     return records, report
 
 

@@ -32,6 +32,7 @@ from .evalstats import EvalTable, evaluate_priorities, render_tables
 from .lexicon import (
     AgreementReport,
     CandidateSet,
+    SEA_COLUMNS,
     SeaLexicon,
     SeedSet,
     aggregate_ratings,
@@ -257,9 +258,10 @@ def run_sheet(config: PipelineConfig, review: str | Path) -> Path:
 
 def run_ratings(config: PipelineConfig, sheet_files: Sequence[str],
                 labels: Optional[Sequence[str]] = None):
-    if len(sheet_files) > 2:  # the domain lexicon holds two raters' scores
-        raise PipelineError(f"the ratings stage takes at most 2 rating sheets, one per rater; got "
-                            f"{len(sheet_files)}: {', '.join(map(str, sheet_files))}")
+    if len(sheet_files) > len(SEA_COLUMNS):  # one score column per rater
+        raise PipelineError(f"the ratings stage takes at most {len(SEA_COLUMNS)} rating sheets, "
+                            f"one per rater; got {len(sheet_files)}: "
+                            f"{', '.join(map(str, sheet_files))}")
     labels = sheet_labels(sheet_files, labels)  # refused before the sheet is looked at
     with Workspace(config).stage("ratings") as ws:
         records, report = ingest_ratings(sheet_files, labels,
@@ -269,7 +271,7 @@ def run_ratings(config: PipelineConfig, sheet_files: Sequence[str],
         save_rating_records(records, ws.path("ratings.csv"))
     logger.info(
         "ratings: %d records, %d empty cells skipped, %d rejected rows",
-        report.n_records, report.n_skipped, len(report.errors),
+        len(records), report.n_skipped, len(report.errors),
     )
     return records, report
 
@@ -310,6 +312,8 @@ def run_evaluate(config: PipelineConfig) -> EvalTable:
     with Workspace(config).stage("evaluate") as ws:
         table = evaluate_priorities(scoring_mod.load_scores(ws.path("scores.bin")),
                                     t_test=config.t_test)
+        for warning in table.warnings:
+            logger.warning(warning)
         render_tables(table, ws.work_dir)
     return table
 
@@ -343,7 +347,7 @@ def demo_config(work_dir: str | Path, seed: int = 7,
 def run_demo(work_dir: str | Path, n_issues: int = 1000, seed: int = 7) -> EvalTable:
     """Full pipeline on generated inputs, with simulated raters."""
     work_dir = Path(work_dir)
-    inputs = synthetic.generate_demo_inputs(work_dir, n_issues=n_issues, seed=seed)
+    truth = synthetic.generate_demo_inputs(work_dir, n_issues=n_issues, seed=seed)
     config = demo_config(work_dir, seed=seed, n_issues=n_issues)
     config.save(work_dir / "inputs" / "config.json")
 
@@ -356,7 +360,6 @@ def run_demo(work_dir: str | Path, n_issues: int = 1000, seed: int = 7) -> EvalT
     review_path.write_text("".join(f"{c.word},accept\n" for c in candidates), encoding="utf-8")
     run_sheet(config, review=str(review_path))
 
-    truth = synthetic.load_truth(inputs.truth_path)
     rater_files = []
     for n, label in enumerate(("r1", "r2"), start=1):
         out_path = work_dir / f"ratings_{label}.csv"

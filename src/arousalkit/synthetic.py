@@ -12,12 +12,11 @@ which keeps combined-mode coverage total on the toy data.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import read_table, write_rows
+from .artifacts import read_table, text_lines, write_rows
 from .lexicon import SHEET_HEADER
 
 # (word, planted arousal); the first 20 of each pole are the designated
@@ -67,15 +66,6 @@ string number float integer boolean null empty blank space tab
 """.split()
 
 N1_SEEDS = 20  # designated seeds per pole
-
-
-@dataclass
-class DemoInputs:
-    corpus_path: Path
-    general_lexicon_path: Path
-    wordnet_dir: Path
-    truth_path: Path
-    truth: dict[str, float]
 
 
 def planted_truth() -> dict[str, float]:
@@ -255,42 +245,40 @@ def fill_ratings(
     """Fill a rating sheet's empty rating column from the planted truth.
 
     Scores are the truth value plus a small integer jitter, clamped to
-    1..9; unknown words rate neutral. Deterministic per seed.
+    1..9; unknown words rate neutral. Deterministic per seed. The sheet is
+    read by ``text_lines``, so a byte that is not UTF-8 is refused with
+    the file and line.
     """
     rng = np.random.default_rng(seed)
     lines_out = []
-    with Path(sheet_path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            stripped = line.rstrip("\n")
-            if stripped.startswith("#") or stripped == SHEET_HEADER:
-                lines_out.append(stripped)
-                continue
-            if not stripped:
-                continue
-            parts = stripped.split(",")
-            word = parts[0]
-            jitter = int(rng.choice([-1, 0, 0, 1]))
-            score = int(round(truth.get(word, 5.0))) + jitter
-            score = max(1, min(9, score))
-            parts[1] = str(score)
-            lines_out.append(",".join(parts))
+    for _, line in text_lines(sheet_path):
+        stripped = line.rstrip("\r\n")
+        if stripped.startswith("#") or stripped == SHEET_HEADER:
+            lines_out.append(stripped)
+            continue
+        if not stripped:
+            continue
+        parts = stripped.split(",")
+        word = parts[0]
+        jitter = int(rng.choice([-1, 0, 0, 1]))
+        score = int(round(truth.get(word, 5.0))) + jitter
+        score = max(1, min(9, score))
+        parts[1] = str(score)
+        lines_out.append(",".join(parts))
     Path(out_path).write_text("\n".join(lines_out) + "\n", encoding="utf-8")
 
 
 def generate_demo_inputs(
     work_dir: str | Path, n_issues: int = 1000, seed: int = 7
-) -> DemoInputs:
-    """Write all synthetic inputs under work_dir/inputs."""
-    work_dir = Path(work_dir)
-    inputs = work_dir / "inputs"
+) -> dict[str, float]:
+    """Write all synthetic inputs under work_dir/inputs: corpus.jsonl,
+    general_lexicon.csv, truth.csv and the wordnet directory. Returns the
+    planted truth that truth.csv holds, for the simulated raters."""
+    inputs = Path(work_dir) / "inputs"
     inputs.mkdir(parents=True, exist_ok=True)
-    corpus_path = inputs / "corpus.jsonl"
-    lexicon_path = inputs / "general_lexicon.csv"
-    truth_path = inputs / "truth.csv"
-    wordnet_dir = inputs / "wordnet"
-    generate_corpus(corpus_path, n_issues=n_issues, seed=seed)
-    generate_general_lexicon(lexicon_path)
+    generate_corpus(inputs / "corpus.jsonl", n_issues=n_issues, seed=seed)
+    generate_general_lexicon(inputs / "general_lexicon.csv")
     truth = planted_truth()
-    write_truth(truth_path, truth)
-    write_wordnet_fixture(wordnet_dir)
-    return DemoInputs(corpus_path, lexicon_path, wordnet_dir, truth_path, truth)
+    write_truth(inputs / "truth.csv", truth)
+    write_wordnet_fixture(inputs / "wordnet")
+    return truth

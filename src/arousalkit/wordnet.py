@@ -33,7 +33,6 @@ class SynsetDb:
         self.members: dict[tuple[str, int], list[str]] = {}
         # lemma -> set of (pos, offset)
         self.synsets_of: dict[str, set[tuple[str, int]]] = {}
-        self.multiword_lemmas: set[str] = set()
 
     def __len__(self) -> int:
         return len(self.members)
@@ -43,8 +42,6 @@ class SynsetDb:
         self.members[key] = sorted(set(lemmas))
         for lemma in lemmas:
             self.synsets_of.setdefault(lemma, set()).add(key)
-            if "_" in lemma:
-                self.multiword_lemmas.add(lemma)
 
     def synsets(self, lemma: str) -> set[tuple[str, int]]:
         return self.synsets_of.get(lemma.lower(), set())
@@ -130,9 +127,6 @@ def load_wordnet(dict_dir: str | Path) -> SynsetDb:
                         "%s:%d: offset %08d of %r missing from %s",
                         index_path, lineno, off, lemma, data_path.name,
                     )
-    if db.multiword_lemmas:
-        logger.info("loaded %d synsets (%d multiword lemmas flagged)",
-                    len(db), len(db.multiword_lemmas))
     return db
 
 

@@ -94,7 +94,7 @@ def demo_run(tmp_path_factory):
     timings, shared by the acceptance tests."""
     work_dir = tmp_path_factory.mktemp("demo")
     t_start = time.time()
-    inputs = synthetic.generate_demo_inputs(work_dir, n_issues=1000, seed=7)
+    truth = synthetic.generate_demo_inputs(work_dir, n_issues=1000, seed=7)
     config = demo_config(work_dir, seed=7, n_issues=1000)
     config.save(work_dir / "inputs" / "config.json")
 
@@ -110,7 +110,6 @@ def demo_run(tmp_path_factory):
         "".join(f"{c.word},accept\n" for c in candidates), encoding="utf-8"
     )
     run_sheet(config, review=str(review))
-    truth = synthetic.load_truth(inputs.truth_path)
     rater_files = []
     for n, label in enumerate(("r1", "r2"), start=1):
         out = work_dir / f"ratings_{label}.csv"
@@ -125,7 +124,6 @@ def demo_run(tmp_path_factory):
     return SimpleNamespace(
         work_dir=work_dir,
         config=config,
-        inputs=inputs,
         model=model,
         sea=sea,
         table=table,

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -750,17 +751,23 @@ class TestCommandLine:
         assert "kappa" in result.output
 
 
+REPO = Path(__file__).resolve().parents[1]
+
+
+def subprocess_env() -> dict:
+    """The environment, with this checkout's sources first on the import path."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+
+
 class TestReproduceScript:
     def test_scores_the_demo_corpus_with_both_lexicons(self, demo_run, tmp_path):
-        repo = Path(__file__).resolve().parents[1]
         inputs, out_dir = demo_run.work_dir / "inputs", tmp_path / "eval"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")])))
         result = subprocess.run(
-            [sys.executable, str(repo / "scripts" / "reproduce_published_eval.py"),
+            [sys.executable, str(REPO / "scripts" / "reproduce_published_eval.py"),
              str(inputs / "corpus.jsonl"), str(inputs / "general_lexicon.csv"),
              str(demo_run.work_dir / "sea_lexicon.csv"), "--out-dir", str(out_dir)],
-            capture_output=True, text=True, env=env, timeout=300)
+            capture_output=True, text=True, env=subprocess_env(), timeout=300)
         assert result.returncode == 0, result.stderr
         assert sorted(p.name for p in out_dir.iterdir()) == [
             "eval_d.csv", "eval_df.csv", "eval_p.csv", "eval_t.csv", "eval_tables.txt"]
@@ -770,3 +777,48 @@ class TestReproduceScript:
         match = re.search(r"^combined all_comments .*: d=(-?\d+\.\d+) ", result.stdout, re.M)
         assert match, result.stdout
         assert float(match.group(1)) > 0
+
+
+class TestEmptyCellWarnings:
+    """Each empty evaluation cell is reported once per run."""
+
+    def test_evaluate_command_reports_each_empty_cell_once(self, staged):
+        work, _ = staged
+        table = scoring.load_scores(work / "scores.bin")
+        trivial = table.priority == scoring.CODES[Priority.TRIVIAL]
+        # one Trivial issue left: its groups are too small for a t test
+        keep = ~trivial | (table.issue == table.issue[trivial][0])
+        scoring.save_score_records(dataclasses.replace(table, **{
+            column.name: getattr(table, column.name)[keep]
+            for column in dataclasses.fields(table) if column.name != "issue_ids"
+        }), work / "scores.bin")
+        warnings = evalstats.evaluate_priorities(scoring.load_scores(work / "scores.bin")).warnings
+        assert any("Blocker-Trivial: group too small" in w for w in warnings)
+        result = subprocess.run(
+            [sys.executable, "-m", "arousalkit.cli", "--config",
+             str(work / "inputs" / "config.json"), "--work-dir", str(work), "evaluate"],
+            capture_output=True, text=True, env=subprocess_env(), timeout=300)
+        assert result.returncode == 0, result.stderr
+        for warning in warnings:
+            assert (result.stdout + result.stderr).count(warning) == 1, warning
+            assert f"WARNING arousalkit.pipeline: {warning}\n" in result.stderr
+
+    def test_reproduction_script_prints_each_empty_cell_once(self, demo_run, tmp_path):
+        inputs = demo_run.work_dir / "inputs"
+        corpus = tmp_path / "corpus.jsonl"
+        lines = (inputs / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        trivial = [line for line in lines if json.loads(line)["priority"] == "Trivial"]
+        # one Trivial issue left: its groups are too small for a t test
+        corpus.write_text("".join(line for line in lines if line not in trivial[1:]),
+                          encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "reproduce_published_eval.py"), str(corpus),
+             str(inputs / "general_lexicon.csv"), str(demo_run.work_dir / "sea_lexicon.csv"),
+             "--out-dir", str(tmp_path / "eval")],
+            capture_output=True, text=True, env=subprocess_env(), timeout=300)
+        assert result.returncode == 0, result.stderr
+        warnings = [line[len("warning: "):] for line in result.stdout.splitlines()
+                    if line.startswith("warning: ")]
+        assert any("Blocker-Trivial: group too small" in w for w in warnings)
+        for warning in warnings:
+            assert (result.stdout + result.stderr).count(warning) == 1, warning

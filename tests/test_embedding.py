@@ -20,7 +20,6 @@ from arousalkit.embedding import (
     EmbeddingModel,
     TrainingDivergedError,
     WordVectors,
-    cosine_similarity,
     count_cooccurrences,
     glove_loss,
     glove_train,
@@ -498,38 +497,6 @@ class TestWordVector:
         model = tiny_model(["a", "b"], dim=4, seed=8)
         expected = model.w_main[0] + model.w_context[0]
         assert np.array_equal(model.to_vectors().vector("a"), expected)
-
-
-class TestCosine:
-    def test_identical_vectors(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert cosine_similarity(v, v) == pytest.approx(1.0)
-
-    def test_orthogonal_vectors(self):
-        assert cosine_similarity([1.0, 0.0], [0.0, 2.0]) == pytest.approx(0.0)
-
-    def test_antipodal_vectors(self):
-        v = np.array([0.3, -1.2, 4.0])
-        assert cosine_similarity(v, -v) == pytest.approx(-1.0)
-
-    def test_zero_vector_is_an_error(self):
-        with pytest.raises(ValueError):
-            cosine_similarity([0.0, 0.0], [1.0, 1.0])
-
-    def test_length_mismatch_is_an_error(self):
-        with pytest.raises(ValueError):
-            cosine_similarity([1.0], [1.0, 2.0])
-
-    @given(
-        st.floats(min_value=1e-3, max_value=1e3),
-        st.floats(min_value=1e-3, max_value=1e3),
-    )
-    def test_scale_invariance(self, alpha, beta):
-        u = np.array([0.4, -1.0, 2.5])
-        v = np.array([1.1, 0.2, -0.7])
-        base = cosine_similarity(u, v)
-        scaled = cosine_similarity(alpha * u, beta * v)
-        assert abs(base - scaled) <= 1e-12
 
 
 class TestNearestNeighbors:

