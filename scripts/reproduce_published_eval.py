@@ -33,9 +33,10 @@ def main():
     written = render_tables(table, args.out_dir)
     for path in written:
         print(f"wrote {path}")
-    cell = table.cell(Field.ALL_COMMENTS, "combined", PRIORITY_PAIRS[0])
+    pair = PRIORITY_PAIRS[0]
+    cell = table.cell(Field.ALL_COMMENTS, "combined", pair)
     if cell:
-        print(f"combined all_comments {pair_label(cell.pair)}: d={cell.cohen_d:.4f} "
+        print(f"combined all_comments {pair_label(pair)}: d={cell.cohen_d:.4f} "
               f"(reference 0.5070)")
     for warning in table.warnings:
         print(f"warning: {warning}")

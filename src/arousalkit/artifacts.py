@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import math
 import os
 import tokenize
 from operator import itemgetter
@@ -162,14 +163,16 @@ def read_records(path: str | Path, what: str, tag: bytes,
 
     ``layout`` gives the dtype and number of dimensions of each record
     after the tag. A short, corrupt or trailing-byte file, another tag, a
-    record of another type or shape, or a ValueError raised by ``decode``
-    raises CorpusFormatError naming the path and ``what`` was expected.
+    record of another type or shape, a record that declares more data than
+    the file holds, or a ValueError raised by ``decode`` raises
+    CorpusFormatError naming the path and ``what`` was expected.
     """
     try:
         with open(path, "rb") as handle:
-            if np.lib.format.read_array(handle, allow_pickle=False).tobytes() != tag:
+            size = os.fstat(handle.fileno()).st_size
+            if _read_record(handle, size).tobytes() != tag:
                 raise ValueError("unknown format tag")
-            records = [np.lib.format.read_array(handle, allow_pickle=False) for _ in layout]
+            records = [_read_record(handle, size) for _ in layout]
             if handle.read(1):
                 raise ValueError("trailing bytes after the last record")
         if any(r.dtype != np.dtype(t) or r.ndim != n for r, (t, n) in zip(records, layout)):
@@ -179,6 +182,21 @@ def read_records(path: str | Path, what: str, tag: bytes,
         raise CorpusFormatError(f"cannot read {what} {path}: {exc}") from exc
     except (ValueError, IndexError, EOFError, SyntaxError, tokenize.TokenError) as exc:
         raise CorpusFormatError(f"{path}: not a valid {what}: {exc}") from None
+
+
+def _read_record(handle: IO[bytes], size: int) -> np.ndarray:
+    """The ``.npy`` record at ``handle`` in a file of ``size`` bytes; one that declares
+    more data than the file holds raises ValueError before numpy allocates it."""
+    npy, start = np.lib.format, handle.tell()
+    read_header = {(1, 0): npy.read_array_header_1_0,
+                   (2, 0): npy.read_array_header_2_0}.get(npy.read_magic(handle))
+    if read_header is None:
+        raise ValueError("unsupported .npy format version")
+    shape, _, dtype = read_header(handle)
+    if math.prod(shape) * dtype.itemsize > size - handle.tell():
+        raise ValueError(f"a record of shape {shape} runs past the end of the file")
+    handle.seek(start)
+    return npy.read_array(handle, allow_pickle=False)
 
 
 def pack_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:

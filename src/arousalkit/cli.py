@@ -13,8 +13,9 @@ import sys
 
 import click
 
+from .artifacts import CorpusFormatError
 from .config import PipelineConfig
-from .corpus import CorpusFormatError, Field
+from .corpus import Field
 from .embedding import TrainingDivergedError
 from .evalstats import PRIORITY_PAIRS, pair_label
 from .lexicon import SeedSelectionError
@@ -199,7 +200,7 @@ def demo(ctx, issues):
         cell = table.cell(Field.ALL_COMMENTS, mode, PRIORITY_PAIRS[0])
         if cell:
             click.echo(
-                f"all_comments {pair_label(cell.pair)} [{mode}]: "
+                f"all_comments {pair_label(PRIORITY_PAIRS[0])} [{mode}]: "
                 f"d={cell.cohen_d:.4f} p={cell.p:.3g}"
             )
 

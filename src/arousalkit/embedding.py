@@ -328,14 +328,18 @@ class WordVectors:
     """
 
     def __init__(self, words: list[str], matrix: np.ndarray):
-        if matrix.shape[0] != len(words):
-            raise ValueError("matrix row count does not match word list")
-        self.words = words
-        self.matrix = np.asarray(matrix, dtype=np.float64)
+        """Distinct words, one matrix row each with at least one column; else ValueError."""
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[0] != len(words) or matrix.shape[1] < 1:
+            raise ValueError(f"a {matrix.shape} matrix does not fit {len(words)} words")
         self._index = {w: i for i, w in enumerate(words)}
+        if len(self._index) != len(words):  # the index keeps a repeated word's last row
+            repeated = next(w for i, w in enumerate(words) if self._index[w] != i)
+            raise ValueError(f"repeated word {repeated!r}")
+        self.words, self.matrix = words, matrix
         self._norms = _row_norms(self.matrix)
         # lexicographic rank of each word, for tie-breaking neighbors
-        ordered = {w: r for r, w in enumerate(sorted(set(words)))}
+        ordered = {w: r for r, w in enumerate(sorted(words))}
         self._rank = np.array([ordered[w] for w in words], dtype=np.int64)
 
     def __contains__(self, word: str) -> bool:
@@ -423,15 +427,7 @@ def _dump_rows(words: Sequence[str], block: np.ndarray) -> bytes:
 
 
 def _unpack_vectors(word_data, word_offsets, matrix) -> WordVectors:
-    words = unpack_strings(word_data, word_offsets)
-    if matrix.shape[0] != len(words) or matrix.shape[1] < 1:
-        raise ValueError(f"a {matrix.shape} matrix does not fit {len(words)} words")
-    seen: set[str] = set()
-    for word in words:
-        if word in seen:
-            raise ValueError(f"repeated word {word!r}")
-        seen.add(word)
-    return WordVectors(words, matrix)
+    return WordVectors(unpack_strings(word_data, word_offsets), matrix)
 
 
 def nearest_neighbors(vectors: WordVectors, word: str, k: int) -> list[tuple[str, float]]:

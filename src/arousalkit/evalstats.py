@@ -53,9 +53,8 @@ def pair_label(pair: tuple[Priority, Priority]) -> str:
 
 @dataclass
 class ComparisonCell:
-    field: Field
-    mode: str
-    pair: tuple[Priority, Priority]
+    """Statistics of one cell; its key in ``EvalTable.cells`` says which."""
+
     cohen_d: float
     t: float
     df: float
@@ -117,9 +116,8 @@ def evaluate_priorities(scores: ScoreTable, t_test: str = "welch") -> EvalTable:
                 else:
                     high, low = moments[high_key], moments[low_key]
                     try:
-                        table.cells[key] = ComparisonCell(
-                            field, mode, pair, cohens_d_moments(high, low),
-                            *t_test_fn(high, low), high.n, low.n)
+                        table.cells[key] = ComparisonCell(cohens_d_moments(high, low),
+                                                          *t_test_fn(high, low), high.n, low.n)
                         continue
                     except ValueError as exc:
                         problem = f"{exc}; cell left empty"

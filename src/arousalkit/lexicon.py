@@ -607,8 +607,8 @@ class SeaLexicon(_WordTable):
 
 def aggregate_ratings(records: Iterable[RatingRecord],
                       provenance: Optional[dict[str, str]] = None) -> SeaLexicon:
-    """Word arousal = arithmetic mean of its rater scores. The raters in
-    label order are the score columns ``r1`` and ``r2``; a third is refused."""
+    """Word arousal = arithmetic mean of its rater scores. The raters in sorted
+    label order, not record order, are the columns ``r1`` and ``r2``; a third is refused."""
     by_rater = _scores_by_rater(records)
     if not by_rater:
         raise ValueError("no rating records to aggregate")

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -498,6 +499,15 @@ class TestWordVector:
         expected = model.w_main[0] + model.w_context[0]
         assert np.array_equal(model.to_vectors().vector("a"), expected)
 
+    def test_repeated_word_is_refused(self):
+        with pytest.raises(ValueError, match="repeated word 'a'"):
+            WordVectors(["a", "b", "a"], np.eye(3))
+
+    @pytest.mark.parametrize("shape", [(1, 0), (2, 2), (1,)])
+    def test_matrix_must_have_one_row_per_word_and_a_column(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"a {shape} matrix does not fit 1 words")):
+            WordVectors(["a"], np.zeros(shape))
+
 
 class TestNearestNeighbors:
     def random_vectors(self, n=200, dim=16, seed=13):
@@ -715,7 +725,9 @@ class TestBinaryRoundTrip:
 
     def test_repeated_word_is_refused(self, tmp_path):
         path = tmp_path / "embedding.bin"
-        WordVectors(["a", "b", "a"], np.eye(3)).save_binary(path)
+        vectors = WordVectors(["a", "b", "c"], np.eye(3))
+        vectors.words = ["a", "b", "a"]
+        vectors.save_binary(path)
         with pytest.raises(CorpusFormatError, match="embedding.bin.*repeated word 'a'"):
             WordVectors.load_binary(path)
 

@@ -98,6 +98,25 @@ def test_npy_header_without_its_closing_parenthesis_is_refused_by_name(reader_de
         READERS[name](path)
 
 
+@pytest.mark.parametrize("name", ["tokens.bin", "embedding.bin", "scores.bin"])
+def test_record_that_declares_more_data_than_the_file_holds_is_refused_by_name(reader_demo,
+                                                                              tmp_path, name):
+    # the first axis of the last record becomes 10**15, in the spaces that
+    # numpy pads its header with, so the header keeps its length
+    data = (reader_demo / name).read_bytes()
+    start = data.rindex(b"'shape': (") + len(b"'shape': (")
+    end = min(data.index(b",", start), data.index(b")", start))
+    header_end = data.index(b"\n", start)
+    huge = str(10**15).encode()
+    grown = len(huge) - (end - start)
+    assert data[header_end - grown:header_end] == b" " * grown
+    path = tmp_path / name
+    path.write_bytes(data[:start] + huge + data[end:header_end - grown] + data[header_end:])
+    with pytest.raises(CorpusFormatError, match=re.escape(f"{path}: not a valid ") +
+                       ".*runs past the end of the file"):
+        READERS[name](path)
+
+
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_every_edit_loads_or_is_refused_by_file_name(reader_demo, tmp_path, name):
     path = work_copy(reader_demo, tmp_path) / name

@@ -24,9 +24,9 @@ RUN_WITHOUT_SCIPY = textwrap.dedent("""\
 
     sys.meta_path.insert(0, RefuseScipy())
 
-    import arousalkit
+    import arousalkit.cli  # the console script's module imports every stage
     loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-    assert not loaded, f"import arousalkit loaded {loaded}"
+    assert not loaded, f"import arousalkit.cli loaded {loaded}"
 
     from arousalkit.pipeline import run_demo
     table = run_demo(sys.argv[1], n_issues=120, seed=5)
