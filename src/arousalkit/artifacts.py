@@ -80,7 +80,8 @@ def quote_cells(strings: Iterable[str], path: str | Path) -> list[str]:
 
 
 def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Yield (line number, line) of a UTF-8 text file, the line end kept.
+    """Yield (line number, line) of a UTF-8 text file, the line end kept; a
+    byte-order mark at the start of the file is dropped, one elsewhere is content.
     An unreadable file, or a byte that is not UTF-8, raises CorpusFormatError
     naming the path (and the line and column of the byte)."""
     try:
@@ -90,6 +91,10 @@ def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
         raise CorpusFormatError(f"cannot read {path}: {exc}") from exc
     with handle:
         for lineno, line in enumerate(handle, 1):
+            # a byte-order mark is not content; utf-8-sig would also drop a file
+            # of one or two bytes of a mark (EF, or EF BB) unread
+            if lineno == 1:
+                line = line.removeprefix("\ufeff")
             try:
                 line.encode("utf-8")
             except UnicodeEncodeError as exc:

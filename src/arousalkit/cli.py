@@ -69,10 +69,6 @@ def main(ctx, config_path, work_dir, seed, verbose):
     ctx.obj = {"config": config, "seed": seed}
 
 
-def _config(ctx) -> PipelineConfig:
-    return ctx.obj["config"]
-
-
 def _run(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -84,7 +80,7 @@ def _run(fn, *args, **kwargs):
 @click.pass_context
 def ingest(ctx):
     """Parse the corpus, build the vocabulary, record issue priorities."""
-    vocab = _run(run_ingest, _config(ctx))
+    vocab = _run(run_ingest, ctx.obj["config"])
     click.echo(f"vocabulary: {len(vocab)} words")
 
 
@@ -92,7 +88,7 @@ def ingest(ctx):
 @click.pass_context
 def train(ctx):
     """Count co-occurrences and train the embedding."""
-    model = _run(run_train, _config(ctx))
+    model = _run(run_train, ctx.obj["config"])
     click.echo(
         f"trained {len(model.words)} x {model.dim} vectors; "
         f"loss {model.loss_history[0]:.2f} -> {model.loss_history[-1]:.2f}"
@@ -105,7 +101,7 @@ def train(ctx):
 @click.pass_context
 def neighbors(ctx, word, k):
     """Print the nearest embedding neighbors of a word."""
-    result = _run(run_neighbors, _config(ctx), word, k)
+    result = _run(run_neighbors, ctx.obj["config"], word, k)
     for neighbor, sim in result:
         click.echo(f"{neighbor}\t{sim:.4f}")
 
@@ -114,7 +110,7 @@ def neighbors(ctx, word, k):
 @click.pass_context
 def seeds(ctx):
     """Select frequency-validated extreme-arousal seed words."""
-    seed_set = _run(run_seeds, _config(ctx))
+    seed_set = _run(run_seeds, ctx.obj["config"])
     n_high = sum(1 for s in seed_set if s.pole == "high")
     click.echo(f"{len(seed_set)} seeds ({n_high} high, {len(seed_set) - n_high} low)")
 
@@ -123,7 +119,7 @@ def seeds(ctx):
 @click.pass_context
 def expand(ctx):
     """Add WordNet synonyms and embedding neighbors as candidates."""
-    candidates = _run(run_expand, _config(ctx))
+    candidates = _run(run_expand, ctx.obj["config"])
     click.echo(f"{len(candidates)} candidates pending review")
 
 
@@ -133,7 +129,7 @@ def expand(ctx):
 @click.pass_context
 def sheet(ctx, review):
     """Write the rating sheet for the candidate words the review accepts."""
-    path = _run(run_sheet, _config(ctx), review)
+    path = _run(run_sheet, ctx.obj["config"], review)
     click.echo(f"sheet written to {path}")
 
 
@@ -146,7 +142,7 @@ def sheet(ctx, review):
 def ratings(ctx, sheet_files, labels):
     """Ingest filled rating sheets, one per rater."""
     label_list = labels.split(",") if labels else None
-    records, report = _run(run_ratings, _config(ctx), list(sheet_files), label_list)
+    records, report = _run(run_ratings, ctx.obj["config"], list(sheet_files), label_list)
     click.echo(
         f"{len(records)} ratings ingested, {report.n_skipped} empty cells, "
         f"{len(report.errors)} rejected rows"
@@ -157,7 +153,7 @@ def ratings(ctx, sheet_files, labels):
 @click.pass_context
 def agreement(ctx):
     """Two-rater agreement statistics over the ingested ratings."""
-    report = _run(run_agreement, _config(ctx))
+    report = _run(run_agreement, ctx.obj["config"])
     for line in report.lines():
         click.echo(line)
 
@@ -166,7 +162,7 @@ def agreement(ctx):
 @click.pass_context
 def build(ctx):
     """Aggregate ratings into the arousal lexicon file."""
-    sea = _run(run_build, _config(ctx))
+    sea = _run(run_build, ctx.obj["config"])
     click.echo(f"lexicon built: {len(sea)} words, mean arousal {sea.mu:.3f}")
 
 
@@ -174,7 +170,7 @@ def build(ctx):
 @click.pass_context
 def score(ctx):
     """Score every issue text unit under the general, sea and combined modes."""
-    table = _run(run_score, _config(ctx))
+    table = _run(run_score, ctx.obj["config"])
     click.echo(f"{len(table)} scored rows written")
 
 
@@ -182,7 +178,7 @@ def score(ctx):
 @click.pass_context
 def evaluate(ctx):
     """Group scores by priority and render the effect-size tables."""
-    table = _run(run_evaluate, _config(ctx))
+    table = _run(run_evaluate, ctx.obj["config"])
     populated = sum(1 for cell in table.cells.values() if cell is not None)
     click.echo(f"evaluation tables written ({populated} populated cells)")
 
@@ -192,7 +188,7 @@ def evaluate(ctx):
 @click.pass_context
 def demo(ctx, issues):
     """Run the full pipeline on a generated corpus with simulated raters."""
-    config = _config(ctx)
+    config = ctx.obj["config"]
     seed = ctx.obj["seed"] if ctx.obj["seed"] is not None else 7
     table = _run(run_demo, config.work_dir, n_issues=issues, seed=seed)
     click.echo(f"demo artifacts in {config.work_dir}")

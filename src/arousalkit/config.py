@@ -68,9 +68,6 @@ class PipelineConfig:
             raise ValueError("general_columns must map word and/or arousal to column names, "
                              f"got {columns!r}")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
         """Build and validate a config; an unknown key raises ValueError."""
@@ -83,7 +80,7 @@ class PipelineConfig:
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
+            json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
 

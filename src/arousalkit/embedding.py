@@ -174,10 +174,6 @@ class EmbeddingModel:
         """The parameter blocks (W, W~, b, b~)."""
         return self.w_main, self.w_context, self.b_main, self.b_context
 
-    def to_vectors(self) -> "WordVectors":
-        """Combined (main + context) vectors for similarity queries."""
-        return WordVectors(list(self.words), self.w_main + self.w_context)
-
 
 def _loss_weights(x: np.ndarray, x_max: float, alpha: float) -> np.ndarray:
     return np.where(x < x_max, (x / x_max) ** alpha, 1.0)

@@ -276,53 +276,36 @@ def _hand_edited_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
 
 
 @dataclass
-class Provenance:
-    kind: str  # "seed" | "wordnet" | "embedding"
-    seed: Optional[str] = None
-    similarity: Optional[float] = None
-
-    def render(self) -> str:
-        if self.kind == "seed":
-            return "seed"
-        if self.kind == "wordnet":
-            return f"wordnet:{self.seed}"
-        return f"embedding:{self.seed}:{self.similarity:.4f}"
-
-    @classmethod
-    def parse(cls, text: str) -> "Provenance":
-        parts = text.split(":")
-        if parts[0] == "seed" and len(parts) == 1:
-            return cls("seed")
-        if parts[0] == "wordnet" and len(parts) == 2:
-            return cls("wordnet", seed=parts[1])
-        if parts[0] == "embedding" and len(parts) == 3:
-            return cls("embedding", seed=parts[1], similarity=float(parts[2]))
-        raise ValueError(f"bad provenance: {text!r}")
-
-
-@dataclass
 class Candidate:
     word: str
-    provenance: Provenance
+    provenance: str  # "seed", "wordnet:<seed>" or "embedding:<seed>:<similarity>"
+
+
+def _checked_provenance(text: str) -> str:
+    """``text`` as expansion writes it: an embedding similarity is
+    re-rendered at 4 decimals, and a cell of no known form raises ValueError."""
+    parts = text.split(":")
+    if (parts[0], len(parts)) in (("seed", 1), ("wordnet", 2)):
+        return text
+    if parts[0] == "embedding" and len(parts) == 3:
+        return f"embedding:{parts[1]}:{float(parts[2]):.4f}"
+    raise ValueError(f"bad provenance: {text!r}")
 
 
 class CandidateSet(_WordTable):
     HEADER = ("word", "provenance")
+    row = staticmethod(astuple)  # a Candidate's fields are the columns
 
     @classmethod
     def from_seeds(cls, seeds: SeedSet) -> "CandidateSet":
         candidates = cls()
         for seed in seeds:
-            candidates.add(Candidate(seed.word, Provenance("seed")))
+            candidates.add(Candidate(seed.word, "seed"))
         return candidates
 
     @staticmethod
-    def row(candidate: Candidate) -> tuple:
-        return candidate.word, candidate.provenance.render()
-
-    @staticmethod
     def parse(word: str, provenance: str) -> Candidate:
-        return Candidate(word, Provenance.parse(provenance))
+        return Candidate(word, _checked_provenance(provenance))
 
 
 def expand_wordnet(
@@ -333,7 +316,7 @@ def expand_wordnet(
     A synonym reachable from several seeds keeps its first provenance.
     Returns the number of candidates added.
     """
-    return sum(candidates.add(Candidate(syn, Provenance("wordnet", seed=seed.word)))
+    return sum(candidates.add(Candidate(syn, f"wordnet:{seed.word}"))
                for seed in seeds for syn in sorted(synonyms(db, seed.word)) if syn in vocab)
 
 
@@ -351,23 +334,23 @@ def expand_embedding(
     candidates added.
     """
     queries = _queryable(vectors, [seed.word for seed in seeds], "seed %r %s, skipped")
-    best: dict[str, Provenance] = {}
+    best: dict[str, tuple[float, str]] = {}  # neighbor -> (similarity, seed)
     for word, neighbors in zip(queries, nearest_neighbors_batch(vectors, queries, k)):
         for neighbor, sim in neighbors:
             if neighbor in candidates:
                 continue
-            prov = best.get(neighbor)
-            if prov is None or sim > prov.similarity:
-                best[neighbor] = Provenance("embedding", seed=word, similarity=sim)
-    return sum(candidates.add(Candidate(word, prov)) for word, prov in best.items())
+            if neighbor not in best or sim > best[neighbor][0]:
+                best[neighbor] = (sim, word)
+    return sum(candidates.add(Candidate(neighbor, f"embedding:{seed}:{sim:.4f}"))
+               for neighbor, (sim, seed) in best.items())
 
 
-def _queryable(vectors: Optional[WordVectors], words: Sequence[str], warning: str) -> list[str]:
+def _queryable(vectors: WordVectors, words: Sequence[str], warning: str) -> list[str]:
     """The words that can be neighbor queries, in order; every other word
     is logged with ``warning`` % (word, reason)."""
     queries = []
     for word in words:
-        if vectors is None or word not in vectors:
+        if word not in vectors:
             logger.warning(warning, word, "not in the embedding vocabulary")
         elif vectors.norm(word) == 0.0:
             logger.warning(warning, word, "has a zero embedding vector")
@@ -403,7 +386,7 @@ def generate_sheet(
     path: str | Path,
     words: Sequence[str],
     vocab: Vocabulary,
-    vectors: Optional[WordVectors],
+    vectors: WordVectors,
     k: int = 10,
     shuffle_seed: Optional[int] = None,
 ) -> None:
@@ -423,10 +406,8 @@ def generate_sheet(
         rng = np.random.default_rng(shuffle_seed)
         ordered = [ordered[i] for i in rng.permutation(len(ordered))]
     queries = _queryable(vectors, ordered, "word %r %s; empty neighbor cell")
-    cells = {}
-    if queries:  # none when vectors is None
-        cells = {word: ";".join(f"{w}:{sim:.2f}" for w, sim in neighbors)
-                 for word, neighbors in zip(queries, nearest_neighbors_batch(vectors, queries, k))}
+    cells = {word: ";".join(f"{w}:{sim:.2f}" for w, sim in neighbors)
+             for word, neighbors in zip(queries, nearest_neighbors_batch(vectors, queries, k))}
     with atomic_open(path) as out:
         for line in SHEET_INSTRUCTIONS.splitlines():
             out.write(f"# {line}\n")

@@ -289,7 +289,7 @@ def run_build(config: PipelineConfig) -> SeaLexicon:
     with Workspace(config).stage("build") as ws:
         records = load_rating_records(ws.path("ratings.csv"))
         candidates = CandidateSet.load(ws.path("candidates.csv"))
-        sea = aggregate_ratings(records, {c.word: c.provenance.render() for c in candidates})
+        sea = aggregate_ratings(records, {c.word: c.provenance for c in candidates})
         sea.save(ws.path("sea_lexicon.csv"))
     logger.info("build: %d lexicon words, mean arousal %.3f", len(sea), sea.mu)
     return sea

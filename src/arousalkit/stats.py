@@ -234,10 +234,3 @@ def welch_t_test(
 ) -> tuple[float, float, float]:
     """``welch_t_moments`` of two groups of at least 2 observations each."""
     return welch_t_moments(Moments.of(a), Moments.of(b))
-
-
-def pooled_t_test(
-    a: Sequence[float], b: Sequence[float]
-) -> tuple[float, float, float]:
-    """``pooled_t_moments`` of two groups of at least 2 observations each."""
-    return pooled_t_moments(Moments.of(a), Moments.of(b))

@@ -34,9 +34,6 @@ class SynsetDb:
         # lemma -> set of (pos, offset)
         self.synsets_of: dict[str, set[tuple[str, int]]] = {}
 
-    def __len__(self) -> int:
-        return len(self.members)
-
     def add_synset(self, pos: str, offset: int, lemmas: list[str]) -> None:
         key = (pos, offset)
         self.members[key] = sorted(set(lemmas))

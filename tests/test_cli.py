@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -18,6 +19,7 @@ from arousalkit.cli import main
 from arousalkit.config import PipelineConfig
 from arousalkit.corpus import Priority, TokenStore
 from arousalkit.embedding import WordVectors
+from arousalkit.lexicon import CandidateSet, SeaLexicon
 from arousalkit.pipeline import (
     STAGES,
     PipelineError,
@@ -147,6 +149,71 @@ class TestDemo:
             assert len(cell.split(";")) == config.k
 
 
+def pinned(table: str) -> dict[str, str]:
+    """name -> digest, from one ``name digest`` line each."""
+    return dict(line.split() for line in table.strip().splitlines())
+
+
+#: sha256 of the ``reader_demo`` files whose bytes hold no trained float
+FLOAT_FREE_DIGESTS = pinned("""
+extra_seeds.csv             b7a3ddfd7653f13fb575637f4911c209d5847c1630716e960c1cb309f0ee911f
+inputs/corpus.jsonl         c7d39e3999b35ca1b3d613ce49f2c0eccc13728154c7ffb332c64c9fdcb5825f
+inputs/general_lexicon.csv  17ed272b4268933edea4971e869f158ec458bdefcad4df89bbf47c67b38a5efb
+inputs/truth.csv            e5e0281a34348b0b97c61312e291a4b35bea7fa11eadafcf037af3ec8967997f
+inputs/wordnet/data.adj     2f470986fc9299acc2abdb54fc7ae1be3e34d84ff1636598e9ef7322c8433791
+inputs/wordnet/data.adv     bc66b19ee12160937a577c162e0ff9edf8ef8fb4cf6464408c51261bfae9be58
+inputs/wordnet/data.noun    9f6ef18dc0cd3e2fa5b58d2affc2efd816ce3b4ae74103734b4f48b00b59e5f3
+inputs/wordnet/data.verb    fdf91951a9e0b5e3f52cae8495b5b82d0d4b56c91b130f2aded60ab651304826
+inputs/wordnet/index.adj    341388c2d3c60a6ebcd2f64b7ad34e70f62f728e41b261f2af1d52c6a6a0a054
+inputs/wordnet/index.adv    be28694e651a6e6035162dcfb1f45d19b7cd38f9ddd05b74cf2bf9ca927d23aa
+inputs/wordnet/index.noun   d142f9332e450a218593de2447397405df3d9159a7ea95cedd61f21556c09c5d
+inputs/wordnet/index.verb   c626e227cadf3179835b92bfabf7b8869adbc206a11b5ac34fdd201870ba0363
+seeds.csv                   9cbe6c606069a150fd8e4ffbe09d5784107e1f5bb445608934141750859050a9
+tokens.bin                  621f988a39382860d95e07d3da4ff68fcd3e6d70b522fb775a398e66ed6c0444
+vocab.csv                   4129785b9b20eeb5f5ce3e58361a65f08f22da4c7e32aeef3c0170f57ef941ec
+""")
+
+#: sha256 of the ``reader_demo`` files that derive from the trained embedding
+EMBEDDING_DIGESTS = pinned("""
+agreement.txt               dd708fdd34952b87024b8b348d7db4b24456e8d25941ca06e537cd567d879e52
+candidates.csv              6305de0e419b98b35d4e27a3eea754c9c823c6457adbf69a80cda8047ae7593b
+embedding.bin               366c677e81f3d43f2e3e754d5fb61609c138a602356433da51ab55baa87e32bf
+embedding.txt               c179a9d02c321d32bbca2391e2b0be63ff0a3923acd862d5aba2c357141670a5
+eval_d.csv                  449259134b93bb71d4cac889d5a42128658ca39247f40dfda572a32da16a4168
+eval_df.csv                 d48e9173cdd01a2b3aeb80716dc3f3bf179a670057c197d83dde2cad2fa11cf0
+eval_p.csv                  633830079701e5ef9d285a64f970be43c5b3c47b723dda35cd6cafd53f3b20df
+eval_t.csv                  448fa1b9be643ce35c177cd252e370b9e153b252127bbde3f717145563fe6f88
+eval_tables.txt             822780d06033bad0149cf225eee738076bca3648b57d7d4d81c45a7078c5cbf3
+ratings.csv                 0b93da02ad3e3b729c951d1ea40c2b3601d140ad88eea9042d936b8fe9cfb6bb
+ratings_r1.csv              db03263e294a8600c2df64a8ef7bfa69b63d72c9cf9bc3dfc3e50942e5d90a73
+ratings_r2.csv              9faac328381a83f2c7738cfe1724a56c91c5556697b49e2c6c613a848757259c
+review_accept_all.csv       7659e5364270749789ef982ec71c9d09e8ad5426ce6574bab72371680984a4db
+scores.bin                  312f45ff2ca0bb95dbced339a19924cfc2948659d07eedea2c4398a883102252
+scores.csv                  036f8a1f2fe89193ff20b2dd9312d0d3e4f831c3602158842ded1004a55a6ab6
+sea_lexicon.csv             5dfc24b9222e7c96de13d0e7310cff9956894d5fddf1c2da867d7d12affce3dd
+sheet.csv                   62e8e43358cd6cdf6fb28b7f98321b4c95c4a44db9080bbc37865a932c07a2b6
+""")
+
+
+class TestPinnedDemo:
+    """The 120-issue, seed-7 demo writes the same bytes from one version of
+    the code to the next. ``inputs/config.json`` and ``manifest.json`` are
+    left out: they hold the paths of the work directory."""
+
+    def test_float_free_files(self, reader_demo):
+        digests = workdir_digest(reader_demo)
+        assert set(digests) == {*FLOAT_FREE_DIGESTS, *EMBEDDING_DIGESTS,
+                                "inputs/config.json", "manifest.json"}
+        assert {name: digests[name] for name in FLOAT_FREE_DIGESTS} == FLOAT_FREE_DIGESTS
+
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="digests taken under numpy 2; the trained floats were never "
+                               "compared under numpy 1")
+    def test_embedding_derived_files(self, reader_demo):
+        digests = workdir_digest(reader_demo)
+        assert {name: digests[name] for name in EMBEDDING_DIGESTS} == EMBEDDING_DIGESTS
+
+
 @pytest.fixture
 def staged(demo_workdir, tmp_path):
     """A copy of the demo work directory and its configuration."""
@@ -224,6 +291,23 @@ class TestReviewFile:
                                            "--modes", "general"])
         assert result.exit_code == 2
         assert "No such option" in result.output
+
+
+class TestCandidateProvenance:
+    def test_edited_similarity_reaches_the_lexicon_at_four_decimals(self, staged):
+        work, config = staged
+        word = next(iter(SeaLexicon.load(work / "sea_lexicon.csv"))).word
+        path = work / "candidates.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = next(n for n, line in enumerate(lines) if line.startswith(f"{word},"))
+        lines[row] = f"{word},embedding:a:0.81234\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        loaded = CandidateSet.load(path).entries[word]
+        assert CandidateSet.row(loaded) == (word, "embedding:a:0.8123")
+        run_build(config)
+        built = (work / "sea_lexicon.csv").read_text(encoding="utf-8").splitlines()
+        assert next(line for line in built if line.startswith(f"{word},")).endswith(
+            ",embedding:a:0.8123")
 
 
 class TestRatingRefusals:
@@ -435,7 +519,7 @@ class TestManifestChecks:
         assert stale == {stage for stage, keys in STAGE_SLICES.items() if key in keys}
 
     def test_every_config_key_but_the_work_dir_is_varied(self):
-        config = PipelineConfig().to_dict()
+        config = dataclasses.asdict(PipelineConfig())
         groups = ("embedding", "seeds")
         keys = {name for name in config if name not in groups}
         keys |= {f"{group}.{sub}" for group in groups for sub in config[group]}
@@ -462,7 +546,7 @@ class TestManifestChecks:
     def test_failed_rerun_leaves_the_stage_unrecorded(self, demo_workdir, staged, monkeypatch,
                                                       name, key, value, last_writer, reader):
         work, config = staged
-        data = config.to_dict()
+        data = dataclasses.asdict(config)
         *parents, leaf = key.split(".")
         functools.reduce(dict.__getitem__, parents, data)[leaf] = value
         changed = PipelineConfig.from_dict(data)

@@ -486,18 +486,13 @@ class TestConfigRefusals:
 class TestWordVector:
     def test_known_word_has_finite_vector_of_length_d(self):
         model = tiny_model(["a", "b"], dim=6)
-        vec = model.to_vectors().vector("a")
+        vec = WordVectors(model.words, model.w_main + model.w_context).vector("a")
         assert vec.shape == (6,)
         assert np.isfinite(vec).all()
 
     def test_unknown_word_is_absent(self):
         model = tiny_model(["a"], dim=2)
-        assert model.to_vectors().vector("zzz") is None
-
-    def test_vector_is_sum_of_main_and_context_rows(self):
-        model = tiny_model(["a", "b"], dim=4, seed=8)
-        expected = model.w_main[0] + model.w_context[0]
-        assert np.array_equal(model.to_vectors().vector("a"), expected)
+        assert WordVectors(model.words, model.w_main + model.w_context).vector("zzz") is None
 
     def test_repeated_word_is_refused(self):
         with pytest.raises(ValueError, match="repeated word 'a'"):
@@ -813,7 +808,8 @@ class TestPlantedSimilarity:
 
     def test_interchangeable_words_become_neighbors(self):
         model = self.build()
-        neighbors = [w for w, _ in nearest_neighbors(model.to_vectors(), "asap", 10)]
+        vectors = WordVectors(model.words, model.w_main + model.w_context)
+        neighbors = [w for w, _ in nearest_neighbors(vectors, "asap", 10)]
         assert "soon" in neighbors
 
     def test_expansion_discovers_the_planted_neighbor(self):
@@ -823,12 +819,12 @@ class TestPlantedSimilarity:
         seeds = SeedSet()
         seeds.add(Seed("asap", "high", "brainstorm", 150))
         candidates = CandidateSet.from_seeds(seeds)
-        expand_embedding(candidates, seeds, model.to_vectors(), k=10)
+        vectors = WordVectors(model.words, model.w_main + model.w_context)
+        expand_embedding(candidates, seeds, vectors, k=10)
         assert "soon" in candidates
-        provenance = {c.word: c for c in candidates}["soon"].provenance
-        assert provenance.kind == "embedding"
-        assert provenance.seed == "asap"
-        assert 0.0 < provenance.similarity <= 1.0
+        kind, seed, similarity = {c.word: c for c in candidates}["soon"].provenance.split(":")
+        assert (kind, seed) == ("embedding", "asap")
+        assert 0.0 < float(similarity) <= 1.0
 
 
 def wide_config(tmp_path, n_words, dim, epochs):

@@ -14,7 +14,7 @@ from arousalkit.evalstats import (
     significance_marker,
 )
 from arousalkit.scoring import CODES, MODES, ScoreTable
-from arousalkit.stats import cohens_d, pooled_t_test, welch_t_test
+from arousalkit.stats import Moments, cohens_d, pooled_t_moments, welch_t_test
 
 
 class Row(NamedTuple):
@@ -54,7 +54,8 @@ def table_of(rows):
 def reference_evaluate_priorities(rows, t_test="welch"):
     """The row-based grouping that the column-based evaluation replaced:
     scores are collected per (field, mode, priority) in row order."""
-    t_test_fn = {"welch": welch_t_test, "pooled": pooled_t_test}[t_test]
+    t_test_fn = {"welch": welch_t_test,
+                 "pooled": lambda a, b: pooled_t_moments(Moments.of(a), Moments.of(b))}[t_test]
     groups = {}
     for r in rows:
         if r.priority is not Priority.UNKNOWN:

@@ -15,7 +15,6 @@ from arousalkit.lexicon import (
     Candidate,
     CandidateSet,
     IngestReport,
-    Provenance,
     RatingRecord,
     SeaEntry,
     SeaLexicon,
@@ -279,8 +278,7 @@ class TestExpandWordnet:
         added = expand_wordnet(candidates, seeds, db, vocab)
         assert added == 2  # fast (from quick), serene (from calm); speedy filtered
         fast = by_word(candidates)["fast"]
-        assert fast.provenance.kind == "wordnet"
-        assert fast.provenance.seed == "quick"
+        assert fast.provenance == "wordnet:quick"
         assert "speedy" not in candidates
 
     def test_no_in_vocabulary_synonyms_adds_nothing(self, small_world):
@@ -302,7 +300,7 @@ class TestExpandWordnet:
         seeds.add(Seed("b", "high", "brainstorm", 9))
         candidates = CandidateSet.from_seeds(seeds)
         assert expand_wordnet(candidates, seeds, db, vocab) == 1
-        assert by_word(candidates)["shared"].provenance.seed == "a"
+        assert by_word(candidates)["shared"].provenance == "wordnet:a"
 
 
 class TestExpandEmbedding:
@@ -317,9 +315,10 @@ class TestExpandEmbedding:
         added = expand_embedding(candidates, seeds, vectors, k=2)
         assert added >= 1
         for cand in candidates:
-            if cand.provenance.kind == "embedding":
-                assert cand.provenance.seed in ("quick", "calm")
-                assert -1.0 <= cand.provenance.similarity <= 1.0
+            if cand.provenance != "seed":
+                kind, seed, similarity = cand.provenance.split(":")
+                assert (kind, seed) in (("embedding", "quick"), ("embedding", "calm"))
+                assert -1.0 <= float(similarity) <= 1.0
 
     def test_shared_neighbor_keeps_higher_similarity(self):
         matrix = np.array([
@@ -334,7 +333,7 @@ class TestExpandEmbedding:
         seeds.add(Seed("s2", "high", "brainstorm", 1))
         candidates = CandidateSet.from_seeds(seeds)
         expand_embedding(candidates, seeds, vectors, k=1)
-        assert by_word(candidates)["shared"].provenance.seed == "s1"
+        assert by_word(candidates)["shared"].provenance == "embedding:s1:0.9798"
 
     def test_out_of_vocabulary_seed_skipped_with_warning(self, small_world, caplog):
         seeds, _, _, vectors = small_world
@@ -353,8 +352,8 @@ class TestExpandEmbedding:
         with caplog.at_level("WARNING"):
             added = expand_embedding(candidates, seeds, vectors, k=2)
         assert added == 2
-        assert {c.provenance.seed for c in candidates
-                if c.provenance.kind == "embedding"} == {"quick"}
+        assert {c.provenance.split(":")[1] for c in candidates
+                if c.provenance.startswith("embedding:")} == {"quick"}
         assert any("'calm' has a zero embedding vector" in r.message for r in caplog.records)
 
 
@@ -362,7 +361,7 @@ class TestReviewAndCandidates:
     def build(self):
         candidates = CandidateSet()
         for word in ("one", "two", "three"):
-            candidates.add(Candidate(word, Provenance("seed")))
+            candidates.add(Candidate(word, "seed"))
         return candidates
 
     def review(self, tmp_path, text):
@@ -408,18 +407,16 @@ class TestReviewAndCandidates:
 
     def test_candidate_save_load_round_trip(self, tmp_path):
         candidates = CandidateSet()
-        candidates.add(Candidate("a", Provenance("seed")))
-        candidates.add(Candidate("b", Provenance("wordnet", seed="a")))
-        candidates.add(Candidate("c", Provenance("embedding", seed="a", similarity=0.8123)))
+        candidates.add(Candidate("a", "seed"))
+        candidates.add(Candidate("b", "wordnet:a"))
+        candidates.add(Candidate("c", "embedding:a:0.8123"))
         path = tmp_path / "candidates.csv"
         candidates.save(path)
         assert path.read_text(encoding="utf-8") == \
             "word,provenance\na,seed\nb,wordnet:a\nc,embedding:a:0.8123\n"
         loaded = by_word(CandidateSet.load(path))
-        assert list(loaded) == ["a", "b", "c"]
-        assert loaded["a"].provenance.kind == "seed"
-        assert loaded["b"].provenance.render() == "wordnet:a"
-        assert loaded["c"].provenance.similarity == pytest.approx(0.8123)
+        assert [(c.word, c.provenance) for c in loaded.values()] == [
+            ("a", "seed"), ("b", "wordnet:a"), ("c", "embedding:a:0.8123")]
 
     def test_three_column_candidate_file_is_refused_with_its_path(self, tmp_path):
         path = tmp_path / "candidates.csv"
@@ -476,12 +473,16 @@ class TestSheet:
 
     def test_word_missing_from_embedding_gets_empty_cell(self, tmp_path, small_world, caplog):
         _, vocab, _, vectors = small_world
+        kept = [n for n, word in enumerate(vectors.words) if word != "rapid"]
+        lacking = WordVectors([vectors.words[n] for n in kept], vectors.matrix[kept])
         path = tmp_path / "sheet.csv"
         with caplog.at_level("WARNING"):
-            generate_sheet(path, ["rapid"], vocab, None, k=2)
+            generate_sheet(path, ["rapid"], vocab, lacking, k=2)
         row = [l for l in path.read_text(encoding="utf-8").splitlines()
                if l.startswith("rapid")][0]
         assert row == "rapid,,9,"
+        assert any("word 'rapid' not in the embedding vocabulary; empty neighbor cell"
+                   in r.message for r in caplog.records)
 
     def test_zero_vector_word_gets_empty_cell(self, tmp_path, small_world, caplog):
         _, vocab, _, vectors = small_world

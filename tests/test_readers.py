@@ -7,12 +7,20 @@ import re
 import shutil
 import sys
 
+import numpy as np
 import pytest
 
 from arousalkit.artifacts import CorpusFormatError, read_rows, text_lines
+from arousalkit.config import PipelineConfig
 from arousalkit.corpus import VOCAB_HEADER
 from arousalkit.lexicon import _hand_edited_rows, load_general_lexicon
+from arousalkit.pipeline import STAGES
 from conftest import READERS
+
+#: the files of READERS that no stage writes, and the config file
+OUTSIDE_INPUTS = {name: READERS[name] for name in sorted(READERS)
+                  if not any(name in stage.artifacts for stage in STAGES.values())}
+OUTSIDE_INPUTS["inputs/config.json"] = PipelineConfig.load
 
 #: seeded single-byte edits applied to each file of READERS
 EDITS = 100
@@ -41,6 +49,23 @@ class TestTextLines:
         path = tmp_path / "t.txt"
         path.write_bytes(b"a\nb\r\nc\rd")
         assert list(text_lines(path)) == [(1, "a\n"), (2, "b\r\n"), (3, "c\r"), (4, "d")]
+
+    @pytest.mark.parametrize("data, lines", [
+        (b"\xef\xbb\xbfa\nb", [(1, "a\n"), (2, "b")]),
+        (b"a\n\xef\xbb\xbfb", [(1, "a\n"), (2, "\ufeffb")]),
+        (b"\xef\xbb\xbf\xef\xbb\xbfa", [(1, "\ufeffa")]),
+    ], ids=["first", "second-line", "twice"])
+    def test_only_a_file_initial_byte_order_mark_is_dropped(self, tmp_path, data, lines):
+        path = tmp_path / "t.txt"
+        path.write_bytes(data)
+        assert list(text_lines(path)) == lines
+
+    @pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb"])
+    def test_part_of_a_byte_order_mark_is_refused(self, tmp_path, data):
+        path = tmp_path / "t.txt"
+        path.write_bytes(data)
+        with pytest.raises(CorpusFormatError, match="byte 0xef at column 1 is not UTF-8"):
+            list(text_lines(path))
 
     def test_unreadable_file_is_refused_by_path(self, tmp_path):
         path = tmp_path / "missing.csv"
@@ -72,6 +97,32 @@ class TestTextLines:
         copy.write_bytes(original.read_bytes().replace(b"\n", line_end))
         assert rows(copy) == rows(original)
         assert len(rows(original)) > 10
+
+
+def comparable(value):
+    """A loader's result as nested plain values: objects by their
+    attributes, arrays by dtype, shape and bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return [comparable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: comparable(v) for k, v in value.items()}
+    if hasattr(value, "__dict__"):
+        return type(value).__name__, comparable(vars(value))
+    return value
+
+
+@pytest.mark.parametrize("name", sorted(OUTSIDE_INPUTS))
+def test_byte_order_mark_at_the_start_of_an_outside_input_is_not_content(reader_demo, tmp_path,
+                                                                        caplog, name):
+    # as Excel's "CSV UTF-8" saves a file
+    path = work_copy(reader_demo, tmp_path) / name
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    with caplog.at_level("WARNING"):
+        loaded = comparable(OUTSIDE_INPUTS[name](path))
+        assert loaded == comparable(OUTSIDE_INPUTS[name](reader_demo / name))
+    assert [record.getMessage() for record in caplog.records] == []
 
 
 @pytest.mark.parametrize("cell, message", [("x" * 200_000, "field larger than field limit"),

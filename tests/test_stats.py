@@ -9,10 +9,11 @@ from scipy.integrate import quad
 from scipy.special import stdtr
 
 from arousalkit.stats import (
+    Moments,
     cohens_d,
     kappa_weights,
     pearson_r,
-    pooled_t_test,
+    pooled_t_moments,
     student_t_two_sided_p,
     weighted_kappa,
     welch_t_test,
@@ -293,7 +294,7 @@ class TestPooledT:
         rng = np.random.default_rng(6)
         a = rng.normal(size=30)
         b = rng.normal(loc=0.5, size=30)
-        tp, dfp, pp = pooled_t_test(a, b)
+        tp, dfp, pp = pooled_t_moments(Moments.of(a), Moments.of(b))
         tw, _, _ = welch_t_test(a, b)
         assert dfp == 58.0
         assert tp == pytest.approx(tw, rel=1e-6)
@@ -301,7 +302,7 @@ class TestPooledT:
     def test_fixture_against_quadrature(self):
         a = [1.0, 2.0, 3.0]
         b = [2.0, 3.0, 4.0]
-        t, df, p = pooled_t_test(a, b)
+        t, df, p = pooled_t_moments(Moments.of(a), Moments.of(b))
         # d = -1 fixture: t = d / sqrt(1/3 + 1/3)
         assert t == pytest.approx(-1.0 / math.sqrt(2.0 / 3.0), abs=1e-12)
         assert df == 4.0

@@ -23,7 +23,7 @@ def two_synset_db(tmp_path):
 class TestLoad:
     def test_two_synset_fixture(self, two_synset_db):
         db = two_synset_db
-        assert len(db) == 2
+        assert len(db.members) == 2
         for lemma in ("quick", "fast", "speedy"):
             keys = db.synsets(lemma)
             assert len(keys) == 1
@@ -41,7 +41,7 @@ class TestLoad:
     def test_empty_files_with_headers_give_empty_db(self, tmp_path):
         write_wordnet_fixture(tmp_path / "dict", synsets=[])
         db = load_wordnet(tmp_path / "dict")
-        assert len(db) == 0
+        assert len(db.members) == 0
         assert synonyms(db, "anything") == set()
 
     def test_missing_file_is_fatal(self, tmp_path):
@@ -60,7 +60,7 @@ class TestLoad:
         )
         with caplog.at_level("WARNING"):
             db = load_wordnet(tmp_path / "dict")
-        assert len(db) == 1
+        assert len(db.members) == 1
         assert any("skipped" in record.message for record in caplog.records)
 
     def test_multiword_lemmas_parsed_but_flagged(self, two_synset_db):
