@@ -95,6 +95,8 @@ def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
             # of one or two bytes of a mark (EF, or EF BB) unread
             if lineno == 1:
                 line = line.removeprefix("\ufeff")
+                if not line:  # the file was the mark alone
+                    return
             try:
                 line.encode("utf-8")
             except UnicodeEncodeError as exc:

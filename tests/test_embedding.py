@@ -1,7 +1,10 @@
 import itertools
 import json
 import math
+import os
 import re
+import signal
+import time
 import tracemalloc
 from unittest import mock
 
@@ -651,6 +654,114 @@ class TestDumpBytes:
     def test_no_rows(self, tmp_path):
         self.assert_same_bytes(tmp_path, WordVectors([], np.empty((0, 3))))
         assert (tmp_path / "embedding.txt").read_bytes() == b"0 3\n"
+
+
+#: values whose text each writer of the dump treats apart
+DUMP_SPECIALS = [math.nan, -math.nan, math.inf, -math.inf, 5e-324, -1e-300, 1e300, 0.0, -0.0,
+                 1e16, 9.99e-5]
+
+
+class TestForkedDump:
+    """``WordVectors.save`` over several row ranges, each one after the
+    first formatted by a forked child."""
+
+    @staticmethod
+    def split(monkeypatch, cpus, per_range=1):
+        monkeypatch.setattr(embedding, "_DUMP_PARALLEL_MIN", per_range)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+    @staticmethod
+    def count_forks(monkeypatch):
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        return forks
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 1000])
+    def test_same_bytes_as_repr(self, tmp_path, monkeypatch, cpus, n):
+        self.split(monkeypatch, cpus)
+        forks = self.count_forks(monkeypatch)
+        rng = np.random.default_rng(n)
+        values = rng.normal(size=3 * n) * 10.0 ** rng.integers(-8, 8, size=3 * n)
+        k = min(len(values), len(DUMP_SPECIALS))
+        values[rng.choice(len(values), size=k, replace=False)] = DUMP_SPECIALS[:k]
+        with np.errstate(over="ignore"):
+            vectors = WordVectors([f"w{i}" for i in range(n)], values.reshape(n, 3))
+        TestDumpBytes().assert_same_bytes(tmp_path, vectors)
+        assert len(forks) == max(min(cpus, n), 1) - 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["embedding.txt", "reference.txt"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(dump_words, max_size=7, unique=True), st.integers(1, 4), st.integers(1, 4),
+           st.integers(1, 8), st.data())
+    def test_any_split_gives_the_same_bytes(self, tmp_path_factory, words, dim, cpus,
+                                            per_range, data):
+        values = data.draw(st.lists(dump_values, min_size=len(words) * dim,
+                                    max_size=len(words) * dim))
+        with np.errstate(over="ignore", invalid="ignore"):
+            vectors = WordVectors(words, np.array(values, dtype=np.float64).reshape(-1, dim))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.split(monkeypatch, cpus, per_range)
+            TestDumpBytes().assert_same_bytes(tmp_path_factory.mktemp("emb"), vectors)
+
+    @pytest.mark.parametrize("failure, ended", [
+        ("child raises", "exit code 1"),
+        ("child killed", f"signal {signal.SIGKILL.value}"),
+        ("parent interrupted", None),
+    ])
+    def test_failure_leaves_the_old_file_and_no_process(self, tmp_path, monkeypatch,
+                                                        failure, ended):
+        self.split(monkeypatch, 2)
+        parent, dump_rows = os.getpid(), embedding._dump_rows
+
+        def failing(words, block):
+            if failure == "parent interrupted":
+                if os.getpid() == parent:
+                    raise KeyboardInterrupt
+                time.sleep(60)  # until save kills it
+            if failure == "child raises" and os.getpid() != parent:
+                raise MemoryError
+            if failure == "child killed" and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return dump_rows(words, block)
+
+        monkeypatch.setattr(embedding, "_dump_rows", failing)
+        path = tmp_path / "embedding.txt"
+        path.write_bytes(b"before")
+        vectors = WordVectors(["a", "b", "c", "d"], np.ones((4, 2)))
+        if ended is None:
+            raised, pattern = KeyboardInterrupt, None
+        else:
+            message = f"{path}: the process writing rows 2 to 3 ended with {ended}"
+            raised, pattern = RuntimeError, f"^{re.escape(message)}$"
+        start = time.perf_counter()
+        try:
+            with pytest.raises(raised, match=pattern):
+                vectors.save(path)
+        finally:
+            if os.getpid() != parent:  # a child unwound out of save
+                os._exit(99)
+        assert time.perf_counter() - start < 30
+        assert path.read_bytes() == b"before"
+        assert [p.name for p in tmp_path.iterdir()] == ["embedding.txt"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("case", ["below the threshold", "one CPU", "no affinity call"])
+    def test_one_range_never_forks(self, tmp_path, monkeypatch, case):
+        self.split(monkeypatch, 1 if case == "one CPU" else 4, per_range=100)
+        if case == "no affinity call":
+            monkeypatch.delattr(os, "sched_getaffinity")
+        forks = self.count_forks(monkeypatch)
+        rows = 199 if case == "below the threshold" else 1000
+        TestDumpBytes().assert_same_bytes(
+            tmp_path, WordVectors([f"w{i}" for i in range(rows)], np.ones((rows, 1))))
+        assert forks == []
+
+    def test_ranges_at_the_default_threshold(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert embedding._dump_ranges(176 * 32, 176) == [(0, 176)]
+        assert embedding._dump_ranges(2 * embedding._DUMP_PARALLEL_MIN, 10) == [(0, 5), (5, 10)]
 
 
 class TestBinaryRoundTrip:

@@ -54,11 +54,20 @@ class TestTextLines:
         (b"\xef\xbb\xbfa\nb", [(1, "a\n"), (2, "b")]),
         (b"a\n\xef\xbb\xbfb", [(1, "a\n"), (2, "\ufeffb")]),
         (b"\xef\xbb\xbf\xef\xbb\xbfa", [(1, "\ufeffa")]),
-    ], ids=["first", "second-line", "twice"])
+        (b"\xef\xbb\xbf\n", [(1, "\n")]),
+    ], ids=["first", "second-line", "twice", "mark-then-line-end"])
     def test_only_a_file_initial_byte_order_mark_is_dropped(self, tmp_path, data, lines):
         path = tmp_path / "t.txt"
         path.write_bytes(data)
         assert list(text_lines(path)) == lines
+
+    @pytest.mark.parametrize("data", [b"", b"\xef\xbb\xbf"], ids=["empty", "mark-alone"])
+    def test_a_byte_order_mark_alone_is_an_empty_file(self, tmp_path, data):
+        path = tmp_path / "general_lexicon.csv"
+        path.write_bytes(data)
+        assert list(text_lines(path)) == []
+        with pytest.raises(CorpusFormatError, match="empty lexicon file"):
+            load_general_lexicon(path)
 
     @pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb"])
     def test_part_of_a_byte_order_mark_is_refused(self, tmp_path, data):
