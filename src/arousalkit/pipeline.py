@@ -81,7 +81,7 @@ STAGES: dict[str, Stage] = {
     "agreement": Stage(("kappa_weighting",), ("ratings",), ("agreement.txt",)),
     "build": Stage((), ("ratings", "expand"), ("sea_lexicon.csv",)),
     "score": Stage(("sea_avg",), ("ingest", "build"), ("scores.csv", "scores.bin")),
-    "evaluate": Stage(("t_test",), ("ingest", "score"),
+    "evaluate": Stage(("t_test",), ("score",),
                       ("eval_d.csv", "eval_t.csv", "eval_df.csv", "eval_p.csv",
                        "eval_tables.txt")),
 }

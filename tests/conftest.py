@@ -1,4 +1,5 @@
 import json
+import os
 import tempfile
 import time
 from pathlib import Path
@@ -64,6 +65,15 @@ READERS = {
     "inputs/wordnet/data.noun": lambda path: load_wordnet(path.parent),
     "inputs/wordnet/index.verb": lambda path: load_wordnet(path.parent),
 }
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def subprocess_env() -> dict:
+    """The environment, with this checkout's sources first on the import path."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
 
 
 def corpus_store(records):

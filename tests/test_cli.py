@@ -2,7 +2,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import os
 import re
 import shutil
 import subprocess
@@ -38,6 +37,7 @@ from arousalkit.pipeline import (
     run_train,
     stage_keys,
 )
+from conftest import REPO, subprocess_env
 
 N_ISSUES = 150
 
@@ -92,6 +92,9 @@ OTHER_VALUES = {
 DAMAGED_MANIFESTS = [b'{"ingest": ', b"[]", b'{"ingest": 5}', b"null", b'"ingest"', b"\xff{}"]
 
 
+#: every file the stages write
+STAGE_FILES = [*(name for spec in STAGES.values() for name in spec.artifacts), "manifest.json"]
+
 STAGE_RUNS = {"ingest": run_ingest, "train": run_train, "score": run_score,
               "evaluate": run_evaluate}
 
@@ -115,21 +118,12 @@ def workdir_digest(work: Path) -> dict[str, str]:
 
 class TestDemo:
     def test_all_stage_artifacts_produced(self, demo_workdir):
-        for name in (
-            "vocab.csv", "tokens.bin", "embedding.txt", "embedding.bin",
-            "seeds.csv",
-            "candidates.csv", "sheet.csv", "ratings.csv", "agreement.txt",
-            "sea_lexicon.csv", "scores.csv", "scores.bin", "eval_d.csv", "eval_p.csv",
-            "eval_tables.txt", "manifest.json",
-        ):
+        for name in STAGE_FILES:
             assert (demo_workdir / name).is_file(), name
 
     def test_manifest_records_every_stage(self, demo_workdir):
         manifest = json.loads((demo_workdir / "manifest.json").read_text())
-        assert set(manifest) == {
-            "ingest", "train", "seeds", "expand", "sheet", "ratings",
-            "agreement", "build", "score", "evaluate",
-        }
+        assert set(manifest) == set(STAGES)
 
     def test_rerun_in_same_workdir_is_byte_identical(self, demo_workdir):
         before = workdir_digest(demo_workdir)
@@ -386,6 +380,11 @@ class TestRatingRefusals:
         records, report = run_ratings(config, sheets, labels=["r1", "r2"])
         assert report.errors == expected
         assert "zzzword" not in {record.word for record in records}
+        result = CliRunner().invoke(main, ["--config", str(work / "inputs" / "config.json"),
+                                           "--work-dir", str(work), "ratings", *map(str, sheets),
+                                           "--labels", "r1,r2"])
+        assert result.exit_code == 0, result.output
+        assert result.output.endswith(", 2 rejected rows\n")
         run_build(config)
         assert {name: (work / name).read_bytes() for name in before} == before
 
@@ -483,6 +482,15 @@ class TestManifestChecks:
         config = demo_config(tmp_path, seed=11, n_issues=N_ISSUES)
         with pytest.raises(PipelineError, match="'tokens.bin'; run the 'ingest' stage"):
             run_score(config)
+
+    def test_evaluate_reads_the_scores_alone(self, demo_workdir, staged):
+        # evaluate reads scores.bin only: ingest's files may be gone
+        work, config = staged
+        for name in (*STAGES["ingest"].artifacts, *STAGES["evaluate"].artifacts):
+            (work / name).unlink()
+        run_evaluate(config)
+        assert [name for name in STAGES["evaluate"].artifacts
+                if (work / name).read_bytes() != (demo_workdir / name).read_bytes()] == []
 
     def test_stale_upstream_detected(self, tmp_path):
         synthetic.generate_demo_inputs(tmp_path, n_issues=40, seed=3)
@@ -639,6 +647,35 @@ class TestCommandLine:
         )
         assert result.exit_code == 0, result.output
         assert (tmp_path / "w" / "eval_tables.txt").is_file()
+
+    def test_stage_subcommands_one_by_one_reproduce_the_demo(self, demo_workdir, tmp_path):
+        work, config_path = tmp_path / "staged", demo_workdir / "inputs" / "config.json"
+
+        def run(*args):
+            result = CliRunner().invoke(main, ["--config", str(config_path),
+                                               "--work-dir", str(work), *args])
+            assert result.exit_code == 0, result.output
+            return result.output
+
+        for args in (["ingest"], ["train"], ["seeds"], ["expand"],
+                     ["sheet", "--review", str(demo_workdir / "review_accept_all.csv")]):
+            run(*args)
+        assert run("ratings", str(demo_workdir / "ratings_r1.csv"),
+                   str(demo_workdir / "ratings_r2.csv"),
+                   "--labels", "r1,r2").endswith(", 0 rejected rows\n")
+        for args in (["agreement"], ["build"], ["score"], ["evaluate"]):
+            run(*args)
+        assert [name for name in STAGE_FILES
+                if (work / name).read_bytes() != (demo_workdir / name).read_bytes()] == []
+        # neighbors prints the words of a sheet row's similar_words cell, in
+        # order: both take k from the config
+        rows = [line.split(",") for line in (work / "sheet.csv").read_text(encoding="utf-8")
+                .splitlines() if not line.startswith("#")][1:6]
+        assert len(rows) == 5
+        for word, _, _, similar in rows:
+            printed = [line.split("\t")[0]
+                       for line in run("neighbors", "--word", word).splitlines()]
+            assert printed == [entry.split(":")[0] for entry in similar.split(";")]
 
     @pytest.mark.parametrize("labels", [[], ["--labels", "r1,r1"]])
     def test_repeated_rater_label_fails_without_traceback(self, tmp_path, labels):
@@ -833,15 +870,6 @@ class TestCommandLine:
         )
         assert result.exit_code == 0, result.output
         assert "kappa" in result.output
-
-
-REPO = Path(__file__).resolve().parents[1]
-
-
-def subprocess_env() -> dict:
-    """The environment, with this checkout's sources first on the import path."""
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
 
 
 class TestReproduceScript:

@@ -4,6 +4,8 @@ import math
 import os
 import re
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 from unittest import mock
@@ -31,7 +33,7 @@ from arousalkit.embedding import (
     nearest_neighbors,
     nearest_neighbors_batch,
 )
-from conftest import corpus_store
+from conftest import corpus_store, subprocess_env
 
 
 def vocab_over(words):
@@ -661,9 +663,42 @@ DUMP_SPECIALS = [math.nan, -math.nan, math.inf, -math.inf, 5e-324, -1e-300, 1e30
                  1e16, 9.99e-5]
 
 
+#: saves a seeded matrix of 4 x ``_DUMP_PARALLEL_MIN`` values to argv[1],
+#: on one CPU if argv[2] is "one", and prints the number of row ranges
+SAVE_DUMP = """\
+import os, sys
+if sys.argv[2] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from arousalkit import embedding
+dim = 100
+rows = 4 * embedding._DUMP_PARALLEL_MIN // dim
+matrix = np.random.default_rng(7).normal(size=(rows, dim))
+embedding.WordVectors([f"w{i}" for i in range(rows)], matrix).save(sys.argv[1])
+print(len(embedding._dump_ranges(matrix.size, rows)))
+"""
+
+
 class TestForkedDump:
     """``WordVectors.save`` over several row ranges, each one after the
     first formatted by a forked child."""
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                        reason="fewer than 2 usable CPUs: the dump is one row range")
+    def test_one_cpu_and_every_cpu_write_the_same_bytes(self, tmp_path):
+        ranges = {}
+        # Python 3.12 warns on a fork in a process with threads; save must
+        # keep that warning from the caller even where it is an error
+        strict = ["-X", "dev", "-W", "error::DeprecationWarning"]
+        for cpus, flags in (("one", []), ("all", strict)):
+            result = subprocess.run(
+                [sys.executable, *flags, "-c", SAVE_DUMP, str(tmp_path / cpus), cpus],
+                capture_output=True, text=True, env=subprocess_env(), timeout=300)
+            assert result.returncode == 0, result.stderr
+            ranges[cpus] = int(result.stdout)
+        assert ranges["one"] == 1
+        assert ranges["all"] >= 2
+        assert (tmp_path / "one").read_bytes() == (tmp_path / "all").read_bytes()
 
     @staticmethod
     def split(monkeypatch, cpus, per_range=1):

@@ -1,12 +1,10 @@
 """The runtime needs numpy, click and orjson only; scipy is the tests' oracle."""
 
-import os
 import subprocess
 import sys
 import textwrap
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import subprocess_env
 
 # A child process whose import system refuses scipy and records every attempt,
 # so that an import caught by ``except ImportError`` still shows.
@@ -37,10 +35,8 @@ RUN_WITHOUT_SCIPY = textwrap.dedent("""\
 
 
 def test_demo_runs_with_scipy_refused(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", RUN_WITHOUT_SCIPY, str(tmp_path / "demo")],
-                            env=env, capture_output=True, text=True, timeout=600)
+                            env=subprocess_env(), capture_output=True, text=True, timeout=600)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip().endswith("ran without scipy")
     assert (tmp_path / "demo" / "eval_p.csv").is_file()

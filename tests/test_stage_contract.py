@@ -1,0 +1,89 @@
+"""Each stage against its row of ``STAGES``: a run creates or replaces
+exactly the stage's artifacts and the manifest, and it opens the artifacts
+of exactly the stages in its ``reads``. The declared dependencies are the
+static ones and the files a body opens are the dynamic ones ("Build systems
+à la carte", Mokhov, Mitchell & Peyton Jones, ICFP 2018); a body that opened
+an undeclared artifact would escape every staleness check."""
+
+import builtins
+import io
+import os
+import shutil
+from pathlib import Path
+
+import pytest
+
+from arousalkit.config import PipelineConfig
+from arousalkit.pipeline import (STAGES, run_agreement, run_build, run_evaluate, run_expand,
+                                 run_ingest, run_neighbors, run_ratings, run_score, run_seeds,
+                                 run_sheet, run_train)
+from conftest import READERS
+
+#: artifact name -> the stage that writes it
+OWNER = {name: stage for stage, spec in STAGES.items() for name in spec.artifacts}
+
+
+def work_file(config, name):
+    return Path(config.work_dir) / name
+
+
+#: each stage run with the arguments ``run_demo`` gives it, and ``neighbors``
+RUNS = {
+    "ingest": run_ingest,
+    "train": run_train,
+    "seeds": run_seeds,
+    "expand": run_expand,
+    "sheet": lambda config: run_sheet(config, review=work_file(config, "review_accept_all.csv")),
+    "ratings": lambda config: run_ratings(
+        config, [work_file(config, "ratings_r1.csv"), work_file(config, "ratings_r2.csv")],
+        labels=["r1", "r2"]),
+    "agreement": run_agreement,
+    "build": run_build,
+    "score": run_score,
+    "evaluate": run_evaluate,
+    "neighbors": lambda config: run_neighbors(config, "panic"),
+}
+
+#: stage -> (the stages whose artifacts it opens, the files it creates or replaces)
+CONTRACTS = {stage: (spec.reads, (*spec.artifacts, "manifest.json"))
+             for stage, spec in STAGES.items()}
+CONTRACTS["neighbors"] = (("train",), ())
+
+
+def snapshot(work: Path) -> dict:
+    """path -> (inode, mtime, size) of every file under ``work``. An
+    ``atomic_open`` rename gives a new inode even for unchanged bytes."""
+    return {path: (stat.st_ino, stat.st_mtime_ns, stat.st_size)
+            for path in work.rglob("*") if path.is_file() for stat in [path.stat()]}
+
+
+def recording(opened: list, open_):
+    """``open_``, noting the absolute path of every file opened for reading."""
+    def wrapper(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
+            opened.append(Path(os.path.abspath(file)))
+        return open_(file, mode, *args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("stage", sorted(CONTRACTS))
+def test_stage_reads_and_writes_what_its_row_declares(reader_demo, tmp_path, stage):
+    work = tmp_path / "work"
+    shutil.copytree(reader_demo, work)
+    config = PipelineConfig.load(work / "inputs" / "config.json")
+    config.work_dir = str(work)
+    reads, writes = CONTRACTS[stage]
+    before, opened = snapshot(work), []
+    with pytest.MonkeyPatch.context() as patch:
+        # text_lines and read_records call open; Path.open calls io.open
+        patch.setattr(builtins, "open", recording(opened, builtins.open))
+        patch.setattr(io, "open", recording(opened, io.open))
+        RUNS[stage](config)
+    after = snapshot(work)
+    changed = {str(path.relative_to(work)) for path in before.keys() | after.keys()
+               if before.get(path) != after.get(path)}
+    assert changed == set(writes)
+    artifacts = {path.name for path in opened if path.parent == work and path.name in OWNER}
+    assert {OWNER[name] for name in artifacts} == set(reads), sorted(artifacts)
+    # the fuzz run of test_readers covers every artifact a stage opens
+    assert artifacts <= set(READERS)
