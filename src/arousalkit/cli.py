@@ -13,31 +13,17 @@ import sys
 
 import click
 
+from . import pipeline
 from .artifacts import CorpusFormatError
 from .config import PipelineConfig
 from .corpus import Field
 from .embedding import TrainingDivergedError
 from .evalstats import PRIORITY_PAIRS, pair_label
 from .lexicon import SeedSelectionError
-from .pipeline import (
-    PipelineError,
-    run_agreement,
-    run_build,
-    run_demo,
-    run_evaluate,
-    run_expand,
-    run_ingest,
-    run_neighbors,
-    run_ratings,
-    run_score,
-    run_seeds,
-    run_sheet,
-    run_train,
-)
 from .wordnet import WordNetError
 
 _USER_ERRORS = (
-    PipelineError,
+    pipeline.PipelineError,
     CorpusFormatError,
     SeedSelectionError,
     WordNetError,
@@ -76,111 +62,79 @@ def _run(fn, *args, **kwargs):
         raise click.ClickException(str(exc)) from exc
 
 
-@main.command()
-@click.pass_context
-def ingest(ctx):
-    """Parse the corpus, build the vocabulary, record issue priorities."""
-    vocab = _run(run_ingest, ctx.obj["config"])
-    click.echo(f"vocabulary: {len(vocab)} words")
+def _stage_command(name, run, help_text, *params, summary):
+    """Register the subcommand ``name``: it calls ``run`` with the configuration
+    and the parsed ``params``, and prints each line ``summary`` makes of the result."""
+    @click.pass_context
+    def command(ctx, **values):
+        for line in summary(_run(run, ctx.obj["config"], **values)):
+            click.echo(line)
+    main.add_command(click.Command(name, callback=command, params=list(params), help=help_text))
 
 
-@main.command()
-@click.pass_context
-def train(ctx):
-    """Count co-occurrences and train the embedding."""
-    model = _run(run_train, ctx.obj["config"])
-    click.echo(
-        f"trained {len(model.words)} x {model.dim} vectors; "
-        f"loss {model.loss_history[0]:.2f} -> {model.loss_history[-1]:.2f}"
-    )
+def _labels(ctx, param, value):
+    """The stripped comma-separated labels of ``--labels``; None (the file stems) if empty."""
+    return [label.strip() for label in value.split(",")] if value else None
 
 
-@main.command()
-@click.option("--word", required=True, help="Query word.")
-@click.option("-k", default=None, type=int, help="Neighbor count (default config k).")
-@click.pass_context
-def neighbors(ctx, word, k):
-    """Print the nearest embedding neighbors of a word."""
-    result = _run(run_neighbors, ctx.obj["config"], word, k)
-    for neighbor, sim in result:
-        click.echo(f"{neighbor}\t{sim:.4f}")
-
-
-@main.command()
-@click.pass_context
-def seeds(ctx):
-    """Select frequency-validated extreme-arousal seed words."""
-    seed_set = _run(run_seeds, ctx.obj["config"])
+def _seeds_summary(seed_set):
     n_high = sum(1 for s in seed_set if s.pole == "high")
-    click.echo(f"{len(seed_set)} seeds ({n_high} high, {len(seed_set) - n_high} low)")
+    return [f"{len(seed_set)} seeds ({n_high} high, {len(seed_set) - n_high} low)"]
 
 
-@main.command()
-@click.pass_context
-def expand(ctx):
-    """Add WordNet synonyms and embedding neighbors as candidates."""
-    candidates = _run(run_expand, ctx.obj["config"])
-    click.echo(f"{len(candidates)} candidates pending review")
+def _ratings_summary(result):
+    records, report = result
+    return [f"{len(records)} ratings ingested, {report.n_skipped} empty cells, "
+            f"{len(report.errors)} rejected rows"]
 
 
-@main.command()
-@click.option("--review", required=True, type=click.Path(exists=True),
-              help="Accept/reject decisions file: one word,accept or word,reject per line.")
-@click.pass_context
-def sheet(ctx, review):
-    """Write the rating sheet for the candidate words the review accepts."""
-    path = _run(run_sheet, ctx.obj["config"], review)
-    click.echo(f"sheet written to {path}")
-
-
-@main.command()
-@click.argument("sheet_files", nargs=-1, required=True,
-                type=click.Path(exists=True))
-@click.option("--labels", default=None,
-              help="Comma-separated rater labels (default: file stems).")
-@click.pass_context
-def ratings(ctx, sheet_files, labels):
-    """Ingest filled rating sheets, one per rater."""
-    label_list = labels.split(",") if labels else None
-    records, report = _run(run_ratings, ctx.obj["config"], list(sheet_files), label_list)
-    click.echo(
-        f"{len(records)} ratings ingested, {report.n_skipped} empty cells, "
-        f"{len(report.errors)} rejected rows"
-    )
-
-
-@main.command()
-@click.pass_context
-def agreement(ctx):
-    """Two-rater agreement statistics over the ingested ratings."""
-    report = _run(run_agreement, ctx.obj["config"])
-    for line in report.lines():
-        click.echo(line)
-
-
-@main.command()
-@click.pass_context
-def build(ctx):
-    """Aggregate ratings into the arousal lexicon file."""
-    sea = _run(run_build, ctx.obj["config"])
-    click.echo(f"lexicon built: {len(sea)} words, mean arousal {sea.mu:.3f}")
-
-
-@main.command()
-@click.pass_context
-def score(ctx):
-    """Score every issue text unit under the general, sea and combined modes."""
-    table = _run(run_score, ctx.obj["config"])
-    click.echo(f"{len(table)} scored rows written")
-
-
-@main.command()
-@click.pass_context
-def evaluate(ctx):
-    """Group scores by priority and render the effect-size tables."""
-    table = _run(run_evaluate, ctx.obj["config"])
+def _evaluate_summary(table):
     populated = sum(1 for cell in table.cells.values() if cell is not None)
-    click.echo(f"evaluation tables written ({populated} populated cells)")
+    return [f"evaluation tables written ({populated} populated cells)"]
+
+
+_stage_command("ingest", pipeline.run_ingest,
+               "Parse the corpus, build the vocabulary, record issue priorities.",
+               summary=lambda vocab: [f"vocabulary: {len(vocab)} words"])
+_stage_command("train", pipeline.run_train, "Count co-occurrences and train the embedding.",
+               summary=lambda model: [f"trained {len(model.words)} x {model.dim} vectors; "
+                                      f"loss {model.loss_history[0]:.2f} -> "
+                                      f"{model.loss_history[-1]:.2f}"])
+_stage_command("neighbors", pipeline.run_neighbors,
+               "Print the nearest embedding neighbors of a word.",
+               click.Option(["--word"], required=True, help="Query word."),
+               click.Option(["-k"], default=None, type=int,
+                            help="Neighbor count (default config k)."),
+               summary=lambda result: [f"{neighbor}\t{sim:.4f}" for neighbor, sim in result])
+_stage_command("seeds", pipeline.run_seeds,
+               "Select frequency-validated extreme-arousal seed words.",
+               summary=_seeds_summary)
+_stage_command("expand", pipeline.run_expand,
+               "Add WordNet synonyms and embedding neighbors as candidates.",
+               summary=lambda candidates: [f"{len(candidates)} candidates pending review"])
+_stage_command("sheet", pipeline.run_sheet,
+               "Write the rating sheet for the candidate words the review accepts.",
+               click.Option(["--review"], required=True, type=click.Path(exists=True),
+                            help="Accept/reject decisions file: one word,accept or "
+                                 "word,reject per line."),
+               summary=lambda path: [f"sheet written to {path}"])
+_stage_command("ratings", pipeline.run_ratings, "Ingest filled rating sheets, one per rater.",
+               click.Argument(["sheet_files"], nargs=-1, required=True,
+                              type=click.Path(exists=True)),
+               click.Option(["--labels"], default=None, callback=_labels,
+                            help="Comma-separated rater labels (default: file stems)."),
+               summary=_ratings_summary)
+_stage_command("agreement", pipeline.run_agreement,
+               "Two-rater agreement statistics over the ingested ratings.",
+               summary=lambda report: report.lines())
+_stage_command("build", pipeline.run_build, "Aggregate ratings into the arousal lexicon file.",
+               summary=lambda sea: [f"lexicon built: {len(sea)} words, mean arousal {sea.mu:.3f}"])
+_stage_command("score", pipeline.run_score,
+               "Score every issue text unit under the general, sea and combined modes.",
+               summary=lambda table: [f"{len(table)} scored rows written"])
+_stage_command("evaluate", pipeline.run_evaluate,
+               "Group scores by priority and render the effect-size tables.",
+               summary=_evaluate_summary)
 
 
 @main.command()
@@ -190,7 +144,7 @@ def demo(ctx, issues):
     """Run the full pipeline on a generated corpus with simulated raters."""
     config = ctx.obj["config"]
     seed = ctx.obj["seed"] if ctx.obj["seed"] is not None else 7
-    table = _run(run_demo, config.work_dir, n_issues=issues, seed=seed)
+    table = _run(pipeline.run_demo, config.work_dir, n_issues=issues, seed=seed)
     click.echo(f"demo artifacts in {config.work_dir}")
     for mode in table.modes:
         cell = table.cell(Field.ALL_COMMENTS, mode, PRIORITY_PAIRS[0])

@@ -191,6 +191,7 @@ _LOSS_GATHER = 1 << 20
 
 def glove_loss(model: EmbeddingModel, cooc: CoocMatrix) -> float:
     """Exact objective over all stored co-occurrence cells."""
+    # for direct callers; run_train refuses an empty matrix naming its inputs
     if len(cooc) == 0:
         raise ValueError("co-occurrence matrix is empty")
     if max(cooc.rows.max(), cooc.cols.max()) >= len(model.words):

@@ -27,7 +27,7 @@ import logging
 import statistics
 from dataclasses import astuple, dataclass, field as dataclass_field
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Optional, Sequence
+from typing import Collection, Container, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -309,15 +309,15 @@ class CandidateSet(_WordTable):
 
 
 def expand_wordnet(
-    candidates: CandidateSet, seeds: SeedSet, db: SynsetDb, vocab: Vocabulary
+    candidates: CandidateSet, seeds: SeedSet, db: SynsetDb, words: Container[str]
 ) -> int:
-    """Add in-vocabulary synonyms of every seed as candidates.
+    """Add the synonyms of every seed that are among ``words`` as candidates.
 
     A synonym reachable from several seeds keeps its first provenance.
     Returns the number of candidates added.
     """
     return sum(candidates.add(Candidate(syn, f"wordnet:{seed.word}"))
-               for seed in seeds for syn in sorted(synonyms(db, seed.word)) if syn in vocab)
+               for seed in seeds for syn in sorted(synonyms(db, seed.word)) if syn in words)
 
 
 def expand_embedding(
@@ -436,7 +436,8 @@ class IngestReport:
 def sheet_labels(sheet_paths: Sequence[str | Path],
                  rater_labels: Optional[Sequence[str]] = None) -> list[str]:
     """One rater label per rating sheet, by default the sheet's file stem;
-    a label given to two sheets is refused."""
+    an empty label, one with surrounding whitespace or one given to two
+    sheets is refused."""
     if not sheet_paths:
         raise ValueError("need at least one rating sheet")
     if rater_labels is None:
@@ -444,6 +445,9 @@ def sheet_labels(sheet_paths: Sequence[str | Path],
     if len(rater_labels) != len(sheet_paths):
         raise ValueError("one rater label per sheet required")
     for n, label in enumerate(rater_labels):
+        if not label or label != label.strip():
+            raise ValueError(f"rater label {label!r} of {sheet_paths[n]} is empty or has "
+                             "surrounding whitespace")
         if (first := rater_labels.index(label)) != n:
             raise ValueError(f"rater label {label!r} is given to two sheets: "
                              f"{sheet_paths[first]} and {sheet_paths[n]}")

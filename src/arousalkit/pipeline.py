@@ -75,7 +75,7 @@ STAGES: dict[str, Stage] = {
     "seeds": Stage(("general_lexicon", "general_columns", "extra_seeds",
                     "seeds.n1", "seeds.f1", "seeds.n2", "seeds.f2"),
                    ("ingest",), ("seeds.csv",)),
-    "expand": Stage(("wordnet_dir", "k"), ("ingest", "train", "seeds"), ("candidates.csv",)),
+    "expand": Stage(("wordnet_dir", "k"), ("train", "seeds"), ("candidates.csv",)),
     "sheet": Stage(("shuffle_sheet",), ("ingest", "train", "expand"), ("sheet.csv",)),
     "ratings": Stage((), ("sheet",), ("ratings.csv",)),
     "agreement": Stage(("kappa_weighting",), ("ratings",), ("agreement.txt",)),
@@ -185,6 +185,11 @@ def run_train(config: PipelineConfig) -> EmbeddingModel:
         vocab = Vocabulary.load(ws.path("vocab.csv"))
         cooc = _count_store(TokenStore.load(ws.path("tokens.bin")), vocab,
                             config.embedding.window)
+        if not len(cooc):
+            raise PipelineError(
+                "the train stage has nothing to fit: the co-occurrence matrix is empty with "
+                f"{len(vocab)} vocabulary words at min_count {config.min_count} and "
+                f"embedding.window {config.embedding.window}")
         model = glove_train(cooc, vocab.words, config.embedding)
         model.w_main += model.w_context
         vectors = WordVectors(model.words, model.w_main)
@@ -226,12 +231,12 @@ def run_seeds(config: PipelineConfig) -> SeedSet:
 
 def run_expand(config: PipelineConfig) -> CandidateSet:
     with Workspace(config).stage("expand") as ws:
-        vocab = Vocabulary.load(ws.path("vocab.csv"))
         seeds = SeedSet.load(ws.path("seeds.csv"))
         candidates = CandidateSet.from_seeds(seeds)
         db = load_wordnet(config.wordnet_dir)
-        n_wn = expand_wordnet(candidates, seeds, db, vocab)
+        # train writes one vector for each word of vocab.csv
         vectors = WordVectors.load_binary(ws.path("embedding.bin"))
+        n_wn = expand_wordnet(candidates, seeds, db, vectors)
         n_emb = expand_embedding(candidates, seeds, vectors, config.k)
         candidates.save(ws.path("candidates.csv"))
     logger.info(

@@ -18,7 +18,7 @@ from arousalkit.cli import main
 from arousalkit.config import PipelineConfig
 from arousalkit.corpus import Priority, TokenStore
 from arousalkit.embedding import WordVectors
-from arousalkit.lexicon import CandidateSet, SeaLexicon
+from arousalkit.lexicon import CandidateSet, SeaLexicon, load_rating_records
 from arousalkit.pipeline import (
     STAGES,
     PipelineError,
@@ -97,6 +97,129 @@ STAGE_FILES = [*(name for spec in STAGES.values() for name in spec.artifacts), "
 
 STAGE_RUNS = {"ingest": run_ingest, "train": run_train, "score": run_score,
               "evaluate": run_evaluate}
+
+#: ``arousalkit [command] --help`` at click's default width, for the group and
+#: the commands with options or arguments
+HELP = {
+    "": """\
+Usage: arousalkit [OPTIONS] COMMAND [ARGS]...
+
+  Bootstrap and evaluate an issue-tracker arousal lexicon.
+
+Options:
+  --config PATH    Pipeline config JSON (env AROUSALKIT_CONFIG).
+  --work-dir PATH  Override the work directory.
+  --seed INTEGER   Override the training seed.
+  -v, --verbose    Log stage progress.
+  --help           Show this message and exit.
+
+Commands:
+  agreement  Two-rater agreement statistics over the ingested ratings.
+  build      Aggregate ratings into the arousal lexicon file.
+  demo       Run the full pipeline on a generated corpus with simulated...
+  evaluate   Group scores by priority and render the effect-size tables.
+  expand     Add WordNet synonyms and embedding neighbors as candidates.
+  ingest     Parse the corpus, build the vocabulary, record issue...
+  neighbors  Print the nearest embedding neighbors of a word.
+  ratings    Ingest filled rating sheets, one per rater.
+  score      Score every issue text unit under the general, sea and...
+  seeds      Select frequency-validated extreme-arousal seed words.
+  sheet      Write the rating sheet for the candidate words the review...
+  train      Count co-occurrences and train the embedding.
+""",
+    "neighbors": """\
+Usage: arousalkit neighbors [OPTIONS]
+
+  Print the nearest embedding neighbors of a word.
+
+Options:
+  --word TEXT  Query word.  [required]
+  -k INTEGER   Neighbor count (default config k).
+  --help       Show this message and exit.
+""",
+    "sheet": """\
+Usage: arousalkit sheet [OPTIONS]
+
+  Write the rating sheet for the candidate words the review accepts.
+
+Options:
+  --review PATH  Accept/reject decisions file: one word,accept or word,reject
+                 per line.  [required]
+  --help         Show this message and exit.
+""",
+    "ratings": """\
+Usage: arousalkit ratings [OPTIONS] SHEET_FILES...
+
+  Ingest filled rating sheets, one per rater.
+
+Options:
+  --labels TEXT  Comma-separated rater labels (default: file stems).
+  --help         Show this message and exit.
+""",
+    "demo": """\
+Usage: arousalkit demo [OPTIONS]
+
+  Run the full pipeline on a generated corpus with simulated raters.
+
+Options:
+  --issues INTEGER  Synthetic corpus size.
+  --help            Show this message and exit.
+""",
+}
+#: the help of each command that takes no option, from its one-line text
+HELP.update({name: f"Usage: arousalkit {name} [OPTIONS]\n\n  {text}\n\n"
+                   "Options:\n  --help  Show this message and exit.\n"
+             for name, text in {
+                 "ingest": "Parse the corpus, build the vocabulary, record issue priorities.",
+                 "train": "Count co-occurrences and train the embedding.",
+                 "seeds": "Select frequency-validated extreme-arousal seed words.",
+                 "expand": "Add WordNet synonyms and embedding neighbors as candidates.",
+                 "agreement": "Two-rater agreement statistics over the ingested ratings.",
+                 "build": "Aggregate ratings into the arousal lexicon file.",
+                 "score": "Score every issue text unit under the general, sea and combined "
+                          "modes.",
+                 "evaluate": "Group scores by priority and render the effect-size tables.",
+             }.items()})
+
+#: the stdout of each command run one by one on the ``demo_workdir`` inputs,
+#: ``{work}`` standing for the work directory: the commands whose output holds
+#: no trained float, then the others
+FLOAT_FREE_STDOUT = {
+    "ingest": "vocabulary: 176 words\n",
+    "seeds": "40 seeds (20 high, 20 low)\n",
+    "sheet": "sheet written to {work}/sheet.csv\n",
+}
+STAGE_STDOUT = {
+    **FLOAT_FREE_STDOUT,
+    "train": "trained 176 x 32 vectors; loss 2171.97 -> 360.60\n",
+    "expand": "116 candidates pending review\n",
+    "ratings": "232 ratings ingested, 0 empty cells, 0 rejected rows\n",
+    "agreement": """\
+words rated by both: 116
+mean: 5.13 (r1), 5.15 (r2)
+std deviation: 1.90 (r1), 2.01 (r2)
+correlation (pearson): 0.88 (p-value 2.313e-39)
+kappa (weighted, linear): 0.68
+exact agreement: 41%
+exact or off-by-one agreement: 90%
+opposite ratings (one >5, other <5): 6%
+""",
+    "build": "lexicon built: 116 words, mean arousal 5.138\n",
+    "score": "2052 scored rows written\n",
+    "evaluate": "evaluation tables written (75 populated cells)\n",
+    "neighbors": """\
+integer\t0.4305
+row\t0.4055
+object\t0.3904
+patient\t0.3609
+mellow\t0.3509
+input\t0.3358
+path\t0.3143
+minor\t0.3082
+install\t0.3035
+while\t0.3007
+""",
+}
 
 
 @pytest.fixture(scope="module")
@@ -368,6 +491,40 @@ class TestRatingRefusals:
         assert "got 3" in result.output
         assert not (tmp_path / "w").exists()
 
+    @staticmethod
+    def ratings_command(work: Path, labels: str):
+        return CliRunner().invoke(main, ["--config", str(work / "inputs" / "config.json"),
+                                         "--work-dir", str(work), "ratings",
+                                         str(work / "ratings_r1.csv"), str(work / "ratings_r2.csv"),
+                                         "--labels", labels])
+
+    def test_spaces_around_rater_labels_are_stripped(self, staged):
+        work, _ = staged
+        # the demo ran the ratings stage with the labels r1,r2
+        before = {name: (work / name).read_bytes() for name in ("ratings.csv", "manifest.json")}
+        result = self.ratings_command(work, "r1, r2")
+        assert result.exit_code == 0, result.output
+        assert {name: (work / name).read_bytes() for name in before} == before
+
+    def test_empty_rater_label_fails_naming_it(self, staged):
+        work, _ = staged
+        before = {name: (work / name).read_bytes() for name in ("ratings.csv", "manifest.json")}
+        result = self.ratings_command(work, "r1,")
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (f"Error: rater label '' of {work}/ratings_r2.csv is empty or "
+                                 "has surrounding whitespace\n")
+        # refused before the stage starts: its earlier run stays recorded
+        assert {name: (work / name).read_bytes() for name in before} == before
+        assert "ratings" in json.loads(before["manifest.json"])
+
+    def test_empty_labels_option_names_the_raters_by_file_stem(self, staged):
+        work, _ = staged
+        result = self.ratings_command(work, "")
+        assert result.exit_code == 0, result.output
+        raters = {record.rater for record in load_rating_records(work / "ratings.csv")}
+        assert raters == {"ratings_r1", "ratings_r2"}
+
     def test_word_not_on_the_sheet_is_rejected_per_sheet(self, staged, tmp_path):
         work, config = staged
         before = {name: (work / name).read_bytes() for name in ("ratings.csv", "sea_lexicon.csv")}
@@ -611,6 +768,13 @@ class TestCommandLine:
         assert result.exit_code != 0
         assert "Usage" in result.output or "No such command" in result.output
 
+    @pytest.mark.parametrize("command", sorted(HELP))
+    def test_help_is_pinned(self, command):
+        result = CliRunner().invoke(main, [*filter(None, [command]), "--help"],
+                                    prog_name="arousalkit", terminal_width=78)
+        assert result.exit_code == 0
+        assert result.output == HELP[command]
+
     def test_neighbors_after_train(self, demo_workdir):
         config_path = demo_workdir / "inputs" / "config.json"
         result = CliRunner().invoke(
@@ -641,6 +805,22 @@ class TestCommandLine:
         assert result.exit_code != 0
         assert "ingest" in result.output
 
+    def test_train_with_nothing_to_fit_names_its_inputs(self, tmp_path):
+        synthetic.generate_demo_inputs(tmp_path, n_issues=50, seed=2)
+        config = demo_config(tmp_path, seed=2, n_issues=50)
+        config.min_count = 100000
+        config_path = tmp_path / "config.json"
+        config.save(config_path)
+        result = CliRunner().invoke(main, ["--config", str(config_path), "ingest"])
+        assert result.output == "vocabulary: 0 words\n"
+        result = CliRunner().invoke(main, ["--config", str(config_path), "train"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (
+            "Error: the train stage has nothing to fit: the co-occurrence matrix is empty with "
+            "0 vocabulary words at min_count 100000 and embedding.window 10\n")
+        assert set(json.loads((tmp_path / "manifest.json").read_text())) == {"ingest"}
+
     def test_demo_subcommand_smoke(self, tmp_path):
         result = CliRunner().invoke(
             main, ["--work-dir", str(tmp_path / "w"), "demo", "--issues", "80"]
@@ -657,14 +837,18 @@ class TestCommandLine:
             assert result.exit_code == 0, result.output
             return result.output
 
-        for args in (["ingest"], ["train"], ["seeds"], ["expand"],
-                     ["sheet", "--review", str(demo_workdir / "review_accept_all.csv")]):
-            run(*args)
-        assert run("ratings", str(demo_workdir / "ratings_r1.csv"),
-                   str(demo_workdir / "ratings_r2.csv"),
-                   "--labels", "r1,r2").endswith(", 0 rejected rows\n")
-        for args in (["agreement"], ["build"], ["score"], ["evaluate"]):
-            run(*args)
+        stdout = {args[0]: run(*args) for args in (
+            ["ingest"], ["train"], ["seeds"], ["expand"],
+            ["sheet", "--review", str(demo_workdir / "review_accept_all.csv")],
+            ["ratings", str(demo_workdir / "ratings_r1.csv"),
+             str(demo_workdir / "ratings_r2.csv"), "--labels", "r1,r2"],
+            ["agreement"], ["build"], ["score"], ["evaluate"], ["neighbors", "--word", "panic"])}
+        # the trained floats are pinned under numpy 2 only, as in TestPinnedDemo
+        pinned = (STAGE_STDOUT if np.lib.NumpyVersion(np.__version__) >= "2.0.0"
+                  else FLOAT_FREE_STDOUT)
+        assert stdout["ratings"].endswith(", 0 rejected rows\n")
+        assert {name: stdout[name] for name in pinned} == {
+            name: text.format(work=work) for name, text in pinned.items()}
         assert [name for name in STAGE_FILES
                 if (work / name).read_bytes() != (demo_workdir / name).read_bytes()] == []
         # neighbors prints the words of a sheet row's similar_words cell, in

@@ -288,6 +288,14 @@ class TestExpandWordnet:
         candidates = CandidateSet.from_seeds(seeds)
         assert expand_wordnet(candidates, seeds, db, vocab) == 0
 
+    def test_embedding_words_filter_as_the_vocabulary_does(self, small_world):
+        # train writes one vector for each vocabulary word
+        seeds, vocab, db, vectors = small_world
+        by_vocab, by_vectors = CandidateSet.from_seeds(seeds), CandidateSet.from_seeds(seeds)
+        assert expand_wordnet(by_vectors, seeds, db, vectors) == \
+            expand_wordnet(by_vocab, seeds, db, vocab) == 2
+        assert list(by_vectors) == list(by_vocab)
+
     def test_synonym_from_two_seeds_keeps_first_provenance(self, tmp_path):
         vocab = Vocabulary({"a": 9, "b": 9, "shared": 9}, min_count=1)
         write_wordnet_fixture(
@@ -658,6 +666,15 @@ class TestIngestRatings:
             ingest_ratings([alice, bob], ["r1", "r1"])
         records, _ = ingest_ratings([alice, bob], ["r1", "r2"])
         assert records == [RatingRecord("alpha", "r1", 7), RatingRecord("alpha", "r2", 3)]
+
+    @pytest.mark.parametrize("labels, bad", [(["r1", " r2"], 1), (["r1", ""], 1),
+                                             (["r1\t", "r2"], 0)])
+    def test_empty_or_padded_label_is_refused(self, tmp_path, labels, bad):
+        sheets = self.two_sheets_named_sheet(tmp_path)
+        with pytest.raises(ValueError) as info:
+            ingest_ratings(sheets, labels)
+        assert str(info.value) == (f"rater label {labels[bad]!r} of {sheets[bad]} is empty or "
+                                   "has surrounding whitespace")
 
 
 def reference_ingest_ratings(sheet_paths, rater_labels):

@@ -1,11 +1,13 @@
 """Each stage against its row of ``STAGES``: a run creates or replaces
-exactly the stage's artifacts and the manifest, and it opens the artifacts
-of exactly the stages in its ``reads``. The declared dependencies are the
+exactly the stage's artifacts and the manifest, it opens the artifacts of
+exactly the stages in its ``reads``, and it opens no other file than the
+outside inputs of its row of ``INPUTS``. The declared dependencies are the
 static ones and the files a body opens are the dynamic ones ("Build systems
 à la carte", Mokhov, Mitchell & Peyton Jones, ICFP 2018); a body that opened
 an undeclared artifact would escape every staleness check."""
 
 import builtins
+import dataclasses
 import io
 import os
 import shutil
@@ -27,11 +29,14 @@ def work_file(config, name):
     return Path(config.work_dir) / name
 
 
-#: each stage run with the arguments ``run_demo`` gives it, and ``neighbors``
+#: each stage run with the arguments ``run_demo`` gives it, ``seeds`` also
+#: with an extra seed list, and ``neighbors``
 RUNS = {
     "ingest": run_ingest,
     "train": run_train,
     "seeds": run_seeds,
+    "seeds+extra_seeds": lambda config: run_seeds(dataclasses.replace(
+        config, extra_seeds=str(work_file(config, "extra_seeds.csv")))),
     "expand": run_expand,
     "sheet": lambda config: run_sheet(config, review=work_file(config, "review_accept_all.csv")),
     "ratings": lambda config: run_ratings(
@@ -47,7 +52,25 @@ RUNS = {
 #: stage -> (the stages whose artifacts it opens, the files it creates or replaces)
 CONTRACTS = {stage: (spec.reads, (*spec.artifacts, "manifest.json"))
              for stage, spec in STAGES.items()}
+CONTRACTS["seeds+extra_seeds"] = CONTRACTS["seeds"]
 CONTRACTS["neighbors"] = (("train",), ())
+
+#: stage -> the files it opens that are neither artifacts nor the manifest;
+#: a stage not named here opens none. ``score`` reads the general lexicon,
+#: whose key reaches its slice only through ``seeds``.
+INPUTS = {
+    "ingest": lambda config: [config.corpus],
+    "seeds": lambda config: [config.general_lexicon],
+    "seeds+extra_seeds":
+        lambda config: [config.general_lexicon, work_file(config, "extra_seeds.csv")],
+    "expand": lambda config: [Path(config.wordnet_dir) / f"{kind}.{pos}"
+                              for kind in ("data", "index")
+                              for pos in ("adj", "adv", "noun", "verb")],
+    "sheet": lambda config: [work_file(config, "review_accept_all.csv")],
+    "ratings": lambda config: [work_file(config, "ratings_r1.csv"),
+                               work_file(config, "ratings_r2.csv")],
+    "score": lambda config: [config.general_lexicon],
+}
 
 
 def snapshot(work: Path) -> dict:
@@ -85,5 +108,8 @@ def test_stage_reads_and_writes_what_its_row_declares(reader_demo, tmp_path, sta
     assert changed == set(writes)
     artifacts = {path.name for path in opened if path.parent == work and path.name in OWNER}
     assert {OWNER[name] for name in artifacts} == set(reads), sorted(artifacts)
+    inputs = {Path(os.path.abspath(path)) for path in INPUTS.get(stage, lambda config: [])(config)}
+    assert {path for path in opened
+            if path.parent != work or path.name not in {*OWNER, "manifest.json"}} == inputs
     # the fuzz run of test_readers covers every artifact a stage opens
     assert artifacts <= set(READERS)
