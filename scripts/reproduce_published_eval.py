@@ -9,6 +9,7 @@ cell is printed for comparison against the reference value 0.5070.
 """
 
 import argparse
+import sys
 
 from arousalkit.corpus import Field, read_corpus
 from arousalkit.evalstats import PRIORITY_PAIRS, evaluate_priorities, pair_label, render_tables
@@ -29,6 +30,9 @@ def main():
     sea = ScoringLexicon(SeaLexicon.load(args.sea_lexicon).arousal_map())
     # the reals as the export states them, which is what `arousalkit evaluate` reads
     rows = round_scores(score_corpus(read_corpus(args.corpus), general, sea))
+    if not len(rows):
+        sys.exit(f"error: no text unit of {args.corpus} matches a word of "
+                 f"{args.general_lexicon} or {args.sea_lexicon}; nothing to evaluate")
     table = evaluate_priorities(rows, t_test=args.t_test)
     written = render_tables(table, args.out_dir)
     for path in written:

@@ -25,7 +25,7 @@ import tokenize
 from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -131,13 +131,13 @@ def read_rows(path: str | Path, header: Sequence[str]) -> Iterator[tuple[int, li
 
 
 def read_table(path: str | Path, header: Sequence[str], parse: Callable[..., T],
-               key: Sequence[str] = ("word",), lines: Optional[list[int]] = None) -> list[T]:
+               key: Sequence[str] = ("word",)) -> list[T]:
     """``parse(*cells)`` of each row after the header, in file order.
 
     The ``key`` columns identify a row. A ValueError raised by ``parse``, or
     a row whose key cells equal those of an earlier row, raises
     CorpusFormatError with the path and line, as do the errors of
-    ``read_rows``. ``lines``, when given, receives the line of each row.
+    ``read_rows``.
     """
     key_of = itemgetter(*map(list(header).index, key))
     first_line: dict = {}
@@ -152,8 +152,6 @@ def read_table(path: str | Path, header: Sequence[str], parse: Callable[..., T],
         if first != lineno:
             raise CorpusFormatError(f"{path}:{lineno}: duplicate {', '.join(key)} {row_key!r} "
                                     f"(first on line {first})")
-        if lines is not None:
-            lines.append(lineno)
     return entries
 
 

@@ -35,7 +35,6 @@ from .artifacts import (
     CorpusFormatError,
     pack_strings,
     read_records,
-    read_table,
     text_lines,
     unpack_strings,
     write_records,
@@ -286,28 +285,6 @@ class Vocabulary:
 
     def save(self, path: str | Path) -> None:
         write_rows(path, VOCAB_HEADER, self.items())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Vocabulary":
-        """Read a table written by ``save``: ids 0, 1, ... in (freq descending,
-        word) order. Any other id, a freq that is not an integer >= 1, a repeated
-        word or a row out of order raises CorpusFormatError with the file and line."""
-        position = itertools.count()
-
-        def parse(word: str, id_text: str, freq: str) -> tuple[str, int]:
-            expected = next(position)
-            if id_text != str(expected) or not freq.isdecimal() or int(freq) < 1:
-                raise ValueError(f"expected id {expected} and an integer freq >= 1, "
-                                 f"got {id_text!r} and {freq!r}")
-            return word, int(freq)
-
-        linenos: list[int] = []
-        counts = dict(read_table(path, VOCAB_HEADER, parse, lines=linenos))
-        vocab = cls(counts)
-        for lineno, word, expected in zip(linenos, counts, vocab.words):
-            if word != expected:
-                raise CorpusFormatError(f"{path}:{lineno}: {word!r} is out of order")
-        return vocab
 
 
 def build_vocabulary(store: TokenStore, min_count: int = 1) -> Vocabulary:

@@ -182,9 +182,7 @@ def run_train(config: PipelineConfig) -> EmbeddingModel:
     array is made: read the returned model only for its words, dim and
     loss history."""
     with Workspace(config).stage("train") as ws:
-        vocab = Vocabulary.load(ws.path("vocab.csv"))
-        cooc = _count_store(TokenStore.load(ws.path("tokens.bin")), vocab,
-                            config.embedding.window)
+        vocab, cooc = _count_store(TokenStore.load(ws.path("tokens.bin")), config)
         if not len(cooc):
             raise PipelineError(
                 "the train stage has nothing to fit: the co-occurrence matrix is empty with "
@@ -202,23 +200,25 @@ def run_train(config: PipelineConfig) -> EmbeddingModel:
     return model
 
 
-def _count_store(store: TokenStore, vocab: Vocabulary, window: int):
+def _count_store(store: TokenStore, config: PipelineConfig):
+    """The vocabulary of ``store`` and its co-occurrence cells."""
+    vocab = build_vocabulary(store, config.min_count)
     # store ids -> vocabulary ids, -1 for words below min_count
     ids, offsets = vocab.lookup(store.words)[store.ids], store.offsets
     del store  # the store's own ids are not needed while counting
-    return count_cooccurrences(ids, offsets, window)
+    return vocab, count_cooccurrences(ids, offsets, config.embedding.window)
 
 
 def run_neighbors(config: PipelineConfig, word: str, k: Optional[int] = None):
     ws = Workspace(config)
     ws.check_stages(["train"])
     vectors = WordVectors.load_binary(ws.path("embedding.bin"))
-    return nearest_neighbors(vectors, word, k if k is not None else config.k)
+    return nearest_neighbors(vectors, word.lower(), k if k is not None else config.k)
 
 
 def run_seeds(config: PipelineConfig) -> SeedSet:
     with Workspace(config).stage("seeds") as ws:
-        vocab = Vocabulary.load(ws.path("vocab.csv"))
+        vocab = build_vocabulary(TokenStore.load(ws.path("tokens.bin")), config.min_count)
         general = load_general_lexicon(config.general_lexicon, config.general_columns)
         seeds = select_seeds(general, vocab, config.seeds)
         if config.extra_seeds:
@@ -234,7 +234,7 @@ def run_expand(config: PipelineConfig) -> CandidateSet:
         seeds = SeedSet.load(ws.path("seeds.csv"))
         candidates = CandidateSet.from_seeds(seeds)
         db = load_wordnet(config.wordnet_dir)
-        # train writes one vector for each word of vocab.csv
+        # train writes one vector for each word of the vocabulary
         vectors = WordVectors.load_binary(ws.path("embedding.bin"))
         n_wn = expand_wordnet(candidates, seeds, db, vectors)
         n_emb = expand_embedding(candidates, seeds, vectors, config.k)
@@ -254,7 +254,7 @@ def run_sheet(config: PipelineConfig, review: str | Path) -> Path:
             raise PipelineError(f"review file {review} accepts none of the "
                                 f"{len(candidates)} candidates; nothing to rate")
         logger.info("review: %d of %d candidates accepted", len(words), len(candidates))
-        vocab = Vocabulary.load(ws.path("vocab.csv"))
+        vocab = build_vocabulary(TokenStore.load(ws.path("tokens.bin")), config.min_count)
         vectors = WordVectors.load_binary(ws.path("embedding.bin"))
         generate_sheet(ws.path("sheet.csv"), words, vocab, vectors,
                        k=config.k, shuffle_seed=config.shuffle_sheet)
@@ -306,6 +306,10 @@ def run_score(config: PipelineConfig):
         sea = ScoringLexicon(SeaLexicon.load(ws.path("sea_lexicon.csv")).arousal_map())
         table = score_corpus(TokenStore.load(ws.path("tokens.bin")), general, sea,
                              config.sea_avg)
+        if not len(table):
+            raise PipelineError(
+                "the score stage has nothing to write: no text unit matches a word of the "
+                f"general lexicon {config.general_lexicon} or of {ws.path('sea_lexicon.csv')}")
         # evaluation reads the reals as the export states them, at 4 decimals
         table = scoring_mod.save_scores(table, ws.path("scores.csv"))
         scoring_mod.save_score_records(table, ws.path("scores.bin"))

@@ -8,7 +8,8 @@ from types import SimpleNamespace
 import pytest
 
 from arousalkit import synthetic
-from arousalkit.corpus import TokenStore, Vocabulary, read_corpus
+from arousalkit.config import PipelineConfig
+from arousalkit.corpus import TokenStore, Vocabulary, build_vocabulary, read_corpus
 from arousalkit.embedding import WordVectors
 from arousalkit.lexicon import (
     CandidateSet,
@@ -38,13 +39,20 @@ from arousalkit.pipeline import (
 from arousalkit.scoring import load_scores
 from arousalkit.wordnet import load_wordnet
 
+
+def demo_vocabulary(work_dir: Path) -> Vocabulary:
+    """The vocabulary that ``seeds`` and ``sheet`` build in a demo work directory:
+    its token store counted at the demo's ``min_count``."""
+    min_count = PipelineConfig.load(work_dir / "inputs" / "config.json").min_count
+    return build_vocabulary(TokenStore.load(work_dir / "tokens.bin"), min_count)
+
+
 #: Every file a stage reads, by its path in a ``reader_demo`` work directory,
 #: with a loader that reads it as the stage does. A loader takes the file's
-#: path and finds any other file it needs (the vocabulary, the candidates,
+#: path and finds any other file it needs (the token store, the candidates,
 #: the sheet, the rest of the WordNet directory) beside it, unedited.
 READERS = {
     # artifacts
-    "vocab.csv": Vocabulary.load,
     "tokens.bin": TokenStore.load,
     "embedding.bin": WordVectors.load_binary,
     "seeds.csv": SeedSet.load,
@@ -60,8 +68,7 @@ READERS = {
         lambda path: read_review(CandidateSet.load(path.parent / "candidates.csv"), path),
     "ratings_r1.csv":
         lambda path: ingest_ratings([path], ["r1"], read_sheet_words(path.parent / "sheet.csv")),
-    "extra_seeds.csv":
-        lambda path: load_seed_list(path, Vocabulary.load(path.parent / "vocab.csv")),
+    "extra_seeds.csv": lambda path: load_seed_list(path, demo_vocabulary(path.parent)),
     "inputs/wordnet/data.noun": lambda path: load_wordnet(path.parent),
     "inputs/wordnet/index.verb": lambda path: load_wordnet(path.parent),
 }

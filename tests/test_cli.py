@@ -788,6 +788,13 @@ class TestCommandLine:
             word, sim = line.split("\t")
             assert -1.0 <= float(sim) <= 1.0
 
+    def test_neighbors_word_is_looked_up_in_lower_case(self, demo_workdir):
+        config_path = demo_workdir / "inputs" / "config.json"
+        results = [CliRunner().invoke(main, ["--config", str(config_path), "neighbors",
+                                             "--word", word]) for word in ("panic", "PANIC")]
+        assert [result.exit_code for result in results] == [0, 0], results[1].output
+        assert results[1].output == results[0].output
+
     def test_neighbors_unknown_word_fails_cleanly(self, demo_workdir):
         config_path = demo_workdir / "inputs" / "config.json"
         result = CliRunner().invoke(
@@ -1073,6 +1080,49 @@ class TestReproduceScript:
         match = re.search(r"^combined all_comments .*: d=(-?\d+\.\d+) ", result.stdout, re.M)
         assert match, result.stdout
         assert float(match.group(1)) > 0
+
+
+class TestEmptyScoreTable:
+    """Lexicons that match no text unit are refused by name, not scored to an empty table."""
+
+    GENERAL, SEA_ROW = "Word,A.Mean.Sum\nzzzz,5.0\n", "qqqq,5.0000,5,5,seed\n"
+
+    def test_score_refuses_and_stays_unrecorded(self, tmp_path):
+        run_demo(tmp_path, n_issues=N_ISSUES, seed=11)
+        config = demo_config(tmp_path, seed=11, n_issues=N_ISSUES)
+        # in-place edits, which the manifest does not see
+        (tmp_path / "inputs" / "general_lexicon.csv").write_text(self.GENERAL, encoding="utf-8")
+        sea = tmp_path / "sea_lexicon.csv"
+        sea.write_text(sea.read_text(encoding="utf-8").splitlines(keepends=True)[0]
+                       + self.SEA_ROW, encoding="utf-8")
+        before = {name: (tmp_path / name).read_bytes() for name in STAGES["score"].artifacts}
+        args = ["--config", str(tmp_path / "inputs" / "config.json")]
+        result = CliRunner().invoke(main, [*args, "score"])
+        assert result.exit_code == 1
+        assert result.output == (
+            "Error: the score stage has nothing to write: no text unit matches a word of the "
+            f"general lexicon {config.general_lexicon} or of {sea}\n")
+        assert {name: (tmp_path / name).read_bytes() for name in before} == before
+        result = CliRunner().invoke(main, [*args, "evaluate"])
+        assert result.exit_code == 1
+        assert "the last run of stage 'score' did not complete" in result.output
+
+    def test_reproduction_script_prints_one_error_line(self, demo_run, tmp_path):
+        (tmp_path / "general.csv").write_text(self.GENERAL, encoding="utf-8")
+        sea = demo_run.work_dir / "sea_lexicon.csv"
+        (tmp_path / "sea.csv").write_text(sea.read_text(encoding="utf-8").splitlines(
+            keepends=True)[0] + self.SEA_ROW, encoding="utf-8")
+        corpus = demo_run.work_dir / "inputs" / "corpus.jsonl"
+        result = subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "reproduce_published_eval.py"), str(corpus),
+             str(tmp_path / "general.csv"), str(tmp_path / "sea.csv"),
+             "--out-dir", str(tmp_path / "eval")],
+            capture_output=True, text=True, env=subprocess_env(), timeout=300)
+        assert result.returncode == 1
+        assert (result.stdout, result.stderr) == ("", (
+            f"error: no text unit of {corpus} matches a word of {tmp_path / 'general.csv'} "
+            f"or {tmp_path / 'sea.csv'}; nothing to evaluate\n"))
+        assert not (tmp_path / "eval").exists()
 
 
 class TestEmptyCellWarnings:

@@ -447,30 +447,6 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary({"a": 1}, min_count=0)
 
-    def test_save_load_round_trip(self, tmp_path):
-        vocab = build_vocabulary(corpus_store([make_issue("a b b c c c")]), min_count=1)
-        path = tmp_path / "vocab.csv"
-        vocab.save(path)
-        loaded = Vocabulary.load(path)
-        assert list(loaded.items()) == list(vocab.items())
-
-    @pytest.mark.parametrize("rows,message", [
-        ("c,0,3\nb,1,2\nc,2,1", "vocab.csv:4: duplicate word 'c'"),
-        ("c,0,3\nb,1,two", "vocab.csv:3: expected id 1 and an integer freq >= 1, "
-                           "got '1' and 'two'"),
-        ("c,0,3\nb,1,2.0", "vocab.csv:3: expected id 1"),
-        ("c,0,3\nb,1,0", "vocab.csv:3: expected id 1"),
-        ("c,0,3\nb,2,2", "vocab.csv:3: expected id 1 and an integer freq >= 1, got '2'"),
-        ("c,0,3\nb,x,2", "vocab.csv:3: expected id 1"),
-        ("b,0,2\nc,1,3", "vocab.csv:2: 'b' is out of order"),
-        ("c,0,2\nb,1,2", "vocab.csv:2: 'c' is out of order"),
-    ])
-    def test_bad_table_is_refused_with_file_and_line(self, tmp_path, rows, message):
-        path = tmp_path / "vocab.csv"
-        path.write_text(f"word,id,freq\n{rows}\n", encoding="utf-8")
-        with pytest.raises(CorpusFormatError, match=message):
-            Vocabulary.load(path)
-
     @given(st.lists(st.text(alphabet="abc", min_size=1, max_size=3), max_size=50))
     def test_total_mass_equals_token_count(self, words):
         issue = make_issue(title=" ".join(words))

@@ -81,7 +81,7 @@ class TestTextLines:
         with pytest.raises(CorpusFormatError, match=f"^cannot read {re.escape(str(path))}: "):
             list(text_lines(path))
 
-    @pytest.mark.parametrize("name", ["vocab.csv", "ratings_r1.csv", "review_accept_all.csv",
+    @pytest.mark.parametrize("name", ["ratings_r1.csv", "review_accept_all.csv",
                                       "extra_seeds.csv", "inputs/general_lexicon.csv",
                                       "inputs/wordnet/data.noun", "inputs/corpus.jsonl"])
     def test_byte_that_is_not_utf8_is_refused_with_line_and_column(self, reader_demo,

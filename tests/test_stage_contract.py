@@ -8,6 +8,7 @@ an undeclared artifact would escape every staleness check."""
 
 import builtins
 import dataclasses
+import hashlib
 import io
 import os
 import shutil
@@ -19,7 +20,7 @@ from arousalkit.config import PipelineConfig
 from arousalkit.pipeline import (STAGES, run_agreement, run_build, run_evaluate, run_expand,
                                  run_ingest, run_neighbors, run_ratings, run_score, run_seeds,
                                  run_sheet, run_train)
-from conftest import READERS
+from conftest import READERS, demo_vocabulary
 
 #: artifact name -> the stage that writes it
 OWNER = {name: stage for stage, spec in STAGES.items() for name in spec.artifacts}
@@ -113,3 +114,29 @@ def test_stage_reads_and_writes_what_its_row_declares(reader_demo, tmp_path, sta
             if path.parent != work or path.name not in {*OWNER, "manifest.json"}} == inputs
     # the fuzz run of test_readers covers every artifact a stage opens
     assert artifacts <= set(READERS)
+
+
+def test_vocab_csv_is_the_vocabulary_the_stages_build(reader_demo, tmp_path):
+    demo_vocabulary(reader_demo).save(tmp_path / "vocab.csv")
+    assert (tmp_path / "vocab.csv").read_bytes() == (reader_demo / "vocab.csv").read_bytes()
+
+
+def test_no_stage_reads_vocab_csv(reader_demo, tmp_path):
+    # vocab.csv is an export: train, seeds and sheet take the vocabulary from tokens.bin
+    digests = []
+    for name in ("untouched", "edited"):
+        work = tmp_path / name
+        shutil.copytree(reader_demo, work)
+        if name == "edited":
+            lines = (work / "vocab.csv").read_bytes().splitlines(keepends=True)
+            del lines[2]
+            lines[1] = bytes([lines[1][0] ^ 0xFF]) + lines[1][1:]
+            (work / "vocab.csv").write_bytes(b"".join(lines))
+        config = PipelineConfig.load(work / "inputs" / "config.json")
+        config.work_dir = str(work)
+        for stage in ("train", "seeds", "sheet"):
+            RUNS[stage](config)
+        digests.append({artifact: hashlib.sha256((work / artifact).read_bytes()).hexdigest()
+                        for stage in ("train", "seeds", "sheet")
+                        for artifact in (*STAGES[stage].artifacts, "manifest.json")})
+    assert digests[0] == digests[1]
