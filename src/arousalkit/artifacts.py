@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import math
 import os
 import tokenize
 from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -34,6 +35,14 @@ T = TypeVar("T")
 
 class CorpusFormatError(Exception):
     """Raised when a corpus, lexicon, or artifact file cannot be used at all."""
+
+
+class LineError(CorpusFormatError):
+    """A CorpusFormatError at one line of a file: "path:line: problem"."""
+
+    def __init__(self, path: str | Path, line: int, problem: str):
+        super().__init__(f"{path}:{line}: {problem}")
+        self.line, self.problem = line, problem
 
 
 @contextlib.contextmanager
@@ -79,21 +88,27 @@ def quote_cells(strings: Iterable[str], path: str | Path) -> list[str]:
     return [line[:-3] for line in lines]  # less the empty cell and "\r\n"
 
 
-def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+def text_lines(path: str | Path, start: int = 0,
+               stop: Optional[int] = None) -> Iterator[tuple[int, str]]:
     """Yield (line number, line) of a UTF-8 text file, the line end kept; a
     byte-order mark at the start of the file is dropped, one elsewhere is content.
-    An unreadable file, or a byte that is not UTF-8, raises CorpusFormatError
-    naming the path (and the line and column of the byte)."""
+    Only bytes ``start`` up to ``stop`` (None: the end of the file) are read;
+    ``start`` must begin a line, and the lines are numbered from 1 there.
+    An unreadable file raises CorpusFormatError naming the path, and a byte
+    that is not UTF-8 raises LineError with the line and column of the byte."""
     try:
-        # a byte that is not UTF-8 becomes a lone surrogate, which the line check refuses
-        handle = open(path, "r", encoding="utf-8", errors="surrogateescape", newline="")
+        raw = open(path, "rb", buffering=0)
     except OSError as exc:
         raise CorpusFormatError(f"cannot read {path}: {exc}") from exc
-    with handle:
+    with raw:
+        raw.seek(start)
+        # a byte that is not UTF-8 becomes a lone surrogate, which the line check refuses
+        data = io.BufferedReader(raw if stop is None else _Head(raw, stop - start))
+        handle = io.TextIOWrapper(data, encoding="utf-8", errors="surrogateescape", newline="")
         for lineno, line in enumerate(handle, 1):
             # a byte-order mark is not content; utf-8-sig would also drop a file
             # of one or two bytes of a mark (EF, or EF BB) unread
-            if lineno == 1:
+            if lineno == 1 and start == 0:
                 line = line.removeprefix("\ufeff")
                 if not line:  # the file was the mark alone
                     return
@@ -101,9 +116,25 @@ def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 line.encode("utf-8")
             except UnicodeEncodeError as exc:
                 byte = ord(line[exc.start]) - 0xDC00
-                raise CorpusFormatError(f"{path}:{lineno}: byte 0x{byte:02x} at column "
-                                        f"{exc.start + 1} is not UTF-8") from None
+                raise LineError(path, lineno, f"byte 0x{byte:02x} at column {exc.start + 1} "
+                                              "is not UTF-8") from None
             yield lineno, line
+
+
+class _Head(io.RawIOBase):
+    """The next ``size`` bytes of an unbuffered binary file."""
+
+    def __init__(self, raw: io.RawIOBase, size: int):
+        self._raw, self._left = raw, size
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        with memoryview(buffer) as view:
+            count = self._raw.readinto(view[:self._left])
+        self._left -= count
+        return count
 
 
 def read_rows(path: str | Path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:

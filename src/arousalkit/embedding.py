@@ -26,15 +26,10 @@ streams or of the pairs within them.
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import numbers
-import os
 import shutil
-import signal
 import sys
-import tempfile
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -43,6 +38,7 @@ import numpy as np
 import orjson
 
 from .artifacts import atomic_open, pack_strings, read_records, unpack_strings, write_records
+from .parallel import forked, split
 
 logger = logging.getLogger(__name__)
 
@@ -385,28 +381,16 @@ class WordVectors:
         """
         path = Path(path)
         first, *others = _dump_ranges(self.matrix.size, len(self.words))
-        with atomic_open(path, "wb") as out, contextlib.ExitStack() as spools:
-            running = []  # (pid, spool, rows) of each child not yet reaped, in row order
-            try:
-                for rows in others:
-                    spool = spools.enter_context(tempfile.TemporaryFile(dir=path.parent))
-                    running.append((self._fork_dump(spool, *rows), spool, rows))
-                out.write(f"{len(self.words)} {self.dim}\n".encode())
-                self._dump(out, *first)
-                while running:
-                    pid, spool, (start, stop) = running[0]
-                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    del running[0]
-                    if code:
-                        ended = f"signal {-code}" if code < 0 else f"exit code {code}"
-                        raise RuntimeError(f"{path}: the process writing rows {start} to "
-                                           f"{stop - 1} ended with {ended}")
-                    spool.seek(0)
-                    shutil.copyfileobj(spool, out, _DUMP_COPY)
-            finally:
-                for pid, _, _ in running:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
+
+        def name(start: int, stop: int) -> str:
+            return f"{path}: the process writing rows {start} to {stop - 1}"
+
+        with atomic_open(path, "wb") as out, \
+                forked(self._dump, others, name, path.parent) as spools:
+            out.write(f"{len(self.words)} {self.dim}\n".encode())
+            self._dump(out, *first)
+            for spool in spools:
+                shutil.copyfileobj(spool, out, _DUMP_COPY)
 
     def _dump(self, out, start: int, stop: int) -> None:
         """Write the dump lines of rows ``start`` to ``stop - 1`` to ``out``."""
@@ -414,29 +398,6 @@ class WordVectors:
         for lo in range(start, stop, rows_per_block):
             hi = min(lo + rows_per_block, stop)
             out.write(_dump_rows(self.words[lo:hi], self.matrix[lo:hi]))
-
-    def _fork_dump(self, spool, start: int, stop: int) -> int:
-        """Fork a child that writes rows ``start`` to ``stop - 1`` to ``spool``
-        and exits, 0 on success; return its pid."""
-        with warnings.catch_warnings():
-            # Python 3.12+ warns on fork in a process with other threads, which
-            # numpy's BLAS pool starts. The child is safe: it runs only numpy's
-            # element-wise code and orjson, no BLAS, takes no lock, does not log,
-            # and leaves by os._exit.
-            warnings.filterwarnings("ignore", r"This process .*use of fork\(\) may lead to "
-                                    "deadlocks", DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            # never unwind into the caller (whose atomic_open would remove its
-            # temporary file) nor flush the caller's buffers
-            code = 1
-            try:
-                self._dump(spool, start, stop)
-                spool.flush()
-                code = 0
-            finally:
-                os._exit(code)
-        return pid
 
     def save_binary(self, path: str | Path) -> None:
         """Three .npy records after a format tag: the UTF-8 bytes and byte
@@ -470,13 +431,8 @@ _DUMP_COPY = 1 << 20
 
 def _dump_ranges(values: int, rows: int) -> list[tuple[int, int]]:
     """(start, stop) of each row range of a text dump of ``rows`` rows and
-    ``values`` matrix values: as many as there are usable CPUs, at most one
-    per ``_DUMP_PARALLEL_MIN`` values and one per row, and at least one;
-    one where the platform cannot fork or tell the usable CPUs."""
-    parts = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        parts = max(1, min(len(os.sched_getaffinity(0)), values // _DUMP_PARALLEL_MIN, rows))
-    return [(rows * k // parts, rows * (k + 1) // parts) for k in range(parts)]
+    ``values`` matrix values: ``split`` at ``_DUMP_PARALLEL_MIN`` values."""
+    return split(rows, values, _DUMP_PARALLEL_MIN)
 
 
 def _dump_rows(words: Sequence[str], block: np.ndarray) -> bytes:

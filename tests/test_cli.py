@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -329,6 +330,42 @@ class TestPinnedDemo:
     def test_embedding_derived_files(self, reader_demo):
         digests = workdir_digest(reader_demo)
         assert {name: digests[name] for name in EMBEDDING_DIGESTS} == EMBEDDING_DIGESTS
+
+
+SPLIT_DEMO = """\
+import os, sys
+if sys.argv[2] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from arousalkit import corpus, embedding, pipeline
+from arousalkit.embedding import WordVectors
+if sys.argv[2] == "all":  # ingest and the text dump both split
+    corpus._READ_PARALLEL_MIN = 1 << 12
+    embedding._DUMP_PARALLEL_MIN = 1 << 8
+pipeline.run_demo(sys.argv[1], n_issues=300, seed=3)
+vectors = WordVectors.load_binary(os.path.join(sys.argv[1], "embedding.bin"))
+print(len(corpus._line_ranges(os.path.join(sys.argv[1], "inputs", "corpus.jsonl"))),
+      len(embedding._dump_ranges(vectors.matrix.size, len(vectors.words))))
+"""
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="fewer than 2 usable CPUs: nothing splits")
+def test_one_cpu_and_every_cpu_write_the_same_demo(tmp_path):
+    # the two demos run at one path, since manifest.json holds the work directory
+    work, digests, ranges = tmp_path / "demo", {}, {}
+    for cpus in ("one", "all"):
+        result = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::DeprecationWarning", "-c", SPLIT_DEMO,
+             str(work), cpus], capture_output=True, text=True, env=subprocess_env(),
+            timeout=600)
+        assert result.returncode == 0, result.stderr
+        ranges[cpus] = tuple(map(int, result.stdout.split()))
+        digests[cpus] = workdir_digest(work)
+        del digests[cpus]["inputs/config.json"]
+        shutil.rmtree(work)
+    assert ranges["one"] == (1, 1)
+    assert min(ranges["all"]) >= 2
+    assert digests["one"] == digests["all"]
 
 
 @pytest.fixture

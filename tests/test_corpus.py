@@ -1,8 +1,14 @@
+import functools
 import hashlib
 import json
+import logging
+import os
 import re
+import signal
 import string
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +16,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arousalkit import synthetic
+import conftest
+from arousalkit import corpus, pipeline, synthetic
 from arousalkit.artifacts import pack_strings, write_records
 from arousalkit.config import PipelineConfig
 from arousalkit.pipeline import run_ingest
@@ -453,3 +460,284 @@ class TestVocabulary:
         vocab = build_vocabulary(corpus_store([issue]), min_count=1)
         total = sum(freq for _, _, freq in vocab.items())
         assert total == len(tokenize(" ".join(words)))
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.records = []
+
+    def emit(self, record):
+        self.records.append((record.levelname, record.getMessage()))
+
+
+def logged_read(path, cpus=1, propagate=True):
+    """(the store or the exception, [(level, message) of each log record]) of
+    ``read_corpus(path)`` with ``cpus`` usable CPUs."""
+    log, handler = logging.getLogger("arousalkit.corpus"), _Records()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        patch.setattr(log, "propagate", propagate)
+        log.addHandler(handler)
+        try:
+            result = corpus.read_corpus(path)
+        except Exception as exc:
+            result = exc
+        finally:
+            log.removeHandler(handler)
+    return result, handler.records
+
+
+def assert_same_read(got, expected):
+    (result, records), (reference, reference_records) = got, expected
+    assert records == reference_records
+    if isinstance(reference, Exception):
+        assert (type(result), str(result)) == (type(reference), str(reference))
+    else:
+        assert same_store(result, reference)
+
+
+def read_split(cpus, path):
+    """``read_corpus(path)`` in up to ``cpus`` line ranges; its store, its
+    error and its log records must be those of one range."""
+    got = logged_read(path, cpus)
+    assert_same_read(got, logged_read(path, propagate=False))
+    if isinstance(got[0], Exception):
+        raise got[0]
+    return got[0]
+
+
+@pytest.fixture(scope="class", params=[2, 3])
+def split_reads(request):
+    """Every corpus ``read_corpus`` reads is cut into up to 2 or 3 line ranges,
+    and checked against a one-range read."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "_READ_PARALLEL_MIN", 1)
+        for module in (sys.modules[__name__], conftest, pipeline):
+            patch.setattr(module, "read_corpus", functools.partial(read_split, request.param))
+        yield
+
+
+@pytest.mark.usefixtures("split_reads")
+class TestParseCorpusSplit(TestParseCorpus):
+    """The record tests on a corpus cut into line ranges."""
+
+
+@pytest.mark.usefixtures("split_reads")
+class TestPinnedIngestSplit(TestPinnedIngest):
+    """The pinned ingest digests on a corpus cut into line ranges."""
+
+
+@pytest.mark.usefixtures("split_reads")
+class TestRoundTripSplit:
+    """The round trip on a corpus cut into line ranges."""
+
+    test_any_corpus_round_trips = TestTokenStore.test_any_corpus_round_trips
+
+
+def cut_at(monkeypatch, *nominal):
+    """Make ``read_corpus`` cut its corpus after the first line feed at or
+    after each byte offset of ``nominal``."""
+    monkeypatch.setattr(corpus, "split", lambda items, weight, per_range: list(
+        zip((0, *nominal), (*nominal, items))))
+
+
+class TestCuts:
+    """Line ranges around the cuts: the same store, errors and warnings as one range."""
+
+    def write(self, tmp_path, data):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(data)
+        return path
+
+    def assert_every_cut_reads_the_same(self, path, monkeypatch, step=1):
+        size, expected = path.stat().st_size, logged_read(path, propagate=False)
+        for first in range(1, size, step):
+            with monkeypatch.context() as patch:
+                cut_at(patch, first)
+                assert_same_read(logged_read(path, propagate=False), expected)
+        for first in range(1, size, 7 * step):
+            for second in range(first, size, 11 * step):
+                with monkeypatch.context() as patch:
+                    cut_at(patch, first, second)
+                    assert_same_read(logged_read(path, propagate=False), expected)
+
+    def test_cut_follows_the_line_feed_at_or_after_the_offset(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path, b'{"id": "A"}\r\n{"id": "B"}\r{"id": "C"}\n{"id": "D"}\n')
+        cut_at(monkeypatch, 12)  # the "\n" of the first "\r\n"
+        assert corpus._line_ranges(str(path)) == [(0, 13), (13, None)]
+        cut_at(monkeypatch, 13)  # past a lone "\r" to the next "\n"
+        assert corpus._line_ranges(str(path)) == [(0, 37), (37, None)]
+        cut_at(monkeypatch, 40, 45)  # no line begins after the last "\n"
+        assert corpus._line_ranges(str(path)) == [(0, None)]
+
+    def test_cut_at_every_cpu_count(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path, b"".join(b'{"id": "%d"}\n' % i for i in range(30)))
+        monkeypatch.setattr(corpus, "_READ_PARALLEL_MIN", 1)
+        for cpus in (1, 2, 3, 7):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            starts = [start for start, _ in corpus._line_ranges(str(path))]
+            assert len(starts) == cpus
+            assert all(path.read_bytes()[start - 1] == ord("\n") for start in starts[1:])
+
+    def test_duplicate_id_across_ranges_names_both_lines(self, tmp_path, monkeypatch):
+        lines = [b'{"id": "%s", "title": "t"}\n' % i for i in (b"A", b"B", b"C", b"A")]
+        path = self.write(tmp_path, b"".join(lines))
+        cut_at(monkeypatch, len(lines[0]) + 1)
+        assert len(corpus._line_ranges(str(path))) == 2
+        with pytest.raises(CorpusFormatError, match=r"^.*corpus.jsonl:4: duplicate issue id 'A' "
+                                                    r"\(first on line 1\)$"):
+            corpus.read_corpus(path)
+
+    def test_byte_not_utf8_in_the_last_range_names_its_line(self, tmp_path, monkeypatch):
+        lines = [b'{"id": "%d"}\n' % i for i in range(6)] + [b'{"id": "caf\xe9"}\n']
+        path = self.write(tmp_path, b"".join(lines))
+        cut_at(monkeypatch, 14, 40)
+        assert len(corpus._line_ranges(str(path))) == 3
+        with pytest.raises(CorpusFormatError,
+                           match=r"corpus.jsonl:7: byte 0xe9 at column 12 is not UTF-8$"):
+            corpus.read_corpus(path)
+
+    @pytest.mark.parametrize("later", [
+        b'{"id": "A"}\n',  # a duplicate of line 1
+        b'{"id": "caf\xe9"}\n',
+    ])
+    def test_earlier_error_wins_and_no_later_warning_is_logged(self, tmp_path, monkeypatch,
+                                                               caplog, later):
+        first = b'{"id": "A"}\n{"id": 1, "comments": 0}\n{"id": "\xff"}\n'
+        path = self.write(tmp_path, first + b'{"bad": 1}\n' + later + b"[]\n")
+        cut_at(monkeypatch, len(first) - 1)
+        assert corpus._line_ranges(str(path))[1] == (len(first), None)
+        with caplog.at_level("WARNING", logger="arousalkit.corpus"):
+            with pytest.raises(CorpusFormatError, match="corpus.jsonl:3: byte 0xff at column 9"):
+                corpus.read_corpus(path)
+        assert caplog.messages == ["line 2: 'comments' is not a list"]
+
+    def test_later_range_stops_at_its_first_error(self, tmp_path, monkeypatch, caplog):
+        first = b'{"id": "A"}\n{"id": "B"}\n'
+        path = self.write(tmp_path, first + b'[]\n{"id": "B"}\n[]\n{"id": "\xff"}\n')
+        cut_at(monkeypatch, len(first) - 1)
+        assert corpus._line_ranges(str(path))[1] == (len(first), None)
+        with caplog.at_level("WARNING", logger="arousalkit.corpus"):
+            with pytest.raises(CorpusFormatError, match=r"corpus.jsonl:4: duplicate issue id "
+                                                        r"'B' \(first on line 2\)"):
+                corpus.read_corpus(path)
+        assert caplog.messages == ["line 3: record is not an object with an 'id'"]
+
+    def test_repeated_id_ends_the_read_of_its_range(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path, b'{"id": "A"}\n{"id": "A"}\n' + b'{"id": "B"}\n' * 50)
+        texts, tokenize_ = [], corpus.tokenize
+        monkeypatch.setattr(corpus, "tokenize", lambda text: texts.append(text) or tokenize_(text))
+        with pytest.raises(CorpusFormatError, match=r"corpus.jsonl:2: duplicate issue id 'A'"):
+            corpus.read_corpus(path)
+        assert len(texts) <= 4  # at most the title and description of lines 1 and 2
+
+    def test_crlf_and_lone_cr_next_to_a_cut(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path, b'{"id": "A", "title": "one"}\r\n{"id": "B"}\r'
+                                    b'{"id": "C", "title": "two"}\r\n\r\n{"id": "D"}\n\r'
+                                    b'{"id": "E"}\r{"id": "F", "title": "one"}')
+        assert logged_read(path)[0].issue_ids == list("ABCDEF")
+        self.assert_every_cut_reads_the_same(path, monkeypatch)
+
+    def test_blank_or_malformed_line_at_a_cut(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path, b'{"id": "A", "title": "x y"}\n\n   \n{"id": \n'
+                                    b'{"id": "B", "title": "y z"}\n[1]\n\n{"id": null}\n'
+                                    b'{"id": "C", "title": "z"}\n')
+        store, records = logged_read(path)
+        assert store.issue_ids == ["A", "B", "C"] and len(records) == 4
+        self.assert_every_cut_reads_the_same(path, monkeypatch)
+
+    def test_byte_order_mark_is_dropped_only_at_the_start_of_the_file(self, tmp_path,
+                                                                       monkeypatch):
+        bom = "\ufeff".encode()
+        first = bom + b'{"id": "A"}\n'
+        path = self.write(tmp_path, first + bom + b'{"id": "B"}\n{"id": "C"}\n')
+        cut_at(monkeypatch, len(first) - 1)
+        assert corpus._line_ranges(str(path))[1] == (len(first), None)
+        store, records = logged_read(path)
+        assert store.issue_ids == ["A", "C"]
+        assert records[0][1].startswith("line 2: invalid JSON (Unexpected UTF-8 BOM")
+        self.assert_every_cut_reads_the_same(path, monkeypatch)
+
+    def test_errors_next_to_a_cut(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path, b'{"id": "A"}\n[]\n{"id": "B"}\n{"x": 1}\n{"id": "A"}\n'
+                                    b'[]\n{"id": "\\ud800"}\n{"id": "\xff"}\n')
+        assert isinstance(logged_read(path)[0], CorpusFormatError)
+        self.assert_every_cut_reads_the_same(path, monkeypatch, step=2)
+
+
+class TestForkedRead:
+    """A child of ``read_corpus`` that fails or outlives its parent's error."""
+
+    @pytest.mark.parametrize("failure, ended", [
+        ("child raises", "exit code 1"),
+        ("child killed", f"signal {signal.SIGKILL.value}"),
+        ("parent interrupted", None),
+    ])
+    def test_failure_leaves_no_spool_and_no_process(self, tmp_path, monkeypatch, failure,
+                                                    ended):
+        spools = tmp_path / "spools"
+        spools.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spools))
+        path = tmp_path / "corpus.jsonl"
+        lines = [b'{"id": "%d", "title": "word"}\n' % i for i in range(6)]
+        path.write_bytes(b"".join(lines))
+        cut = len(lines[0]) * 2
+        cut_at(monkeypatch, cut - 1)
+        parent, tokenize_ = os.getpid(), corpus.tokenize
+
+        def failing(text):
+            if failure == "parent interrupted":
+                if os.getpid() == parent:
+                    raise KeyboardInterrupt
+                time.sleep(60)  # until read_corpus kills it
+            if failure == "child raises" and os.getpid() != parent:
+                raise MemoryError
+            if failure == "child killed" and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return tokenize_(text)
+
+        monkeypatch.setattr(corpus, "tokenize", failing)
+        fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
+        if ended is None:
+            raised, pattern = KeyboardInterrupt, None
+        else:
+            message = f"{path}: the process reading from line 3 (byte {cut}) ended with {ended}"
+            raised, pattern = RuntimeError, f"^{re.escape(message)}$"
+        start = time.perf_counter()
+        try:
+            with pytest.raises(raised, match=pattern):
+                corpus.read_corpus(path)
+        finally:
+            if os.getpid() != parent:  # a child unwound out of read_corpus
+                os._exit(99)
+        assert time.perf_counter() - start < 30
+        assert list(spools.iterdir()) == []
+        if fds is not None:
+            assert len(os.listdir("/proc/self/fd")) == len(fds)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_format_error_kills_the_later_ranges(self, tmp_path, monkeypatch):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b'{"id": "\xff"}\n{"id": "B"}\n')
+        cut_at(monkeypatch, 12)
+        parent, tokenize_ = os.getpid(), corpus.tokenize
+        monkeypatch.setattr(corpus, "tokenize", lambda text: (
+            time.sleep(60) if os.getpid() != parent else None) or tokenize_(text))
+        start = time.perf_counter()
+        with pytest.raises(CorpusFormatError, match="corpus.jsonl:1: byte 0xff"):
+            corpus.read_corpus(path)
+        assert time.perf_counter() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_ranges_at_the_default_threshold(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        path = tmp_path / "corpus.jsonl"
+        line = b'{"id": "x"}\n'
+        path.write_bytes(line * (corpus._READ_PARALLEL_MIN // len(line) * 2 - 1))
+        assert len(corpus._line_ranges(str(path))) == 1
+        with path.open("ab") as handle:
+            handle.write(line * 2)
+        assert len(corpus._line_ranges(str(path))) == 2
