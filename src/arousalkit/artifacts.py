@@ -92,49 +92,36 @@ def text_lines(path: str | Path, start: int = 0,
                stop: Optional[int] = None) -> Iterator[tuple[int, str]]:
     """Yield (line number, line) of a UTF-8 text file, the line end kept; a
     byte-order mark at the start of the file is dropped, one elsewhere is content.
-    Only bytes ``start`` up to ``stop`` (None: the end of the file) are read;
-    ``start`` must begin a line, and the lines are numbered from 1 there.
+    Only the lines that begin in bytes ``start`` up to ``stop`` (None: the end
+    of the file) are read; ``start`` and ``stop`` must each begin a line, and
+    the lines are numbered from 1 at ``start``.
     An unreadable file raises CorpusFormatError naming the path, and a byte
     that is not UTF-8 raises LineError with the line and column of the byte."""
     try:
-        raw = open(path, "rb", buffering=0)
+        data = open(path, "rb")
     except OSError as exc:
         raise CorpusFormatError(f"cannot read {path}: {exc}") from exc
-    with raw:
-        raw.seek(start)
+    with data:
+        data.seek(start)
         # a byte that is not UTF-8 becomes a lone surrogate, which the line check refuses
-        data = io.BufferedReader(raw if stop is None else _Head(raw, stop - start))
         handle = io.TextIOWrapper(data, encoding="utf-8", errors="surrogateescape", newline="")
+        left = math.inf if stop is None else stop - start  # bytes of the range not yet yielded
         for lineno, line in enumerate(handle, 1):
+            if left <= 0:  # the handle may have buffered past ``stop``
+                return
             # a byte-order mark is not content; utf-8-sig would also drop a file
             # of one or two bytes of a mark (EF, or EF BB) unread
-            if lineno == 1 and start == 0:
-                line = line.removeprefix("\ufeff")
+            if lineno == 1 and start == 0 and line.startswith("\ufeff"):
+                line, left = line[1:], left - 3
                 if not line:  # the file was the mark alone
                     return
             try:
-                line.encode("utf-8")
+                left -= len(line.encode("utf-8"))
             except UnicodeEncodeError as exc:
                 byte = ord(line[exc.start]) - 0xDC00
                 raise LineError(path, lineno, f"byte 0x{byte:02x} at column {exc.start + 1} "
                                               "is not UTF-8") from None
             yield lineno, line
-
-
-class _Head(io.RawIOBase):
-    """The next ``size`` bytes of an unbuffered binary file."""
-
-    def __init__(self, raw: io.RawIOBase, size: int):
-        self._raw, self._left = raw, size
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        with memoryview(buffer) as view:
-            count = self._raw.readinto(view[:self._left])
-        self._left -= count
-        return count
 
 
 def read_rows(path: str | Path, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:

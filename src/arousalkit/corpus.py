@@ -399,9 +399,6 @@ class Vocabulary:
         """Words ordered by id."""
         return self._words
 
-    def id(self, word: str) -> int:
-        return self._ids[word]
-
     def lookup(self, words: Iterable[str]) -> np.ndarray:
         """The int32 id of each word, -1 for a word not in the vocabulary."""
         return np.fromiter(map(self._ids.get, words, itertools.repeat(-1)), dtype=np.int32)

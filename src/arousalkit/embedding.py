@@ -370,17 +370,18 @@ class WordVectors:
         wherever both use plain decimal notation (see ``_dump_rows``); the
         other values go through ``repr`` itself.
 
-        The rows are split into contiguous ranges, one per usable CPU (see
-        ``_dump_ranges``), formatted at once: this process writes the first,
-        and a forked child writes each other range to an unlinked spool file
-        beside ``path``, which is then copied into the dump in row order.
+        The rows are split into contiguous ranges by ``parallel.split``, one
+        per usable CPU and at most one per ``_DUMP_PARALLEL_MIN`` matrix
+        values, formatted at once: this process writes the first, and a
+        forked child writes each other range to an unlinked spool file beside
+        ``path``, which is then copied into the dump in row order.
         The text of a row depends only on that row, so the bytes are those
         of one process writing every row. A child that fails raises
         RuntimeError naming the path and its rows, and leaves no file; no
         child outlives the call.
         """
         path = Path(path)
-        first, *others = _dump_ranges(self.matrix.size, len(self.words))
+        first, *others = split(len(self.words), self.matrix.size, _DUMP_PARALLEL_MIN)
 
         def name(start: int, stop: int) -> str:
             return f"{path}: the process writing rows {start} to {stop - 1}"
@@ -390,7 +391,7 @@ class WordVectors:
             out.write(f"{len(self.words)} {self.dim}\n".encode())
             self._dump(out, *first)
             for spool in spools:
-                shutil.copyfileobj(spool, out, _DUMP_COPY)
+                shutil.copyfileobj(spool, out)
 
     def _dump(self, out, start: int, stop: int) -> None:
         """Write the dump lines of rows ``start`` to ``stop - 1`` to ``out``."""
@@ -424,16 +425,6 @@ _DUMP_BLOCK = 64 << 10
 #: 26 ms to format, against 2.0-2.7 ms to fork and reap a child and 1 ms
 #: to copy their 2.9 MB of text from its spool file.
 _DUMP_PARALLEL_MIN = 1 << 17
-
-#: Most bytes of a child's spool file copied into the text dump at once.
-_DUMP_COPY = 1 << 20
-
-
-def _dump_ranges(values: int, rows: int) -> list[tuple[int, int]]:
-    """(start, stop) of each row range of a text dump of ``rows`` rows and
-    ``values`` matrix values: ``split`` at ``_DUMP_PARALLEL_MIN`` values."""
-    return split(rows, values, _DUMP_PARALLEL_MIN)
-
 
 def _dump_rows(words: Sequence[str], block: np.ndarray) -> bytes:
     """The dump lines of ``words`` and their rows ``block``, as UTF-8.

@@ -2,8 +2,8 @@
 
 Each stage reads the artifacts of the stages it names, writes its own
 artifacts into the work directory, and records a hash of its
-configuration slice in ``manifest.json``. A stage's slice is its own
-config keys plus the slices of the stages whose artifacts it reads. A
+configuration slice in ``manifest.json``. A stage's slice is the config
+keys its body reads plus the slices of the stages whose artifacts it reads. A
 stage first checks the recorded hashes of the stages it reads, so a
 config change that invalidates earlier artifacts is reported instead of
 silently mixing stale and fresh files. A stage drops its own entry before
@@ -62,7 +62,7 @@ class PipelineError(Exception):
 
 @dataclass(frozen=True)
 class Stage:
-    keys: tuple[str, ...]  # config keys of the stage itself
+    keys: tuple[str, ...]  # config keys its body reads
     reads: tuple[str, ...]  # stages whose artifacts it reads
     artifacts: tuple[str, ...]
 
@@ -70,17 +70,20 @@ class Stage:
 STAGES: dict[str, Stage] = {
     "ingest": Stage(("corpus", "min_count"), (), ("vocab.csv", "tokens.bin")),
     "train": Stage(("embedding.dim", "embedding.window", "embedding.x_max", "embedding.alpha",
-                    "embedding.learning_rate", "embedding.epochs", "embedding.seed"),
+                    "embedding.learning_rate", "embedding.epochs", "embedding.seed",
+                    "min_count"),
                    ("ingest",), ("embedding.txt", "embedding.bin")),
     "seeds": Stage(("general_lexicon", "general_columns", "extra_seeds",
-                    "seeds.n1", "seeds.f1", "seeds.n2", "seeds.f2"),
+                    "seeds.n1", "seeds.f1", "seeds.n2", "seeds.f2", "min_count"),
                    ("ingest",), ("seeds.csv",)),
     "expand": Stage(("wordnet_dir", "k"), ("train", "seeds"), ("candidates.csv",)),
-    "sheet": Stage(("shuffle_sheet",), ("ingest", "train", "expand"), ("sheet.csv",)),
+    "sheet": Stage(("shuffle_sheet", "min_count", "k"), ("ingest", "train", "expand"),
+                   ("sheet.csv",)),
     "ratings": Stage((), ("sheet",), ("ratings.csv",)),
     "agreement": Stage(("kappa_weighting",), ("ratings",), ("agreement.txt",)),
     "build": Stage((), ("ratings", "expand"), ("sea_lexicon.csv",)),
-    "score": Stage(("sea_avg",), ("ingest", "build"), ("scores.csv", "scores.bin")),
+    "score": Stage(("sea_avg", "general_lexicon", "general_columns"), ("ingest", "build"),
+                   ("scores.csv", "scores.bin")),
     "evaluate": Stage(("t_test",), ("score",),
                       ("eval_d.csv", "eval_t.csv", "eval_df.csv", "eval_p.csv",
                        "eval_tables.txt")),

@@ -1,3 +1,4 @@
+import itertools
 import re
 import sys
 from dataclasses import replace
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 from arousalkit import scoring
 from arousalkit.artifacts import (
     CorpusFormatError,
+    LineError,
     atomic_open,
     read_rows,
     read_table,
+    text_lines,
     write_rows,
 )
 from arousalkit.corpus import Field, Priority
@@ -185,6 +188,55 @@ class TestReadTable:
         with pytest.raises(CorpusFormatError,
                            match=re.escape(f"{path}:5: invalid literal for int()")):
             read_table(path, ("word", "n"), lambda word, n: (word, int(n)))
+
+
+class TestRangedTextLines:
+    """``text_lines(path, start, stop)`` between any two line starts of a
+    file with every line end, a byte-order mark and characters of 1 to 4 bytes."""
+
+    LINES = ["first \u00e9\r\n", "lone cr \u20ac\r", "lf \U0001f642\n", "\r\n", "\r", "last"]
+    DATA = b"\xef\xbb\xbf" + "".join(LINES).encode()
+    #: byte offset of each line, the first at 0 before the mark, then the end of the file
+    STARTS = [0, *itertools.accumulate(len(line.encode()) for line in LINES)]
+    STARTS[1:] = [start + 3 for start in STARTS[1:]]
+
+    def pairs(self):
+        return [(i, j) for i in range(len(self.LINES)) for j in range(i, len(self.STARTS))]
+
+    def write(self, tmp_path, at=None):
+        """The file, with a byte that is not UTF-8 inserted at byte ``at``."""
+        path = tmp_path / "lines.txt"
+        data = self.DATA if at is None else self.DATA[:at] + b"\xff" + self.DATA[at:]
+        path.write_bytes(data)
+        return path
+
+    def test_yields_the_lines_that_begin_in_the_range(self, tmp_path):
+        path = self.write(tmp_path)
+        for i, j in self.pairs():
+            expected = list(enumerate(self.LINES[i:j], 1))
+            assert list(text_lines(path, self.STARTS[i], self.STARTS[j])) == expected
+        for i in range(len(self.LINES)):
+            assert list(text_lines(path, self.STARTS[i])) == list(enumerate(self.LINES[i:], 1))
+
+    def test_a_bad_byte_from_stop_on_is_not_read(self, tmp_path):
+        for i, j in self.pairs():
+            if j == len(self.LINES):  # a byte at the end of the file ends the last line
+                continue
+            path = self.write(tmp_path, at=self.STARTS[j])
+            expected = list(enumerate(self.LINES[i:j], 1))
+            assert list(text_lines(path, self.STARTS[i], self.STARTS[j])) == expected
+
+    def test_a_bad_byte_before_stop_names_its_line_and_column_in_the_range(self, tmp_path):
+        for i, j in self.pairs():
+            if i == j:
+                continue
+            text = self.LINES[j - 1].rstrip("\r\n")  # the bad byte goes before the line end
+            at = self.STARTS[j - 1] + (3 if j == 1 else 0) + len(text.encode())
+            path = self.write(tmp_path, at=at)
+            with pytest.raises(LineError) as raised:
+                list(text_lines(path, self.STARTS[i], self.STARTS[j] + 1))
+            assert (raised.value.line, raised.value.problem) == (
+                j - i, f"byte 0xff at column {len(text) + 1} is not UTF-8")
 
 
 class TestAtomicWrite:

@@ -338,13 +338,14 @@ if sys.argv[2] == "one":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 from arousalkit import corpus, embedding, pipeline
 from arousalkit.embedding import WordVectors
+from arousalkit.parallel import split
 if sys.argv[2] == "all":  # ingest and the text dump both split
     corpus._READ_PARALLEL_MIN = 1 << 12
     embedding._DUMP_PARALLEL_MIN = 1 << 8
 pipeline.run_demo(sys.argv[1], n_issues=300, seed=3)
 vectors = WordVectors.load_binary(os.path.join(sys.argv[1], "embedding.bin"))
 print(len(corpus._line_ranges(os.path.join(sys.argv[1], "inputs", "corpus.jsonl"))),
-      len(embedding._dump_ranges(vectors.matrix.size, len(vectors.words))))
+      len(split(len(vectors.words), vectors.matrix.size, embedding._DUMP_PARALLEL_MIN)))
 """
 
 

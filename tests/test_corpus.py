@@ -416,7 +416,7 @@ class TestVocabulary:
     def test_counting_and_id_order(self):
         vocab = build_vocabulary(corpus_store([make_issue(title="a b b")]), min_count=1)
         assert vocab.freq("b") == 2 and vocab.freq("a") == 1
-        assert vocab.id("b") == 0 and vocab.id("a") == 1
+        assert vocab.lookup(["b", "a"]).tolist() == [0, 1]
 
     def test_min_count_threshold(self):
         vocab = build_vocabulary(corpus_store([make_issue(title="a b b")]), min_count=2)
@@ -427,8 +427,7 @@ class TestVocabulary:
     def test_ties_broken_lexicographically(self):
         vocab = build_vocabulary(corpus_store([make_issue(title="zeta echo zeta echo")]),
                                  min_count=1)
-        assert vocab.id("echo") == 0
-        assert vocab.id("zeta") == 1
+        assert vocab.lookup(["echo", "zeta"]).tolist() == [0, 1]
 
     def test_counts_all_fields(self):
         issue = make_issue("w x", "w y", ["w z", "w"])
@@ -438,7 +437,7 @@ class TestVocabulary:
     def test_ids_dense_and_frequencies_above_threshold(self):
         issue = make_issue("a a a b b c d d", "e", ["f f"])
         vocab = build_vocabulary(corpus_store([issue]), min_count=2)
-        ids = sorted(vocab.id(w) for w, _, _ in vocab.items())
+        ids = sorted(vocab.lookup(w for w, _, _ in vocab.items()).tolist())
         assert ids == list(range(len(vocab)))
         assert all(freq >= 2 for _, _, freq in vocab.items())
 
@@ -447,7 +446,7 @@ class TestVocabulary:
         words = ["c", "a", "b", "zz", "", "c"]
         assert vocab.lookup(words).dtype == np.int32
         assert vocab.lookup(words).tolist() == \
-            [vocab.id(w) if w in vocab else -1 for w in words] == [0, -1, 1, -1, -1, 0]
+            [vocab.words.index(w) if w in vocab else -1 for w in words] == [0, -1, 1, -1, -1, 0]
         assert vocab.lookup([]).tolist() == []
 
     def test_min_count_must_be_positive(self):

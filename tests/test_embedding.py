@@ -33,6 +33,7 @@ from arousalkit.embedding import (
     nearest_neighbors,
     nearest_neighbors_batch,
 )
+from arousalkit.parallel import split
 from conftest import corpus_store, subprocess_env
 
 
@@ -57,8 +58,7 @@ def coo(weights):
 
 def count_streams(streams, vocab, window):
     """count_cooccurrences over token streams, out-of-vocabulary tokens as -1."""
-    ids = np.array([vocab.id(t) if t in vocab else -1 for stream in streams for t in stream],
-                   dtype=np.int64)
+    ids = vocab.lookup([t for stream in streams for t in stream]).astype(np.int64)
     offsets = np.cumsum([0] + [len(stream) for stream in streams])
     return count_cooccurrences(ids, offsets, window)
 
@@ -68,7 +68,7 @@ def reference_count(unit_streams, vocab, window):
     cell is then the left fold of n_d * (1/d) over d = 1..window."""
     counts = {}
     for stream in unit_streams:
-        ids = [vocab.id(tok) if tok in vocab else -1 for tok in stream]
+        ids = vocab.lookup(stream).tolist()
         for t, i in enumerate(ids):
             for d in range(1, window + 1):
                 if i < 0 or t + d >= len(ids) or ids[t + d] < 0:
@@ -90,7 +90,7 @@ def loop_order_count(unit_streams, vocab, window):
     distance whenever every partial sum is exact, as at window <= 2."""
     weights = {}
     for stream in unit_streams:
-        ids = [vocab.id(tok) if tok in vocab else -1 for tok in stream]
+        ids = vocab.lookup(stream).tolist()
         n = len(ids)
         for t in range(n):
             i = ids[t]
@@ -119,7 +119,7 @@ class TestCooccurrences:
     def test_harmonic_weighting(self):
         vocab = vocab_over(["a", "b", "c"])
         cooc = cells(count_streams([["a", "b", "c"]], vocab, window=10))
-        a, b, c = vocab.id("a"), vocab.id("b"), vocab.id("c")
+        a, b, c = vocab.lookup(["a", "b", "c"]).tolist()
         assert cooc[(a, b)] == 1.0
         assert cooc[(b, c)] == 1.0
         assert cooc[(a, c)] == 0.5
@@ -127,12 +127,14 @@ class TestCooccurrences:
     def test_self_pair_counts_both_directions(self):
         vocab = vocab_over(["a"])
         cooc = cells(count_streams([["a", "a"]], vocab, window=1))
-        assert cooc[(vocab.id("a"), vocab.id("a"))] == 2.0
+        a, = vocab.lookup(["a"]).tolist()
+        assert cooc[(a, a)] == 2.0
 
     def test_no_counting_across_unit_boundaries(self):
         vocab = vocab_over(["a", "b", "c"])
         cooc = cells(count_streams([["a", "b"], ["b", "c"]], vocab, window=10))
-        assert cooc.get((vocab.id("a"), vocab.id("c")), 0.0) == 0.0
+        a, c = vocab.lookup(["a", "c"]).tolist()
+        assert cooc.get((a, c), 0.0) == 0.0
 
     def test_symmetry(self):
         vocab = vocab_over(["a", "b", "c", "d"])
@@ -144,7 +146,8 @@ class TestCooccurrences:
     def test_oov_tokens_occupy_positions(self):
         vocab = vocab_over(["a", "b"])
         cooc = cells(count_streams([["a", "zzz", "b"]], vocab, window=10))
-        assert cooc[(vocab.id("a"), vocab.id("b"))] == 0.5
+        a, b = vocab.lookup(["a", "b"]).tolist()
+        assert cooc[(a, b)] == 0.5
 
     @settings(max_examples=100, deadline=None)
     @given(STREAMS, st.integers(min_value=1, max_value=12), st.randoms(use_true_random=False))
@@ -671,11 +674,12 @@ if sys.argv[2] == "one":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import numpy as np
 from arousalkit import embedding
+from arousalkit.parallel import split
 dim = 100
 rows = 4 * embedding._DUMP_PARALLEL_MIN // dim
 matrix = np.random.default_rng(7).normal(size=(rows, dim))
 embedding.WordVectors([f"w{i}" for i in range(rows)], matrix).save(sys.argv[1])
-print(len(embedding._dump_ranges(matrix.size, rows)))
+print(len(split(rows, matrix.size, embedding._DUMP_PARALLEL_MIN)))
 """
 
 
@@ -795,8 +799,9 @@ class TestForkedDump:
 
     def test_ranges_at_the_default_threshold(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
-        assert embedding._dump_ranges(176 * 32, 176) == [(0, 176)]
-        assert embedding._dump_ranges(2 * embedding._DUMP_PARALLEL_MIN, 10) == [(0, 5), (5, 10)]
+        assert split(176, 176 * 32, embedding._DUMP_PARALLEL_MIN) == [(0, 176)]
+        assert split(10, 2 * embedding._DUMP_PARALLEL_MIN,
+                     embedding._DUMP_PARALLEL_MIN) == [(0, 5), (5, 10)]
 
 
 class TestBinaryRoundTrip:

@@ -1,7 +1,8 @@
 """Each stage against its row of ``STAGES``: a run creates or replaces
 exactly the stage's artifacts and the manifest, it opens the artifacts of
-exactly the stages in its ``reads``, and it opens no other file than the
-outside inputs of its row of ``INPUTS``. The declared dependencies are the
+exactly the stages in its ``reads``, it opens no other file than the
+outside inputs of its row of ``INPUTS``, and its body reads exactly the
+config keys in its ``keys``. The declared dependencies are the
 static ones and the files a body opens are the dynamic ones ("Build systems
 à la carte", Mokhov, Mitchell & Peyton Jones, ICFP 2018); a body that opened
 an undeclared artifact would escape every staleness check."""
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from arousalkit import pipeline
 from arousalkit.config import PipelineConfig
 from arousalkit.pipeline import (STAGES, run_agreement, run_build, run_evaluate, run_expand,
                                  run_ingest, run_neighbors, run_ratings, run_score, run_seeds,
@@ -57,8 +59,7 @@ CONTRACTS["seeds+extra_seeds"] = CONTRACTS["seeds"]
 CONTRACTS["neighbors"] = (("train",), ())
 
 #: stage -> the files it opens that are neither artifacts nor the manifest;
-#: a stage not named here opens none. ``score`` reads the general lexicon,
-#: whose key reaches its slice only through ``seeds``.
+#: a stage not named here opens none.
 INPUTS = {
     "ingest": lambda config: [config.corpus],
     "seeds": lambda config: [config.general_lexicon],
@@ -114,6 +115,57 @@ def test_stage_reads_and_writes_what_its_row_declares(reader_demo, tmp_path, sta
             if path.parent != work or path.name not in {*OWNER, "manifest.json"}} == inputs
     # the fuzz run of test_readers covers every artifact a stage opens
     assert artifacts <= set(READERS)
+
+
+def recording_config(config, read: set, prefix: str = ""):
+    """A copy of the dataclass ``config`` that adds the dotted name of each
+    field it is asked for to ``read``; a dataclass field is such a copy too.
+    Making a copy, as ``dataclasses.replace`` does, empties ``read``, so that
+    only the reads after the last copy count."""
+    fields = [field.name for field in dataclasses.fields(config)]
+
+    class Recording(type(config)):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            read.clear()
+
+        def __getattribute__(self, name):
+            value = object.__getattribute__(self, name)
+            if name in fields and not dataclasses.is_dataclass(value):
+                read.add(prefix + name)
+            return value
+
+    values = {name: getattr(config, name) for name in fields}
+    return Recording(**{name: recording_config(value, read, f"{prefix}{name}.")
+                        if dataclasses.is_dataclass(value) else value
+                        for name, value in values.items()})
+
+
+def unrecorded(function, read: set):
+    """``function``, with the names it adds to ``read`` taken out again."""
+    def wrapper(*args, **kwargs):
+        before = set(read)
+        try:
+            return function(*args, **kwargs)
+        finally:
+            read.intersection_update(before)
+    return wrapper
+
+
+@pytest.mark.parametrize("stage", sorted(set(RUNS) - {"neighbors"}))
+def test_stage_body_reads_the_keys_its_row_declares(reader_demo, tmp_path, stage):
+    # the manifest check and record read the slices of other stages too;
+    # only the reads of the body count
+    work = tmp_path / "work"
+    shutil.copytree(reader_demo, work)
+    config = PipelineConfig.load(work / "inputs" / "config.json")
+    config.work_dir = str(work)
+    read: set = set()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "hash_config_slice",
+                      unrecorded(pipeline.hash_config_slice, read))
+        RUNS[stage](recording_config(config, read))
+    assert read - {"work_dir"} == set(STAGES[stage.split("+")[0]].keys)
 
 
 def test_vocab_csv_is_the_vocabulary_the_stages_build(reader_demo, tmp_path):
