@@ -5,9 +5,10 @@ rating records, domain lexicon, scores) is UTF-8 text with a header row
 and ``\\n`` line ends. A field is quoted only when it contains a comma, a
 double quote or a line break (RFC 4180), so any string round-trips.
 
-The binary artifacts (the token store and the embedding) are ``.npy``
-records back to back, the first one a format tag, with no pickles and no
-timestamps, so the same content always gives the same bytes.
+The binary artifacts (the token store, the embedding and the score table
+``scores.bin``) are ``.npy`` records back to back, the first one a format
+tag, with no pickles and no timestamps, so the same content always gives
+the same bytes.
 
 Artifact files are written to a sibling temporary file that replaces the
 target only once the write has completed, so a stage that fails midway

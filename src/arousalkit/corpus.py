@@ -376,43 +376,33 @@ VOCAB_HEADER = ("word", "id", "freq")
 
 
 class Vocabulary:
-    """Word frequencies with dense ids assigned by descending frequency,
-    ties broken lexicographically."""
+    """Words with dense ids assigned by descending frequency, ties broken
+    lexicographically: ``words`` in id order and ``freqs`` parallel to it."""
 
     def __init__(self, counts: dict[str, int], min_count: int = 1):
         if min_count < 1:
             raise ValueError("min_count must be >= 1")
-        kept = [(w, c) for w, c in counts.items() if c >= min_count]
-        kept.sort(key=lambda wc: (-wc[1], wc[0]))
-        self._ids = {w: i for i, (w, _) in enumerate(kept)}
-        self._freqs = {w: c for w, c in kept}
-        self._words = [w for w, _ in kept]
+        kept = sorted((-c, w) for w, c in counts.items() if c >= min_count)
+        self.words: list[str] = [w for _, w in kept]
+        self.freqs: list[int] = [-c for c, _ in kept]
+        self._ids = {w: i for i, w in enumerate(self.words)}
 
     def __contains__(self, word: str) -> bool:
         return word in self._ids
 
     def __len__(self) -> int:
-        return len(self._ids)
-
-    @property
-    def words(self) -> list[str]:
-        """Words ordered by id."""
-        return self._words
+        return len(self.words)
 
     def lookup(self, words: Iterable[str]) -> np.ndarray:
         """The int32 id of each word, -1 for a word not in the vocabulary."""
         return np.fromiter(map(self._ids.get, words, itertools.repeat(-1)), dtype=np.int32)
 
     def freq(self, word: str, default: int = 0) -> int:
-        return self._freqs.get(word, default)
-
-    def items(self) -> Iterable[tuple[str, int, int]]:
-        """(word, id, frequency) triples in id order."""
-        for word in self._words:
-            yield word, self._ids[word], self._freqs[word]
+        i = self._ids.get(word)
+        return default if i is None else self.freqs[i]
 
     def save(self, path: str | Path) -> None:
-        write_rows(path, VOCAB_HEADER, self.items())
+        write_rows(path, VOCAB_HEADER, zip(self.words, range(len(self.words)), self.freqs))
 
 
 def build_vocabulary(store: TokenStore, min_count: int = 1) -> Vocabulary:

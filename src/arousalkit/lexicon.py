@@ -36,7 +36,6 @@ from .corpus import Vocabulary
 from .embedding import WordVectors, nearest_neighbors_batch
 from .scoring import ScoringLexicon
 from .stats import pearson_r, weighted_kappa
-from .wordnet import SynsetDb, synonyms
 
 logger = logging.getLogger(__name__)
 
@@ -309,15 +308,16 @@ class CandidateSet(_WordTable):
 
 
 def expand_wordnet(
-    candidates: CandidateSet, seeds: SeedSet, db: SynsetDb, words: Container[str]
+    candidates: CandidateSet, seeds: SeedSet, synonyms: dict[str, set[str]], words: Container[str]
 ) -> int:
-    """Add the synonyms of every seed that are among ``words`` as candidates.
+    """Add the ``load_wordnet`` synonyms of every seed that are among ``words`` as candidates.
 
     A synonym reachable from several seeds keeps its first provenance.
     Returns the number of candidates added.
     """
     return sum(candidates.add(Candidate(syn, f"wordnet:{seed.word}"))
-               for seed in seeds for syn in sorted(synonyms(db, seed.word)) if syn in words)
+               for seed in seeds for syn in sorted(synonyms.get(seed.word.lower(), ()))
+               if syn in words)
 
 
 def expand_embedding(

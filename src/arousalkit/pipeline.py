@@ -236,10 +236,10 @@ def run_expand(config: PipelineConfig) -> CandidateSet:
     with Workspace(config).stage("expand") as ws:
         seeds = SeedSet.load(ws.path("seeds.csv"))
         candidates = CandidateSet.from_seeds(seeds)
-        db = load_wordnet(config.wordnet_dir)
+        synonyms = load_wordnet(config.wordnet_dir)
         # train writes one vector for each word of the vocabulary
         vectors = WordVectors.load_binary(ws.path("embedding.bin"))
-        n_wn = expand_wordnet(candidates, seeds, db, vectors)
+        n_wn = expand_wordnet(candidates, seeds, synonyms, vectors)
         n_emb = expand_embedding(candidates, seeds, vectors, config.k)
         candidates.save(ws.path("candidates.csv"))
     logger.info(

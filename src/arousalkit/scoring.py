@@ -34,12 +34,11 @@ import numpy as np
 
 from .artifacts import (atomic_open, pack_strings, quote_cells, read_records, unpack_strings,
                         write_records)
-from .corpus import PRIORITY_CODES, Field, Priority, TokenStore
+from .corpus import Field, Priority, TokenStore
 
 MODES = ("general", "sea", "combined")
 #: the code of a field, mode or priority in a ScoreTable: its position in Field, MODES or Priority
-CODES = {member: i for members in (Field, MODES) for i, member in enumerate(members)}
-CODES.update(PRIORITY_CODES)
+CODES = {member: i for members in (Field, MODES, Priority) for i, member in enumerate(members)}
 
 _FIELDS = tuple(Field)
 

@@ -1,8 +1,10 @@
-"""Parser for WordNet 3.x plain-text database files and synonym lookup.
+"""Parser for WordNet 3.x plain-text database files into a synonym map.
 
-Only the synset membership structure is read: index.{noun,verb,adj,adv}
-map lemmas to synset offsets, data.{noun,verb,adj,adv} hold the synsets
-keyed by those offsets. Pointers, glosses, and verb frames are ignored.
+Only the synset membership structure is read. Each line of
+data.{noun,verb,adj,adv} is one synset, and ``load_wordnet`` maps every
+lemma to the single-word lemmas it shares a synset with, in any part of
+speech. index.{noun,verb,adj,adv} are read only to warn of offsets that
+no data-file line holds. Pointers, glosses, and verb frames are ignored.
 """
 
 from __future__ import annotations
@@ -25,25 +27,6 @@ class WordNetError(Exception):
     pass
 
 
-class SynsetDb:
-    """Bidirectional lemma <-> synset maps built from the data files."""
-
-    def __init__(self):
-        # (pos, offset) -> sorted member lemmas
-        self.members: dict[tuple[str, int], list[str]] = {}
-        # lemma -> set of (pos, offset)
-        self.synsets_of: dict[str, set[tuple[str, int]]] = {}
-
-    def add_synset(self, pos: str, offset: int, lemmas: list[str]) -> None:
-        key = (pos, offset)
-        self.members[key] = sorted(set(lemmas))
-        for lemma in lemmas:
-            self.synsets_of.setdefault(lemma, set()).add(key)
-
-    def synsets(self, lemma: str) -> set[tuple[str, int]]:
-        return self.synsets_of.get(lemma.lower(), set())
-
-
 def _strip_marker(word: str) -> str:
     for marker in _ADJ_MARKERS:
         if word.endswith(marker):
@@ -51,21 +34,20 @@ def _strip_marker(word: str) -> str:
     return word
 
 
-def _parse_data_line(line: str) -> tuple[int, str, list[str]]:
-    """One data-file synset: offset, ss_type, member lemmas (lowercased)."""
+def _parse_data_line(line: str) -> tuple[int, list[str]]:
+    """One data-file synset: offset and member lemmas (lowercased)."""
     body = line.split("|", 1)[0]
     fields = body.split()
     if len(fields) < 5:
         raise ValueError("too few fields")
     offset = int(fields[0])
-    ss_type = fields[2]
     w_cnt = int(fields[3], 16)
     if w_cnt < 1 or len(fields) < 4 + 2 * w_cnt:
         raise ValueError("word count does not match fields")
     lemmas = [
         _strip_marker(fields[4 + 2 * n]).lower() for n in range(w_cnt)
     ]
-    return offset, ss_type, lemmas
+    return offset, lemmas
 
 
 def _parse_index_line(line: str) -> tuple[str, list[int]]:
@@ -95,44 +77,44 @@ def _parsed_lines(path: Path, parse: Callable[[str], tuple]) -> Iterator[tuple[i
             logger.warning("%s:%d: %s; line skipped", path, lineno, exc)
 
 
-def load_wordnet(dict_dir: str | Path) -> SynsetDb:
-    """Load a WordNet dict directory into a SynsetDb.
+def load_wordnet(dict_dir: str | Path) -> dict[str, set[str]]:
+    """Map each lemma of a WordNet dict directory's data files, lowercased,
+    to the single-word lemmas that share a synset with it, in any part of
+    speech, the lemma itself excluded.
 
-    A missing index or data file is fatal. Index entries whose offsets do
-    not resolve to a data-file synset are dropped with a warning.
+    A missing index or data file is fatal. A data line whose offset an
+    earlier line of its file holds is kept as a synset of its own, with a
+    warning. Index entries whose offsets do not resolve to a data-file
+    synset are dropped with a warning.
     """
     dict_dir = Path(dict_dir)
-    db = SynsetDb()
     for suffix in POS_SUFFIXES:
         for kind in ("index", "data"):
             path = dict_dir / f"{kind}.{suffix}"
             if not path.is_file():
                 raise WordNetError(f"missing WordNet file: {path}")
 
+    synonyms: dict[str, set[str]] = {}
     for suffix in POS_SUFFIXES:
         data_path = dict_dir / f"data.{suffix}"
-        offsets_seen: set[int] = set()
-        for _, (offset, ss_type, lemmas) in _parsed_lines(data_path, _parse_data_line):
-            db.add_synset(suffix, offset, lemmas)
-            offsets_seen.add(offset)
+        line_of_offset: dict[int, int] = {}
+        for lineno, (offset, lemmas) in _parsed_lines(data_path, _parse_data_line):
+            first = line_of_offset.setdefault(offset, lineno)
+            if first != lineno:
+                logger.warning("%s:%d: offset %08d repeats line %d; kept as a synset of its own",
+                               data_path, lineno, offset, first)
+            single = {lemma for lemma in lemmas if "_" not in lemma}
+            for lemma in lemmas:
+                synonyms.setdefault(lemma, set()).update(single)
 
         index_path = dict_dir / f"index.{suffix}"
         for lineno, (lemma, offsets) in _parsed_lines(index_path, _parse_index_line):
             for off in offsets:
-                if off not in offsets_seen:
+                if off not in line_of_offset:
                     logger.warning(
                         "%s:%d: offset %08d of %r missing from %s",
                         index_path, lineno, off, lemma, data_path.name,
                     )
-    return db
-
-
-def synonyms(db: SynsetDb, word: str) -> set[str]:
-    """All single-word co-members of the word's synsets, across every part
-    of speech, excluding the word itself. Unknown words yield an empty set."""
-    word = word.lower()
-    result: set[str] = set()
-    for key in db.synsets(word):
-        result.update(db.members[key])
-    result.discard(word)
-    return {w for w in result if "_" not in w}
+    for lemma, others in synonyms.items():
+        others.discard(lemma)
+    return synonyms

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import conftest
 from arousalkit import corpus, pipeline, synthetic
-from arousalkit.artifacts import pack_strings, write_records
+from arousalkit.artifacts import pack_strings, write_records, write_rows
 from arousalkit.config import PipelineConfig
 from arousalkit.pipeline import run_ingest
 from arousalkit.corpus import (
@@ -437,9 +437,8 @@ class TestVocabulary:
     def test_ids_dense_and_frequencies_above_threshold(self):
         issue = make_issue("a a a b b c d d", "e", ["f f"])
         vocab = build_vocabulary(corpus_store([issue]), min_count=2)
-        ids = sorted(vocab.lookup(w for w, _, _ in vocab.items()).tolist())
-        assert ids == list(range(len(vocab)))
-        assert all(freq >= 2 for _, _, freq in vocab.items())
+        assert vocab.lookup(vocab.words).tolist() == list(range(len(vocab)))
+        assert all(freq >= 2 for freq in vocab.freqs)
 
     def test_lookup_maps_words_to_ids_or_minus_one(self):
         vocab = build_vocabulary(corpus_store([make_issue(title="a b b c c c")]), min_count=2)
@@ -457,8 +456,30 @@ class TestVocabulary:
     def test_total_mass_equals_token_count(self, words):
         issue = make_issue(title=" ".join(words))
         vocab = build_vocabulary(corpus_store([issue]), min_count=1)
-        total = sum(freq for _, _, freq in vocab.items())
-        assert total == len(tokenize(" ".join(words)))
+        assert sum(vocab.freqs) == len(tokenize(" ".join(words)))
+
+    @given(st.dictionaries(st.text(alphabet="abc", min_size=1, max_size=3),
+                           st.integers(1, 6), max_size=20),
+           st.integers(1, 5))
+    def test_words_freqs_and_saved_rows_match_the_reference(self, tmp_path_factory, counts,
+                                                            min_count):
+        # ties are frequent: six counts over up to twenty words
+        kept = sorted((w for w, c in counts.items() if c >= min_count),
+                      key=lambda w: (-counts[w], w))
+        triples = [(w, i, counts[w]) for i, w in enumerate(kept)]
+        vocab = Vocabulary(counts, min_count=min_count)
+        assert vocab.words == [w for w, _, _ in triples]
+        assert vocab.freqs == [c for _, _, c in triples]
+        assert len(vocab) == len(triples)
+        assert vocab.lookup(counts).tolist() == [
+            vocab.words.index(w) if counts[w] >= min_count else -1 for w in counts]
+        for word, count in counts.items():
+            assert (word in vocab) == (count >= min_count)
+            assert vocab.freq(word, -1) == (count if count >= min_count else -1)
+        tmp = tmp_path_factory.mktemp("vocab")
+        vocab.save(tmp / "vocab.csv")
+        write_rows(tmp / "reference.csv", corpus.VOCAB_HEADER, triples)
+        assert (tmp / "vocab.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
 
 
 class _Records(logging.Handler):

@@ -296,6 +296,14 @@ class TestExpandWordnet:
             expand_wordnet(by_vocab, seeds, db, vocab) == 2
         assert list(by_vectors) == list(by_vocab)
 
+    def test_seed_word_is_looked_up_lowercased(self, small_world):
+        _, vocab, db, _ = small_world
+        seeds = SeedSet()
+        seeds.add(Seed("QUICK", "high", "brainstorm", 30))
+        candidates = CandidateSet.from_seeds(seeds)
+        assert expand_wordnet(candidates, seeds, db, vocab) == 1
+        assert by_word(candidates)["fast"].provenance == "wordnet:QUICK"
+
     def test_synonym_from_two_seeds_keeps_first_provenance(self, tmp_path):
         vocab = Vocabulary({"a": 9, "b": 9, "shared": 9}, min_count=1)
         write_wordnet_fixture(
