@@ -4,17 +4,20 @@ lexicons and render the priority-pair effect-size tables.
 
 This is the external-data evaluation path: it needs the full issue
 corpus (JSON lines), the general-purpose arousal lexicon CSV, and a
-built domain lexicon file. The combined-mode AllComments Blocker-Trivial
-cell is printed for comparison against the reference value 0.5070.
+built domain lexicon file. It writes ``scores.csv`` and the ``eval_*``
+files into ``--out-dir`` through the writers of the ``score`` and
+``evaluate`` stages. The combined-mode AllComments Blocker-Trivial cell is
+printed for comparison against the reference value 0.5070.
 """
 
 import argparse
 import sys
+from pathlib import Path
 
 from arousalkit.corpus import Field, read_corpus
 from arousalkit.evalstats import PRIORITY_PAIRS, evaluate_priorities, pair_label, render_tables
 from arousalkit.lexicon import SeaLexicon, load_general_lexicon
-from arousalkit.scoring import ScoringLexicon, round_scores, score_corpus
+from arousalkit.scoring import ScoringLexicon, save_scores, score_corpus
 
 
 def main():
@@ -28,14 +31,17 @@ def main():
 
     general = load_general_lexicon(args.general_lexicon)
     sea = ScoringLexicon(SeaLexicon.load(args.sea_lexicon).arousal_map())
-    # the reals as the export states them, which is what `arousalkit evaluate` reads
-    rows = round_scores(score_corpus(read_corpus(args.corpus), general, sea))
+    rows = score_corpus(read_corpus(args.corpus), general, sea)
     if not len(rows):
         sys.exit(f"error: no text unit of {args.corpus} matches a word of "
                  f"{args.general_lexicon} or {args.sea_lexicon}; nothing to evaluate")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # the reals as the export states them, which is what `arousalkit evaluate` reads
+    rows = save_scores(rows, out_dir / "scores.csv")
+    print(f"wrote {out_dir / 'scores.csv'}")
     table = evaluate_priorities(rows, t_test=args.t_test)
-    written = render_tables(table, args.out_dir)
-    for path in written:
+    for path in render_tables(table, out_dir):
         print(f"wrote {path}")
     pair = PRIORITY_PAIRS[0]
     cell = table.cell(Field.ALL_COMMENTS, "combined", pair)

@@ -145,18 +145,12 @@ def _line_ranges(path: str | Path) -> list[tuple[int, Optional[int]]]:
 
 @dataclass
 class _Part:
-    """The token store of one line range, lines numbered from its first line:
-    ``words`` maps each word to its id in ``ids``, in order of first
-    occurrence; ``offsets`` and ``issue_streams`` start at 0. ``issue_lines``
-    holds the line of each issue, ``warnings`` the (line, problem) of each
-    malformed record, ``error`` the (line, problem) that ended the read early."""
+    """One line range read into a token store, lines numbered from its first
+    line: ``issue_lines`` holds the line of each issue, ``warnings`` the
+    (line, problem) of each malformed record, ``error`` the (line, problem)
+    that ended the read early."""
 
-    words: dict[str, int]
-    ids: array
-    offsets: array
-    issue_streams: array
-    issue_ids: list[str]
-    priority: array
+    store: TokenStore
     issue_lines: array
     warnings: list[tuple[int, str]]
     lines: int
@@ -210,8 +204,11 @@ def _read_part(path: str | Path, start: int, stop: Optional[int]) -> _Part:
     except LineError as exc:
         error = (exc.line, exc.problem)
     index.default_factory = None  # the bound __len__ would keep the dictionary in a cycle
-    return _Part(index, ids, offsets, issue_streams, issue_ids, priority, issue_lines,
-                 warnings, lineno, error)
+    store = TokenStore(np.frombuffer(ids, dtype=np.intc).astype(np.int32, copy=False),
+                       list(index), issue_ids, np.frombuffer(offsets, dtype=np.int64),
+                       np.frombuffer(issue_streams, dtype=np.int64),
+                       np.frombuffer(priority, dtype=np.int8))
+    return _Part(store, issue_lines, warnings, lineno, error)
 
 
 def _spool_part(path: str | Path, spool, start: int, stop: Optional[int]) -> None:
@@ -224,17 +221,15 @@ class _Merge:
 
     def __init__(self, path: str | Path):
         self.path = path
-        self.words: dict[str, int] = {}
-        self.ids, self.offsets, self.issue_streams, self.priority = [], [], [], []
-        self.issue_ids: list[str] = []
+        self.parts: list[TokenStore] = []
         self.first_line: dict[str, int] = {}
-        self.lines = self.tokens = self.streams = self.skipped = 0
+        self.lines = self.skipped = 0
 
     def add(self, part: _Part) -> None:
-        """Append a part; log its warnings, and raise its error or that of an
-        issue id seen before, whichever comes first in the file."""
+        """Keep a part's store; log its warnings, and raise its error or that
+        of an issue id seen before, whichever comes first in the file."""
         error = part.error
-        for issue_id, line in zip(part.issue_ids, part.issue_lines):
+        for issue_id, line in zip(part.store.issue_ids, part.issue_lines):
             seen = self.first_line.setdefault(issue_id, self.lines + line)
             if seen != self.lines + line:
                 error = (line, f"duplicate issue id {issue_id!r} (first on line {seen})")
@@ -245,33 +240,30 @@ class _Merge:
             logger.warning("line %d: %s", self.lines + line, problem)
         if error:
             raise LineError(self.path, self.lines + error[0], error[1])
-        ids = np.frombuffer(part.ids, dtype=np.intc).astype(np.int32, copy=False)
-        offsets = np.frombuffer(part.offsets, dtype=np.int64)
-        issue_streams = np.frombuffer(part.issue_streams, dtype=np.int64)
-        if self.ids:  # shift the bounds and map the ids to those of the whole file
-            offsets, issue_streams = offsets[1:] + self.tokens, issue_streams[1:] + self.streams
-            words = self.words
-            ids = np.fromiter((words.setdefault(w, len(words)) for w in part.words),
-                              dtype=np.int32, count=len(part.words))[ids]
-        else:
-            self.words = part.words
-        self.ids.append(ids)
-        self.offsets.append(offsets)
-        self.issue_streams.append(issue_streams)
-        self.priority.append(np.frombuffer(part.priority, dtype=np.int8))
-        self.issue_ids += part.issue_ids
+        self.parts.append(part.store)
         self.lines += part.lines
-        self.tokens += len(ids)
-        self.streams += len(part.offsets) - 1
         self.skipped += len(part.warnings)
 
     def store(self) -> TokenStore:
+        """The one part's store as it is, or the parts with their ids mapped to
+        those of the whole file and their bounds shifted, concatenated."""
         if self.skipped:
             logger.warning("%s: skipped %d malformed record(s)", self.path, self.skipped)
-        ids, offsets, issue_streams, priority = (
-            arrays[0] if len(arrays) == 1 else np.concatenate(arrays)  # one range: no copy
-            for arrays in (self.ids, self.offsets, self.issue_streams, self.priority))
-        return TokenStore(ids, list(self.words), self.issue_ids, offsets, issue_streams, priority)
+        if len(self.parts) == 1:
+            return self.parts[0]
+        words: dict[str, int] = {}
+        ids, offsets, issue_streams = [], [np.zeros(1, np.int64)], [np.zeros(1, np.int64)]
+        tokens = streams = 0
+        for part in self.parts:
+            ids.append(np.fromiter((words.setdefault(w, len(words)) for w in part.words),
+                                   dtype=np.int32, count=len(part.words))[part.ids])
+            offsets.append(part.offsets[1:] + tokens)
+            issue_streams.append(part.issue_streams[1:] + streams)
+            tokens, streams = tokens + len(part.ids), streams + len(part.offsets) - 1
+        return TokenStore(np.concatenate(ids), list(words),
+                          [issue_id for part in self.parts for issue_id in part.issue_ids],
+                          np.concatenate(offsets), np.concatenate(issue_streams),
+                          np.concatenate([part.priority for part in self.parts]))
 
 
 def _record_problem(record: object) -> Optional[str]:
@@ -346,7 +338,8 @@ class TokenStore:
     @classmethod
     def load(cls, path: str | Path) -> "TokenStore":
         """Read a store written by ``save``; a short, corrupt or inconsistent
-        file raises CorpusFormatError naming the path."""
+        file, one whose dictionary repeats a word or whose issue ids repeat
+        included, raises CorpusFormatError naming the path."""
         return read_records(path, "token store", _STORE_TAG, _STORE_LAYOUT, _unpack_store)
 
 
@@ -365,6 +358,11 @@ def _unpack_store(ids, offsets, issue_streams, word_data, word_offsets, id_data,
         raise ValueError("stream bounds are inconsistent")
     if len(ids) and (ids.min() < 0 or ids.max() >= len(words)):
         raise ValueError("token id outside the dictionary")
+    for kind, strings in (("word", words), ("issue id", issue_ids)):
+        if len(set(strings)) != len(strings):
+            seen: set[str] = set()
+            repeat = next(s for s in strings if s in seen or seen.add(s))
+            raise ValueError(f"the {kind} {repeat!r} repeats")
     if len(priority) != len(issue_ids):
         raise ValueError("one priority code per issue required")
     if len(priority) and (priority.min() < 0 or priority.max() >= len(Priority)):

@@ -12,6 +12,7 @@ import contextlib
 import os
 import signal
 import tempfile
+import traceback
 import warnings
 from pathlib import Path
 from typing import IO, Callable, Iterator, Optional, Sequence
@@ -35,7 +36,8 @@ def forked(work: Callable[..., None], ranges: Sequence[tuple], name: Callable[..
     unlinked spool file in ``spool_dir`` and exits; yield an iterator of the
     spools in range order, each rewound once its child has exited 0.
 
-    A child that fails raises RuntimeError "``name(*range)`` ended with ...".
+    A child that fails raises RuntimeError "``name(*range)`` ended with ...";
+    a child whose ``work`` raised has written the traceback to stderr.
     Leaving the block kills and reaps every child still running.
     """
     with contextlib.ExitStack() as spools:
@@ -64,12 +66,13 @@ def _reaped(running: list, name: Callable[..., str]) -> Iterator[IO[bytes]]:
 
 
 def _fork(work: Callable[..., None], spool: IO[bytes], part: tuple) -> int:
-    """Fork a child that runs ``work(spool, *part)`` and exits, 0 on success;
-    return its pid."""
+    """Fork a child that runs ``work(spool, *part)`` and exits, 0 on success
+    and 1, after writing the traceback to stderr, if it raises; return its pid."""
     with warnings.catch_warnings():
         # Python 3.12+ warns on fork in a process with other threads, which
         # numpy's BLAS pool starts. The child is safe: it runs no BLAS, takes
-        # no lock, does not log, and leaves by os._exit.
+        # no lock, does not use the logging module (a traceback goes to fd 2
+        # in one os.write), and leaves by os._exit.
         warnings.filterwarnings("ignore", r"This process .*use of fork\(\) may lead to "
                                 "deadlocks", DeprecationWarning)
         pid = os.fork()
@@ -81,6 +84,8 @@ def _fork(work: Callable[..., None], spool: IO[bytes], part: tuple) -> int:
             work(spool, *part)
             spool.flush()
             code = 0
+        except Exception:
+            os.write(2, traceback.format_exc().encode("utf-8", "backslashreplace"))
         finally:
             os._exit(code)
     return pid

@@ -241,12 +241,6 @@ def _four_decimals(values: np.ndarray) -> tuple[list[str], np.ndarray, np.ndarra
     return texts, index, np.fromiter(map(float, texts), np.float64, len(texts))[index]
 
 
-def round_scores(table: ScoreTable) -> ScoreTable:
-    """``table`` with each real replaced by the float64 that its 4-decimal
-    text in ``scores.csv`` reads back to: the reals that ``evaluate`` sees."""
-    return replace(table, **{name: _four_decimals(getattr(table, name))[2] for name in _REALS})
-
-
 def save_scores(table: ScoreTable, path: str | Path) -> ScoreTable:
     """Write the ``scores.csv`` export: the bytes ``write_rows`` gives for
     one row per score with reals at 4 decimals. Each column becomes a table
@@ -254,8 +248,9 @@ def save_scores(table: ScoreTable, path: str | Path) -> ScoreTable:
     ``field,mode`` pairs, distinct ``n_matched``, distinct bit patterns of
     each real); a chunk of rows is one gather of texts and one ``"".join``.
     A present row has ``n_matched >= 1``, so the distinct counts are the
-    nonzero bins of one ``np.bincount``. Returns ``table`` with its reals as
-    ``round_scores`` gives them."""
+    nonzero bins of one ``np.bincount``. Returns ``table`` with each real
+    replaced by the float64 that its text reads back to: the reals that
+    ``evaluate`` sees."""
     seen = np.bincount(table.n_matched) > 0
     texts = [[cell + "," for cell in quote_cells(table.issue_ids, path)],
              [f"{field.value},{mode}," for field in _FIELDS for mode in MODES],

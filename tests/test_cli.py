@@ -1111,8 +1111,10 @@ class TestReproduceScript:
             capture_output=True, text=True, env=subprocess_env(), timeout=300)
         assert result.returncode == 0, result.stderr
         assert sorted(p.name for p in out_dir.iterdir()) == [
-            "eval_d.csv", "eval_df.csv", "eval_p.csv", "eval_t.csv", "eval_tables.txt"]
-        # the script evaluates the reals that the export states, as `evaluate` does
+            "eval_d.csv", "eval_df.csv", "eval_p.csv", "eval_t.csv", "eval_tables.txt",
+            "scores.csv"]
+        # the script writes the export through `score`'s writer and evaluates
+        # the reals that it states, as `evaluate` does
         for path in out_dir.iterdir():
             assert path.read_bytes() == (demo_run.work_dir / path.name).read_bytes(), path.name
         match = re.search(r"^combined all_comments .*: d=(-?\d+\.\d+) ", result.stdout, re.M)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -325,12 +326,12 @@ class TestTokenStore:
         assert [list(Priority)[c] for c in loaded.priority.tolist()] == \
             [priority for _, priority, _, _ in records]
 
-    def rewrite(self, path, priority=None):
-        """Save the fixture store to ``path``, with another priority record if given."""
-        store = corpus_store(self.issues())
+    def rewrite(self, path, **changes):
+        """Save the fixture store to ``path``, with the fields in ``changes`` replaced."""
+        store = dataclasses.replace(corpus_store(self.issues()), **changes)
         write_records(path, _STORE_TAG, (
             store.ids, store.offsets, store.issue_streams, *pack_strings(store.words),
-            *pack_strings(store.issue_ids), store.priority if priority is None else priority))
+            *pack_strings(store.issue_ids), store.priority))
 
     def test_rewrite_helper_matches_save(self, tmp_path):
         corpus_store(self.issues()).save(tmp_path / "a.bin")
@@ -359,6 +360,28 @@ class TestTokenStore:
         path = tmp_path / "tokens.bin"
         self.rewrite(path, priority=priority)
         with pytest.raises(CorpusFormatError, match=f"tokens.bin.*{problem}"):
+            TokenStore.load(path)
+
+    @pytest.mark.parametrize("field, kind", [("words", "word"), ("issue_ids", "issue id")])
+    def test_repeated_word_or_issue_id_is_refused_by_name(self, tmp_path, field, kind):
+        # read_corpus never writes either; vocabulary counts and score rows would repeat
+        path = tmp_path / "tokens.bin"
+        strings = getattr(corpus_store(self.issues()), field)
+        self.rewrite(path, **{field: [*strings[:-1], strings[0]]})
+        with pytest.raises(CorpusFormatError, match=(
+                f"^{re.escape(str(path))}: not a valid token store: "
+                f"the {kind} {re.escape(repr(strings[0]))} repeats$")):
+            TokenStore.load(path)
+
+    def test_repeat_is_named_at_its_second_occurrence(self, tmp_path):
+        path = tmp_path / "tokens.bin"
+        # "a" repeats too, but "b" is the first string seen a second time
+        self.rewrite(path, issue_ids=["X-1", "X-2", "X-2"], words=[
+            "a", "b", "b", "a", "c", "d", "e", "f", "g"])
+        with pytest.raises(CorpusFormatError, match="the word 'b' repeats$"):
+            TokenStore.load(path)
+        self.rewrite(path, issue_ids=["X-1", "X-2", "X-2"])
+        with pytest.raises(CorpusFormatError, match="the issue id 'X-2' repeats$"):
             TokenStore.load(path)
 
     @pytest.mark.parametrize("cut", [1, 10, 100, -1])
@@ -600,6 +623,17 @@ class TestCuts:
             assert len(starts) == cpus
             assert all(path.read_bytes()[start - 1] == ord("\n") for start in starts[1:])
 
+    def test_one_range_returns_the_store_of_its_part_uncopied(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path, b'{"id": "A", "title": "x y x"}\n{"id": "B", "title": "y"}\n')
+        assert len(corpus._line_ranges(str(path))) == 1
+        parts, read_part = [], corpus._read_part
+        monkeypatch.setattr(corpus, "_read_part",
+                            lambda *args: parts.append(read_part(*args)) or parts[-1])
+        store = corpus.read_corpus(path)
+        assert [part.store for part in parts] == [store]
+        assert np.shares_memory(store.ids, parts[0].store.ids)
+        assert store.ids.tolist() == [0, 1, 0, 1]
+
     def test_duplicate_id_across_ranges_names_both_lines(self, tmp_path, monkeypatch):
         lines = [b'{"id": "%s", "title": "t"}\n' % i for i in (b"A", b"B", b"C", b"A")]
         path = self.write(tmp_path, b"".join(lines))
@@ -694,8 +728,8 @@ class TestForkedRead:
         ("child killed", f"signal {signal.SIGKILL.value}"),
         ("parent interrupted", None),
     ])
-    def test_failure_leaves_no_spool_and_no_process(self, tmp_path, monkeypatch, failure,
-                                                    ended):
+    def test_failure_leaves_no_spool_and_no_process(self, tmp_path, monkeypatch, capfd,
+                                                    failure, ended):
         spools = tmp_path / "spools"
         spools.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(spools))
@@ -712,7 +746,7 @@ class TestForkedRead:
                     raise KeyboardInterrupt
                 time.sleep(60)  # until read_corpus kills it
             if failure == "child raises" and os.getpid() != parent:
-                raise MemoryError
+                raise MemoryError("the range could not be held")
             if failure == "child killed" and os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
             return tokenize_(text)
@@ -732,6 +766,13 @@ class TestForkedRead:
             if os.getpid() != parent:  # a child unwound out of read_corpus
                 os._exit(99)
         assert time.perf_counter() - start < 30
+        err = capfd.readouterr().err
+        if failure == "child raises":  # the child's traceback, once
+            assert err.startswith("Traceback (most recent call last):\n")
+            assert err.endswith("\nMemoryError: the range could not be held\n")
+            assert err.count("Traceback") == 1
+        else:
+            assert err == ""
         assert list(spools.iterdir()) == []
         if fds is not None:
             assert len(os.listdir("/proc/self/fd")) == len(fds)

@@ -748,7 +748,7 @@ class TestForkedDump:
         ("child killed", f"signal {signal.SIGKILL.value}"),
         ("parent interrupted", None),
     ])
-    def test_failure_leaves_the_old_file_and_no_process(self, tmp_path, monkeypatch,
+    def test_failure_leaves_the_old_file_and_no_process(self, tmp_path, monkeypatch, capfd,
                                                         failure, ended):
         self.split(monkeypatch, 2)
         parent, dump_rows = os.getpid(), embedding._dump_rows
@@ -759,7 +759,7 @@ class TestForkedDump:
                     raise KeyboardInterrupt
                 time.sleep(60)  # until save kills it
             if failure == "child raises" and os.getpid() != parent:
-                raise MemoryError
+                raise MemoryError("the range could not be held")
             if failure == "child killed" and os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
             return dump_rows(words, block)
@@ -781,6 +781,13 @@ class TestForkedDump:
             if os.getpid() != parent:  # a child unwound out of save
                 os._exit(99)
         assert time.perf_counter() - start < 30
+        err = capfd.readouterr().err
+        if failure == "child raises":  # the child's traceback, once
+            assert err.startswith("Traceback (most recent call last):\n")
+            assert err.endswith("\nMemoryError: the range could not be held\n")
+            assert err.count("Traceback") == 1
+        else:
+            assert err == ""
         assert path.read_bytes() == b"before"
         assert [p.name for p in tmp_path.iterdir()] == ["embedding.txt"]
         with pytest.raises(ChildProcessError):
