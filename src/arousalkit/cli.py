@@ -52,6 +52,7 @@ def main(ctx, config_path, work_dir, seed, verbose):
         config.work_dir = work_dir
     if seed is not None:
         config.embedding.seed = seed
+    _run(config.validate)  # an override is refused before any stage runs
     ctx.obj = {"config": config, "seed": seed}
 
 

@@ -104,16 +104,32 @@ def read_corpus(path: str | Path) -> TokenStore:
     path and the first line and byte of its range; no child outlives the call.
     """
     first, *others = _line_ranges(path)
-    merged = _Merge(path)
+    first_line: dict[str, int] = {}
+    stores, lines, skipped = [], 0, 0
 
     def name(start: int, stop: Optional[int]) -> str:
-        return f"{path}: the process reading from line {merged.lines + 1} (byte {start})"
+        return f"{path}: the process reading from line {lines + 1} (byte {start})"
 
     with forked(functools.partial(_spool_part, path), others, name) as spools:
-        merged.add(_read_part(path, *first))
-        for spool in spools:
-            merged.add(pickle.load(spool))
-    return merged.store()
+        for part in itertools.chain([_read_part(path, *first)], map(pickle.load, spools)):
+            error = part.error
+            for issue_id, line in zip(part.store.issue_ids, part.issue_lines):
+                seen = first_line.setdefault(issue_id, lines + line)
+                if seen != lines + line:
+                    error = (line, f"duplicate issue id {issue_id!r} (first on line {seen})")
+                    break
+            for line, problem in part.warnings:
+                if error and line > error[0]:
+                    break
+                logger.warning("line %d: %s", lines + line, problem)
+            if error:
+                raise LineError(path, lines + error[0], error[1])
+            stores.append(part.store)
+            lines += part.lines
+            skipped += len(part.warnings)
+    if skipped:
+        logger.warning("%s: skipped %d malformed record(s)", path, skipped)
+    return _concatenated(stores)
 
 
 #: Fewest corpus bytes in one line range of ``read_corpus``. On a 2-core
@@ -199,7 +215,7 @@ def _read_part(path: str | Path, start: int, stop: Optional[int]) -> _Part:
             priority.append(code)
             issue_lines.append(lineno)
             if issue_id in known:
-                break  # a repeated id, which the merge names with both lines
+                break  # a repeated id, which read_corpus names with both lines
             known.add(issue_id)
     except LineError as exc:
         error = (exc.line, exc.problem)
@@ -216,54 +232,25 @@ def _spool_part(path: str | Path, spool, start: int, stop: Optional[int]) -> Non
     pickle.dump(_read_part(path, start, stop), spool, pickle.HIGHEST_PROTOCOL)
 
 
-class _Merge:
-    """The parts of a corpus file, added in range order, as one token store."""
-
-    def __init__(self, path: str | Path):
-        self.path = path
-        self.parts: list[TokenStore] = []
-        self.first_line: dict[str, int] = {}
-        self.lines = self.skipped = 0
-
-    def add(self, part: _Part) -> None:
-        """Keep a part's store; log its warnings, and raise its error or that
-        of an issue id seen before, whichever comes first in the file."""
-        error = part.error
-        for issue_id, line in zip(part.store.issue_ids, part.issue_lines):
-            seen = self.first_line.setdefault(issue_id, self.lines + line)
-            if seen != self.lines + line:
-                error = (line, f"duplicate issue id {issue_id!r} (first on line {seen})")
-                break
-        for line, problem in part.warnings:
-            if error and line > error[0]:
-                break
-            logger.warning("line %d: %s", self.lines + line, problem)
-        if error:
-            raise LineError(self.path, self.lines + error[0], error[1])
-        self.parts.append(part.store)
-        self.lines += part.lines
-        self.skipped += len(part.warnings)
-
-    def store(self) -> TokenStore:
-        """The one part's store as it is, or the parts with their ids mapped to
-        those of the whole file and their bounds shifted, concatenated."""
-        if self.skipped:
-            logger.warning("%s: skipped %d malformed record(s)", self.path, self.skipped)
-        if len(self.parts) == 1:
-            return self.parts[0]
-        words: dict[str, int] = {}
-        ids, offsets, issue_streams = [], [np.zeros(1, np.int64)], [np.zeros(1, np.int64)]
-        tokens = streams = 0
-        for part in self.parts:
-            ids.append(np.fromiter((words.setdefault(w, len(words)) for w in part.words),
-                                   dtype=np.int32, count=len(part.words))[part.ids])
-            offsets.append(part.offsets[1:] + tokens)
-            issue_streams.append(part.issue_streams[1:] + streams)
-            tokens, streams = tokens + len(part.ids), streams + len(part.offsets) - 1
-        return TokenStore(np.concatenate(ids), list(words),
-                          [issue_id for part in self.parts for issue_id in part.issue_ids],
-                          np.concatenate(offsets), np.concatenate(issue_streams),
-                          np.concatenate([part.priority for part in self.parts]))
+def _concatenated(stores: list[TokenStore]) -> TokenStore:
+    """A lone store as it is, or the stores of consecutive line ranges with
+    their ids mapped to those of the whole file and their bounds shifted,
+    concatenated."""
+    if len(stores) == 1:
+        return stores[0]
+    words: dict[str, int] = {}
+    ids, offsets, issue_streams = [], [np.zeros(1, np.int64)], [np.zeros(1, np.int64)]
+    tokens = streams = 0
+    for part in stores:
+        ids.append(np.fromiter((words.setdefault(w, len(words)) for w in part.words),
+                               dtype=np.int32, count=len(part.words))[part.ids])
+        offsets.append(part.offsets[1:] + tokens)
+        issue_streams.append(part.issue_streams[1:] + streams)
+        tokens, streams = tokens + len(part.ids), streams + len(part.offsets) - 1
+    return TokenStore(np.concatenate(ids), list(words),
+                      [issue_id for part in stores for issue_id in part.issue_ids],
+                      np.concatenate(offsets), np.concatenate(issue_streams),
+                      np.concatenate([part.priority for part in stores]))
 
 
 def _record_problem(record: object) -> Optional[str]:

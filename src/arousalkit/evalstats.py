@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .artifacts import atomic_open
+from .artifacts import atomic_open, write_rows
 from .corpus import Field, Priority
 from .scoring import CODES, MODES, ScoreTable
 from .stats import Moments, cohens_d_moments, pooled_t_moments, welch_t_moments
@@ -78,7 +78,8 @@ class EvalTable:
 def evaluate_priorities(scores: ScoreTable, t_test: str = "welch") -> EvalTable:
     """Build the full field x mode x priority-pair comparison grid.
 
-    Unknown-priority rows are dropped. A pair whose groups are too small
+    Unknown-priority rows are dropped; if none is left, the table has no
+    modes and one warning says why. A pair whose groups are too small
     (or degenerate) yields an empty cell and a line in ``warnings``, never
     an error.
     """
@@ -94,6 +95,9 @@ def evaluate_priorities(scores: ScoreTable, t_test: str = "welch") -> EvalTable:
     keys, values = keys[order], scores.score[order]
     known = keys % _N_PRIORITIES != CODES[Priority.UNKNOWN]
     keys, values = keys[known], values[known]
+    if not len(keys):
+        return EvalTable((), {}, ["no scored row has a Blocker, Critical, Major, Minor or "
+                                  "Trivial priority; every table is empty"])
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     group_keys, ends = keys[starts], np.append(starts[1:], len(keys))
     sizes = dict(zip(group_keys.tolist(), (ends - starts).tolist()))
@@ -129,16 +133,6 @@ def significance_marker(p: float) -> str:
     return "***" if p < 0.001 else "**" if p < 0.01 else "*" if p < 0.05 else ""
 
 
-def _stat_lines(table: EvalTable, stat: str, fmt: str) -> list[str]:
-    lines = ["field,mode," + ",".join(pair_label(p) for p in PRIORITY_PAIRS)]
-    for field in Field:
-        for mode in table.modes:
-            cells = [format(getattr(cell, stat), fmt) if (cell := table.cell(field, mode, pair))
-                     else "" for pair in PRIORITY_PAIRS]
-            lines.append(f"{field.value},{mode}," + ",".join(cells))
-    return lines
-
-
 def render_tables(table: EvalTable, out_dir: str | Path) -> list[Path]:
     """Write per-statistic delimited files and the annotated display table.
 
@@ -146,19 +140,24 @@ def render_tables(table: EvalTable, out_dir: str | Path) -> list[Path]:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    texts = []
+    header = ("field", "mode", *map(pair_label, PRIORITY_PAIRS))
+    paths = []
     for stat, fmt, name in (
         ("cohen_d", ".4f", "eval_d.csv"),
         ("t", ".4f", "eval_t.csv"),
         ("df", ".6g", "eval_df.csv"),
         ("p", ".4g", "eval_p.csv"),
     ):
-        texts.append((out_dir / name, "\n".join(_stat_lines(table, stat, fmt)) + "\n"))
-    texts.append((out_dir / "eval_tables.txt", _render_display(table)))
-    for path, text in texts:
-        with atomic_open(path) as out:
-            out.write(text)
-    return [path for path, _ in texts]
+        paths.append(out_dir / name)
+        write_rows(paths[-1], header, (
+            (field.value, mode, *(format(getattr(cell, stat), fmt)
+                                  if (cell := table.cell(field, mode, pair)) else ""
+                                  for pair in PRIORITY_PAIRS))
+            for field in Field for mode in table.modes))
+    paths.append(out_dir / "eval_tables.txt")
+    with atomic_open(paths[-1]) as out:
+        out.write(_render_display(table))
+    return paths
 
 
 def _render_display(table: EvalTable) -> str:

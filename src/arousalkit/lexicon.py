@@ -619,7 +619,7 @@ class AgreementReport:
     n_words: int
     raters: tuple[str, str]
     means: tuple[float, float]
-    sds: tuple[float, float]
+    sds: Optional[tuple[float, float]]  # None below 2 words
     pearson: Optional[float]  # None when degenerate (n < 3 or zero variance)
     pearson_p: Optional[float]
     kappa: float
@@ -640,6 +640,7 @@ class AgreementReport:
         return [
             f"words rated by both: {self.n_words}",
             f"mean: {self.means[0]:.2f} ({r1}), {self.means[1]:.2f} ({r2})",
+            "std deviation: n/a (fewer than 2 words)" if self.sds is None else
             f"std deviation: {self.sds[0]:.2f} ({r1}), {self.sds[1]:.2f} ({r2})",
             pearson_line,
             f"kappa (weighted, {self.kappa_weighting}): {self.kappa:.2f}",
@@ -675,7 +676,7 @@ def rater_agreement(records: Iterable[RatingRecord],
         n_words=len(words),
         raters=(r1, r2),
         means=(float(x.mean()), float(y.mean())),
-        sds=(float(x.std(ddof=1)), float(y.std(ddof=1))),
+        sds=(float(x.std(ddof=1)), float(y.std(ddof=1))) if len(words) >= 2 else None,
         pearson=r,
         pearson_p=p,
         kappa=kappa,

@@ -185,7 +185,12 @@ def run_train(config: PipelineConfig) -> EmbeddingModel:
     array is made: read the returned model only for its words, dim and
     loss history."""
     with Workspace(config).stage("train") as ws:
-        vocab, cooc = _count_store(TokenStore.load(ws.path("tokens.bin")), config)
+        store = TokenStore.load(ws.path("tokens.bin"))
+        vocab = build_vocabulary(store, config.min_count)
+        # store ids -> vocabulary ids, -1 for words below min_count
+        ids, offsets = vocab.lookup(store.words)[store.ids], store.offsets
+        del store  # the store's own ids are not needed while counting
+        cooc = count_cooccurrences(ids, offsets, config.embedding.window)
         if not len(cooc):
             raise PipelineError(
                 "the train stage has nothing to fit: the co-occurrence matrix is empty with "
@@ -201,15 +206,6 @@ def run_train(config: PipelineConfig) -> EmbeddingModel:
         len(cooc), model.loss_history[0], model.loss_history[-1],
     )
     return model
-
-
-def _count_store(store: TokenStore, config: PipelineConfig):
-    """The vocabulary of ``store`` and its co-occurrence cells."""
-    vocab = build_vocabulary(store, config.min_count)
-    # store ids -> vocabulary ids, -1 for words below min_count
-    ids, offsets = vocab.lookup(store.words)[store.ids], store.offsets
-    del store  # the store's own ids are not needed while counting
-    return vocab, count_cooccurrences(ids, offsets, config.embedding.window)
 
 
 def run_neighbors(config: PipelineConfig, word: str, k: Optional[int] = None):

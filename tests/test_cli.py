@@ -866,6 +866,17 @@ class TestCommandLine:
             "0 vocabulary words at min_count 100000 and embedding.window 10\n")
         assert set(json.loads((tmp_path / "manifest.json").read_text())) == {"ingest"}
 
+    @pytest.mark.parametrize("stage", ["train", "ingest"])
+    def test_out_of_range_override_is_refused_before_any_stage(self, staged, stage):
+        work, _ = staged
+        manifest = (work / "manifest.json").read_bytes()
+        result = CliRunner().invoke(main, ["--config", str(work / "inputs" / "config.json"),
+                                           "--work-dir", str(work), "--seed", "-1", stage])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == "Error: embedding.seed must be >= 0, got -1\n"
+        assert (work / "manifest.json").read_bytes() == manifest
+
     def test_demo_subcommand_smoke(self, tmp_path):
         result = CliRunner().invoke(
             main, ["--work-dir", str(tmp_path / "w"), "demo", "--issues", "80"]

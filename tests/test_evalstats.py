@@ -25,6 +25,10 @@ class Row(NamedTuple):
     score: float
 
 
+NO_KNOWN_PRIORITY = ("no scored row has a Blocker, Critical, Major, Minor or Trivial "
+                     "priority; every table is empty")
+
+
 def row(issue_id, priority, score, field=Field.TITLE, mode="sea"):
     return Row(issue_id, priority, field, mode, score)
 
@@ -60,6 +64,8 @@ def reference_evaluate_priorities(rows, t_test="welch"):
     for r in rows:
         if r.priority is not Priority.UNKNOWN:
             groups.setdefault((r.field, r.mode, r.priority), []).append(r.score)
+    if not groups:
+        return (), {}, [NO_KNOWN_PRIORITY]
     modes = tuple(m for m in MODES if any(key[1] == m for key in groups))
     cells, warnings = {}, []
     for field in Field:
@@ -201,6 +207,11 @@ class TestEvaluatePriorities:
         cell_p = pooled.cell(Field.TITLE, "sea", PRIORITY_PAIRS[0])
         assert cell_p.df == 18.0
         assert cell_w.df != cell_p.df
+
+    def test_all_unknown_table_says_why_it_is_empty(self):
+        table = evaluate_priorities(table_of(rows_for({Priority.UNKNOWN: [1.0, 2.0, 3.0]})))
+        assert (table.modes, table.cells) == ((), {})
+        assert table.warnings == [NO_KNOWN_PRIORITY]
 
     def test_empty_table_is_an_error(self):
         with pytest.raises(ValueError):

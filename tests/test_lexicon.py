@@ -995,6 +995,12 @@ class TestRaterAgreement:
         assert report.sds[0] == pytest.approx(1.0)
         assert report.sds[1] == pytest.approx(2.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_one_shared_word_has_no_sds(self):
+        report = rater_agreement(self.records([3], [7]))
+        assert report.sds is None
+        assert report.lines()[2] == "std deviation: n/a (fewer than 2 words)"
+
     def test_word_set_mismatch_is_fatal_and_lists_difference(self):
         records = self.records([5, 5], [5, 5])[:-1]  # drop r2's last word
         with pytest.raises(ValueError, match="w001"):
