@@ -87,17 +87,27 @@ class PipelineConfig:
     @classmethod
     def load(cls, path: str | Path) -> "PipelineConfig":
         """Read a config file. An unreadable file, a byte that is not UTF-8,
-        invalid JSON or a value that is not an object raises CorpusFormatError
-        naming the path; the errors of ``from_dict`` name the key."""
+        invalid JSON, a key repeated in one object (at any depth) or a value
+        that is not an object raises CorpusFormatError naming the path; the
+        errors of ``from_dict`` name the key."""
         text = "".join(line for _, line in text_lines(path))
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=functools.partial(_unique_keys, path))
         except (ValueError, RecursionError) as exc:
             raise CorpusFormatError(f"{path}: invalid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise CorpusFormatError(f"{path}: expected a JSON object of config keys, "
                                     f"got {type(data).__name__}")
         return cls.from_dict(data)
+
+
+def _unique_keys(path: str | Path, pairs: list[tuple[str, object]]) -> dict:
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise CorpusFormatError(f"{path}: config key {key!r} is repeated")
+        data[key] = value
+    return data
 
 
 def _known(kind, data: dict, prefix: str, **nested):

@@ -98,12 +98,15 @@ def count_cooccurrences(ids: np.ndarray, offsets: np.ndarray, window: int) -> Co
     in order. Cell (i, j) is the sum over d = 1..window of n_d * (1/d),
     added in distance order, where n_d counts the pairs at distance d with
     i first or j first. Out-of-vocabulary tokens are skipped but still
-    occupy their positions; no pair spans two streams.
+    occupy their positions; no pair spans two streams. No pair lies farther
+    apart than the longest stream's length minus one, so the window is
+    capped there.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     if offsets[0] != 0 or offsets[-1] != len(ids):
         raise ValueError("stream offsets must run from 0 to the number of tokens")
+    window = max(min(window, int(np.diff(offsets).max(initial=0)) - 1), 1)
     n_words = max(int(ids.max(initial=-1)) + 1, 1)
     # window sentinels after every stream, so no pair spans two streams
     padded = np.insert(ids, np.repeat(offsets[1:], window), -1)

@@ -27,8 +27,9 @@ import math
 import numbers
 import statistics
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -71,16 +72,14 @@ class ScoringLexicon:
     def arousal_map(self) -> dict[str, float]:
         return dict(self._arousal)
 
-    def lookup(self, index: Mapping[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    def lookup(self, words: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """Arousal by id (0.0 where absent) and the mask of present ids, for
-        a dictionary ``index`` that maps its words to the ids 0, 1, ...
-        Each lexicon word is looked up once, however large the dictionary."""
-        placed = {index[w]: a for w, a in self._arousal.items() if w in index}
-        ids = np.fromiter(placed, dtype=np.intp, count=len(placed))
-        arousal, present = np.zeros(len(index)), np.zeros(len(index), dtype=bool)
-        arousal[ids] = np.fromiter(placed.values(), dtype=np.float64, count=len(placed))
-        present[ids] = True
-        return arousal, present
+        the dictionary ``words``, whose word k has id k. Each dictionary word
+        is looked up once; NaN, which no arousal is, marks an absent one."""
+        arousal = np.fromiter(map(self._arousal.get, words, repeat(math.nan)), np.float64,
+                              len(words))
+        present = ~np.isnan(arousal)
+        return np.where(present, arousal, 0.0), present
 
 
 @dataclass
@@ -125,16 +124,16 @@ def combined_score(tokens: Sequence[str], general: ScoringLexicon, sea: ScoringL
     return replace(base, score=base.score + adjustment)
 
 
-def _score_units(ids: np.ndarray, index: Mapping[str, int], lex: ScoringLexicon,
+def _score_units(ids: np.ndarray, words: Sequence[str], lex: ScoringLexicon,
                  bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``score_text`` of every unit ``ids[bounds[2k]:bounds[2k + 1]]`` as arrays: matched
     count, clamped max, clamped min and score; the last three mean something only where the
-    count is positive. ``index`` maps each dictionary word to its id. The intp ``ids`` end in
-    the sentinel ``len(index)``, so an end after the last token is a valid index; each
+    count is positive. Word k of the dictionary ``words`` has id k. The intp ``ids`` end in
+    the sentinel ``len(words)``, so an end after the last token is a valid index; each
     per-word table gets one entry for the sentinel and is read token by token with one fancy
     index, ``table[ids]``. The extremes reduce the rank codes of the module docstring; code
     0, no match, reads as the average."""
-    arousal, present = lex.lookup(index)
+    arousal, present = lex.lookup(words)
     counts = np.zeros(len(ids) + 1, dtype=np.int32)
     np.cumsum(np.append(present, False)[ids], out=counts[1:])
     values, rank = np.unique(arousal[present], return_inverse=True)
@@ -142,7 +141,7 @@ def _score_units(ids: np.ndarray, index: Mapping[str, int], lex: ScoringLexicon,
     bottom = np.where(values <= lex.avg, values, lex.avg)[::-1]
     extremes = []
     for clamped, code in ((top, rank + 1), (bottom, len(values) - rank)):
-        table = np.zeros(len(index) + 1, dtype=np.min_scalar_type(len(values)))
+        table = np.zeros(len(words) + 1, dtype=np.min_scalar_type(len(values)))
         table[:-1][present] = code
         # reduceat over interleaved (start, end) pairs reduces each [start, end)
         extremes.append(np.append(lex.avg, clamped)[np.maximum.reduceat(table[ids], bounds)[::2]])
@@ -190,11 +189,8 @@ def score_corpus(store: TokenStore, general: ScoringLexicon, sea: ScoringLexicon
     starts, ends, present = (a.ravel() for a in store.units())
     bounds = np.stack([starts, ends], axis=-1).ravel()
     ids = np.concatenate([store.ids, [len(store.words)]]).astype(np.intp, copy=False)
-    index = {word: i for i, word in enumerate(store.words)}
-    if len(index) != len(store.words):
-        raise ValueError("the token store's dictionary repeats a word")
     # per mode: n_matched, max, min and score of every unit
-    general_columns, sea_columns = (np.stack(_score_units(ids, index, lex, bounds))
+    general_columns, sea_columns = (np.stack(_score_units(ids, store.words, lex, bounds))
                                     for lex in (general, sea))
     sea_n, _, _, sea_score = sea_columns
     if sea_avg == "lexicon":

@@ -877,6 +877,24 @@ class TestCommandLine:
         assert result.output == "Error: embedding.seed must be >= 0, got -1\n"
         assert (work / "manifest.json").read_bytes() == manifest
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("{", '{"min_count": 3,', "min_count"),
+        ('"embedding": {', '"embedding": {"dim": 8,', "dim"),
+        ('"general_columns": null', '"general_columns": {"word": "Word", "word": "token"}',
+         "word"),
+    ])
+    def test_repeated_config_key_is_refused_before_any_stage(self, staged, old, new, key):
+        work, _ = staged
+        config_path = work / "inputs" / "config.json"
+        config_path.write_text(config_path.read_text().replace(old, new, 1))
+        manifest = (work / "manifest.json").read_bytes()
+        result = CliRunner().invoke(main, ["--config", str(config_path),
+                                           "--work-dir", str(work), "ingest"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"Error: {config_path}: config key {key!r} is repeated\n"
+        assert (work / "manifest.json").read_bytes() == manifest
+
     def test_demo_subcommand_smoke(self, tmp_path):
         result = CliRunner().invoke(
             main, ["--work-dir", str(tmp_path / "w"), "demo", "--issues", "80"]

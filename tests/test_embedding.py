@@ -175,6 +175,17 @@ class TestCooccurrences:
         assert len(got) == len(expected)
         assert_bit_identical(got, expected)
 
+    @settings(max_examples=100, deadline=None)
+    @given(STREAMS.filter(bool), st.integers(0, 40))
+    def test_window_past_the_longest_stream_counts_the_same_cells(self, streams, extra):
+        # no pair lies farther apart than the longest stream minus one, so
+        # every window from there on, 10**12 included, gives the same cells
+        vocab = vocab_over(["a", "b", "c", "d"])
+        cap = max(max(map(len, streams)) - 1, 1)
+        expected = reference_count(streams, vocab, cap)
+        for window in (cap + extra, 10**12):
+            assert_bit_identical(count_streams(streams, vocab, window), expected)
+
     @settings(max_examples=200, deadline=None)
     @given(STREAMS, st.integers(min_value=1, max_value=2))
     def test_bit_identical_to_loop_order_fold_up_to_window_2(self, streams, window):

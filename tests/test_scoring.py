@@ -46,10 +46,11 @@ class TestScoringLexicon:
     @settings(max_examples=100, deadline=None)
     @given(st.dictionaries(st.text(alphabet="abcd", min_size=1, max_size=3),
                            st.floats(-10, 10), min_size=1, max_size=12),
-           st.lists(st.text(alphabet="abcde", min_size=1, max_size=3), unique=True, max_size=30))
+           st.lists(st.text(alphabet="abcde", min_size=1, max_size=3), max_size=30))
     def test_lookup_places_each_word_at_its_id(self, arousal, words):
+        # words may repeat: each id of a word gets that word's arousal
         lex = ScoringLexicon(arousal)
-        got_arousal, got_present = lex.lookup({w: i for i, w in enumerate(words)})
+        got_arousal, got_present = lex.lookup(words)
         assert got_arousal.tobytes() == np.array([arousal.get(w, 0.0) for w in words],
                                                  dtype=np.float64).tobytes()
         assert got_present.tolist() == [w in arousal for w in words]
@@ -414,11 +415,26 @@ class TestArrayScoringOracle:
             with pytest.raises(ValueError, match="no sea-mode scores"):
                 score_corpus(store, general, sea, "dataset")
 
-    def test_dictionary_that_repeats_a_word_is_refused(self):
-        store = corpus_store([issue("1", "fire calm")])
-        store = replace(store, words=store.words + ["fire"])
-        with pytest.raises(ValueError, match="repeats a word"):
-            score_corpus(store, GENERAL, GENERAL)
+    def test_dictionary_that_repeats_a_word_scores_like_score_text(self):
+        store = corpus_store([issue("1", "fire calm fire note", "calm word calm"),
+                              issue("2", "zz", "fire zz", ["note note calm", "fire"])])
+        # every other occurrence of fire and of calm takes the id of a repeat
+        words, ids = store.words + ["fire", "calm"], store.ids.copy()
+        for repeat_id, word in enumerate(["fire", "calm"], len(store.words)):
+            ids[np.flatnonzero(store.ids == store.words.index(word))[::2]] = repeat_id
+        repeated = replace(store, words=words, ids=ids)
+        sea = ScoringLexicon({"fire": 8.5, "note": 1.5})
+        got = rows(score_corpus(repeated, GENERAL, sea))
+        assert got == rows(score_corpus(store, GENERAL, sea))
+        starts, ends, _ = (a.ravel() for a in repeated.units())
+        expected = {}
+        for unit, (start, end) in enumerate(zip(starts.tolist(), ends.tolist())):
+            ref = score_text([words[i] for i in ids[start:end].tolist()], GENERAL)
+            if ref is not None:
+                key = (repeated.issue_ids[unit // len(Field)], list(Field)[unit % len(Field)])
+                expected[key] = (ref.n_matched, ref.max_used, ref.min_used, ref.score)
+        assert {row[:2]: row[4:] for row in got if row[2] == "general"} == expected
+        assert len(expected) == 6
 
     def test_unit_of_only_average_words_keeps_both_at_the_average(self):
         lex = ScoringLexicon({"aa": 2.0, "bb": 4.0, "cc": 6.0})
@@ -427,11 +443,6 @@ class TestArrayScoringOracle:
         ref = score_text(["bb", "bb", "zz"], lex)
         assert row[4:] == (ref.n_matched, ref.max_used, ref.min_used, ref.score) == \
             (2, 4.0, 4.0, 8.0)
-
-
-def dictionary(words):
-    """The word -> id map that ``score_corpus`` passes to ``_score_units``."""
-    return {w: i for i, w in enumerate(words)}
 
 
 def reference_score_units(ids, words, lex, bounds):
@@ -469,7 +480,7 @@ def assert_kernel_matches_reference(arousal, n_absent=3, n_tokens=400, seed=0):
     units = np.stack([np.append(starts, [n_tokens, n_tokens + 1]),
                       np.append(ends, [n_tokens + 1, n_tokens + 2])], axis=-1)
     bounds = units.ravel()
-    got = _score_units(ids, dictionary(words), lex, bounds)
+    got = _score_units(ids, words, lex, bounds)
     expected = reference_score_units(ids, words, lex, bounds)
     assert got[0].tolist() == expected[0].tolist()
     matched = expected[0] > 0
@@ -492,7 +503,7 @@ class TestRankCodedKernel:
         words = ["aa", "bb"]
         ids = np.array([0, 1, 1, 0, len(words)], dtype=np.intp)
         bounds = np.array([0, 2, 2, 4, 4, 4])
-        counts = _score_units(ids, dictionary(words), lex, bounds)[0]
+        counts = _score_units(ids, words, lex, bounds)[0]
         assert counts.tolist() == reference_score_units(ids, words, lex, bounds)[0].tolist()
         assert counts.tolist() == [0, 0, 0]
 
