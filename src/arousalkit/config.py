@@ -20,6 +20,9 @@ from .artifacts import CorpusFormatError, text_lines
 from .embedding import EmbeddingConfig, require_number
 from .lexicon import SeedConfig
 
+#: the keys that name a file or directory read from outside the work directory
+INPUT_KEYS = ("corpus", "general_lexicon", "wordnet_dir", "extra_seeds")
+
 
 @dataclass
 class PipelineConfig:
@@ -44,7 +47,7 @@ class PipelineConfig:
             require_number(name, getattr(self, name), low)
         for name in ("n1", "f1", "n2", "f2"):
             require_number("seeds." + name, getattr(self.seeds, name), 1)
-        for name in ("corpus", "general_lexicon", "wordnet_dir", "work_dir", "extra_seeds"):
+        for name in (*INPUT_KEYS, "work_dir"):
             value = getattr(self, name)
             if not isinstance(value, str) and not (name == "extra_seeds" and value is None):
                 kind = "null or a string" if name == "extra_seeds" else "a string"

@@ -1,10 +1,10 @@
 """Stage orchestration over a work directory.
 
-Each stage reads the artifacts of the stages it names, writes its own
-artifacts into the work directory, and records a hash of its
+Each stage reads the artifact files its row of ``STAGES`` names, writes
+its own artifacts into the work directory, and records a hash of its
 configuration slice in ``manifest.json``. A stage's slice is the config
-keys its body reads plus the slices of the stages whose artifacts it reads. A
-stage first checks the recorded hashes of the stages it reads, so a
+keys its body reads plus the slices of the stages that write the artifacts
+it reads. A stage first checks the recorded hashes of those stages, so a
 config change that invalidates earlier artifacts is reported instead of
 silently mixing stale and fresh files. A stage drops its own entry before
 it writes, so a run that fails leaves the stage unrecorded, and the stages
@@ -24,7 +24,7 @@ from typing import Iterator, Optional, Sequence
 from . import scoring as scoring_mod
 from . import synthetic
 from .artifacts import atomic_open
-from .config import PipelineConfig, hash_config_slice
+from .config import INPUT_KEYS, PipelineConfig, hash_config_slice
 from .corpus import TokenStore, Vocabulary, build_vocabulary, read_corpus
 from .embedding import (EmbeddingModel, WordVectors, count_cooccurrences, glove_train,
                         nearest_neighbors)
@@ -62,8 +62,8 @@ class PipelineError(Exception):
 
 @dataclass(frozen=True)
 class Stage:
-    keys: tuple[str, ...]  # config keys its body reads
-    reads: tuple[str, ...]  # stages whose artifacts it reads
+    keys: tuple[str, ...]  # config keys its body reads; those in INPUT_KEYS name its inputs
+    reads: tuple[str, ...]  # artifact files its body opens
     artifacts: tuple[str, ...]
 
 
@@ -72,29 +72,32 @@ STAGES: dict[str, Stage] = {
     "train": Stage(("embedding.dim", "embedding.window", "embedding.x_max", "embedding.alpha",
                     "embedding.learning_rate", "embedding.epochs", "embedding.seed",
                     "min_count"),
-                   ("ingest",), ("embedding.txt", "embedding.bin")),
+                   ("tokens.bin",), ("embedding.txt", "embedding.bin")),
     "seeds": Stage(("general_lexicon", "general_columns", "extra_seeds",
                     "seeds.n1", "seeds.f1", "seeds.n2", "seeds.f2", "min_count"),
-                   ("ingest",), ("seeds.csv",)),
-    "expand": Stage(("wordnet_dir", "k"), ("train", "seeds"), ("candidates.csv",)),
-    "sheet": Stage(("shuffle_sheet", "min_count", "k"), ("ingest", "train", "expand"),
-                   ("sheet.csv",)),
-    "ratings": Stage((), ("sheet",), ("ratings.csv",)),
-    "agreement": Stage(("kappa_weighting",), ("ratings",), ("agreement.txt",)),
-    "build": Stage((), ("ratings", "expand"), ("sea_lexicon.csv",)),
-    "score": Stage(("sea_avg", "general_lexicon", "general_columns"), ("ingest", "build"),
-                   ("scores.csv", "scores.bin")),
-    "evaluate": Stage(("t_test",), ("score",),
+                   ("tokens.bin",), ("seeds.csv",)),
+    "expand": Stage(("wordnet_dir", "k"), ("embedding.bin", "seeds.csv"), ("candidates.csv",)),
+    "sheet": Stage(("shuffle_sheet", "min_count", "k"),
+                   ("tokens.bin", "embedding.bin", "candidates.csv"), ("sheet.csv",)),
+    "ratings": Stage((), ("sheet.csv",), ("ratings.csv",)),
+    "agreement": Stage(("kappa_weighting",), ("ratings.csv",), ("agreement.txt",)),
+    "build": Stage((), ("ratings.csv", "candidates.csv"), ("sea_lexicon.csv",)),
+    "score": Stage(("sea_avg", "general_lexicon", "general_columns"),
+                   ("tokens.bin", "sea_lexicon.csv"), ("scores.csv", "scores.bin")),
+    "evaluate": Stage(("t_test",), ("scores.bin",),
                       ("eval_d.csv", "eval_t.csv", "eval_df.csv", "eval_p.csv",
                        "eval_tables.txt")),
 }
+
+#: artifact file -> the stage that writes it
+OWNER = {name: stage for stage, spec in STAGES.items() for name in spec.artifacts}
 
 
 @functools.cache
 def stage_keys(stage: str) -> frozenset[str]:
     """The config keys a stage's outputs depend on: its configuration slice."""
     spec = STAGES[stage]
-    return frozenset(spec.keys).union(*map(stage_keys, spec.reads))
+    return frozenset(spec.keys).union(*(stage_keys(OWNER[name]) for name in spec.reads))
 
 
 class Workspace:
@@ -110,10 +113,13 @@ class Workspace:
 
     @contextlib.contextmanager
     def stage(self, name: str) -> Iterator[Workspace]:
-        """Check the stages ``name`` reads, create the work directory, drop
-        the entry of ``name`` from the manifest, run the block, then record
-        ``name``. A block that raises leaves ``name`` unrecorded, so that no
-        reader takes a mix of old and new artifacts for a finished run."""
+        """Refuse an empty input path, check the files ``name`` reads, create
+        the work directory, drop the entry of ``name`` from the manifest, run
+        the block, then record ``name``. A block that raises leaves ``name``
+        unrecorded, so that no reader takes a mix of old and new artifacts."""
+        for key in INPUT_KEYS:
+            if key in STAGES[name].keys and getattr(self.config, key) == "":
+                raise PipelineError(f"the {name!r} stage needs a path in config key {key!r}")
         manifest = self.check_stages(STAGES[name].reads)
         self.work_dir.mkdir(parents=True, exist_ok=True)
         if manifest.pop(name, None) is not None:
@@ -132,8 +138,8 @@ class Workspace:
         with atomic_open(self.manifest_path) as out:
             out.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
-    def check_stages(self, stages: Sequence[str]) -> dict:
-        """Refuse missing or stale artifacts of ``stages``; return the manifest."""
+    def check_stages(self, reads: Sequence[str]) -> dict:
+        """Refuse a missing or stale artifact file of ``reads``; return the manifest."""
         manifest = {}
         if self.manifest_path.is_file():
             try:
@@ -146,12 +152,12 @@ class Workspace:
                     f"damaged stage manifest {self.manifest_path}: expected a JSON object "
                     "of stage entries; delete it and re-run the stages"
                 )
-        for upstream in stages:
-            for artifact in STAGES[upstream].artifacts:
-                if not self.path(artifact).is_file():
-                    raise PipelineError(
-                        f"missing artifact {artifact!r}; run the {upstream!r} stage first"
-                    )
+        for artifact in reads:
+            upstream = OWNER[artifact]
+            if not self.path(artifact).is_file():
+                raise PipelineError(
+                    f"missing artifact {artifact!r}; run the {upstream!r} stage first"
+                )
             entry = manifest.get(upstream)
             if entry is None:
                 raise PipelineError(
@@ -210,7 +216,7 @@ def run_train(config: PipelineConfig) -> EmbeddingModel:
 
 def run_neighbors(config: PipelineConfig, word: str, k: Optional[int] = None):
     ws = Workspace(config)
-    ws.check_stages(["train"])
+    ws.check_stages(["embedding.bin"])
     vectors = WordVectors.load_binary(ws.path("embedding.bin"))
     return nearest_neighbors(vectors, word.lower(), k if k is not None else config.k)
 

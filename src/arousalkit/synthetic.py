@@ -18,6 +18,7 @@ import numpy as np
 
 from .artifacts import read_table, text_lines, write_rows
 from .lexicon import SHEET_HEADER
+from .wordnet import dict_files
 
 # (word, planted arousal); the first 20 of each pole are the designated
 # seeds, the rest stay below/above the seed cut and are expansion targets.
@@ -200,7 +201,7 @@ def write_wordnet_fixture(
     dict_dir = Path(dict_dir)
     dict_dir.mkdir(parents=True, exist_ok=True)
     header = "  1 toy wordnet fixture\n  2 license: none\n"
-    for pos in _POS_CHAR:
+    for pos, (data_path, index_path) in dict_files(dict_dir).items():
         pos_synsets = [lemmas for p, lemmas in synsets if p == pos]
         data_lines = []
         offset = len(header.encode("utf-8"))
@@ -210,8 +211,7 @@ def write_wordnet_fixture(
             offsets.append(offset)
             data_lines.append(line)
             offset += len(line.encode("utf-8"))
-        (dict_dir / f"data.{pos}").write_text(header + "".join(data_lines),
-                                              encoding="utf-8")
+        data_path.write_text(header + "".join(data_lines), encoding="utf-8")
         lemma_offsets: dict[str, list[int]] = {}
         for off, lemmas in zip(offsets, pos_synsets):
             for lemma in lemmas:
@@ -222,8 +222,7 @@ def write_wordnet_fixture(
             cnt = len(offs)
             rendered = " ".join(f"{o:08d}" for o in offs)
             index_lines.append(f"{lemma} {_POS_CHAR[pos]} {cnt} 0 {cnt} 0 {rendered}\n")
-        (dict_dir / f"index.{pos}").write_text(header + "".join(index_lines),
-                                               encoding="utf-8")
+        index_path.write_text(header + "".join(index_lines), encoding="utf-8")
     return dict_dir
 
 

@@ -77,6 +77,12 @@ def _parsed_lines(path: Path, parse: Callable[[str], tuple]) -> Iterator[tuple[i
             logger.warning("%s:%d: %s; line skipped", path, lineno, exc)
 
 
+def dict_files(dict_dir: str | Path) -> dict[str, tuple[Path, Path]]:
+    """Part of speech -> its data and index file in a WordNet dict directory."""
+    return {pos: (Path(dict_dir) / f"data.{pos}", Path(dict_dir) / f"index.{pos}")
+            for pos in POS_SUFFIXES}
+
+
 def load_wordnet(dict_dir: str | Path) -> dict[str, set[str]]:
     """Map each lemma of a WordNet dict directory's data files, lowercased,
     to the single-word lemmas that share a synset with it, in any part of
@@ -87,16 +93,14 @@ def load_wordnet(dict_dir: str | Path) -> dict[str, set[str]]:
     warning. Index entries whose offsets do not resolve to a data-file
     synset are dropped with a warning.
     """
-    dict_dir = Path(dict_dir)
-    for suffix in POS_SUFFIXES:
-        for kind in ("index", "data"):
-            path = dict_dir / f"{kind}.{suffix}"
+    files = dict_files(dict_dir)
+    for data_path, index_path in files.values():
+        for path in (index_path, data_path):
             if not path.is_file():
                 raise WordNetError(f"missing WordNet file: {path}")
 
     synonyms: dict[str, set[str]] = {}
-    for suffix in POS_SUFFIXES:
-        data_path = dict_dir / f"data.{suffix}"
+    for data_path, index_path in files.values():
         line_of_offset: dict[int, int] = {}
         for lineno, (offset, lemmas) in _parsed_lines(data_path, _parse_data_line):
             first = line_of_offset.setdefault(offset, lineno)
@@ -107,7 +111,6 @@ def load_wordnet(dict_dir: str | Path) -> dict[str, set[str]]:
             for lemma in lemmas:
                 synonyms.setdefault(lemma, set()).update(single)
 
-        index_path = dict_dir / f"index.{suffix}"
         for lineno, (lemma, offsets) in _parsed_lines(index_path, _parse_index_line):
             for off in offsets:
                 if off not in line_of_offset:

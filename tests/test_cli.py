@@ -332,6 +332,67 @@ class TestPinnedDemo:
         assert {name: digests[name] for name in EMBEDDING_DIGESTS} == EMBEDDING_DIGESTS
 
 
+#: sha256 of the acceptance tests' ``demo_run`` files (1000 issues, seed 7)
+#: whose bytes hold no trained float
+DEMO_RUN_FLOAT_FREE_DIGESTS = pinned("""
+inputs/corpus.jsonl         27fb37f20a20abf6a78479be3ee35ec4cd1c6c7592ecb8582061393ab3b250db
+inputs/general_lexicon.csv  17ed272b4268933edea4971e869f158ec458bdefcad4df89bbf47c67b38a5efb
+inputs/truth.csv            e5e0281a34348b0b97c61312e291a4b35bea7fa11eadafcf037af3ec8967997f
+inputs/wordnet/data.adj     2f470986fc9299acc2abdb54fc7ae1be3e34d84ff1636598e9ef7322c8433791
+inputs/wordnet/data.adv     bc66b19ee12160937a577c162e0ff9edf8ef8fb4cf6464408c51261bfae9be58
+inputs/wordnet/data.noun    9f6ef18dc0cd3e2fa5b58d2affc2efd816ce3b4ae74103734b4f48b00b59e5f3
+inputs/wordnet/data.verb    fdf91951a9e0b5e3f52cae8495b5b82d0d4b56c91b130f2aded60ab651304826
+inputs/wordnet/index.adj    341388c2d3c60a6ebcd2f64b7ad34e70f62f728e41b261f2af1d52c6a6a0a054
+inputs/wordnet/index.adv    be28694e651a6e6035162dcfb1f45d19b7cd38f9ddd05b74cf2bf9ca927d23aa
+inputs/wordnet/index.noun   d142f9332e450a218593de2447397405df3d9159a7ea95cedd61f21556c09c5d
+inputs/wordnet/index.verb   c626e227cadf3179835b92bfabf7b8869adbc206a11b5ac34fdd201870ba0363
+seeds.csv                   8141f3b04f471ea98da8e6bcd9246efeeb7216e16573edebdbf03f7ff1807f4e
+tokens.bin                  5633f017aa7f0acc508423f6fe1638440328acaa64814c042a6ee81518acb080
+vocab.csv                   f535659045ee06996c381c1d09bcc991f8d71f3322fc375b186fa8be17bfc0ba
+""")
+
+#: sha256 of the ``demo_run`` files that derive from the trained embedding
+DEMO_RUN_EMBEDDING_DIGESTS = pinned("""
+agreement.txt               93736a4111408fec3169e5835f4b0f8514652f25ac953a0eab9f607c1d4a8206
+candidates.csv              d6c8ed04dc74f45e15d1af8a21450ecf5eaf8ca29d5787d0fefcc5e7c71ded34
+embedding.bin               862c584204b7828596024195895b38fc3ad330b5db8e80bc328059d89da9a558
+embedding.txt               3cac587a336a6afeb4d2bec8cfa2975b1538aa9b00c2020030bb8ed98e13f023
+eval_d.csv                  b70522a4fe7f7e2bef53432dd5668ff4be9191ec749562a2cbc11d340b088fa4
+eval_df.csv                 27db3c56eac580611fc884625acd891274d9f883b16d5e9785d9ba03b8e96d00
+eval_p.csv                  9818a508f4554cb4ca136faf2ec94e8c06267507344b28a675ec0051ee07db3e
+eval_t.csv                  cfefc7d72462a404bdde0b55bebad5716a7837e9a2753c2bd326470725e09d2b
+eval_tables.txt             d98ddf482edaed3d477632784c7ab1d0ede09d2922ed3f6aa980c0ad1cb2a344
+ratings.csv                 dab12e49e441972b14152b77c1cdce81169917cc1472d2f621449b329feaf053
+ratings_r1.csv              fc536045e66836da97022d495b8e12e0d7ed90257a6acec052994adb5bf4ddb0
+ratings_r2.csv              1e8b78061e056e6d8b39682fdb37c232e40f04064856fa117ca9330d094b09cb
+review_accept_all.csv       aafd6b3153eaade33c0dc24756c62bf36750e84ee014f9c60fe66a1c0353dc49
+scores.bin                  bb2dd9c2b6370a94baa299bb60b1fa9570a8a4d63f8b1b22ae429b999e198e0f
+scores.csv                  25fee393dcb95021442050ae20091f8e5b9b074f02e4547584f1ed3442c5e532
+sea_lexicon.csv             9772e7dfd147a66464b6f697ce7171cace64a914513e9210047e0c0c451d753a
+sheet.csv                   d63da518026554fdcf248c6bca67763b662c0210bc35d706d6153f7aa22d18a4
+""")
+
+
+class TestPinnedAcceptanceDemo:
+    """The acceptance tests' 1000-issue, seed-7 demo, pinned as
+    ``TestPinnedDemo`` pins the 120-issue one."""
+
+    def test_float_free_files(self, demo_run):
+        digests = workdir_digest(demo_run.work_dir)
+        assert set(digests) == {*DEMO_RUN_FLOAT_FREE_DIGESTS, *DEMO_RUN_EMBEDDING_DIGESTS,
+                                "inputs/config.json", "manifest.json"}
+        assert {name: digests[name]
+                for name in DEMO_RUN_FLOAT_FREE_DIGESTS} == DEMO_RUN_FLOAT_FREE_DIGESTS
+
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="digests taken under numpy 2; the trained floats were never "
+                               "compared under numpy 1")
+    def test_embedding_derived_files(self, demo_run):
+        digests = workdir_digest(demo_run.work_dir)
+        assert {name: digests[name]
+                for name in DEMO_RUN_EMBEDDING_DIGESTS} == DEMO_RUN_EMBEDDING_DIGESTS
+
+
 SPLIT_DEMO = """\
 import os, sys
 if sys.argv[2] == "one":
@@ -699,7 +760,7 @@ class TestManifestChecks:
         synthetic.generate_demo_inputs(tmp_path, n_issues=40, seed=3)
         config = demo_config(tmp_path, seed=3, n_issues=40)
         run_ingest(config)
-        Workspace(config).check_stages(["ingest"])
+        Workspace(config).check_stages(STAGES["ingest"].artifacts)
 
     def test_stage_slices_match_the_table(self):
         assert {stage: set(stage_keys(stage)) for stage in STAGES} == STAGE_SLICES
@@ -715,7 +776,7 @@ class TestManifestChecks:
         stale = set()
         for stage in STAGE_SLICES:
             try:
-                Workspace(config).check_stages([stage])
+                Workspace(config).check_stages(STAGES[stage].artifacts)
             except PipelineError as exc:
                 assert "stale" in str(exc)
                 stale.add(stage)
@@ -744,7 +805,7 @@ class TestManifestChecks:
         ("train", "embedding.seed", 12, (WordVectors, "save_binary"), run_expand),
         ("score", "sea_avg", 7.25, (scoring, "save_score_records"), run_evaluate),
         ("evaluate", "t_test", "pooled", (evalstats, "atomic_open"),
-         lambda config: Workspace(config).check_stages(["evaluate"])),
+         lambda config: Workspace(config).check_stages(STAGES["evaluate"].artifacts)),
     ])
     def test_failed_rerun_leaves_the_stage_unrecorded(self, demo_workdir, staged, monkeypatch,
                                                       name, key, value, last_writer, reader):

@@ -1,11 +1,12 @@
 """Each stage against its row of ``STAGES``: a run creates or replaces
-exactly the stage's artifacts and the manifest, it opens the artifacts of
-exactly the stages in its ``reads``, it opens no other file than the
-outside inputs of its row of ``INPUTS``, and its body reads exactly the
-config keys in its ``keys``. The declared dependencies are the
-static ones and the files a body opens are the dynamic ones ("Build systems
-à la carte", Mokhov, Mitchell & Peyton Jones, ICFP 2018); a body that opened
-an undeclared artifact would escape every staleness check."""
+exactly the stage's artifacts and the manifest, it opens exactly the
+artifact files in its ``reads``, it opens no other file than the ones its
+input keys (the keys of its ``keys`` that are in ``INPUT_KEYS``) name and
+the files given to it as arguments, and its body reads exactly the config
+keys in its ``keys``. The declared dependencies are the static ones and the
+files a body opens are the dynamic ones ("Build systems à la carte",
+Mokhov, Mitchell & Peyton Jones, ICFP 2018); a body that opened an
+undeclared artifact would escape every staleness check."""
 
 import builtins
 import dataclasses
@@ -18,19 +19,20 @@ from pathlib import Path
 import pytest
 
 from arousalkit import pipeline
-from arousalkit.config import PipelineConfig
-from arousalkit.pipeline import (STAGES, run_agreement, run_build, run_evaluate, run_expand,
-                                 run_ingest, run_neighbors, run_ratings, run_score, run_seeds,
-                                 run_sheet, run_train)
+from arousalkit.config import INPUT_KEYS, PipelineConfig
+from arousalkit.pipeline import (OWNER, STAGES, PipelineError, run_agreement, run_build,
+                                 run_evaluate, run_expand, run_ingest, run_neighbors, run_ratings,
+                                 run_score, run_seeds, run_sheet, run_train)
+from arousalkit.wordnet import dict_files
 from conftest import READERS, demo_vocabulary
-
-#: artifact name -> the stage that writes it
-OWNER = {name: stage for stage, spec in STAGES.items() for name in spec.artifacts}
 
 
 def work_file(config, name):
     return Path(config.work_dir) / name
 
+
+#: stage -> the files of the work directory that ``run_demo`` gives it as arguments
+ARGUMENTS = {"sheet": ("review_accept_all.csv",), "ratings": ("ratings_r1.csv", "ratings_r2.csv")}
 
 #: each stage run with the arguments ``run_demo`` gives it, ``seeds`` also
 #: with an extra seed list, and ``neighbors``
@@ -41,10 +43,9 @@ RUNS = {
     "seeds+extra_seeds": lambda config: run_seeds(dataclasses.replace(
         config, extra_seeds=str(work_file(config, "extra_seeds.csv")))),
     "expand": run_expand,
-    "sheet": lambda config: run_sheet(config, review=work_file(config, "review_accept_all.csv")),
+    "sheet": lambda config: run_sheet(config, work_file(config, *ARGUMENTS["sheet"])),
     "ratings": lambda config: run_ratings(
-        config, [work_file(config, "ratings_r1.csv"), work_file(config, "ratings_r2.csv")],
-        labels=["r1", "r2"]),
+        config, [work_file(config, name) for name in ARGUMENTS["ratings"]], labels=["r1", "r2"]),
     "agreement": run_agreement,
     "build": run_build,
     "score": run_score,
@@ -52,27 +53,24 @@ RUNS = {
     "neighbors": lambda config: run_neighbors(config, "panic"),
 }
 
-#: stage -> (the stages whose artifacts it opens, the files it creates or replaces)
+#: stage -> (the artifact files it opens, the files it creates or replaces)
 CONTRACTS = {stage: (spec.reads, (*spec.artifacts, "manifest.json"))
              for stage, spec in STAGES.items()}
 CONTRACTS["seeds+extra_seeds"] = CONTRACTS["seeds"]
-CONTRACTS["neighbors"] = (("train",), ())
+CONTRACTS["neighbors"] = (("embedding.bin",), ())
 
-#: stage -> the files it opens that are neither artifacts nor the manifest;
-#: a stage not named here opens none.
-INPUTS = {
-    "ingest": lambda config: [config.corpus],
-    "seeds": lambda config: [config.general_lexicon],
-    "seeds+extra_seeds":
-        lambda config: [config.general_lexicon, work_file(config, "extra_seeds.csv")],
-    "expand": lambda config: [Path(config.wordnet_dir) / f"{kind}.{pos}"
-                              for kind in ("data", "index")
-                              for pos in ("adj", "adv", "noun", "verb")],
-    "sheet": lambda config: [work_file(config, "review_accept_all.csv")],
-    "ratings": lambda config: [work_file(config, "ratings_r1.csv"),
-                               work_file(config, "ratings_r2.csv")],
-    "score": lambda config: [config.general_lexicon],
-}
+
+def outside_files(config, stage: str) -> set[Path]:
+    """The absolute paths of the files that the input keys of ``stage`` name
+    under ``config``, and of the files given to it as arguments."""
+    files = [work_file(config, name) for name in ARGUMENTS.get(stage, ())]
+    for key in set(STAGES[stage].keys if stage in STAGES else ()) & set(INPUT_KEYS):
+        value = getattr(config, key)
+        if key == "wordnet_dir":
+            files += [path for pair in dict_files(value).values() for path in pair]
+        elif value is not None:
+            files.append(value)
+    return {Path(os.path.abspath(path)) for path in files}
 
 
 def snapshot(work: Path) -> dict:
@@ -109,10 +107,11 @@ def test_stage_reads_and_writes_what_its_row_declares(reader_demo, tmp_path, sta
                if before.get(path) != after.get(path)}
     assert changed == set(writes)
     artifacts = {path.name for path in opened if path.parent == work and path.name in OWNER}
-    assert {OWNER[name] for name in artifacts} == set(reads), sorted(artifacts)
-    inputs = {Path(os.path.abspath(path)) for path in INPUTS.get(stage, lambda config: [])(config)}
-    assert {path for path in opened
-            if path.parent != work or path.name not in {*OWNER, "manifest.json"}} == inputs
+    assert artifacts == set(reads)
+    if stage == "seeds+extra_seeds":  # the list that RUNS hands to seeds
+        config.extra_seeds = str(work_file(config, "extra_seeds.csv"))
+    assert {path for path in opened if path.parent != work or path.name not in
+            {*OWNER, "manifest.json"}} == outside_files(config, stage.split("+")[0])
     # the fuzz run of test_readers covers every artifact a stage opens
     assert artifacts <= set(READERS)
 
@@ -192,3 +191,54 @@ def test_no_stage_reads_vocab_csv(reader_demo, tmp_path):
                         for stage in ("train", "seeds", "sheet")
                         for artifact in (*STAGES[stage].artifacts, "manifest.json")})
     assert digests[0] == digests[1]
+
+
+def test_stages_are_listed_in_build_order():
+    # one writer per file, or OWNER would keep the last without a word; each
+    # read written by an earlier row, so no row reads its own artifacts and
+    # stage_keys ends
+    assert len(OWNER) == sum(len(spec.artifacts) for spec in STAGES.values())
+    written = set()
+    for stage, spec in STAGES.items():
+        assert set(spec.reads) <= written, stage
+        written |= set(spec.artifacts)
+
+
+def test_no_stage_requires_an_export(reader_demo, tmp_path):
+    # vocab.csv, embedding.txt and scores.csv are written for people; the
+    # stages that come after their writers run without them
+    work = tmp_path / "work"
+    shutil.copytree(reader_demo, work)
+    exports = ("vocab.csv", "embedding.txt", "scores.csv")
+    for name in exports:
+        (work / name).unlink()
+    config = PipelineConfig.load(work / "inputs" / "config.json")
+    config.work_dir = str(work)
+    for stage in ("seeds", "expand", "sheet"):
+        RUNS[stage](config)
+    assert RUNS["neighbors"](config) == RUNS["neighbors"](
+        dataclasses.replace(config, work_dir=str(reader_demo)))
+    RUNS["evaluate"](config)
+    for path in work.rglob("*"):
+        if path.is_file():
+            assert path.read_bytes() == (reader_demo / path.relative_to(work)).read_bytes(), path
+    assert not any((work / name).exists() for name in exports)
+
+
+@pytest.mark.parametrize("stage, key", [("ingest", "corpus"), ("seeds", "general_lexicon"),
+                                        ("seeds", "extra_seeds"), ("expand", "wordnet_dir"),
+                                        ("score", "general_lexicon")])
+def test_empty_input_path_is_refused(reader_demo, tmp_path, monkeypatch, stage, key):
+    # an empty path would name the working directory, here a WordNet
+    # directory, or the file ''
+    work = tmp_path / "work"
+    shutil.copytree(reader_demo, work)
+    monkeypatch.chdir(work / "inputs" / "wordnet")
+    config = PipelineConfig.load(work / "inputs" / "config.json")
+    config.work_dir = str(work)
+    setattr(config, key, "")
+    manifest = (work / "manifest.json").read_bytes()
+    with pytest.raises(PipelineError, match=f"the '{stage}' stage needs a path in config "
+                                            f"key '{key}'"):
+        RUNS[stage](config)
+    assert (work / "manifest.json").read_bytes() == manifest
